@@ -9,14 +9,12 @@ overdetermined max-norm verification.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .expr import (
     AffineMap,
-    DegenerateAffineError,
-    EquivalenceReport,
     Expr,
     IDENTITY_MAP,
     SamplePlan,
@@ -24,12 +22,12 @@ from .expr import (
     affine_distance,
     affine_inverse,
     compose,
+    compose_power,
     eval_array,
     format_expr,
     is_transcendental,
     numerically_equal,
     parse_expr,
-    sample_points,
 )
 
 DEDUP_TOLERANCE = 1e-9
@@ -149,10 +147,7 @@ def find_affine_commutator(
         return CommutatorResult(IDENTITY_MAP, 0.0)
     u_expr = compose(f, g)
     w_expr = compose(g, f)
-    try:
-        pts = find_clean_points([u_expr, w_expr], plan)
-    except DegenerateSamplesError:
-        raise
+    pts = find_clean_points([u_expr, w_expr], plan)
     u, _ = eval_array(u_expr, pts)
     w, _ = eval_array(w_expr, pts)
 
@@ -228,13 +223,7 @@ class CommutatorTable:
         return {
             "size": self.size,
             "entries": [
-                {
-                    "i": i,
-                    "j": j,
-                    "a": f"{m.a.real!r},{m.a.imag!r}",
-                    "b": f"{m.b.real!r},{m.b.imag!r}",
-                    "residual": self.residuals[(i, j)],
-                }
+                {"i": i, "j": j, **m.to_json_dict(), "residual": self.residuals[(i, j)]}
                 for (i, j), m in sorted(self.entries.items())
             ],
         }
@@ -244,9 +233,7 @@ class CommutatorTable:
         entries, residuals = {}, {}
         for rec in doc["entries"]:
             key = (rec["i"], rec["j"])
-            ar, ai = (float(x) for x in rec["a"].split(","))
-            br, bi = (float(x) for x in rec["b"].split(","))
-            entries[key] = AffineMap(complex(ar, ai), complex(br, bi))
+            entries[key] = AffineMap.from_json_dict(rec)
             residuals[key] = float(rec["residual"])
         return CommutatorTable(doc["size"], entries, residuals)
 
@@ -419,16 +406,12 @@ def verify_identity(
         return IdentityReport("inverse", resid <= plan.tolerance, resid)
 
     if which == "1":
-        from .expr import compose_power
-
         lhs_map = _bracket(f, compose(g, compose_power(f, n)), plan)
         rhs_map = _bracket(f, g, plan)
         resid = affine_distance(lhs_map, rhs_map)
         return IdentityReport("1", resid <= plan.tolerance, resid)
 
     if which == "2":
-        from .expr import compose_power
-
         fn = compose_power(f, n)
         lhs = compose(_bracket(f, compose(fn, g), plan).as_expr(), fn)
         rhs = compose(fn, _bracket(f, g, plan).as_expr())

@@ -1,21 +1,24 @@
 """Expression trees for entire functions of one complex variable.
 
 Nodes are immutable dataclasses, so trees can be shared freely across
-worker processes.  Evaluation comes in two flavours: a scalar path that
-raises on overflow, and a vectorised numpy path that tracks a per-element
-"bad" mask instead (the grid kernel needs the latter).
+worker processes.  Each node class is one row of the node table: its
+prefix name, its typed fields, and one numpy evaluation step.  Walking
+the children, printing and parsing follow the field types alone.
 
-Any intermediate value whose magnitude exceeds OVERFLOW_CEILING is treated
-as overflow -- well below float infinity, so products can never silently
-turn into NaN.
+There is one evaluation path.  ``eval_array`` evaluates a tree on an
+array and tracks a per-element "bad" mask: any intermediate value whose
+magnitude exceeds OVERFLOW_CEILING counts as overflow -- well below float
+infinity, so products can never silently turn into NaN.  ``eval_at`` is
+``eval_array`` on a one-element array, raising EvalOverflow where that
+element is bad.
 """
 
 from __future__ import annotations
 
 import math
 import re as _re
-from dataclasses import dataclass
-from typing import Iterator, Mapping
+from dataclasses import dataclass, fields
+from typing import Iterator, Mapping, get_type_hints
 
 import numpy as np
 
@@ -43,96 +46,173 @@ class ExprParseError(ValueError):
 
 
 class Expr:
-    """Base class for expression nodes."""
+    """Base class for expression nodes.
+
+    A node class sets ``name``, its prefix-notation name; declares its
+    children and parameters as dataclass fields typed Expr,
+    tuple[Expr, ...], complex or int; and implements ``_eval(rec, w,
+    bad)``, its values at the points w, where ``rec(child, w)``
+    evaluates a child and points an op cannot take are set in ``bad``.
+    """
 
     __slots__ = ()
+    name: str
 
     def __call__(self, z: complex) -> complex:
         return eval_at(self, z)
 
 
+def _guarded(fn, u: np.ndarray, over: np.ndarray, bad: np.ndarray) -> np.ndarray:
+    """fn(u), marking the elements where ``over`` holds bad and feeding
+    fn 0 there instead."""
+    bad[over] = True
+    return fn(np.where(over, 0.0, u))
+
+
 @dataclass(frozen=True)
 class Identity(Expr):
-    pass
+    name = "z"
+
+    def _eval(self, rec, w, bad):
+        return w.astype(np.complex128, copy=True)
 
 
 @dataclass(frozen=True)
 class Const(Expr):
     value: complex
+    name = "const"
+
+    def _eval(self, rec, w, bad):
+        return np.full(w.shape, complex(self.value), dtype=np.complex128)
 
 
 @dataclass(frozen=True)
 class AffineExpr(Expr):
     a: complex
     b: complex
+    name = "affine"
+
+    def _eval(self, rec, w, bad):
+        return self.a * w + self.b
 
 
 @dataclass(frozen=True)
 class Power(Expr):
     base: Expr
     k: int
+    name = "pow"
 
     def __post_init__(self):
         if self.k < 1:
             raise ValueError("power exponent must be >= 1")
 
+    def _eval(self, rec, w, bad):
+        b = rec(self.base, w)
+        v = b.copy()
+        for _ in range(self.k - 1):
+            v *= b
+        return v
+
 
 @dataclass(frozen=True)
 class Exp(Expr):
     inner: Expr
+    name = "exp"
+
+    def _eval(self, rec, w, bad):
+        u = rec(self.inner, w)
+        return _guarded(np.exp, u, u.real > 345.0, bad)  # exp(345) ~ 1e149
 
 
 @dataclass(frozen=True)
 class Cos(Expr):
     inner: Expr
+    name = "cos"
+
+    def _eval(self, rec, w, bad):
+        u = rec(self.inner, w)
+        return _guarded(np.cos, u, np.abs(u.imag) > 345.0, bad)
 
 
 @dataclass(frozen=True)
 class Sin(Expr):
     inner: Expr
+    name = "sin"
+
+    def _eval(self, rec, w, bad):
+        u = rec(self.inner, w)
+        return _guarded(np.sin, u, np.abs(u.imag) > 345.0, bad)
 
 
 @dataclass(frozen=True)
 class Sum(Expr):
     terms: tuple[Expr, ...]
+    name = "add"
 
     def __post_init__(self):
         if len(self.terms) < 2:
             raise ValueError("sum needs at least two terms")
 
+    def _eval(self, rec, w, bad):
+        v = rec(self.terms[0], w).copy()
+        for t in self.terms[1:]:
+            v += rec(t, w)
+        return v
+
 
 @dataclass(frozen=True)
 class Product(Expr):
     factors: tuple[Expr, ...]
+    name = "mul"
 
     def __post_init__(self):
         if len(self.factors) < 2:
             raise ValueError("product needs at least two factors")
 
+    def _eval(self, rec, w, bad):
+        v = rec(self.factors[0], w).copy()
+        for f in self.factors[1:]:
+            v *= rec(f, w)
+        return v
+
 
 @dataclass(frozen=True)
 class Negate(Expr):
     inner: Expr
+    name = "neg"
+
+    def _eval(self, rec, w, bad):
+        return -rec(self.inner, w)
 
 
 @dataclass(frozen=True)
 class Compose(Expr):
     outer: Expr
     inner: Expr
+    name = "compose"
+
+    def _eval(self, rec, w, bad):
+        return rec(self.outer, rec(self.inner, w))
+
+
+NODE_TYPES = (
+    Identity, Const, AffineExpr, Power, Exp, Cos, Sin, Sum, Product, Negate, Compose
+)
+_EXPRS = tuple[Expr, ...]
+_BY_NAME = {cls.name: cls for cls in NODE_TYPES}
+# node class -> ((field name, field type), ...) in declaration order
+_FIELDS = {
+    cls: tuple((f.name, get_type_hints(cls)[f.name]) for f in fields(cls))
+    for cls in NODE_TYPES
+}
 
 
 def children(expr: Expr) -> Iterator[Expr]:
-    if isinstance(expr, Power):
-        yield expr.base
-    elif isinstance(expr, (Exp, Cos, Sin, Negate)):
-        yield expr.inner
-    elif isinstance(expr, Sum):
-        yield from expr.terms
-    elif isinstance(expr, Product):
-        yield from expr.factors
-    elif isinstance(expr, Compose):
-        yield expr.outer
-        yield expr.inner
+    for name, kind in _FIELDS[type(expr)]:
+        if kind is Expr:
+            yield getattr(expr, name)
+        elif kind == _EXPRS:
+            yield from getattr(expr, name)
 
 
 def is_transcendental(expr: Expr) -> bool:
@@ -229,55 +309,6 @@ def compose_power(f: Expr, n: int) -> Expr:
 # evaluation
 
 
-def _check(v: complex) -> complex:
-    m = abs(v)
-    if not math.isfinite(m) or m > OVERFLOW_CEILING:
-        raise EvalOverflow(f"magnitude {m!r} exceeds ceiling")
-    return v
-
-
-def eval_at(expr: Expr, z: complex) -> complex:
-    """Scalar evaluation; raises EvalOverflow past the ceiling."""
-    if isinstance(expr, Identity):
-        return _check(complex(z))
-    if isinstance(expr, Const):
-        return _check(expr.value)
-    if isinstance(expr, AffineExpr):
-        return _check(expr.a * z + expr.b)
-    if isinstance(expr, Power):
-        v = eval_at(expr.base, z)
-        out = 1 + 0j
-        for _ in range(expr.k):
-            out = _check(out * v)
-        return out
-    if isinstance(expr, Exp):
-        v = eval_at(expr.inner, z)
-        if v.real > 345.0:  # exp(345) ~ 1e149
-            raise EvalOverflow("exp argument too large")
-        return _check(np.exp(complex(v)))
-    if isinstance(expr, (Cos, Sin)):
-        v = eval_at(expr.inner, z)
-        if abs(v.imag) > 345.0:
-            raise EvalOverflow("cos/sin argument imaginary part too large")
-        fn = np.cos if isinstance(expr, Cos) else np.sin
-        return _check(complex(fn(complex(v))))
-    if isinstance(expr, Sum):
-        out = 0 + 0j
-        for t in expr.terms:
-            out = _check(out + eval_at(t, z))
-        return out
-    if isinstance(expr, Product):
-        out = 1 + 0j
-        for f in expr.factors:
-            out = _check(out * eval_at(f, z))
-        return out
-    if isinstance(expr, Negate):
-        return -eval_at(expr.inner, z)
-    if isinstance(expr, Compose):
-        return eval_at(expr.outer, eval_at(expr.inner, z))
-    raise TypeError(f"not an expression node: {expr!r}")
-
-
 def eval_array(expr: Expr, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Vectorised evaluation.
 
@@ -287,42 +318,7 @@ def eval_array(expr: Expr, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     bad = np.zeros(z.shape, dtype=bool)
 
     def rec(e: Expr, w: np.ndarray) -> np.ndarray:
-        if isinstance(e, Identity):
-            v = w.astype(np.complex128, copy=True)
-        elif isinstance(e, Const):
-            v = np.full(w.shape, complex(e.value), dtype=np.complex128)
-        elif isinstance(e, AffineExpr):
-            v = e.a * w + e.b
-        elif isinstance(e, Power):
-            b = rec(e.base, w)
-            v = b.copy()
-            for _ in range(e.k - 1):
-                v *= b
-        elif isinstance(e, Exp):
-            u = rec(e.inner, w)
-            over = u.real > 345.0
-            bad[over] = True
-            v = np.exp(np.where(over, 0.0, u))
-        elif isinstance(e, (Cos, Sin)):
-            u = rec(e.inner, w)
-            over = np.abs(u.imag) > 345.0
-            bad[over] = True
-            fn = np.cos if isinstance(e, Cos) else np.sin
-            v = fn(np.where(over, 0.0, u))
-        elif isinstance(e, Sum):
-            v = rec(e.terms[0], w).copy()
-            for t in e.terms[1:]:
-                v += rec(t, w)
-        elif isinstance(e, Product):
-            v = rec(e.factors[0], w).copy()
-            for f in e.factors[1:]:
-                v *= rec(f, w)
-        elif isinstance(e, Negate):
-            v = -rec(e.inner, w)
-        elif isinstance(e, Compose):
-            v = rec(e.outer, rec(e.inner, w))
-        else:
-            raise TypeError(f"not an expression node: {e!r}")
+        v = e._eval(rec, w, bad)
         with np.errstate(invalid="ignore"):
             m = np.abs(v)
         over = ~np.isfinite(m) | (m > OVERFLOW_CEILING)
@@ -333,6 +329,15 @@ def eval_array(expr: Expr, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
     values = rec(expr, np.asarray(z, dtype=np.complex128))
     return values, bad
+
+
+def eval_at(expr: Expr, z: complex) -> complex:
+    """eval_array at the one point z; raises EvalOverflow where it marks
+    that point bad."""
+    values, bad = eval_array(expr, np.array([z], dtype=np.complex128))
+    if bad[0]:
+        raise EvalOverflow(f"an intermediate value at z={z!r} exceeds the ceiling")
+    return complex(values[0])
 
 
 # ---------------------------------------------------------------------------
@@ -357,12 +362,15 @@ class AffineMap:
     def as_expr(self) -> AffineExpr:
         return AffineExpr(self.a, self.b)
 
+    def to_json_dict(self) -> dict:
+        return {"a": complex_to_json(self.a), "b": complex_to_json(self.b)}
+
+    @staticmethod
+    def from_json_dict(doc: dict) -> "AffineMap":
+        return AffineMap(complex_from_json(doc["a"]), complex_from_json(doc["b"]))
+
 
 IDENTITY_MAP = AffineMap(1 + 0j, 0j)
-
-
-def affine_apply(m: AffineMap, z: complex) -> complex:
-    return m.a * z + m.b
 
 
 def affine_compose(m1: AffineMap, m2: AffineMap) -> AffineMap:
@@ -443,7 +451,7 @@ def numerically_equal(
 
 
 # ---------------------------------------------------------------------------
-# prefix-notation serialization
+# prefix-notation serialization and the JSON text of complex numbers
 
 
 _COMPLEX_RE = _re.compile(
@@ -467,30 +475,28 @@ def format_complex(c: complex) -> str:
     return f"{c.real!r}{sign}{abs(c.imag)!r}i"
 
 
-_TOKEN_RE = _re.compile(r"\s*([(),]|[^\s(),]+)")
+def complex_to_json(c: complex) -> str:
+    """The "re,im" text that JSON reports hold a complex number as."""
+    c = complex(c)
+    return f"{c.real!r},{c.imag!r}"
 
-_FUNCS = {"const", "affine", "pow", "exp", "cos", "sin", "neg", "add", "mul", "compose"}
+
+def complex_from_json(text: str) -> complex:
+    re_part, im_part = text.split(",")
+    return complex(float(re_part), float(im_part))
 
 
-def _tokenize(text: str) -> list[str]:
-    tokens, pos = [], 0
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if not m:
-            break
-        tokens.append(m.group(1))
-        pos = m.end()
-    if text[pos:].strip():
-        raise ExprParseError(f"trailing garbage at {text[pos:]!r}")
-    return tokens
+# every character outside whitespace is punctuation or part of an atom
+_TOKEN_RE = _re.compile(r"[(),]|[^\s(),]+")
 
 
 def parse_expr(text: str, env: Mapping[str, Expr] | None = None) -> Expr:
     """Parse the prefix notation, e.g. ``add(exp(pow(z,2)), const(0.2+0i))``.
 
     ``env`` resolves bare names like ``f1`` to previously defined trees.
+    Malformed text raises ExprParseError.
     """
-    tokens = _tokenize(text)
+    tokens = _TOKEN_RE.findall(text)
     pos = 0
 
     def peek() -> str | None:
@@ -506,72 +512,42 @@ def parse_expr(text: str, env: Mapping[str, Expr] | None = None) -> Expr:
         pos += 1
         return tok
 
-    def args() -> list[str | Expr]:
-        take("(")
-        out: list[str | Expr] = []
-        if peek() == ")":
-            take(")")
-            return out
-        while True:
-            out.append(node())
-            if peek() == ",":
+    def parse_field(kind):
+        if kind is Expr:
+            return node()
+        if kind == _EXPRS:
+            items = [node()]
+            while peek() == ",":
                 take(",")
-                continue
-            take(")")
-            return out
-
-    def raw_args() -> list[str]:
-        # arguments taken as raw atoms (complex literals / integers)
-        take("(")
-        out = []
-        while True:
-            out.append(take())
-            if peek() == ",":
-                take(",")
-                continue
-            take(")")
-            return out
+                items.append(node())
+            return tuple(items)
+        tok = take()
+        if kind is complex:
+            return parse_complex(tok)
+        try:
+            return int(tok)
+        except ValueError:
+            raise ExprParseError(f"bad integer {tok!r}") from None
 
     def node() -> Expr:
         tok = take()
         if tok in ("(", ")", ","):
             raise ExprParseError(f"unexpected {tok!r}")
-        if tok == "z":
-            return Identity()
-        if tok in _FUNCS and peek() == "(":
-            if tok == "const":
-                (lit,) = raw_args()
-                return Const(parse_complex(lit))
-            if tok == "affine":
-                a, b = raw_args()
-                return AffineExpr(parse_complex(a), parse_complex(b))
-            if tok == "pow":
-                take("(")
-                base = node()
-                take(",")
-                k = take()
-                take(")")
-                return Power(base, int(k))
-            a = args()
-            if tok == "exp":
-                (inner,) = a
-                return Exp(inner)
-            if tok == "cos":
-                (inner,) = a
-                return Cos(inner)
-            if tok == "sin":
-                (inner,) = a
-                return Sin(inner)
-            if tok == "neg":
-                (inner,) = a
-                return Negate(inner)
-            if tok == "add":
-                return Sum(tuple(a))
-            if tok == "mul":
-                return Product(tuple(a))
-            if tok == "compose":
-                outer, inner = a
-                return Compose(outer, inner)
+        cls = _BY_NAME.get(tok)
+        if cls is not None and not _FIELDS[cls]:
+            return cls()
+        if cls is not None and peek() == "(":
+            take("(")
+            values = []
+            for i, (_, kind) in enumerate(_FIELDS[cls]):
+                if i:
+                    take(",")
+                values.append(parse_field(kind))
+            take(")")
+            try:
+                return cls(*values)
+            except ValueError as exc:
+                raise ExprParseError(f"{tok}: {exc}") from None
         if env is not None and tok in env:
             return env[tok]
         raise ExprParseError(f"unknown name {tok!r}")
@@ -584,26 +560,15 @@ def parse_expr(text: str, env: Mapping[str, Expr] | None = None) -> Expr:
 
 def format_expr(expr: Expr) -> str:
     """Emit the prefix notation; round-trips bit-stably through parse_expr."""
-    if isinstance(expr, Identity):
-        return "z"
-    if isinstance(expr, Const):
-        return f"const({format_complex(expr.value)})"
-    if isinstance(expr, AffineExpr):
-        return f"affine({format_complex(expr.a)}, {format_complex(expr.b)})"
-    if isinstance(expr, Power):
-        return f"pow({format_expr(expr.base)}, {expr.k})"
-    if isinstance(expr, Exp):
-        return f"exp({format_expr(expr.inner)})"
-    if isinstance(expr, Cos):
-        return f"cos({format_expr(expr.inner)})"
-    if isinstance(expr, Sin):
-        return f"sin({format_expr(expr.inner)})"
-    if isinstance(expr, Sum):
-        return f"add({', '.join(format_expr(t) for t in expr.terms)})"
-    if isinstance(expr, Product):
-        return f"mul({', '.join(format_expr(f) for f in expr.factors)})"
-    if isinstance(expr, Negate):
-        return f"neg({format_expr(expr.inner)})"
-    if isinstance(expr, Compose):
-        return f"compose({format_expr(expr.outer)}, {format_expr(expr.inner)})"
-    raise TypeError(f"not an expression node: {expr!r}")
+    args = []
+    for name, kind in _FIELDS[type(expr)]:
+        value = getattr(expr, name)
+        if kind is Expr:
+            args.append(format_expr(value))
+        elif kind == _EXPRS:
+            args.extend(format_expr(e) for e in value)
+        elif kind is complex:
+            args.append(format_complex(value))
+        else:
+            args.append(str(value))
+    return f"{expr.name}({', '.join(args)})" if args else expr.name

@@ -9,7 +9,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .commutator import SemigroupPresentation
-from .expr import Const, Cos, Exp, Expr, Identity, Negate, Power, SamplePlan, Sum
+from .expr import (
+    Const, Cos, Exp, Expr, Identity, Negate, Power, Product, SamplePlan, Sum
+)
 from .grid import GridSpec
 
 
@@ -32,8 +34,6 @@ def _exp_sq(lam: complex = 0.2) -> Expr:
 def _cos(lam: complex = 1.0) -> Expr:
     f: Expr = Cos(Identity())
     if lam != 1.0:
-        from .expr import Product
-
         f = Product((Const(lam), Cos(Identity())))
     return f
 

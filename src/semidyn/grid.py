@@ -28,7 +28,7 @@ from __future__ import annotations
 import csv
 import multiprocessing as mp
 import os
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass
 from itertools import product as iter_product
 
 import numpy as np
@@ -39,6 +39,7 @@ from .expr import (
     AffineMap,
     Expr,
     affine_inverse,
+    complex_to_json,
     compose,
     eval_array,
     format_expr,
@@ -82,6 +83,8 @@ class GridSpec:
     def __post_init__(self):
         if self.cols < 2 or self.rows < 2:
             raise ValueError("grid must be at least 2x2")
+        if not (self.width > 0 and self.height > 0):
+            raise ValueError("window width and height must be > 0")
         if self.escape_radius <= 1:
             raise ValueError("escape radius must be > 1")
         if self.max_iter < 1 or self.word_depth < 1:
@@ -98,16 +101,7 @@ class GridSpec:
         return x[None, :] + 1j * y[:, None]
 
     def to_json_dict(self) -> dict:
-        return {
-            "center": f"{self.center.real!r},{self.center.imag!r}",
-            "width": self.width,
-            "height": self.height,
-            "cols": self.cols,
-            "rows": self.rows,
-            "max_iter": self.max_iter,
-            "escape_radius": self.escape_radius,
-            "word_depth": self.word_depth,
-        }
+        return {**asdict(self), "center": complex_to_json(self.center)}
 
 
 @dataclass(frozen=True)
@@ -355,13 +349,6 @@ class ComparisonReport:
     compared: int
     disagreement: np.ndarray
     indeterminate: bool
-
-    def to_json_dict(self) -> dict:
-        return {
-            "ratio": self.ratio,
-            "compared": self.compared,
-            "indeterminate": self.indeterminate,
-        }
 
 
 def compare_classifications(

@@ -15,6 +15,7 @@ from dataclasses import dataclass
 from .commutator import (
     AffineGroup,
     CommutatorTable,
+    DegenerateSamplesError,
     SemigroupPresentation,
     find_clean_points,
 )
@@ -89,11 +90,7 @@ def word_expr(w: Word, S: SemigroupPresentation) -> Expr:
 
 def word_eval(w: Word, S: SemigroupPresentation, z: complex) -> complex:
     """Right-to-left application of the generators; raises EvalOverflow."""
-    w.validate(S)
-    out = complex(z)
-    for i in reversed(w.letters):
-        out = eval_at(S.generator(i), out)
-    return out
+    return eval_at(word_expr(w, S), z)
 
 
 def resolve_xi(
@@ -132,7 +129,7 @@ def left_resolve_exists(
         try:
             pts = find_clean_points([lhs, rhs], plan)
             rep = numerically_equal(lhs, rhs, plan, points=pts)
-        except Exception:
+        except DegenerateSamplesError:
             continue
         if rep.equal:
             return True
@@ -195,10 +192,7 @@ def normal_form(
 def normal_form_to_json_dict(w: Word, nf: NormalForm) -> dict:
     return {
         "word": list(w.letters),
-        "prefix": {
-            "a": f"{nf.prefix.a.real!r},{nf.prefix.a.imag!r}",
-            "b": f"{nf.prefix.b.real!r},{nf.prefix.b.imag!r}",
-        },
+        "prefix": nf.prefix.to_json_dict(),
         "exponents": list(nf.exponents),
         "prefix_in_table": nf.prefix_in_table,
         "residual": nf.residual,

@@ -60,6 +60,15 @@ class TestVerifyCommand:
         assert run("verify", "--generators", "cos(z)",
                    "--out", str(tmp_path)) == EXIT_OK
 
+    def test_inline_involution_passes(self, tmp_path):
+        # the same maps as example-2.1-cos; with no fixture the left-sided
+        # resolution is reported, not expected either way
+        assert run("verify", "--generators", "cos(z)", "neg(cos(z))",
+                   "--out", str(tmp_path)) == EXIT_OK
+        doc = json.loads((tmp_path / "verify_report.json").read_text())
+        left = next(c for c in doc["checks"] if c["check"] == "left-resolve-exists")
+        assert left["expected"] is None and left["ok"] is True
+
     def test_failing_brackets_exit_3(self, tmp_path):
         code = run("verify", "--generators", "exp(z)", "cos(z)",
                    "--out", str(tmp_path))
@@ -176,6 +185,33 @@ class TestNormalFormCommand:
     def test_no_words_usage(self, tmp_path):
         assert run("normal-form", "--fixture", "example-2.1-exp",
                    "--out", str(tmp_path)) == EXIT_USAGE
+
+
+class TestExitCodeContract:
+    EXP_14 = ",".join(["1"] * 14)
+
+    @pytest.mark.parametrize("env,argv,code", [
+        ({}, ["render", "--map", "foo("], EXIT_USAGE),
+        ({}, ["render", "--map", "exp(z, z)"], EXIT_USAGE),
+        ({}, ["render", "--fixture", "nope"], EXIT_USAGE),
+        ({"SEMIDYN_THREADS": "abc"}, ["render", "--map", "exp(z)"], EXIT_USAGE),
+        ({}, ["render", "--map", "exp(z)", "--window", "a,b"], EXIT_USAGE),
+        ({}, ["render", "--map", "exp(z)", "--cells", "1"], EXIT_USAGE),
+        ({}, ["render", "--map", "exp(z)", "--window", "1,1,0,1"], EXIT_USAGE),
+        ({}, ["normal-form", "--fixture", "example-2.1-exp", "--word", "1,3"],
+         EXIT_USAGE),
+        ({}, ["commutator", "--config", "{tmp}/missing.json"], EXIT_USAGE),
+        ({}, ["render", "--map", "exp(z)", "--config", "{tmp}/grid5.json"], EXIT_USAGE),
+        # the composed tree overflows everywhere: no clean sample points
+        ({}, ["normal-form", "--fixture", "example-2.1-exp", "--word", EXP_14],
+         EXIT_NORMAL_FORM_FAILED),
+    ])
+    def test_documented_code_not_traceback(self, tmp_path, monkeypatch, env, argv, code):
+        for key, value in env.items():
+            monkeypatch.setenv(key, value)
+        (tmp_path / "grid5.json").write_text('{"grid": 5}')
+        argv = [a.format(tmp=tmp_path) for a in argv]
+        assert run(*argv, "--out", str(tmp_path)) == code
 
 
 class TestConfigFile:

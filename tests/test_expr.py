@@ -14,6 +14,7 @@ from semidyn.expr import (
     Cos,
     DegenerateAffineError,
     EvalOverflow,
+    ExprParseError,
     Exp,
     Identity,
     Negate,
@@ -242,3 +243,11 @@ class TestSerialization:
         for bad in ("wat", "add(z)", "exp(z", "const(zed)", "z z"):
             with pytest.raises((ExprParseError, ValueError)):
                 parse_expr(bad)
+
+    @pytest.mark.parametrize(
+        "bad", ["exp(z, z)", "compose(z)", "add(z)", "pow(z, x)", "pow(z, 0)"]
+    )
+    def test_malformed_raises_parse_error(self, bad):
+        with pytest.raises(ExprParseError) as info:
+            parse_expr(bad)
+        assert type(info.value) is ExprParseError
