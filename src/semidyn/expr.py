@@ -23,6 +23,12 @@ from typing import Iterator, Mapping, get_type_hints
 import numpy as np
 
 OVERFLOW_CEILING = 1e150
+# Deepest nesting parse_expr accepts, counting every node on a path (exp(z)
+# is 2).  The deepest recursions over a tree, pickling it and printing or
+# walking a sum, take up to 4 frames a level, and words of up to 32 letters
+# compose a tree 31 levels deeper, so 128 keeps them well inside Python's
+# default recursion limit of 1000.
+MAX_EXPR_DEPTH = 128
 
 
 class EvalOverflow(ArithmeticError):
@@ -466,6 +472,8 @@ def parse_complex(text: str) -> complex:
         raise ExprParseError(f"bad complex literal {text!r}")
     re_part = float(m.group(1))
     im_part = float(m.group(2)) if m.group(2) is not None else 0.0
+    if not (math.isfinite(re_part) and math.isfinite(im_part)):
+        raise ExprParseError(f"complex literal {text!r} overflows a float")
     return complex(re_part, im_part)
 
 
@@ -493,8 +501,9 @@ _TOKEN_RE = _re.compile(r"[(),]|[^\s(),]+")
 def parse_expr(text: str, env: Mapping[str, Expr] | None = None) -> Expr:
     """Parse the prefix notation, e.g. ``add(exp(pow(z,2)), const(0.2+0i))``.
 
-    ``env`` resolves bare names like ``f1`` to previously defined trees.
-    Malformed text raises ExprParseError.
+    ``env`` resolves bare names like ``f1`` to previously defined trees;
+    such a name counts as one level of nesting.  Malformed text, and text
+    nested deeper than MAX_EXPR_DEPTH, raises ExprParseError.
     """
     tokens = _TOKEN_RE.findall(text)
     pos = 0
@@ -512,14 +521,14 @@ def parse_expr(text: str, env: Mapping[str, Expr] | None = None) -> Expr:
         pos += 1
         return tok
 
-    def parse_field(kind):
+    def parse_field(kind, depth):
         if kind is Expr:
-            return node()
+            return node(depth)
         if kind == _EXPRS:
-            items = [node()]
+            items = [node(depth)]
             while peek() == ",":
                 take(",")
-                items.append(node())
+                items.append(node(depth))
             return tuple(items)
         tok = take()
         if kind is complex:
@@ -529,7 +538,9 @@ def parse_expr(text: str, env: Mapping[str, Expr] | None = None) -> Expr:
         except ValueError:
             raise ExprParseError(f"bad integer {tok!r}") from None
 
-    def node() -> Expr:
+    def node(depth: int) -> Expr:
+        if depth > MAX_EXPR_DEPTH:
+            raise ExprParseError(f"nesting deeper than {MAX_EXPR_DEPTH} levels")
         tok = take()
         if tok in ("(", ")", ","):
             raise ExprParseError(f"unexpected {tok!r}")
@@ -542,7 +553,7 @@ def parse_expr(text: str, env: Mapping[str, Expr] | None = None) -> Expr:
             for i, (_, kind) in enumerate(_FIELDS[cls]):
                 if i:
                     take(",")
-                values.append(parse_field(kind))
+                values.append(parse_field(kind, depth + 1))
             take(")")
             try:
                 return cls(*values)
@@ -552,7 +563,7 @@ def parse_expr(text: str, env: Mapping[str, Expr] | None = None) -> Expr:
             return env[tok]
         raise ExprParseError(f"unknown name {tok!r}")
 
-    result = node()
+    result = node(1)
     if pos != len(tokens):
         raise ExprParseError(f"trailing tokens: {tokens[pos:]!r}")
     return result

@@ -3,10 +3,15 @@
 Each cell center is iterated under a map; a cell escapes when its iterate
 leaves the escape disk within max_iter iterations (or overflows -- for
 rapidly growing entire maps overflow is indistinguishable from
-divergence), is bounded when it returns within 1e-6 of an iterate seen in
-a sliding 16-step window, and is otherwise undecided at the iteration
-budget.  "Escaping" below always means this finite test, not membership
-of the escaping set I(f) itself.
+divergence), is bounded when it comes within 1e-6 of a reference
+iterate, and is otherwise undecided at the iteration budget.  The
+reference is z0 until step 1 and then the iterate at the last checkpoint
+1, 2, 4, 8, ... (Brent 1980, BIT 20), which costs one compare per cell
+and step.  A cycle of period p is caught once the orbit is on it and the
+checkpoint spacing 2^j has reached p, within p steps of that checkpoint:
+any period fits if max_iter allows, and a short one may be caught later
+than by a window of recent iterates.  "Escaping" below always means this
+finite test, not membership of the escaping set I(f) itself.
 
 The Julia mask follows two theorems.  For every transcendental entire f,
 J(f) is the boundary of I(f) (Eremenko 1989, "On the iteration of entire
@@ -56,7 +61,6 @@ STATUS_NAMES = {
     STATUS_ESCAPING: "escaping",
 }
 
-CYCLE_WINDOW = 16
 CYCLE_TOLERANCE = 1e-6
 WORD_BUDGET = 4096
 
@@ -144,23 +148,15 @@ def _classify_band(f: Expr, spec: GridSpec, row0: int, row1: int):
 
     active = np.nonzero(~immediate)[0]
     z = z0[active]
-    hist = np.empty((CYCLE_WINDOW, active.size), dtype=np.complex128)
-    hist_len = 0  # slots 0..hist_len-1 valid, slot (k-1) % CYCLE_WINDOW newest
-    hist[0] = z
-    hist_len = 1
+    ref = z.copy()  # the iterate at the last checkpoint, z0 until step 1
+    checkpoint = 1
 
     for k in range(1, spec.max_iter + 1):
         if active.size == 0:
             break
         z, bad = eval_array(f, z)
-        mag = np.abs(z)
-        escaped = bad | (mag > spec.escape_radius)
-
-        bounded = np.zeros(z.shape, dtype=bool)
-        live = ~escaped
-        if live.any() and hist_len > 0:
-            d = np.abs(hist[:hist_len, :] - z[None, :])
-            bounded = live & (d.min(axis=0) < CYCLE_TOLERANCE)
+        escaped = bad | (np.abs(z) > spec.escape_radius)
+        bounded = ~escaped & (np.abs(z - ref) < CYCLE_TOLERANCE)
 
         status[active[escaped]] = STATUS_ESCAPING
         esc[active[escaped]] = k
@@ -170,10 +166,10 @@ def _classify_band(f: Expr, spec: GridSpec, row0: int, row1: int):
         if not keep.all():
             active = active[keep]
             z = z[keep]
-            hist = hist[:, keep]
-        slot = k % CYCLE_WINDOW
-        hist[slot] = z
-        hist_len = min(hist_len + 1, CYCLE_WINDOW)
+            ref = ref[keep]
+        if k == checkpoint:
+            ref = z.copy()
+            checkpoint *= 2
 
     rows = row1 - row0
     return status.reshape(rows, spec.cols), esc.reshape(rows, spec.cols)

@@ -1,8 +1,12 @@
 import json
+import os
+import subprocess
+import sys
 import time
 
 import pytest
 
+import semidyn
 from semidyn.cli import (
     EXIT_NORMAL_FORM_FAILED,
     EXIT_OK,
@@ -13,6 +17,7 @@ from semidyn.cli import (
     EXIT_WORD_BUDGET,
     main,
 )
+from semidyn.expr import MAX_EXPR_DEPTH
 
 
 def run(*args):
@@ -212,6 +217,27 @@ class TestExitCodeContract:
         (tmp_path / "grid5.json").write_text('{"grid": 5}')
         argv = [a.format(tmp=tmp_path) for a in argv]
         assert run(*argv, "--out", str(tmp_path)) == code
+
+    # neg(...(exp(z))...) nests levels + 2 nodes; the deepest text the
+    # parser accepts must also get through printing, evaluation and the
+    # worker pool, so the whole process runs as a user would start it
+    @pytest.mark.parametrize("levels,code", [
+        (450, EXIT_USAGE),
+        (1200, EXIT_USAGE),
+        (MAX_EXPR_DEPTH - 2, EXIT_OK),
+    ])
+    def test_deep_nesting_exits_without_traceback(self, tmp_path, levels, code):
+        text = "neg(" * levels + "exp(z)" + ")" * levels
+        src = os.path.dirname(os.path.dirname(semidyn.__file__))
+        path = filter(None, [src, os.environ.get("PYTHONPATH")])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(path)}
+        proc = subprocess.run(
+            [sys.executable, "-m", "semidyn.cli", "render", "--map", text,
+             "--cells", "16", "--workers", "2", "--out", str(tmp_path)],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        assert proc.returncode == code, proc.stderr
+        assert "Traceback" not in proc.stderr
 
 
 class TestConfigFile:

@@ -199,6 +199,45 @@ class TestTranscendentalFlag:
         assert not is_transcendental(AffineExpr(2, 3))
 
 
+# text from the notation's own vocabulary: node names, punctuation, z, an
+# unknown name and numbers, including one that overflows a float.  Calls
+# mostly take their node's fields, so well-formed trees come up often;
+# calls of any arity and token soup give the malformed ones.
+NODE_NAMES = st.sampled_from(
+    ["z", "const", "affine", "pow", "exp", "cos", "sin", "add", "mul", "neg",
+     "compose", "f1"]
+)
+NUMBERS = st.one_of(
+    st.sampled_from(["0", "-1", "2", "1e400", "1+2i", "-0.5-1e-3i", ".5e-2"]),
+    st.integers(-10, 10).map(str),
+    st.floats(allow_nan=False, allow_infinity=False).map(repr),
+)
+
+
+def _call(name, *args):
+    return f"{name}({', '.join(args)})"
+
+
+PREFIX_TEXT = st.one_of(
+    st.recursive(
+        st.one_of(st.just("z"), NUMBERS.map(lambda c: _call("const", c))),
+        lambda inner: st.one_of(
+            st.builds(_call, st.sampled_from(["exp", "cos", "sin", "neg"]), inner),
+            st.builds(_call, st.just("pow"), inner, NUMBERS),
+            st.builds(_call, st.just("affine"), NUMBERS, NUMBERS),
+            st.builds(_call, st.just("compose"), inner, inner),
+            st.builds(lambda n, xs: _call(n, *xs), st.sampled_from(["add", "mul"]),
+                      st.lists(inner, min_size=1, max_size=3)),
+            st.builds(lambda n, xs: _call(n, *xs), NODE_NAMES,
+                      st.lists(st.one_of(inner, NUMBERS), max_size=3)),
+        ),
+        max_leaves=12,
+    ),
+    st.lists(st.one_of(NODE_NAMES, NUMBERS, st.sampled_from("(),")),
+             max_size=30).map(" ".join),
+)
+
+
 class TestSerialization:
     TREES = [
         Z,
@@ -245,9 +284,21 @@ class TestSerialization:
                 parse_expr(bad)
 
     @pytest.mark.parametrize(
-        "bad", ["exp(z, z)", "compose(z)", "add(z)", "pow(z, x)", "pow(z, 0)"]
+        "bad", ["exp(z, z)", "compose(z)", "add(z)", "pow(z, x)", "pow(z, 0)",
+                "const(1e400)", "affine(1, 0+1e999i)"]
     )
     def test_malformed_raises_parse_error(self, bad):
         with pytest.raises(ExprParseError) as info:
             parse_expr(bad)
         assert type(info.value) is ExprParseError
+
+    @settings(max_examples=300, deadline=None)
+    @given(PREFIX_TEXT)
+    def test_arbitrary_text_parses_or_raises_parse_error(self, text):
+        try:
+            tree = parse_expr(text)
+        except ExprParseError:
+            return
+        again = parse_expr(format_expr(tree))
+        assert again == tree
+        assert format_expr(again) == format_expr(tree)

@@ -1,10 +1,13 @@
 import cmath
+import hashlib
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from semidyn.commutator import SemigroupPresentation, build_commutator_table
 from semidyn.expr import (
+    AffineExpr,
     AffineMap,
     Cos,
     Exp,
@@ -122,6 +125,60 @@ class TestClassifyMap:
         assert not (esc1 & (g2.status == STATUS_BOUNDED)).any()
         # decisions only increase
         assert ((g2.status != STATUS_UNDECIDED) | (g1.status == STATUS_UNDECIDED)).all()
+
+    def test_negation_is_bounded_off_origin(self):
+        spec = small_spec(cols=8, rows=8, width=0.01, height=0.01, center=1 + 1j)
+        g = classify_map(Negate(Z), spec)
+        assert (g.status == STATUS_BOUNDED).all()
+
+    def test_period_20_rotation_is_bounded(self):
+        # the orbit returns to the step-32 reference at step 52
+        spec = small_spec(cols=8, rows=8, width=0.01, height=0.01, center=1 + 1j)
+        g = classify_map(AffineExpr(cmath.exp(2j * cmath.pi / 20), 0j), spec)
+        assert (g.status == STATUS_BOUNDED).all()
+
+    def test_period_40_rotation_is_undecided(self):
+        # a period-40 orbit returns to the step-64 reference only at step
+        # 104, past max_iter
+        spec = small_spec(cols=8, rows=8, width=0.01, height=0.01, center=1 + 1j,
+                          max_iter=100)
+        g = classify_map(AffineExpr(cmath.exp(2j * cmath.pi / 40), 0j), spec)
+        assert (g.status == STATUS_UNDECIDED).all()
+
+
+class TestKernelDigests:
+    """sha256 of status.tobytes() and escape_iter.tobytes() of
+    classify_semigroup on each fixture's window at 128x128, with the
+    fixture's max_iter.  Recorded at commit 09fd2e2, with the kernel that
+    compared each iterate against a sliding window of the last 16; the
+    checkpoint detector that replaced it decides every cell the same way
+    on these windows."""
+
+    DIGESTS = {
+        "example-2.1-exp": (
+            "746664dba900c81ef311c8456e15b02a5efeee3736a4f3827ce1eb1e0c24d8da",
+            "f162540bc614cd8b38b2094d6fe0a0348eafc340f498ee70dfdc4cd83808a376",
+        ),
+        "example-2.1-cos": (
+            "e75d8393b4ce978ee9e6c76b2895b1e0c4bd1991c0ab638ce3549848259783de",
+            "e6ee56c4bdfd88c5b889b111dba489f89f0a79766d0d7ac14b55a208a6e36197",
+        ),
+        "derived-exp-shift": (
+            "746664dba900c81ef311c8456e15b02a5efeee3736a4f3827ce1eb1e0c24d8da",
+            "94339796e79a7ff9b0c46bd5abf130974ef6b188fb724adf94a20f862be4d3b5",
+        ),
+    }
+
+    @pytest.mark.parametrize("name", sorted(DIGESTS))
+    def test_semigroup_grid_matches_recorded_digest(self, name):
+        fx = FIXTURES[name]
+        spec = replace(fx.window, cols=128, rows=128)
+        g = classify_semigroup(fx.presentation, spec)
+        digests = (
+            hashlib.sha256(g.status.tobytes()).hexdigest(),
+            hashlib.sha256(g.escape_iter.tobytes()).hexdigest(),
+        )
+        assert digests == self.DIGESTS[name]
 
 
 class TestClassifySemigroup:
