@@ -49,11 +49,13 @@ from .grid import (
     map_classification,
     map_mask,
     resolve_workers,
+    single_class,
     status_bytes,
     write_csv,
     write_pgm,
 )
 from .words import (
+    ActionTable,
     NoXiError,
     VerificationFailedError,
     Word,
@@ -235,18 +237,26 @@ def cmd_verify(run: Run) -> int:
             dict(check=name, holds=holds, expected=expected, ok=ok, residual=residual)
         )
 
-    try:
-        for which in ("diagonal", "inverse"):
-            rep = verify_identity(which, f, g, plan=plan)
-            record(which, rep.holds, rep.residual)
-        for which in ("1", "2", "3"):
-            ns = (1, 2, 3) if which in ("1", "2") else (1,)
-            for n in ns:
-                rep = verify_identity(which, f, g, n=n, plan=plan)
-                record(f"identity-{which}(n={n})", rep.holds, rep.residual)
-    except MissingCommutatorError as exc:
-        record("bracket-solve", False, float("nan"))
+    def record_error(name: str, exc: Exception):
+        record(name, False, float("nan"))
         checks[-1]["error"] = str(exc)
+
+    identities = [("diagonal", 1, "diagonal"), ("inverse", 1, "inverse")] + [
+        (which, n, f"identity-{which}(n={n})")
+        for which in ("1", "2", "3")
+        for n in ((1, 2, 3) if which in ("1", "2") else (1,))
+    ]
+    for which, n, name in identities:
+        try:
+            rep = verify_identity(which, f, g, n=n, plan=plan)
+        except MissingCommutatorError as exc:
+            record_error("bracket-solve", exc)
+            break
+        except DegenerateSamplesError as exc:
+            # no clean sample points for this comparison: it cannot pass
+            record_error(name, exc)
+            continue
+        record(name, rep.holds, rep.residual)
 
     near = is_nearly_abelian(S, plan)
     record("nearly-abelian(algebraic)", near.algebraic, 0.0)
@@ -270,6 +280,8 @@ def cmd_verify(run: Run) -> int:
             record("left-resolve-exists", exists, 0.0, expected=expect_left)
         except (ClosureOverflowError, NoXiError) as exc:
             checks.append({"check": "xi-resolution", "error": str(exc), "ok": True})
+        except DegenerateSamplesError as exc:
+            record_error("resolve-xi(f, phi)", exc)
 
     doc = run.meta({"presentation": presentation_to_json_dict(S), "checks": checks})
     _write_json(run.path("verify_report.json"), doc)
@@ -334,6 +346,11 @@ def cmd_transport(run: Run) -> int:
     ratio_f = float((fat_s == fat_c)[valid].mean()) if valid.any() else 0.0
 
     ratios = {"escaping": rep_i.ratio, "julia": ratio_j, "fatou": ratio_f}
+    vacuous = {
+        "escaping": rep_i.vacuous,
+        "julia": single_class(jb_s, jb_c),
+        "fatou": single_class(fat_s[valid], fat_c[valid]),
+    }
     fatou_inv = check_fatou_invariance(S, phi, spec, workers=workers, grid=grid_s)
     meta = run.meta(
         {
@@ -354,6 +371,8 @@ def cmd_transport(run: Run) -> int:
     _write_json(run.path("transport_report.json"), meta)
     for k, v in ratios.items():
         print(f"{k}: {v:.5f}")
+        if vacuous[k]:
+            print(f"{k}: vacuous (single-class masks)", file=sys.stderr)
     if any(v < threshold for v in ratios.values()):
         return EXIT_TRANSPORT_BELOW_THRESHOLD
     return EXIT_OK
@@ -371,10 +390,11 @@ def cmd_normal_form(run: Run) -> int:
         print(f"commutator group is not finite: {exc}", file=sys.stderr)
         return EXIT_NORMAL_FORM_FAILED
 
+    act = ActionTable(S, G, plan)
     results = []
     for w in run.words:
         try:
-            nf = normal_form(w, S, near.table, G, plan)
+            nf = normal_form(w, S, near.table, G, plan, act)
         except (NoXiError, VerificationFailedError, DegenerateSamplesError) as exc:
             print(f"word {list(w.letters)}: {exc}", file=sys.stderr)
             return EXIT_NORMAL_FORM_FAILED

@@ -339,12 +339,21 @@ def map_mask(
     return out, valid
 
 
+def single_class(a: np.ndarray, b: np.ndarray) -> bool:
+    """Whether each of two compared cell arrays holds one value throughout,
+    so that their agreement ratio says nothing about where the classes lie
+    (e.g. two class-B grids on which every cell escapes)."""
+    return all(x.size == 0 or bool((x == x.flat[0]).all()) for x in (a, b))
+
+
 @dataclass(frozen=True)
 class ComparisonReport:
     ratio: float
     compared: int
     disagreement: np.ndarray
     indeterminate: bool
+    # both grids are single-class over the compared cells
+    vacuous: bool
 
 
 def compare_classifications(
@@ -368,10 +377,11 @@ def compare_classifications(
         mask &= ~band
     compared = int(mask.sum())
     if compared == 0:
-        return ComparisonReport(0.0, 0, np.zeros_like(mask), True)
+        return ComparisonReport(0.0, 0, np.zeros_like(mask), True, True)
     disagree = mask & (ga.status != gb.status)
     ratio = 1.0 - disagree.sum() / compared
-    return ComparisonReport(float(ratio), compared, disagree, False)
+    vacuous = single_class(ga.status[mask], gb.status[mask])
+    return ComparisonReport(float(ratio), compared, disagree, False, vacuous)
 
 
 @dataclass(frozen=True)

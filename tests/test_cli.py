@@ -7,6 +7,8 @@ import time
 import pytest
 
 import semidyn
+import semidyn.commutator
+import semidyn.words
 from semidyn.cli import (
     EXIT_NORMAL_FORM_FAILED,
     EXIT_OK,
@@ -17,7 +19,7 @@ from semidyn.cli import (
     EXIT_WORD_BUDGET,
     main,
 )
-from semidyn.expr import MAX_EXPR_DEPTH
+from semidyn.expr import MAX_EXPR_DEPTH, AffineExpr, children
 
 
 def run(*args):
@@ -147,6 +149,18 @@ class TestTransportCommand:
         doc = json.loads((tmp_path / "transport_report.json").read_text())
         assert doc["fatou_invariance"]["indeterminate"] is True
 
+    @pytest.mark.parametrize("fixture,vacuous", [
+        # every cell escapes: I and J are all-True and F all-False on both sides
+        ("example-2.1-exp", ["escaping", "julia", "fatou"]),
+        ("example-2.1-cos", []),
+    ])
+    def test_vacuous_ratios_flagged(self, tmp_path, capsys, fixture, vacuous):
+        assert run("transport", "--fixture", fixture, "--cells", "64",
+                   "--out", str(tmp_path)) == EXIT_OK
+        flagged = [line.split(":")[0] for line in capsys.readouterr().err.splitlines()
+                   if line.endswith(": vacuous (single-class masks)")]
+        assert flagged == vacuous
+
     def test_bad_phi_usage(self, tmp_path):
         assert run("transport", "--fixture", "example-2.1-cos",
                    "--phi", "0+0i;0+0i", "--out", str(tmp_path)) == EXIT_USAGE
@@ -217,6 +231,32 @@ class TestExitCodeContract:
         (tmp_path / "grid5.json").write_text('{"grid": 5}')
         argv = [a.format(tmp=tmp_path) for a in argv]
         assert run(*argv, "--out", str(tmp_path)) == code
+
+    def test_verify_degenerate_samples_fail_the_check(self, tmp_path, monkeypatch, capsys):
+        # the fake finds no clean sample points for a tree that carries an
+        # affine map: identities 2 and 3 compare such trees, and so does
+        # resolve_xi, while the brackets of the fixture's own generators
+        # still solve
+        real = semidyn.commutator.find_clean_points
+
+        def carries_affine(e):
+            return isinstance(e, AffineExpr) or any(map(carries_affine, children(e)))
+
+        def degenerate(exprs, plan, count=None):
+            if any(map(carries_affine, exprs)):
+                raise semidyn.commutator.DegenerateSamplesError("no clean samples")
+            return real(exprs, plan, count)
+
+        monkeypatch.setattr(semidyn.commutator, "find_clean_points", degenerate)
+        monkeypatch.setattr(semidyn.words, "find_clean_points", degenerate)
+        code = run("verify", "--fixture", "example-2.1-cos", "--out", str(tmp_path))
+        assert code == EXIT_VERIFY_FAILED
+        assert "Traceback" not in capsys.readouterr().err
+        doc = json.loads((tmp_path / "verify_report.json").read_text())
+        errors = {c["check"] for c in doc["checks"] if "error" in c}
+        assert errors == {"identity-2(n=1)", "identity-2(n=2)", "identity-2(n=3)",
+                          "identity-3(n=1)", "resolve-xi(f, phi)"}
+        assert all(not c["ok"] for c in doc["checks"] if c["check"] in errors)
 
     # neg(...(exp(z))...) nests levels + 2 nodes; the deepest text the
     # parser accepts must also get through printing, evaluation and the
