@@ -41,21 +41,15 @@ from .grid import (
     check_fatou_invariance,
     classify_map,
     classify_semigroup,
-    compare_classifications,
     escape_boundary,
-    extract_julia_boundary,
-    fatou_mask,
     heatmap_bytes,
-    map_classification,
-    map_mask,
     resolve_workers,
-    single_class,
     status_bytes,
+    transport_ratios,
     write_csv,
     write_pgm,
 )
 from .words import (
-    ActionTable,
     NoXiError,
     VerificationFailedError,
     Word,
@@ -335,22 +329,7 @@ def cmd_transport(run: Run) -> int:
     grid_s = classify_semigroup(S, spec, workers=workers)
     grid_c = classify_semigroup(conj, spec, workers=workers)
 
-    moved = map_classification(grid_s, phi, spec)
-    rep_i = compare_classifications(moved, grid_c)
-
-    jb_s, _ = map_mask(extract_julia_boundary(grid_s), spec, phi, spec)
-    jb_c = extract_julia_boundary(grid_c)
-    ratio_j = float((jb_s == jb_c).mean())
-    fat_s, valid = map_mask(fatou_mask(grid_s), spec, phi, spec)
-    fat_c = fatou_mask(grid_c)
-    ratio_f = float((fat_s == fat_c)[valid].mean()) if valid.any() else 0.0
-
-    ratios = {"escaping": rep_i.ratio, "julia": ratio_j, "fatou": ratio_f}
-    vacuous = {
-        "escaping": rep_i.vacuous,
-        "julia": single_class(jb_s, jb_c),
-        "fatou": single_class(fat_s[valid], fat_c[valid]),
-    }
+    rep_i, ratios, vacuous = transport_ratios(grid_s, grid_c, phi, spec)
     fatou_inv = check_fatou_invariance(S, phi, spec, workers=workers, grid=grid_s)
     meta = run.meta(
         {
@@ -390,11 +369,10 @@ def cmd_normal_form(run: Run) -> int:
         print(f"commutator group is not finite: {exc}", file=sys.stderr)
         return EXIT_NORMAL_FORM_FAILED
 
-    act = ActionTable(S, G, plan)
     results = []
     for w in run.words:
         try:
-            nf = normal_form(w, S, near.table, G, plan, act)
+            nf = normal_form(w, S, near.table, G, plan)
         except (NoXiError, VerificationFailedError, DegenerateSamplesError) as exc:
             print(f"word {list(w.letters)}: {exc}", file=sys.stderr)
             return EXIT_NORMAL_FORM_FAILED

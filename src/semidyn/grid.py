@@ -339,13 +339,6 @@ def map_mask(
     return out, valid
 
 
-def single_class(a: np.ndarray, b: np.ndarray) -> bool:
-    """Whether each of two compared cell arrays holds one value throughout,
-    so that their agreement ratio says nothing about where the classes lie
-    (e.g. two class-B grids on which every cell escapes)."""
-    return all(x.size == 0 or bool((x == x.flat[0]).all()) for x in (a, b))
-
-
 @dataclass(frozen=True)
 class ComparisonReport:
     ratio: float
@@ -380,8 +373,47 @@ def compare_classifications(
         return ComparisonReport(0.0, 0, np.zeros_like(mask), True, True)
     disagree = mask & (ga.status != gb.status)
     ratio = 1.0 - disagree.sum() / compared
-    vacuous = single_class(ga.status[mask], gb.status[mask])
+    vacuous = _single_class(ga.status[mask], gb.status[mask])
     return ComparisonReport(float(ratio), compared, disagree, False, vacuous)
+
+
+def _single_class(a: np.ndarray, b: np.ndarray) -> bool:
+    """Whether each of two compared cell arrays holds one value throughout,
+    so that their agreement ratio says nothing about where the classes lie
+    (e.g. two class-B grids on which every cell escapes)."""
+    return all(x.size == 0 or bool((x == x.flat[0]).all()) for x in (a, b))
+
+
+def transport_ratios(
+    grid_s: ClassificationGrid,
+    grid_c: ClassificationGrid,
+    phi: AffineMap,
+    spec: GridSpec,
+) -> tuple[ComparisonReport, dict[str, float], dict[str, bool]]:
+    """Agreement of the I/J/F approximations of grid_s, transported by
+    phi, with those of grid_c on spec.
+
+    Returns the escaping-set comparison, the ratios keyed "escaping",
+    "julia" and "fatou", and for each whether it is vacuous: computed
+    between two single-class masks, so it passes without evidence.  The
+    Julia ratio is over every cell, the Fatou ratio over the cells whose
+    preimage lies in the source window."""
+    rep = compare_classifications(map_classification(grid_s, phi, spec), grid_c)
+    jb_s, _ = map_mask(extract_julia_boundary(grid_s), spec, phi, spec)
+    jb_c = extract_julia_boundary(grid_c)
+    fat_s, valid = map_mask(fatou_mask(grid_s), spec, phi, spec)
+    fat_c = fatou_mask(grid_c)
+    ratios = {
+        "escaping": rep.ratio,
+        "julia": float((jb_s == jb_c).mean()),
+        "fatou": float((fat_s == fat_c)[valid].mean()) if valid.any() else 0.0,
+    }
+    vacuous = {
+        "escaping": rep.vacuous,
+        "julia": _single_class(jb_s, jb_c),
+        "fatou": _single_class(fat_s[valid], fat_c[valid]),
+    }
+    return rep, ratios, vacuous
 
 
 @dataclass(frozen=True)

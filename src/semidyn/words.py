@@ -7,8 +7,7 @@ nonnegative exponents; it is produced by bubble-sorting the letters, each
 adjacent swap inserting the pair's commutator, which is then migrated to
 the far left one generator at a time.  Since f_k ∘ phi = xi ∘ f_k, each
 migration depends only on the pair (k, phi), and phi ranges over the
-finite commutator group, so an ActionTable resolves each pair once and
-the words of one invocation share it.
+finite commutator group, so normal_form resolves each pair once per word.
 """
 
 from __future__ import annotations
@@ -121,28 +120,6 @@ def resolve_xi(
     return matches[0]
 
 
-class ActionTable:
-    """act[k][phi]: the xi in G with f_k ∘ phi = xi ∘ f_k, for the
-    generators f_k of S.
-
-    A pair (k, phi), keyed by the exact AffineMap value of phi, is resolved
-    by resolve_xi with this table's S, G and plan on its first request, so
-    it gets the same numerical check as a direct call; later requests read
-    the stored xi.  A failed resolution raises and stores nothing."""
-
-    def __init__(self, S: SemigroupPresentation, G: AffineGroup, plan: SamplePlan):
-        self.S, self.G, self.plan = S, G, plan
-        self._xi: dict[tuple[int, AffineMap], AffineMap] = {}
-
-    def migrate(self, k: int, phi: AffineMap) -> AffineMap:
-        key = (k, phi)
-        xi = self._xi.get(key)
-        if xi is None:
-            xi = resolve_xi(self.S.generator(k), phi, self.G, self.plan)
-            self._xi[key] = xi
-        return xi
-
-
 def left_resolve_exists(
     f: Expr, phi: AffineMap, G: AffineGroup, plan: SamplePlan
 ) -> bool:
@@ -167,24 +144,20 @@ def normal_form(
     table: CommutatorTable,
     G: AffineGroup,
     plan: SamplePlan,
-    act: ActionTable | None = None,
 ) -> NormalForm:
     """Rewrite a word into prefix ∘ f_1^{t_1} ∘ ... ∘ f_m^{t_m}.
 
     Adjacent out-of-order pairs f_i ∘ f_j (i > j) are replaced by
     table(i, j) ∘ f_j ∘ f_i; the inserted affine map is migrated eagerly to
     the far left across each generator it passes, then absorbed into the
-    prefix.  Each migration is resolved once per (generator, phi) in the
-    action table ``act``; pass one table to share it across the words of
-    an invocation, or none to use a fresh one.  Letters are permuted, never
-    created or destroyed, so the exponents always sum to the word length.
+    prefix.  Each migration f_k ∘ phi = xi ∘ f_k is resolved by resolve_xi
+    once per (k, phi), keyed by the exact AffineMap value of phi, and
+    reused for the rest of the word.  Letters are permuted, never created
+    or destroyed, so the exponents always sum to the word length.
     The result is verified by evaluating the whole word.
     """
     w.validate(S)
-    if act is None:
-        act = ActionTable(S, G, plan)
-    elif (act.S, act.G, act.plan) != (S, G, plan):
-        raise ValueError("action table was built for another S, G or plan")
+    xi_of: dict[tuple[int, AffineMap], AffineMap] = {}
     letters = list(w.letters)
     prefix = IDENTITY_MAP
 
@@ -198,7 +171,10 @@ def normal_form(
                 letters[idx], letters[idx + 1] = j, i
                 # migrate phi left across letters[0..idx-1]
                 for k in range(idx - 1, -1, -1):
-                    phi = act.migrate(letters[k], phi)
+                    key = (letters[k], phi)
+                    if key not in xi_of:
+                        xi_of[key] = resolve_xi(S.generator(letters[k]), phi, G, plan)
+                    phi = xi_of[key]
                 prefix = affine_compose(prefix, phi)
                 changed = True
 

@@ -26,7 +26,6 @@ import semidyn.words
 from semidyn.cli import EXIT_OK, main as cli_main
 from semidyn.fixtures import FIXTURES, INVOLUTION_FIXTURES
 from semidyn.words import (
-    ActionTable,
     AmbiguousXiError,
     NoXiError,
     Word,
@@ -193,22 +192,17 @@ def pinned_words():
             yield name, Word(tuple(int(x) for x in rng.integers(1, 3, length)))
 
 
-class TestActionTable:
+class TestMigrationMemo:
     # sha256 of the normal forms of pinned_words(), recorded at 14bd163,
     # where every migration called resolve_xi afresh
     PINNED_SHA256 = "08078b98338be8a830015447c557a152f6c5f475a4b217e3d1d77e02875e0e9c"
 
-    @pytest.mark.parametrize("shared", [False, True])
-    def test_normal_forms_match_pinned_digest(self, shared):
+    def test_normal_forms_match_pinned_digest(self):
         machinery = {name: fixture_machinery(name) for name in INVOLUTION_FIXTURES}
-        acts = {
-            name: ActionTable(fx.presentation, G, fx.plan) if shared else None
-            for name, (fx, table, G) in machinery.items()
-        }
         docs = []
         for name, w in pinned_words():
             fx, table, G = machinery[name]
-            nf = normal_form(w, fx.presentation, table, G, fx.plan, acts[name])
+            nf = normal_form(w, fx.presentation, table, G, fx.plan)
             docs.append(normal_form_to_json_dict(w, nf))
         blob = json.dumps(docs, sort_keys=True).encode()
         assert hashlib.sha256(blob).hexdigest() == self.PINNED_SHA256
@@ -227,8 +221,8 @@ class TestActionTable:
 
     @staticmethod
     def call_bound(name):
-        # each (generator, phi) pair resolves at most once, and phi is a
-        # table entry or an element of G
+        # each (generator, phi) pair of a word resolves at most once, and
+        # phi is a table entry or an element of G
         fx, table, G = fixture_machinery(name)
         return len(fx.presentation) * (len(G) + len(table.entries))
 
@@ -240,26 +234,11 @@ class TestActionTable:
         assert nf.exponents == (16, 16)
         assert 0 < len(calls) <= self.call_bound("example-2.1-cos")
 
-    def test_invocation_shares_one_table(self, monkeypatch, tmp_path):
+    def test_invocation_resolves_each_pair_once_per_word(self, monkeypatch, tmp_path):
         calls = self.count_resolve_xi(monkeypatch)
         assert cli_main(["normal-form", "--fixture", "example-2.1-cos",
                          "--random", "20", "--max-len", "32",
                          "--out", str(tmp_path)]) == EXIT_OK
         doc = json.loads((tmp_path / "normal_forms.json").read_text())
         assert len(doc["normal_forms"]) == 20
-        assert 0 < len(calls) <= self.call_bound("example-2.1-cos")
-
-    def test_table_for_another_plan_rejected(self):
-        fx, table, G = fixture_machinery("example-2.1-cos")
-        act = ActionTable(fx.presentation, G, PLAN)
-        with pytest.raises(ValueError):
-            normal_form(Word((2, 1)), fx.presentation, table, G, fx.plan, act)
-
-    def test_entries_match_direct_resolution(self):
-        fx, table, G = fixture_machinery("example-2.1-exp")
-        act = ActionTable(fx.presentation, G, fx.plan)
-        for k in (1, 2):
-            for phi in G.elements:
-                assert act.migrate(k, phi) == resolve_xi(
-                    fx.presentation.generator(k), phi, G, fx.plan
-                )
+        assert 0 < len(calls) <= 20 * self.call_bound("example-2.1-cos")
