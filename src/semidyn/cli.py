@@ -50,6 +50,7 @@ from .grid import (
     write_pgm,
 )
 from .words import (
+    AmbiguousXiError,
     NoXiError,
     VerificationFailedError,
     Word,
@@ -274,7 +275,7 @@ def cmd_verify(run: Run) -> int:
             record("left-resolve-exists", exists, 0.0, expected=expect_left)
         except (ClosureOverflowError, NoXiError) as exc:
             checks.append({"check": "xi-resolution", "error": str(exc), "ok": True})
-        except DegenerateSamplesError as exc:
+        except (DegenerateSamplesError, AmbiguousXiError) as exc:
             record_error("resolve-xi(f, phi)", exc)
 
     doc = run.meta({"presentation": presentation_to_json_dict(S), "checks": checks})
@@ -373,7 +374,8 @@ def cmd_normal_form(run: Run) -> int:
     for w in run.words:
         try:
             nf = normal_form(w, S, near.table, G, plan)
-        except (NoXiError, VerificationFailedError, DegenerateSamplesError) as exc:
+        except (NoXiError, AmbiguousXiError, VerificationFailedError,
+                DegenerateSamplesError) as exc:
             print(f"word {list(w.letters)}: {exc}", file=sys.stderr)
             return EXIT_NORMAL_FORM_FAILED
         results.append(normal_form_to_json_dict(w, nf))

@@ -15,6 +15,7 @@ import numpy as np
 
 from .expr import (
     AffineMap,
+    EquivalenceReport,
     Expr,
     IDENTITY_MAP,
     SamplePlan,
@@ -22,11 +23,11 @@ from .expr import (
     affine_distance,
     affine_inverse,
     compose,
+    compare_values,
     compose_power,
     eval_array,
     format_expr,
     is_transcendental,
-    numerically_equal,
     parse_expr,
 )
 
@@ -69,26 +70,21 @@ class MissingCommutatorError(ValueError):
 
 # ---------------------------------------------------------------------------
 # clean-point search
-#
-# Deep compositions of fast-growing entire maps overflow on most of any
-# fixed disk.  Since entire functions agreeing on any open set agree
-# everywhere, it is legitimate to compare on whatever sub-disk evaluates
-# cleanly; the search below finds one deterministically (seeded draws plus
-# a fixed lattice, then zooming onto the best clean candidate).
 
 
 def find_clean_points(
     exprs: list[Expr], plan: SamplePlan, count: int | None = None
-) -> np.ndarray:
+) -> tuple[np.ndarray, list[np.ndarray]]:
+    """The first ``count`` (default plan.count) points of a seeded search
+    at which every expression evaluates cleanly, and each one's values
+    there.  Entire functions agreeing on an open set agree everywhere, so
+    any clean sub-disk will do.  Stage 1 draws batches from the plan's disk
+    (4n seeded points, a lattice, 16n and 64n more), stage 2 zooms onto the
+    clean points found; if neither finds enough, DegenerateSamplesError.
+    Each point is evaluated at most once per expression, and expression k
+    only where 1..k-1 are clean; evaluation is elementwise, so the values
+    are those at the chosen points alone."""
     n = plan.count if count is None else count
-
-    def clean_mask(pts: np.ndarray) -> np.ndarray:
-        ok = np.ones(pts.shape, dtype=bool)
-        for e in exprs:
-            _, bad = eval_array(e, pts)
-            ok &= ~bad
-        return ok
-
     rng = np.random.default_rng(plan.seed)
 
     def draw(center: complex, radius: float, m: int) -> np.ndarray:
@@ -96,31 +92,45 @@ def find_clean_points(
         theta = 2 * np.pi * rng.random(m)
         return center + r * np.exp(1j * theta)
 
-    # stage 1: the plan's own disk, growing batches, plus a fixed lattice
-    side = np.linspace(-plan.radius, plan.radius, 48)
-    lattice = plan.center + (side[:, None] + 1j * side[None, :]).ravel()
-    lattice = lattice[np.abs(lattice - plan.center) <= plan.radius]
-    pool = np.concatenate([draw(plan.center, plan.radius, 4 * n), lattice])
-    for extra in (16 * n, 64 * n):
-        ok = clean_mask(pool)
-        if ok.sum() >= n:
-            return pool[ok][:n]
-        pool = np.concatenate([pool, draw(plan.center, plan.radius, extra)])
-    ok = clean_mask(pool)
-    if ok.sum() >= n:
-        return pool[ok][:n]
+    def clean(pts: np.ndarray) -> list[np.ndarray]:
+        """[the points clean for every expression, each one's values there]"""
+        cols = [pts]
+        for e in exprs:
+            if not len(cols[0]):
+                return [cols[0]] * (len(exprs) + 1)
+            v, bad = eval_array(e, cols[0])
+            ok = ~bad
+            cols = [c[ok] for c in cols + [v]]
+        return cols
 
-    # stage 2: zoom onto clean candidates with shrinking radii
-    candidates = pool[ok]
-    for center in candidates[:8]:
+    def stage1():
+        yield draw(plan.center, plan.radius, 4 * n)
+        side = np.linspace(-plan.radius, plan.radius, 48)
+        lattice = plan.center + (side[:, None] + 1j * side[None, :]).ravel()
+        yield lattice[np.abs(lattice - plan.center) <= plan.radius]
+        yield draw(plan.center, plan.radius, 16 * n)
+        yield draw(plan.center, plan.radius, 64 * n)
+
+    found = [np.empty(0, dtype=np.complex128)] * (len(exprs) + 1)
+    for batch in stage1():
+        found = [np.concatenate(pair) for pair in zip(found, clean(batch))]
+        if len(found[0]) >= n:
+            return found[0][:n], [v[:n] for v in found[1:]]
+
+    for center in found[0][:8]:  # stage 2
         for shrink in (8.0, 32.0, 128.0, 512.0):
-            local = draw(complex(center), plan.radius / shrink, 4 * n)
-            lok = clean_mask(local)
-            if lok.sum() >= n:
-                return local[lok][:n]
+            pts, *values = clean(draw(complex(center), plan.radius / shrink, 4 * n))
+            if len(pts) >= n:
+                return pts[:n], [v[:n] for v in values]
     raise DegenerateSamplesError(
         f"no disk with {n} clean samples found for {len(exprs)} expression(s)"
     )
+
+
+def sampled_equal(lhs: Expr, rhs: Expr, plan: SamplePlan) -> EquivalenceReport:
+    """compare_values of two trees at the points find_clean_points picks."""
+    _, (lv, rv) = find_clean_points([lhs, rhs], plan)
+    return compare_values(lv, rv, plan)
 
 
 # ---------------------------------------------------------------------------
@@ -145,25 +155,19 @@ def find_affine_commutator(
     """
     if f is g or f == g:
         return CommutatorResult(IDENTITY_MAP, 0.0)
-    u_expr = compose(f, g)
-    w_expr = compose(g, f)
-    pts = find_clean_points([u_expr, w_expr], plan)
-    u, _ = eval_array(u_expr, pts)
-    w, _ = eval_array(w_expr, pts)
+    _, (u, w) = find_clean_points([compose(f, g), compose(g, f)], plan)
 
     # anchor pair: among the smallest-magnitude values, the best separated
     order = np.argsort(np.maximum(np.abs(u), np.abs(w)))
-    best = None
-    for m in (8, 16, len(pts)):
+    for m in (8, 16, len(u)):
         idx = order[:m]
         sep = np.abs(w[idx][:, None] - w[idx][None, :])
         i, j = np.unravel_index(int(sep.argmax()), sep.shape)
         if sep[i, j] > MIN_SEPARATION:
-            best = (int(idx[i]), int(idx[j]))
+            i, j = int(idx[i]), int(idx[j])
             break
-    if best is None:
+    else:
         raise DegenerateSamplesError("no well-separated pair of w-values")
-    i, j = best
     a = (u[i] - u[j]) / (w[i] - w[j])
     b = u[i] - a * w[i]
     if a == 0:
@@ -171,8 +175,7 @@ def find_affine_commutator(
 
     scale = np.maximum(np.abs(u), np.abs(w))
     scale = np.maximum(scale, plan.abs_floor / plan.tolerance)
-    resid = np.abs(a * w + b - u) / scale
-    max_resid = float(resid.max())
+    max_resid = float((np.abs(a * w + b - u) / scale).max())
     if max_resid > plan.tolerance:
         raise NoAffineCommutatorError(
             f"affine fit residual {max_resid:.3e} exceeds tolerance",
@@ -369,12 +372,6 @@ def _bracket(f: Expr, g: Expr, plan: SamplePlan) -> AffineMap:
         raise MissingCommutatorError(f"bracket could not be solved: {exc}") from exc
 
 
-def _compare(lhs: Expr, rhs: Expr, plan: SamplePlan) -> tuple[bool, float]:
-    pts = find_clean_points([lhs, rhs], plan)
-    rep = numerically_equal(lhs, rhs, plan, points=pts)
-    return rep.equal, rep.max_error
-
-
 def verify_identity(
     which: str | int,
     f: Expr,
@@ -395,38 +392,29 @@ def verify_identity(
         raise ValueError("n must be in 1..3")
 
     if which == "diagonal":
-        m = _bracket(f, f, plan)
-        resid = affine_distance(m, IDENTITY_MAP)
-        return IdentityReport("diagonal", resid <= plan.tolerance, resid)
-
-    if which == "inverse":
-        fg = _bracket(f, g, plan)
-        gf = _bracket(g, f, plan)
-        resid = affine_distance(affine_compose(fg, gf), IDENTITY_MAP)
-        return IdentityReport("inverse", resid <= plan.tolerance, resid)
-
-    if which == "1":
-        lhs_map = _bracket(f, compose(g, compose_power(f, n)), plan)
-        rhs_map = _bracket(f, g, plan)
-        resid = affine_distance(lhs_map, rhs_map)
-        return IdentityReport("1", resid <= plan.tolerance, resid)
-
-    if which == "2":
+        lhs, rhs = _bracket(f, f, plan), IDENTITY_MAP
+    elif which == "inverse":
+        lhs = affine_compose(_bracket(f, g, plan), _bracket(g, f, plan))
+        rhs = IDENTITY_MAP
+    elif which == "1":
+        lhs = _bracket(f, compose(g, compose_power(f, n)), plan)
+        rhs = _bracket(f, g, plan)
+    elif which == "2":
         fn = compose_power(f, n)
         lhs = compose(_bracket(f, compose(fn, g), plan).as_expr(), fn)
         rhs = compose(fn, _bracket(f, g, plan).as_expr())
-        holds, resid = _compare(lhs, rhs, plan)
-        return IdentityReport("2", holds, resid)
-
-    if which == "3":
+    elif which == "3":
         fg = compose(f, g)
         gf = compose(g, f)
         lhs = compose(_bracket(fg, gf, plan).as_expr(), gf)
         rhs = compose(fg, _bracket(g, f, plan).as_expr())
-        holds, resid = _compare(lhs, rhs, plan)
-        return IdentityReport("3", holds, resid)
-
-    raise ValueError(f"unknown identity {which!r}")
+    else:
+        raise ValueError(f"unknown identity {which!r}")
+    if isinstance(lhs, AffineMap):  # two brackets: compare their coefficients
+        resid = affine_distance(lhs, rhs)
+        return IdentityReport(which, resid <= plan.tolerance, resid)
+    rep = sampled_equal(lhs, rhs, plan)
+    return IdentityReport(which, rep.equal, rep.max_error)
 
 
 # ---------------------------------------------------------------------------

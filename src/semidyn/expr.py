@@ -8,9 +8,12 @@ the children, printing and parsing follow the field types alone.
 There is one evaluation path.  ``eval_array`` evaluates a tree on an
 array and tracks a per-element "bad" mask: any intermediate value whose
 magnitude exceeds OVERFLOW_CEILING counts as overflow -- well below float
-infinity, so products can never silently turn into NaN.  ``eval_at`` is
-``eval_array`` on a one-element array, raising EvalOverflow where that
-element is bad.
+infinity, so products can never silently turn into NaN.  Identity (where
+the input enters), Const, AffineExpr, Power, Sum and Product check their
+output; the others cannot go over: the guards of Exp, Cos and Sin keep
+them below e^345 ~ 1.3e149, Negate keeps the magnitude and Compose returns
+its outer child's value.  ``eval_at`` is ``eval_array`` on a one-element
+array, raising EvalOverflow where that element is bad.
 """
 
 from __future__ import annotations
@@ -58,7 +61,8 @@ class Expr:
     children and parameters as dataclass fields typed Expr,
     tuple[Expr, ...], complex or int; and implements ``_eval(rec, w,
     bad)``, its values at the points w, where ``rec(child, w)``
-    evaluates a child and points an op cannot take are set in ``bad``.
+    evaluates a child and points an op cannot take are set in ``bad``;
+    a node whose values can exceed the ceiling returns them ``_capped``.
     """
 
     __slots__ = ()
@@ -66,6 +70,15 @@ class Expr:
 
     def __call__(self, z: complex) -> complex:
         return eval_at(self, z)
+
+
+def _capped(v: np.ndarray, bad: np.ndarray) -> np.ndarray:
+    """v, its elements over the ceiling (or not finite) marked bad and zeroed."""
+    over = ~(np.abs(v) <= OVERFLOW_CEILING)
+    if over.any():
+        bad[over] = True
+        v = np.where(over, 0.0, v)
+    return v
 
 
 def _guarded(fn, u: np.ndarray, over: np.ndarray, bad: np.ndarray) -> np.ndarray:
@@ -80,7 +93,7 @@ class Identity(Expr):
     name = "z"
 
     def _eval(self, rec, w, bad):
-        return w.astype(np.complex128, copy=True)
+        return _capped(w.astype(np.complex128, copy=True), bad)
 
 
 @dataclass(frozen=True)
@@ -89,7 +102,8 @@ class Const(Expr):
     name = "const"
 
     def _eval(self, rec, w, bad):
-        return np.full(w.shape, complex(self.value), dtype=np.complex128)
+        v = np.full(w.shape, complex(self.value), dtype=np.complex128)
+        return _capped(v, bad)
 
 
 @dataclass(frozen=True)
@@ -99,7 +113,7 @@ class AffineExpr(Expr):
     name = "affine"
 
     def _eval(self, rec, w, bad):
-        return self.a * w + self.b
+        return _capped(self.a * w + self.b, bad)
 
 
 @dataclass(frozen=True)
@@ -117,7 +131,7 @@ class Power(Expr):
         v = b.copy()
         for _ in range(self.k - 1):
             v *= b
-        return v
+        return _capped(v, bad)
 
 
 @dataclass(frozen=True)
@@ -163,7 +177,7 @@ class Sum(Expr):
         v = rec(self.terms[0], w).copy()
         for t in self.terms[1:]:
             v += rec(t, w)
-        return v
+        return _capped(v, bad)
 
 
 @dataclass(frozen=True)
@@ -179,7 +193,7 @@ class Product(Expr):
         v = rec(self.factors[0], w).copy()
         for f in self.factors[1:]:
             v *= rec(f, w)
-        return v
+        return _capped(v, bad)
 
 
 @dataclass(frozen=True)
@@ -324,17 +338,9 @@ def eval_array(expr: Expr, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     bad = np.zeros(z.shape, dtype=bool)
 
     def rec(e: Expr, w: np.ndarray) -> np.ndarray:
-        v = e._eval(rec, w, bad)
-        with np.errstate(invalid="ignore"):
-            m = np.abs(v)
-        over = ~np.isfinite(m) | (m > OVERFLOW_CEILING)
-        if over.any():
-            bad[over] = True
-            v = np.where(over, 0.0, v)
-        return v
+        return e._eval(rec, w, bad)
 
-    values = rec(expr, np.asarray(z, dtype=np.complex128))
-    return values, bad
+    return rec(expr, np.asarray(z, dtype=np.complex128)), bad
 
 
 def eval_at(expr: Expr, z: complex) -> complex:
@@ -409,11 +415,13 @@ class SamplePlan:
     center: complex = 0j
 
     def __post_init__(self):
+        if self.seed < 0:
+            raise ValueError("sample seed must be >= 0")
         if self.count < 8:
             raise ValueError("sample count must be >= 8")
-        if self.radius <= 0:
+        if not self.radius > 0:  # rejects NaN too
             raise ValueError("sample radius must be > 0")
-        if self.tolerance <= 0:
+        if not self.tolerance > 0:
             raise ValueError("tolerance must be > 0")
 
 
@@ -434,26 +442,31 @@ class EquivalenceReport:
     total_count: int
 
 
+def compare_values(
+    fv: np.ndarray, gv: np.ndarray, plan: SamplePlan, clean: np.ndarray | None = None
+) -> EquivalenceReport:
+    """Relative error with an absolute floor between two functions' values
+    at the same points, over those where ``clean`` holds (default: all).
+    Raises IndeterminateComparison when none, or under half, are clean."""
+    total = len(fv)
+    if clean is not None:
+        fv, gv = fv[clean], gv[clean]
+    if not len(fv) or len(fv) * 2 < total:
+        raise IndeterminateComparison(f"{len(fv)}/{total} samples evaluated cleanly")
+    scale = np.maximum(np.abs(fv), np.abs(gv))
+    scale = np.maximum(scale, plan.abs_floor / plan.tolerance)
+    max_err = float((np.abs(fv - gv) / scale).max())
+    return EquivalenceReport(max_err <= plan.tolerance, max_err, len(fv), total)
+
+
 def numerically_equal(
     fexpr: Expr, gexpr: Expr, plan: SamplePlan, points: np.ndarray | None = None
 ) -> EquivalenceReport:
-    """Compare two functions at sampled points, relative tolerance with an
-    absolute floor.  Raises IndeterminateComparison when fewer than half
-    the samples evaluate cleanly on both sides."""
+    """compare_values at the points (default: the plan's samples) both are clean at."""
     pts = sample_points(plan) if points is None else points
     fv, fbad = eval_array(fexpr, pts)
     gv, gbad = eval_array(gexpr, pts)
-    clean = ~(fbad | gbad)
-    n_clean = int(clean.sum())
-    if n_clean * 2 < len(pts):
-        raise IndeterminateComparison(
-            f"only {n_clean}/{len(pts)} samples evaluated cleanly"
-        )
-    scale = np.maximum(np.abs(fv[clean]), np.abs(gv[clean]))
-    scale = np.maximum(scale, plan.abs_floor / plan.tolerance)
-    err = np.abs(fv[clean] - gv[clean]) / scale
-    max_err = float(err.max()) if n_clean else 0.0
-    return EquivalenceReport(max_err <= plan.tolerance, max_err, n_clean, len(pts))
+    return compare_values(fv, gv, plan, ~(fbad | gbad))
 
 
 # ---------------------------------------------------------------------------

@@ -20,6 +20,7 @@ from .commutator import (
     DegenerateSamplesError,
     SemigroupPresentation,
     find_clean_points,
+    sampled_equal,
 )
 from .expr import (
     AffineMap,
@@ -28,10 +29,11 @@ from .expr import (
     SamplePlan,
     affine_compose,
     affine_distance,
+    compare_values,
     compose,
     compose_power,
+    eval_array,
     eval_at,
-    numerically_equal,
 )
 
 MAX_WORD_LENGTH = 32
@@ -104,12 +106,12 @@ def resolve_xi(
         raise ValueError("group must be closed")
     if affine_distance(phi, IDENTITY_MAP) < plan.tolerance:
         return IDENTITY_MAP
-    lhs = compose(f, phi.as_expr())
-    pts = find_clean_points([lhs, f], plan)
+    _, (lv, fv) = find_clean_points([compose(f, phi.as_expr()), f], plan)
     matches = []
     for xi in G.elements:
-        rep = numerically_equal(lhs, compose(xi.as_expr(), f), plan, points=pts)
-        if rep.equal:
+        # xi∘f at those points: xi's tree evaluated at f's values there
+        xv, xbad = eval_array(xi.as_expr(), fv)
+        if compare_values(lv, xv, plan, ~xbad).equal:
             matches.append(xi)
     if not matches:
         raise NoXiError(f"no xi in a group of {len(G)} matches f∘phi")
@@ -127,14 +129,11 @@ def left_resolve_exists(
     this can legitimately fail to exist."""
     lhs = compose(phi.as_expr(), f)
     for xi in G.elements:
-        rhs = compose(f, xi.as_expr())
         try:
-            pts = find_clean_points([lhs, rhs], plan)
-            rep = numerically_equal(lhs, rhs, plan, points=pts)
+            if sampled_equal(lhs, compose(f, xi.as_expr()), plan).equal:
+                return True
         except DegenerateSamplesError:
             continue
-        if rep.equal:
-            return True
     return False
 
 
@@ -184,9 +183,7 @@ def normal_form(
     for i, t in enumerate(exponents, start=1):
         if t > 0:
             rhs = compose(rhs, compose_power(S.generator(i), t))
-    lhs = word_expr(w, S)
-    pts = find_clean_points([lhs, rhs], plan)
-    rep = numerically_equal(lhs, rhs, plan, points=pts)
+    rep = sampled_equal(word_expr(w, S), rhs, plan)
     if not rep.equal:
         raise VerificationFailedError(
             f"normal form residual {rep.max_error:.3e}", rep.max_error

@@ -1,7 +1,11 @@
+import hashlib
 import math
 
+import numpy as np
 import pytest
 
+import semidyn.commutator
+from semidyn.cli import EXIT_NORMAL_FORM_FAILED, main as cli_main
 from semidyn.commutator import (
     AffineGroup,
     ClosureOverflowError,
@@ -13,6 +17,7 @@ from semidyn.commutator import (
     build_commutator_table,
     conjugate_semigroup,
     find_affine_commutator,
+    find_clean_points,
     group_closure,
     is_nearly_abelian,
     presentation_from_json_dict,
@@ -30,9 +35,11 @@ from semidyn.expr import (
     affine_compose,
     affine_distance,
     affine_inverse,
+    eval_array,
     numerically_equal,
 )
 from semidyn.fixtures import FIXTURES, INVOLUTION_FIXTURES
+from semidyn.words import Word, normal_form, word_expr
 
 Z = Identity()
 IDENT = AffineMap(1, 0)
@@ -43,6 +50,90 @@ def paper_pairs():
     for name in INVOLUTION_FIXTURES:
         S = FIXTURES[name].presentation
         yield name, S.generator(1), S.generator(2)
+
+
+def seeded_word_pairs():
+    """Each fixture's seeded words of lengths 1..32, each as the pair of
+    trees [word, reversed word]."""
+    rng = np.random.default_rng(2018)
+    for name in ("example-2.1-cos", "example-2.1-exp"):
+        fx = FIXTURES[name]
+        for length in range(1, 33):
+            letters = tuple(int(x) for x in rng.integers(1, 3, length))
+            exprs = [word_expr(Word(letters), fx.presentation),
+                     word_expr(Word(letters[::-1]), fx.presentation)]
+            yield fx, exprs
+
+
+class TestFindCleanPoints:
+    # sha256 of the points and values found for seeded_word_pairs(),
+    # recorded at 3ea6d88, where the search returned the points only and
+    # the values came from evaluating each tree there afresh
+    PINNED_SHA256 = "b2b0ee1c1f294f96563471adde1ebdc6fc571a6eafa56831bdaf79fd95bdfcda"
+
+    def test_points_and_values_match_pinned_digest(self):
+        h = hashlib.sha256()
+        for fx, exprs in seeded_word_pairs():
+            try:
+                pts, values = find_clean_points(exprs, fx.plan)
+            except DegenerateSamplesError:
+                h.update(b"degenerate")
+                continue
+            h.update(pts.tobytes())
+            for v in values:
+                h.update(v.tobytes())
+        assert h.hexdigest() == self.PINNED_SHA256
+
+    # exp words: 2 finds its points in the first batch, 9 and 13 need more
+    # batches, 14 and 32 never find enough.  Words of two or more letters
+    # give distinct tree objects, which the spy tells apart.  The element
+    # counts per expression were 1844, 1844, 10012, 11164 and 8604 for
+    # both trees at 3ea6d88, which evaluated the whole pool at every check.
+    @pytest.mark.parametrize("length,elements", [
+        (2, [128, 125]), (9, [1844, 169]), (13, [5812, 178]), (14, [6964, 99]),
+        (32, [4404, 0]),
+    ])
+    def test_each_point_evaluated_once_per_expression(self, monkeypatch, length,
+                                                      elements):
+        calls = []
+        real = semidyn.commutator.eval_array
+
+        def spy(e, z):
+            out = real(e, z)
+            calls.append((e, z.copy(), out[1].copy()))
+            return out
+
+        monkeypatch.setattr(semidyn.commutator, "eval_array", spy)
+        fx, exprs = list(seeded_word_pairs())[32 + length - 1]
+        try:
+            pts, values = find_clean_points(exprs, fx.plan)
+        except DegenerateSamplesError:
+            pts = None
+        clean = {}  # point -> clean for every expression so far
+        for k, e in enumerate(exprs):
+            seen = [(z, b) for f, zs, bs in calls if f is e for z, b in zip(zs, bs)]
+            points = [z for z, _ in seen]
+            assert len(points) == elements[k]
+            assert len(set(points)) == len(points)
+            if k:
+                assert all(clean[z] for z in points)
+            clean = {z: not b for z, b in seen}
+        if pts is not None:
+            for e, v in zip(exprs, values):
+                assert v.tobytes() == real(e, pts)[0].tobytes()
+
+    @pytest.mark.parametrize("length", [14, 20, 32])
+    def test_long_exp_words_stay_degenerate(self, tmp_path, length):
+        fx = FIXTURES["example-2.1-exp"]
+        rng = np.random.default_rng(length)
+        w = Word(tuple(int(x) for x in rng.integers(1, 3, length)))
+        table = build_commutator_table(fx.presentation, fx.plan)
+        G = group_closure(table.maps(), cap=64)
+        with pytest.raises(DegenerateSamplesError):
+            normal_form(w, fx.presentation, table, G, fx.plan)
+        text = ",".join(map(str, w.letters))
+        assert cli_main(["normal-form", "--fixture", fx.name, "--word", text,
+                         "--out", str(tmp_path)]) == EXIT_NORMAL_FORM_FAILED
 
 
 class TestFindAffineCommutator:

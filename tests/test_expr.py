@@ -14,9 +14,11 @@ from semidyn.expr import (
     Cos,
     DegenerateAffineError,
     EvalOverflow,
+    Expr,
     ExprParseError,
     Exp,
     Identity,
+    IndeterminateComparison,
     Negate,
     Power,
     Product,
@@ -42,6 +44,23 @@ from semidyn.expr import (
 Z = Identity()
 F_EXP_SQ = Sum((Exp(Power(Z, 2)), Const(0.2)))
 PLAN = SamplePlan(seed=7)
+
+COEFFS = st.sampled_from([0.2, -1.0, 1j, 2.5 - 0.5j, 1e100, 1e149, 1e200])
+# trees of every node kind
+TREES = st.recursive(
+    st.one_of(st.just(Z), COEFFS.map(Const), st.builds(AffineExpr, COEFFS, COEFFS)),
+    lambda inner: st.one_of(
+        st.builds(Power, inner, st.integers(1, 4)),
+        st.builds(Exp, inner),
+        st.builds(Cos, inner),
+        st.builds(Sin, inner),
+        st.builds(Negate, inner),
+        st.builds(Compose, inner, inner),
+        st.lists(inner, min_size=2, max_size=3).map(lambda ts: Sum(tuple(ts))),
+        st.lists(inner, min_size=2, max_size=3).map(lambda ts: Product(tuple(ts))),
+    ),
+    max_leaves=10,
+)
 
 
 class TestEval:
@@ -93,6 +112,42 @@ class TestEval:
         vals, bad = eval_array(Exp(Z), np.array([0.0 + 0j, 400.0 + 0j]))
         assert list(bad) == [False, True]
         assert vals[0] == 1 + 0j
+
+    INF, NAN = complex("inf"), complex("nan")
+
+    # bad masks at the ceiling's edges, recorded at 3ea6d88, where every
+    # node checked its own output
+    @pytest.mark.parametrize("expr,points,mask", [
+        (Const(1e200), [0, 1, 1e160], [1, 1, 1]),
+        (Const(1e149), [0, 1e160], [0, 0]),
+        (Sum((Z, Const(6e149))), [1, 5e149, -6e149, 1e151], [0, 1, 0, 1]),
+        (Power(Z, 3), [1e50, 2e50, 1e49, 1e160, 4.6e49], [1, 1, 0, 1, 0]),
+        (Product((Const(1e100), Z)), [1e51, 1e49, -1e50], [1, 0, 1]),
+        (AffineExpr(1e100, 0), [1e51, 1e49], [1, 0]),
+        (Exp(Z), [345, 346, 345 + 1e6j, -1e149], [0, 1, 0, 0]),
+        (Cos(Z), [346j, -346j, 345j, -345j, 1e149], [1, 1, 0, 0, 0]),
+        (Sin(Z), [346j, -346j, 345j, -345j, 1e149], [1, 1, 0, 0, 0]),
+        (Z, [INF, NAN, 1e160, complex(1, math.inf), 1e150, 0], [1, 1, 1, 1, 0, 0]),
+        (Negate(Const(1e200)), [0], [1]),
+        (Compose(Exp(Z), Power(Z, 2)), [18, 19, 18.6, 1e80], [0, 1, 1, 1]),
+    ], ids=lambda v: type(v).__name__ if isinstance(v, Expr) else None)
+    def test_bad_mask_at_ceiling_edges(self, expr, points, mask):
+        _, bad = eval_array(expr, np.array(points, dtype=np.complex128))
+        assert bad.astype(int).tolist() == mask
+
+    @settings(max_examples=300, deadline=None)
+    @given(TREES, st.integers(0, 2**32 - 1), st.sampled_from([1.0, 20.0, 400.0, 1e50]))
+    def test_subset_evaluation_is_the_slice(self, tree, seed, radius):
+        # the clean-point search evaluates later expressions only at the
+        # points still clean, and relies on getting the same bits there
+        rng = np.random.default_rng(seed)
+        pts = radius * (rng.standard_normal(64) + 1j * rng.standard_normal(64))
+        keep = rng.random(64) < 0.5
+        vals, bad = eval_array(tree, pts)
+        sub_vals, sub_bad = eval_array(tree, pts[keep])
+        assert np.array_equal(sub_bad, bad[keep])
+        clean = ~sub_bad
+        assert vals[keep][clean].tobytes() == sub_vals[clean].tobytes()
 
 
 class TestCompose:
@@ -148,6 +203,11 @@ class TestNumericEquality:
         rep = numerically_equal(Exp(Z), Cos(Z), PLAN)
         assert not rep.equal
 
+    def test_no_points_is_indeterminate(self):
+        # with nothing compared there is no verdict, not a vacuous "equal"
+        with pytest.raises(IndeterminateComparison):
+            numerically_equal(Exp(Z), Cos(Z), PLAN, points=np.empty(0, dtype=complex))
+
     def test_plan_validation(self):
         with pytest.raises(ValueError):
             SamplePlan(count=4)
@@ -155,6 +215,10 @@ class TestNumericEquality:
             SamplePlan(radius=0)
         with pytest.raises(ValueError):
             SamplePlan(tolerance=0)
+        # a NaN tolerance made every comparison pass
+        for bad in ({"tolerance": math.nan}, {"radius": math.nan}, {"seed": -1}):
+            with pytest.raises(ValueError):
+                SamplePlan(**bad)
 
     def test_sample_points_deterministic(self):
         assert np.array_equal(sample_points(PLAN), sample_points(PLAN))
