@@ -5,7 +5,8 @@ Exit codes are a stable scripting contract: 0 success, 2 incomplete
 commutator table, 3 failed identity check, 4 word budget exceeded,
 5 transport agreement below threshold, 6 normal-form failure, 64 usage
 error (a malformed flag, config file, expression, fixture name, window,
-word or SEMIDYN_THREADS value).
+word or SEMIDYN_THREADS value, or a window, escape radius or threshold
+that is not finite).
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import os
 import sys
 from dataclasses import replace
@@ -112,6 +114,9 @@ class Run:
             a, b = phi.split(";") if ";" in phi else phi.split("/")
             self.phi = AffineMap(parse_complex(a), parse_complex(b))
         self.words = self._words() if "word" in flags else []
+        self.threshold = self.get("threshold", 0.99)
+        if not math.isfinite(self.threshold):
+            raise UsageError(f"threshold {self.threshold!r} is not finite")
         self.out = self.get("out", ".")
         os.makedirs(self.out, exist_ok=True)
 
@@ -317,7 +322,7 @@ def cmd_render(run: Run) -> int:
 
 def cmd_transport(run: Run) -> int:
     S, spec, workers = run.S, run.spec, run.workers
-    threshold = run.get("threshold", 0.99)
+    threshold = run.threshold
     phi = run.phi
     if phi is None:
         near = is_nearly_abelian(S, run.plan)

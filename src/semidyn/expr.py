@@ -14,6 +14,14 @@ output; the others cannot go over: the guards of Exp, Cos and Sin keep
 them below e^345 ~ 1.3e149, Negate keeps the magnitude and Compose returns
 its outer child's value.  ``eval_at`` is ``eval_array`` on a one-element
 array, raising EvalOverflow where that element is bad.
+
+Evaluation works in place.  Each node's ``_eval`` returns a fresh array
+that no other node holds, and its parent may overwrite it: Exp, Cos, Sin
+and Negate write their result into their child's array, and Sum and
+Product accumulate into their first child's.  No node writes into the
+points it is evaluated at, so only Identity, where those points become a
+value, copies its input, and ``eval_array`` never alters the caller's
+array nor returns memory shared with it.
 """
 
 from __future__ import annotations
@@ -63,6 +71,9 @@ class Expr:
     bad)``, its values at the points w, where ``rec(child, w)``
     evaluates a child and points an op cannot take are set in ``bad``;
     a node whose values can exceed the ceiling returns them ``_capped``.
+    ``_eval`` must not write into w, and returns an array that it owns:
+    the parent may overwrite it.  The array a child returns is the
+    node's to overwrite in turn.
     """
 
     __slots__ = ()
@@ -73,19 +84,23 @@ class Expr:
 
 
 def _capped(v: np.ndarray, bad: np.ndarray) -> np.ndarray:
-    """v, its elements over the ceiling (or not finite) marked bad and zeroed."""
-    over = ~(np.abs(v) <= OVERFLOW_CEILING)
+    """v, its elements over the ceiling (or not finite) marked bad and
+    zeroed in place."""
+    over = np.abs(v) <= OVERFLOW_CEILING
+    np.logical_not(over, out=over)
     if over.any():
-        bad[over] = True
-        v = np.where(over, 0.0, v)
+        bad |= over
+        v[over] = 0.0
     return v
 
 
 def _guarded(fn, u: np.ndarray, over: np.ndarray, bad: np.ndarray) -> np.ndarray:
-    """fn(u), marking the elements where ``over`` holds bad and feeding
-    fn 0 there instead."""
-    bad[over] = True
-    return fn(np.where(over, 0.0, u))
+    """fn(u) written into u, marking the elements where ``over`` holds
+    bad and feeding fn 0 there instead."""
+    if over.any():
+        bad |= over
+        u[over] = 0.0
+    return fn(u, out=u)
 
 
 @dataclass(frozen=True)
@@ -102,8 +117,11 @@ class Const(Expr):
     name = "const"
 
     def _eval(self, rec, w, bad):
-        v = np.full(w.shape, complex(self.value), dtype=np.complex128)
-        return _capped(v, bad)
+        value = complex(self.value)
+        if not abs(value) <= OVERFLOW_CEILING:
+            bad[...] = True
+            value = 0j
+        return np.full(w.shape, value, dtype=np.complex128)
 
 
 @dataclass(frozen=True)
@@ -113,7 +131,9 @@ class AffineExpr(Expr):
     name = "affine"
 
     def _eval(self, rec, w, bad):
-        return _capped(self.a * w + self.b, bad)
+        v = self.a * w
+        v += self.b
+        return _capped(v, bad)
 
 
 @dataclass(frozen=True)
@@ -128,8 +148,8 @@ class Power(Expr):
 
     def _eval(self, rec, w, bad):
         b = rec(self.base, w)
-        v = b.copy()
-        for _ in range(self.k - 1):
+        v = b * b if self.k > 1 else b
+        for _ in range(self.k - 2):
             v *= b
         return _capped(v, bad)
 
@@ -174,7 +194,7 @@ class Sum(Expr):
             raise ValueError("sum needs at least two terms")
 
     def _eval(self, rec, w, bad):
-        v = rec(self.terms[0], w).copy()
+        v = rec(self.terms[0], w)
         for t in self.terms[1:]:
             v += rec(t, w)
         return _capped(v, bad)
@@ -190,7 +210,7 @@ class Product(Expr):
             raise ValueError("product needs at least two factors")
 
     def _eval(self, rec, w, bad):
-        v = rec(self.factors[0], w).copy()
+        v = rec(self.factors[0], w)
         for f in self.factors[1:]:
             v *= rec(f, w)
         return _capped(v, bad)
@@ -202,7 +222,8 @@ class Negate(Expr):
     name = "neg"
 
     def _eval(self, rec, w, bad):
-        return -rec(self.inner, w)
+        u = rec(self.inner, w)
+        return np.negative(u, out=u)
 
 
 @dataclass(frozen=True)

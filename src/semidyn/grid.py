@@ -31,6 +31,7 @@ assembled grid is bitwise identical for any worker count.
 from __future__ import annotations
 
 import csv
+import math
 import multiprocessing as mp
 import os
 from dataclasses import asdict, dataclass
@@ -87,6 +88,10 @@ class GridSpec:
     def __post_init__(self):
         if self.cols < 2 or self.rows < 2:
             raise ValueError("grid must be at least 2x2")
+        center = complex(self.center)
+        if not all(map(math.isfinite, (center.real, center.imag, self.width,
+                                       self.height, self.escape_radius))):
+            raise ValueError("window and escape radius must be finite")
         if not (self.width > 0 and self.height > 0):
             raise ValueError("window width and height must be > 0")
         if self.escape_radius <= 1:
@@ -143,32 +148,42 @@ def _classify_band(f: Expr, spec: GridSpec, row0: int, row1: int):
     esc = np.full(n, -1, dtype=np.int32)
 
     immediate = np.abs(z0) > spec.escape_radius
-    status[immediate] = STATUS_ESCAPING
-    esc[immediate] = 0
-
-    active = np.nonzero(~immediate)[0]
-    z = z0[active]
-    ref = z.copy()  # the iterate at the last checkpoint, z0 until step 1
+    if immediate.any():
+        status[immediate] = STATUS_ESCAPING
+        esc[immediate] = 0
+        active = np.flatnonzero(~immediate)
+        z = z0.take(active)
+    else:
+        active = np.arange(n)
+        z = z0
+    # eval_array neither writes into z nor returns its memory, so the
+    # reference (the iterate at the last checkpoint, z0 until step 1) can
+    # share z's array without a copy
+    ref = z
     checkpoint = 1
 
     for k in range(1, spec.max_iter + 1):
         if active.size == 0:
             break
         z, bad = eval_array(f, z)
-        escaped = bad | (np.abs(z) > spec.escape_radius)
-        bounded = ~escaped & (np.abs(z - ref) < CYCLE_TOLERANCE)
+        escaped = bad
+        escaped |= np.abs(z) > spec.escape_radius
+        bounded = np.abs(z - ref) < CYCLE_TOLERANCE
+        bounded &= ~escaped
 
-        status[active[escaped]] = STATUS_ESCAPING
-        esc[active[escaped]] = k
-        status[active[bounded]] = STATUS_BOUNDED
+        hit = active[escaped]
+        status[hit] = STATUS_ESCAPING
+        esc[hit] = k
+        settled = active[bounded]
+        status[settled] = STATUS_BOUNDED
 
-        keep = ~(escaped | bounded)
-        if not keep.all():
-            active = active[keep]
-            z = z[keep]
-            ref = ref[keep]
+        if hit.size or settled.size:
+            keep = np.flatnonzero(~(escaped | bounded))
+            active = active.take(keep)
+            z = z.take(keep)
+            ref = ref.take(keep)
         if k == checkpoint:
-            ref = z.copy()
+            ref = z
             checkpoint *= 2
 
     rows = row1 - row0

@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import subprocess
 import sys
@@ -226,13 +227,24 @@ class TestExitCodeContract:
         # the composed tree overflows everywhere: no clean sample points
         ({}, ["normal-form", "--fixture", "example-2.1-exp", "--word", EXP_14],
          EXIT_NORMAL_FORM_FAILED),
+        # non-finite grid and transport values
+        ({}, ["transport", "--fixture", "example-2.1-cos", "--cells", "8",
+              "--threshold", "nan"], EXIT_USAGE),
+        ({}, ["render", "--map", "cos(z)", "--cells", "8", "--escape-radius", "nan"],
+         EXIT_USAGE),
+        ({}, ["render", "--fixture", "example-2.1-cos", "--cells", "8",
+              "--window", "0,inf,0,1"], EXIT_USAGE),
+        ({}, ["transport", "--fixture", "example-2.1-cos", "--cells", "8",
+              "--window", "0,inf,0,1"], EXIT_USAGE),
     ])
-    def test_documented_code_not_traceback(self, tmp_path, monkeypatch, env, argv, code):
+    def test_documented_code_not_traceback(self, tmp_path, monkeypatch, capsys,
+                                           env, argv, code):
         for key, value in env.items():
             monkeypatch.setenv(key, value)
         (tmp_path / "grid5.json").write_text('{"grid": 5}')
         argv = [a.format(tmp=tmp_path) for a in argv]
         assert run(*argv, "--out", str(tmp_path)) == code
+        assert "Traceback" not in capsys.readouterr().err
 
     def test_verify_degenerate_samples_fail_the_check(self, tmp_path, monkeypatch, capsys):
         # the fake finds no clean sample points for a tree that carries an
@@ -303,16 +315,22 @@ class TestConfigFile:
 EXPRS = ["cos(z)", "neg(cos(z))", "sin(z)", "exp(z)", "exp(pow(z,2))", "z",
          "pow(z,2)", "affine(2,0)", "neg(z)", "const(1e200)", "const(0)",
          "exp(exp(exp(z)))", "add(z, exp(z))", "mul(z, cos(z))", "foo(", ""]
-NUMBERS = ["0", "1", "-1", "2", "0.5", "1e-9", "1e300", "nan", "inf", "-inf", "x", ""]
+NON_FINITE = ["nan", "inf", "-inf"]
+NUMBERS = ["0", "1", "-1", "2", "0.5", "1e-9", "1e300", *NON_FINITE, "x", ""]
 FLAG_VALUES = {
     "--fixture": st.sampled_from(["example-2.1-cos", "example-2.1-exp",
                                   "derived-exp-shift", "nope", ""]),
     "--generators": st.lists(st.sampled_from(EXPRS), min_size=1, max_size=3),
     "--seed": st.sampled_from(["0", "7", "-1", "x", "99999999999999999999"]),
     "--tolerance": st.sampled_from(NUMBERS),
-    "--window": st.sampled_from(["-4,4,-4,4", "0,1,0,1", "1,1,0,1", "4,-4,-4,4",
-                                 "0,inf,0,1", "0,nan,0,1", "a,b", "1,2,3",
-                                 "-1e300,1e300,-1,1"]),
+    "--window": st.one_of(
+        st.sampled_from(["-4,4,-4,4", "0,1,0,1", "1,1,0,1", "4,-4,-4,4", "a,b",
+                         "1,2,3", "-1e300,1e300,-1,1"]),
+        # one bound of a valid window, at any position, not finite
+        st.tuples(st.integers(0, 3), st.sampled_from(NON_FINITE)).map(
+            lambda t: ",".join(t[1] if i == t[0] else b
+                               for i, b in enumerate(["-4", "4", "-4", "4"]))),
+    ),
     "--cells": st.sampled_from(["-1", *map(str, range(1, 17))]),
     "--max-iter": st.sampled_from(["-1", "0", "1", "5", "50", "x"]),
     "--escape-radius": st.sampled_from(NUMBERS),
@@ -371,6 +389,30 @@ class TestCliFuzz:
     @given(cli_argv())
     @example(argv=["commutator", "--fixture", "example-2.1-cos", "--seed", "-1"])
     @example(argv=["verify", "--tolerance", "2", "--fixture", "example-2.1-cos"])
+    # each exited 0 or 5 before GridSpec and transport rejected non-finite values
+    @example(argv=["render", "--map", "cos(z)", "--cells", "8", "--escape-radius", "inf"])
+    @example(argv=["transport", "--fixture", "example-2.1-cos", "--cells", "8",
+                   "--threshold", "-inf"])
+    @example(argv=["transport", "--fixture", "example-2.1-exp", "--cells", "8",
+                   "--window", "-4,4,nan,4"])
     def test_exit_code_is_documented(self, tmp_path_factory, argv):
         out = tmp_path_factory.mktemp("fuzz")
-        assert main([*argv, "--out", str(out)]) in self.DOCUMENTED
+        code = main([*argv, "--out", str(out)])
+        assert code in self.DOCUMENTED
+        if self._has_non_finite_value(argv):
+            assert code == EXIT_USAGE
+
+    @staticmethod
+    def _has_non_finite_value(argv):
+        """Whether --escape-radius, --threshold or a --window bound parses
+        to a float that is not finite: a usage error, whatever else the
+        flags say."""
+        for flag, value in zip(argv, argv[1:]):
+            if flag in ("--escape-radius", "--threshold", "--window"):
+                try:
+                    numbers = [float(t) for t in value.split(",")]
+                except ValueError:
+                    continue
+                if not all(map(math.isfinite, numbers)):
+                    return True
+        return False

@@ -149,6 +149,18 @@ class TestEval:
         clean = ~sub_bad
         assert vals[keep][clean].tobytes() == sub_vals[clean].tobytes()
 
+    @settings(max_examples=300, deadline=None)
+    @given(TREES, st.integers(0, 2**32 - 1))
+    def test_input_is_neither_written_nor_returned(self, tree, seed):
+        # nodes overwrite their children's arrays, and the grid kernel
+        # passes its iterates in without a copy: both rest on this
+        rng = np.random.default_rng(seed)
+        pts = 20.0 * (rng.standard_normal(64) + 1j * rng.standard_normal(64))
+        before = pts.tobytes()
+        vals, _ = eval_array(tree, pts)
+        assert pts.tobytes() == before
+        assert not np.shares_memory(vals, pts)
+
 
 class TestCompose:
     def test_identity_left(self):

@@ -180,6 +180,43 @@ class TestKernelDigests:
         )
         assert digests == self.DIGESTS[name]
 
+    # classify_map on node kinds the fixtures never reach, recorded at
+    # a85b6dc, before evaluation wrote into its children's arrays
+    MAP_SPEC = GridSpec(center=0.5 + 0.25j, width=8.0, height=6.0,
+                        cols=96, rows=80, max_iter=60)
+    MAP_DIGESTS = {
+        "mul(const(0.3+0i), sin(z))": (
+            "a5e628d44fbba094af2e146b35bd8802c1b8a12500fbe9451f241a152c72662b",
+            "1a2f1fc3301992d281ade3278c7db9769c5b2ddc26a9158afa69ca769c9ddffb",
+        ),
+        "add(z, const(1+0i), exp(neg(z)))": (
+            "9efec4774036989cc3f98064342f1387716ba8301938ee66d686c68433be0ba3",
+            "5bab079c18a7647e15090e955ced14fb8d49e0b07bfd675ba65184c4019172fb",
+        ),
+        "compose(exp(z), affine(0.5+0.5i, 0.1-0.2i))": (
+            "6866ff83183aae5ebc9aedd5056cc21415267cded4df9246042c7139d3df0141",
+            "2492ff717eb092ccbdb30c9cf8143093dfc370bed3b352ae43daf4cbcd999796",
+        ),
+        "pow(z, 3)": (
+            "f57f31d02e0064b78ba1ec4e9e1b76fea917c36a85c48626246a7697afd6a7fb",
+            "62126aef7af217b87015fbfbb45e5048ff456d17a82dfac041043c910280074f",
+        ),
+        # the constant is over the ceiling, so every cell overflows at step 1
+        "add(z, const(1e200+0i))": (
+            "9efec4774036989cc3f98064342f1387716ba8301938ee66d686c68433be0ba3",
+            "9ea25bdf064d0741b0df0d8a2375d9a802c01ab5f063505ef00ae172f1292a9a",
+        ),
+    }
+
+    @pytest.mark.parametrize("text", sorted(MAP_DIGESTS))
+    def test_map_grid_matches_recorded_digest(self, text):
+        g = classify_map(parse_expr(text), self.MAP_SPEC)
+        digests = (
+            hashlib.sha256(g.status.tobytes()).hexdigest(),
+            hashlib.sha256(g.escape_iter.tobytes()).hexdigest(),
+        )
+        assert digests == self.MAP_DIGESTS[text]
+
 
 class TestClassifySemigroup:
     def test_single_generator_depth_one_matches_map(self):
