@@ -23,9 +23,19 @@ escaping set is dense with empty interior, the whole window rather than
 empty.  The Fatou mask is the complement.  Both inherit the finite
 escape test's approximation.
 
-The kernel is vectorised over the active cells only and parallelises over
-row bands; per-cell results depend on nothing but the cell center, so the
-assembled grid is bitwise identical for any worker count.
+A semigroup grid combines every word of up to word_depth letters, each
+iterated as one map: a cell escapes if every word escapes it and is
+bounded if some word bounds it; a map is one generator at depth 1.  The
+grid is cut into 4 x workers row bands, run in this process for one
+worker and on one forked pool otherwise, and each band runs every word
+over its rows, vectorised over the live cells only.  Two shortcuts keep
+every bit.  A word f after s starts from f evaluated on s's step-1
+values, with s's overflow mask OR-ed in: Compose evaluates its outer
+tree on its inner tree's values with one shared mask, so these are the
+same bits.  A cell that some word has bounded ends up bounded whatever
+the other words do, so the words after it skip that cell.  Per-cell
+results depend on nothing but the cell center, so the assembled grid is
+bitwise identical for any worker count.
 """
 
 from __future__ import annotations
@@ -35,7 +45,7 @@ import math
 import multiprocessing as mp
 import os
 from dataclasses import asdict, dataclass
-from itertools import product as iter_product
+from itertools import product as iter_product, starmap
 
 import numpy as np
 from scipy.ndimage import binary_dilation
@@ -43,7 +53,9 @@ from scipy.ndimage import binary_dilation
 from .commutator import SemigroupPresentation
 from .expr import (
     AffineMap,
+    Compose,
     Expr,
+    Identity,
     affine_inverse,
     complex_to_json,
     compose,
@@ -141,63 +153,87 @@ class ClassificationGrid:
 # kernel
 
 
-def _classify_band(f: Expr, spec: GridSpec, row0: int, row1: int):
+def _classify_band(gens, words, spec: GridSpec, row0: int, row1: int):
+    """Status and escape_iter over rows [row0, row1) from every word in
+    ``words`` (letters index ``gens`` from 1), listed in suffix-trie order:
+    each word right after its suffix w[1:]."""
     z0 = spec.cell_centers(row0, row1).ravel()
-    n = z0.size
-    status = np.zeros(n, dtype=np.uint8)
-    esc = np.full(n, -1, dtype=np.int32)
-
     immediate = np.abs(z0) > spec.escape_radius
-    if immediate.any():
-        status[immediate] = STATUS_ESCAPING
-        esc[immediate] = 0
-        active = np.flatnonzero(~immediate)
-        z = z0.take(active)
-    else:
-        active = np.arange(n)
-        z = z0
-    # eval_array neither writes into z nor returns its memory, so the
-    # reference (the iterate at the last checkpoint, z0 until step 1) can
-    # share z's array without a copy
-    ref = z
-    checkpoint = 1
+    esc = np.where(immediate, 0, -1).astype(np.int32)  # latest escape so far
+    bounded = np.zeros(z0.size, dtype=bool)  # under some word
+    undecided = np.zeros(z0.size, dtype=bool)  # under some word
 
-    for k in range(1, spec.max_iter + 1):
-        if active.size == 0:
-            break
-        z, bad = eval_array(f, z)
-        escaped = bad
-        escaped |= np.abs(z) > spec.escape_radius
-        bounded = np.abs(z - ref) < CYCLE_TOLERANCE
-        bounded &= ~escaped
+    def run(f: Expr, suffix, keep: bool):
+        """Iterate f after the suffix over the suffix's cells that no word
+        has bounded; returns the word's (expr, cells, step-1 values, bad)
+        when keep, for the words that extend it."""
+        inner, active, v, vbad = suffix
+        live = np.flatnonzero(~bounded[active])
+        if live.size < active.size:
+            active = active.take(live)
+            if v is not None:
+                v, vbad = v.take(live), vbad.take(live)
+        expr = compose(f, inner)
+        # the reference is z0 until step 1, then the iterate at the last
+        # checkpoint; eval_array neither writes into its input nor returns
+        # its memory, so neither the reference nor the kept step 1 is copied
+        ref = z0.take(active)
+        if v is not None and expr == Compose(f, inner):
+            z, bad = eval_array(f, v)
+            bad |= vbad
+        else:
+            z, bad = eval_array(expr, ref)
+        entry = (expr, active, z, bad) if keep else None
+        checkpoint = 1
+        for k in range(1, spec.max_iter + 1):
+            if k > 1:
+                if active.size == 0:
+                    break
+                z, bad = eval_array(expr, z)
+            escaped = np.abs(z) > spec.escape_radius
+            escaped |= bad
+            settled = np.abs(z - ref) < CYCLE_TOLERANCE
+            settled &= ~escaped
 
-        hit = active[escaped]
-        status[hit] = STATUS_ESCAPING
-        esc[hit] = k
-        settled = active[bounded]
-        status[settled] = STATUS_BOUNDED
+            hit = active[escaped]
+            esc[hit] = np.maximum(esc.take(hit), k)
+            done = active[settled]
+            bounded[done] = True
 
-        if hit.size or settled.size:
-            keep = np.flatnonzero(~(escaped | bounded))
-            active = active.take(keep)
-            z = z.take(keep)
-            ref = ref.take(keep)
-        if k == checkpoint:
-            ref = z
-            checkpoint *= 2
+            if hit.size or done.size:
+                rest = np.flatnonzero(~(escaped | settled))
+                active = active.take(rest)
+                z = z.take(rest)
+                ref = ref.take(rest)
+            if k == checkpoint:
+                ref = z
+                checkpoint *= 2
+        undecided[active] = True
+        return entry
 
-    rows = row1 - row0
-    return status.reshape(rows, spec.cols), esc.reshape(rows, spec.cols)
+    depth = max(map(len, words))
+    # entries of the suffixes of the current word, the identity's first
+    trail = [(Identity(), np.flatnonzero(~immediate), None, None)]
+    for w in words:
+        del trail[len(w):]
+        entry = run(gens[w[0] - 1], trail[-1], len(w) < depth)
+        if entry is not None:
+            trail.append(entry)
 
-
-def _band_worker(args):
-    f, spec, row0, row1 = args
-    return _classify_band(f, spec, row0, row1)
+    status = np.full(z0.size, STATUS_ESCAPING, dtype=np.uint8)
+    status[undecided] = STATUS_UNDECIDED
+    status[bounded] = STATUS_BOUNDED
+    esc[status != STATUS_ESCAPING] = -1
+    return status.reshape(-1, spec.cols), esc.reshape(-1, spec.cols)
 
 
 def resolve_workers(workers: int | None = None) -> int:
-    """0 or None means auto; SEMIDYN_THREADS caps the result (0 = auto)."""
-    auto = os.cpu_count() or 1
+    """0 or None means auto, the CPUs this process may run on;
+    SEMIDYN_THREADS caps the result (0 = auto)."""
+    if hasattr(os, "sched_getaffinity"):
+        auto = len(os.sched_getaffinity(0))
+    else:
+        auto = os.cpu_count() or 1
     if not workers:
         workers = auto
     env = os.environ.get("SEMIDYN_THREADS")
@@ -206,29 +242,6 @@ def resolve_workers(workers: int | None = None) -> int:
         if cap > 0:
             workers = min(workers, cap)
     return max(1, workers)
-
-
-def classify_map(
-    f: Expr, spec: GridSpec, workers: int = 1, subject: str | None = None
-) -> ClassificationGrid:
-    workers = resolve_workers(workers)
-    subject = subject if subject is not None else f"map:{format_expr(f)}"
-    if workers == 1 or spec.rows < 2 * workers:
-        status, esc = _classify_band(f, spec, 0, spec.rows)
-        return ClassificationGrid(spec, status, esc, subject, is_class_b(f))
-
-    bounds = np.linspace(0, spec.rows, 4 * workers + 1).astype(int)
-    jobs = [
-        (f, spec, int(bounds[i]), int(bounds[i + 1]))
-        for i in range(len(bounds) - 1)
-        if bounds[i] < bounds[i + 1]
-    ]
-    ctx = mp.get_context("fork")
-    with ctx.Pool(workers) as pool:
-        parts = pool.map(_band_worker, jobs)
-    status = np.vstack([p[0] for p in parts])
-    esc = np.vstack([p[1] for p in parts])
-    return ClassificationGrid(spec, status, esc, subject, is_class_b(f))
 
 
 def enumerate_words(n_generators: int, word_depth: int) -> list[tuple[int, ...]]:
@@ -242,33 +255,40 @@ def enumerate_words(n_generators: int, word_depth: int) -> list[tuple[int, ...]]
     return words
 
 
+def _classify(gens, word_depth: int, spec: GridSpec, workers: int):
+    """Combined status and escape_iter of every word of up to word_depth
+    letters, over 4 x workers row bands: in this process for one worker,
+    else on one forked pool."""
+    words = sorted(enumerate_words(len(gens), word_depth), key=lambda w: w[::-1])
+    workers = resolve_workers(workers)
+    bounds = np.linspace(0, spec.rows, 4 * workers + 1).astype(int)
+    jobs = [
+        (gens, words, spec, int(a), int(b))
+        for a, b in zip(bounds[:-1], bounds[1:])
+        if a < b
+    ]
+    if workers == 1 or spec.rows < 2 * workers:
+        parts = list(starmap(_classify_band, jobs))
+    else:
+        with mp.get_context("fork").Pool(workers) as pool:
+            parts = pool.starmap(_classify_band, jobs)
+    return np.vstack([p[0] for p in parts]), np.vstack([p[1] for p in parts])
+
+
+def classify_map(
+    f: Expr, spec: GridSpec, workers: int = 1, subject: str | None = None
+) -> ClassificationGrid:
+    subject = subject if subject is not None else f"map:{format_expr(f)}"
+    status, esc = _classify((f,), 1, spec, workers)
+    return ClassificationGrid(spec, status, esc, subject, is_class_b(f))
+
+
 def classify_semigroup(
     S: SemigroupPresentation, spec: GridSpec, workers: int = 1
 ) -> ClassificationGrid:
     """Escaping iff escaping under every word up to word_depth (each word
     iterated as a unit map); bounded if bounded under at least one."""
-    words = enumerate_words(len(S), spec.word_depth)
-    escaping_all = None
-    bounded_any = None
-    esc_iter = None
-    for w in words:
-        expr = S.generator(w[-1])
-        for i in reversed(w[:-1]):
-            expr = compose(S.generator(i), expr)
-        g = classify_map(expr, spec, workers=workers)
-        is_esc = g.status == STATUS_ESCAPING
-        if escaping_all is None:
-            escaping_all = is_esc
-            bounded_any = g.status == STATUS_BOUNDED
-            esc_iter = g.escape_iter.copy()
-        else:
-            escaping_all &= is_esc
-            bounded_any |= g.status == STATUS_BOUNDED
-            esc_iter = np.maximum(esc_iter, g.escape_iter)
-    status = np.zeros((spec.rows, spec.cols), dtype=np.uint8)
-    status[bounded_any] = STATUS_BOUNDED
-    status[escaping_all] = STATUS_ESCAPING
-    esc = np.where(escaping_all, esc_iter, -1).astype(np.int32)
+    status, esc = _classify(S.generators, spec.word_depth, spec, workers)
     subject = f"semigroup:{S.label or 'S'};words<=%d" % spec.word_depth
     class_b = any(is_class_b(g) for g in S.generators)
     return ClassificationGrid(spec, status, esc, subject, class_b)

@@ -1,5 +1,6 @@
 import cmath
 import hashlib
+import os
 from dataclasses import replace
 
 import numpy as np
@@ -14,11 +15,15 @@ from semidyn.expr import (
     Identity,
     Negate,
     Power,
+    Sin,
     Sum,
     Const,
+    compose,
     is_class_b,
     parse_expr,
 )
+import semidyn.grid as grid
+from semidyn.cli import main
 from semidyn.fixtures import FIXTURES
 from semidyn.grid import (
     STATUS_BOUNDED,
@@ -38,6 +43,7 @@ from semidyn.grid import (
     fatou_mask,
     heatmap_bytes,
     map_classification,
+    resolve_workers,
     status_bytes,
     write_csv,
     write_pgm,
@@ -253,6 +259,122 @@ class TestClassifySemigroup:
         with pytest.raises(WordBudgetExceededError):
             classify_semigroup(fx.presentation, spec)
         assert len(enumerate_words(2, 2)) == 6
+
+
+def per_word_reference(S, spec):
+    """classify_semigroup as a loop over the words: classify_map of each
+    word's composed tree, combined by AND (escaping), OR (bounded) and max
+    (escape_iter)."""
+    grids = []
+    for w in enumerate_words(len(S), spec.word_depth):
+        expr = S.generator(w[-1])
+        for i in reversed(w[:-1]):
+            expr = compose(S.generator(i), expr)
+        grids.append(classify_map(expr, spec))
+    escaping_all = np.logical_and.reduce([g.status == STATUS_ESCAPING for g in grids])
+    bounded_any = np.logical_or.reduce([g.status == STATUS_BOUNDED for g in grids])
+    esc_iter = np.maximum.reduce([g.escape_iter for g in grids])
+    status = np.zeros((spec.rows, spec.cols), dtype=np.uint8)
+    status[bounded_any] = STATUS_BOUNDED
+    status[escaping_all] = STATUS_ESCAPING
+    return status, np.where(escaping_all, esc_iter, -1).astype(np.int32)
+
+
+THREE = SemigroupPresentation((Cos(Z), Sin(Z), Negate(Cos(Z))), label="three")
+THREE_SPEC = GridSpec(center=0.5j, width=8.0, height=6.0, cols=40, rows=30,
+                      max_iter=40, word_depth=2)
+KERNEL_CASES = {
+    **{
+        f"{name}-depth{d}": (fx.presentation,
+                             replace(fx.window, cols=40, rows=30, word_depth=d))
+        for name, fx in sorted(FIXTURES.items())
+        for d in (1, 2, 3)
+    },
+    # three generators with cells no word decides
+    "three-undecided": (THREE, THREE_SPEC),
+    # a 12-wide window with escape radius 3: its corners escape at step 0
+    "three-immediate": (THREE, replace(THREE_SPEC, width=12.0, height=12.0,
+                                       escape_radius=3.0)),
+    # exp overflows at step 1 where Re z > 345, so cos after exp starts
+    # from a suffix whose overflow mask is set
+    "exp-overflow": (SemigroupPresentation((Exp(Z), Cos(Z)), label="exp-cos"),
+                     replace(THREE_SPEC, width=1600.0, height=1600.0,
+                             escape_radius=1000.0)),
+    # compose folds 1.5z - 1.5e8 after z + 1e8 into 1.5z, which reaches the
+    # escape radius 3 at step 1 or 2 on this window; applying the two maps
+    # in turn rounds z + 1e8 and moves some cells across
+    "affine-folding": (SemigroupPresentation(
+        (AffineExpr(1, 1e8), AffineExpr(1.5, -1.5e8)),
+        label="affine", require_transcendental=False),
+        replace(THREE_SPEC, center=2 + 0j, width=1e-7, height=1e-7,
+                escape_radius=3.0)),
+}
+
+
+class TestSemigroupKernel:
+    """The band kernel walks the words as a suffix trie, shares each
+    suffix's first step and skips cells some word has bounded; none of
+    that may change a bit of the per-word combination."""
+
+    @pytest.mark.parametrize("case", sorted(KERNEL_CASES))
+    def test_matches_per_word_reference(self, case):
+        S, spec = KERNEL_CASES[case]
+        status, esc = per_word_reference(S, spec)
+        if case == "three-undecided":
+            assert (status == STATUS_UNDECIDED).any() and (status == STATUS_BOUNDED).any()
+        if case == "three-immediate":
+            assert (esc == 0).any() and (esc > 0).any()
+        for workers in (1, 2, 3):
+            g = classify_semigroup(S, spec, workers=workers)
+            assert np.array_equal(g.status, status), workers
+            assert np.array_equal(g.escape_iter, esc), workers
+
+    @pytest.fixture
+    def pools(self, monkeypatch):
+        methods = []
+        real = grid.mp.get_context
+
+        def spy(method=None):
+            methods.append(method)
+            return real(method)
+
+        monkeypatch.setattr(grid.mp, "get_context", spy)
+        return methods
+
+    def test_transport_forks_one_pool_per_grid(self, pools, tmp_path):
+        main(["transport", "--fixture", "example-2.1-cos", "--cells", "32",
+              "--workers", "2", "--out", str(tmp_path)])
+        assert pools == ["fork", "fork"]
+
+    def test_one_worker_forks_no_pool(self, pools, tmp_path):
+        main(["render", "--fixture", "example-2.1-cos", "--cells", "32",
+              "--workers", "1", "--out", str(tmp_path)])
+        assert pools == []
+
+    def test_evaluates_fewer_elements_than_per_word(self, monkeypatch):
+        sizes = []
+        real = grid.eval_array
+
+        def spy(expr, z):
+            sizes.append(z.size)
+            return real(expr, z)
+
+        monkeypatch.setattr(grid, "eval_array", spy)
+        fx = FIXTURES["example-2.1-cos"]
+        spec = replace(fx.window, cols=64, rows=64)
+        classify_semigroup(fx.presentation, spec)
+        kernel = sum(sizes)
+        sizes.clear()
+        per_word_reference(fx.presentation, spec)
+        assert kernel == 145964
+        assert kernel < sum(sizes)
+
+    def test_auto_workers_follow_cpu_affinity(self, monkeypatch):
+        monkeypatch.delenv("SEMIDYN_THREADS", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 8)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        assert resolve_workers(0) == resolve_workers(None) == 1
+        assert resolve_workers(3) == 3
 
 
 def synthetic_grid(status, max_iter=100):
