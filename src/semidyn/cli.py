@@ -336,7 +336,7 @@ def cmd_transport(run: Run) -> int:
     grid_c = classify_semigroup(conj, spec, workers=workers)
 
     rep_i, ratios, vacuous = transport_ratios(grid_s, grid_c, phi, spec)
-    fatou_inv = check_fatou_invariance(S, phi, spec, workers=workers, grid=grid_s)
+    fatou_inv = check_fatou_invariance(grid_s, phi)
     meta = run.meta(
         {
             "grid": spec.to_json_dict(),

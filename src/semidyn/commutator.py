@@ -73,18 +73,18 @@ class MissingCommutatorError(ValueError):
 
 
 def find_clean_points(
-    exprs: list[Expr], plan: SamplePlan, count: int | None = None
+    exprs: list[Expr], plan: SamplePlan
 ) -> tuple[np.ndarray, list[np.ndarray]]:
-    """The first ``count`` (default plan.count) points of a seeded search
-    at which every expression evaluates cleanly, and each one's values
-    there.  Entire functions agreeing on an open set agree everywhere, so
-    any clean sub-disk will do.  Stage 1 draws batches from the plan's disk
+    """The first plan.count points of a seeded search at which every
+    expression evaluates cleanly, and each one's values there.  Entire
+    functions agreeing on an open set agree everywhere, so any clean
+    sub-disk will do.  Stage 1 draws batches from the plan's disk
     (4n seeded points, a lattice, 16n and 64n more), stage 2 zooms onto the
     clean points found; if neither finds enough, DegenerateSamplesError.
     Each point is evaluated at most once per expression, and expression k
     only where 1..k-1 are clean; evaluation is elementwise, so the values
     are those at the chosen points alone."""
-    n = plan.count if count is None else count
+    n = plan.count
     rng = np.random.default_rng(plan.seed)
 
     def draw(center: complex, radius: float, m: int) -> np.ndarray:
@@ -310,7 +310,6 @@ def is_nearly_abelian(S: SemigroupPresentation, plan: SamplePlan) -> NearAbelian
 @dataclass(frozen=True)
 class AffineGroup:
     elements: tuple[AffineMap, ...]
-    closed: bool
 
     def __len__(self) -> int:
         return len(self.elements)
@@ -351,7 +350,7 @@ def group_closure(seeds: list[AffineMap], cap: int = 256) -> AffineGroup:
                 if add(candidate):
                     next_frontier.append(candidate)
         frontier = next_frontier
-    return AffineGroup(tuple(elements), closed=True)
+    return AffineGroup(tuple(elements))
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,7 @@
 """Built-in worked examples.
 
-Lambda constants are recorded choices, not canonical values: the exp
-fixture uses 0.2 and the cos fixture uses 1.
+The constants are recorded choices, not canonical values: the exp fixture
+is e^{z^2} + 0.2 and the cos fixture is cos z, unscaled.
 """
 
 from __future__ import annotations
@@ -9,9 +9,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .commutator import SemigroupPresentation
-from .expr import (
-    Const, Cos, Exp, Expr, Identity, Negate, Power, Product, SamplePlan, Sum
-)
+from .expr import Const, Cos, Exp, Identity, Negate, Power, SamplePlan, Sum
 from .grid import GridSpec
 
 
@@ -27,20 +25,9 @@ class Fixture:
     finite_commutator_group: bool
 
 
-def _exp_sq(lam: complex = 0.2) -> Expr:
-    return Sum((Exp(Power(Identity(), 2)), Const(lam)))
-
-
-def _cos(lam: complex = 1.0) -> Expr:
-    f: Expr = Cos(Identity())
-    if lam != 1.0:
-        f = Product((Const(lam), Cos(Identity())))
-    return f
-
-
 def build_fixtures() -> dict[str, Fixture]:
-    f_exp = _exp_sq()
-    f_cos = _cos()
+    f_exp = Sum((Exp(Power(Identity(), 2)), Const(0.2)))
+    f_cos = Cos(Identity())
     window = GridSpec(center=0j, width=8.0, height=8.0, cols=512, rows=512)
     fixtures = {
         "example-2.1-exp": Fixture(

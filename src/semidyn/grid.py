@@ -36,6 +36,11 @@ same bits.  A cell that some word has bounded ends up bounded whatever
 the other words do, so the words after it skip that cell.  Per-cell
 results depend on nothing but the cell center, so the assembled grid is
 bitwise identical for any worker count.
+
+Transport by an affine phi gives each target cell the source cell that
+holds phi^{-1} of its center, found by GridSpec.cell_index, the inverse
+of cell_centers.  A target cell whose preimage leaves the source window
+becomes undecided in a transported grid and False in a transported mask.
 """
 
 from __future__ import annotations
@@ -115,11 +120,24 @@ class GridSpec:
         """Complex coordinates of cell centers for rows [row0, row1);
         row 0 is the top of the window (largest imaginary part)."""
         row1 = self.rows if row1 is None else row1
-        dx = self.width / self.cols
-        dy = self.height / self.rows
-        x = self.center.real - self.width / 2 + (np.arange(self.cols) + 0.5) * dx
-        y = self.center.imag + self.height / 2 - (np.arange(row0, row1) + 0.5) * dy
+        xmin, ymax, dx, dy = self._geometry()
+        x = xmin + (np.arange(self.cols) + 0.5) * dx
+        y = ymax - (np.arange(row0, row1) + 0.5) * dy
         return x[None, :] + 1j * y[:, None]
+
+    def cell_index(self, z: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The (row, col) of the cell containing each point of z, and
+        whether it lies in the window: the inverse of cell_centers."""
+        xmin, ymax, dx, dy = self._geometry()
+        col = np.floor((z.real - xmin) / dx).astype(np.int64)
+        row = np.floor((ymax - z.imag) / dy).astype(np.int64)
+        valid = (col >= 0) & (col < self.cols) & (row >= 0) & (row < self.rows)
+        return row, col, valid
+
+    def _geometry(self) -> tuple[float, float, float, float]:
+        """Left edge, top edge, cell width and cell height."""
+        return (self.center.real - self.width / 2, self.center.imag + self.height / 2,
+                self.width / self.cols, self.height / self.rows)
 
     def to_json_dict(self) -> dict:
         return {**asdict(self), "center": complex_to_json(self.center)}
@@ -275,12 +293,9 @@ def _classify(gens, word_depth: int, spec: GridSpec, workers: int):
     return np.vstack([p[0] for p in parts]), np.vstack([p[1] for p in parts])
 
 
-def classify_map(
-    f: Expr, spec: GridSpec, workers: int = 1, subject: str | None = None
-) -> ClassificationGrid:
-    subject = subject if subject is not None else f"map:{format_expr(f)}"
+def classify_map(f: Expr, spec: GridSpec, workers: int = 1) -> ClassificationGrid:
     status, esc = _classify((f,), 1, spec, workers)
-    return ClassificationGrid(spec, status, esc, subject, is_class_b(f))
+    return ClassificationGrid(spec, status, esc, f"map:{format_expr(f)}", is_class_b(f))
 
 
 def classify_semigroup(
@@ -328,31 +343,13 @@ def fatou_mask(grid: ClassificationGrid) -> np.ndarray:
     return ~extract_julia_boundary(grid)
 
 
-def _source_indices(
-    source: GridSpec, phi_inv: AffineMap, target: GridSpec
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """For each target cell center w, the (row, col) of the source cell
-    containing phi_inv(w), plus a validity mask."""
-    w = target.cell_centers()
-    z = phi_inv.a * w + phi_inv.b
-    dx = source.width / source.cols
-    dy = source.height / source.rows
-    xmin = source.center.real - source.width / 2
-    ymax = source.center.imag + source.height / 2
-    col = np.floor((z.real - xmin) / dx).astype(np.int64)
-    row = np.floor((ymax - z.imag) / dy).astype(np.int64)
-    valid = (col >= 0) & (col < source.cols) & (row >= 0) & (row < source.rows)
-    return row, col, valid
-
-
 def map_classification(
     grid: ClassificationGrid, phi: AffineMap, target: GridSpec
 ) -> ClassificationGrid:
     """Transport a classification by an affine map: target cell takes the
     status of the source cell containing phi^{-1}(center); cells mapping
     outside the source window become undecided."""
-    inv = affine_inverse(phi)
-    row, col, valid = _source_indices(grid.spec, inv, target)
+    row, col, valid = grid.spec.cell_index(affine_inverse(phi)(target.cell_centers()))
     status = np.zeros((target.rows, target.cols), dtype=np.uint8)
     esc = np.full((target.rows, target.cols), -1, dtype=np.int32)
     rr, cc = row[valid], col[valid]
@@ -367,8 +364,7 @@ def map_mask(
     mask: np.ndarray, source: GridSpec, phi: AffineMap, target: GridSpec
 ) -> tuple[np.ndarray, np.ndarray]:
     """Transport a boolean cell mask; returns (mask, valid)."""
-    inv = affine_inverse(phi)
-    row, col, valid = _source_indices(source, inv, target)
+    row, col, valid = source.cell_index(affine_inverse(phi)(target.cell_centers()))
     out = np.zeros((target.rows, target.cols), dtype=bool)
     out[valid] = mask[row[valid], col[valid]]
     return out, valid
@@ -385,24 +381,16 @@ class ComparisonReport:
 
 
 def compare_classifications(
-    ga: ClassificationGrid,
-    gb: ClassificationGrid,
-    ignore_undecided: bool = True,
-    boundary_band: int = 1,
+    ga: ClassificationGrid, gb: ClassificationGrid
 ) -> ComparisonReport:
-    """Agreement ratio over cells decided in both grids and outside a
-    dilated band around either grid's escape boundary (boundary cells
-    legitimately flip status at finite resolution; the escaping cells of
-    a class-B grid do not, so they stay compared)."""
+    """Agreement ratio over cells decided in both grids and outside the
+    union of their escape boundaries dilated by one cell (boundary cells
+    legitimately flip status at finite resolution; the escaping cells of a
+    class-B grid do not, so they stay compared)."""
     if ga.spec != gb.spec:
         raise SpecMismatchError("grids have different specs")
-    mask = np.ones(ga.status.shape, dtype=bool)
-    if ignore_undecided:
-        mask &= (ga.status != STATUS_UNDECIDED) & (gb.status != STATUS_UNDECIDED)
-    if boundary_band > 0:
-        band = escape_boundary(ga) | escape_boundary(gb)
-        band = binary_dilation(band, iterations=boundary_band)
-        mask &= ~band
+    band = binary_dilation(escape_boundary(ga) | escape_boundary(gb))
+    mask = (ga.status != STATUS_UNDECIDED) & (gb.status != STATUS_UNDECIDED) & ~band
     compared = int(mask.sum())
     if compared == 0:
         return ComparisonReport(0.0, 0, np.zeros_like(mask), True, True)
@@ -432,21 +420,22 @@ def transport_ratios(
     "julia" and "fatou", and for each whether it is vacuous: computed
     between two single-class masks, so it passes without evidence.  The
     Julia ratio is over every cell, the Fatou ratio over the cells whose
-    preimage lies in the source window."""
+    preimage lies in the source window.  There the Fatou masks are the
+    complements of the Julia masks, so both ratios come from one Julia
+    gather."""
     rep = compare_classifications(map_classification(grid_s, phi, spec), grid_c)
-    jb_s, _ = map_mask(extract_julia_boundary(grid_s), spec, phi, spec)
+    jb_s, valid = map_mask(extract_julia_boundary(grid_s), grid_s.spec, phi, spec)
     jb_c = extract_julia_boundary(grid_c)
-    fat_s, valid = map_mask(fatou_mask(grid_s), spec, phi, spec)
-    fat_c = fatou_mask(grid_c)
+    agree = jb_s == jb_c
     ratios = {
         "escaping": rep.ratio,
-        "julia": float((jb_s == jb_c).mean()),
-        "fatou": float((fat_s == fat_c)[valid].mean()) if valid.any() else 0.0,
+        "julia": float(agree.mean()),
+        "fatou": float(agree[valid].mean()) if valid.any() else 0.0,
     }
     vacuous = {
         "escaping": rep.vacuous,
         "julia": _single_class(jb_s, jb_c),
-        "fatou": _single_class(fat_s[valid], fat_c[valid]),
+        "fatou": _single_class(jb_s[valid], jb_c[valid]),
     }
     return rep, ratios, vacuous
 
@@ -459,19 +448,13 @@ class FatouInvarianceReport:
 
 
 def check_fatou_invariance(
-    S: SemigroupPresentation,
-    phi: AffineMap,
-    spec: GridSpec,
-    workers: int = 1,
-    grid: ClassificationGrid | None = None,
+    grid: ClassificationGrid, phi: AffineMap
 ) -> FatouInvarianceReport:
     """Grid-level check that phi maps the Fatou approximation onto itself,
     over the Fatou cells; indeterminate when there are none (e.g. every
     cell of a class-B grid escapes, so F is empty)."""
-    if grid is None:
-        grid = classify_semigroup(S, spec, workers=workers)
     fat = fatou_mask(grid)
-    moved, valid = map_mask(fat, spec, phi, spec)
+    moved, valid = map_mask(fat, grid.spec, phi, grid.spec)
     compare = valid & fat
     n = int(compare.sum())
     if n == 0:

@@ -102,8 +102,6 @@ def resolve_xi(
 ) -> AffineMap:
     """The unique xi in G with f ∘ phi = xi ∘ f (right-to-left migration
     of an affine map across f)."""
-    if not G.closed:
-        raise ValueError("group must be closed")
     if affine_distance(phi, IDENTITY_MAP) < plan.tolerance:
         return IDENTITY_MAP
     _, (lv, fv) = find_clean_points([compose(f, phi.as_expr()), f], plan)

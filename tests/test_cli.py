@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import os
@@ -175,6 +176,29 @@ class TestTransportCommand:
                    "--out", str(tmp_path))
         assert code == EXIT_TRANSPORT_BELOW_THRESHOLD
 
+    # f = 0.2 e^z and g = f + 0.1 are not symmetric under any phi below, and
+    # some target cells have preimages outside the source window, so the
+    # Julia ratio (over every cell) and the Fatou ratio (over the cells with
+    # a preimage) differ; the first phi is the pair's commutator entry (2, 1)
+    @pytest.mark.parametrize("phi,code,report,diff", [
+        ("0.9048374180359595+0i;0.1+0i", EXIT_TRANSPORT_BELOW_THRESHOLD,
+         "249d0e617abf7588f2bf3abd0bf358811d36301c6bfa3a589daacce19c070713",
+         "4de7df5e159d80dee7c07a94bb47944c3774747ead8f0af4677e4442be9d7898"),
+        ("1+0i;0.5+0.25i", EXIT_OK,
+         "75e83cbdd0e326985fd55768b8ed5cfa0caeb58dbfc265521e929aa08485e314",
+         "a0a3392c24801fc5103d38091e46cfea2fd313c00aa11b1f82192b162da01aa4"),
+    ])
+    def test_asymmetric_transport_is_pinned(self, tmp_path, phi, code, report, diff):
+        assert run("transport", "--generators", "mul(const(0.2+0i), exp(z))",
+                   "add(mul(const(0.2+0i), exp(z)), const(0.1+0i))",
+                   "--window", "-4,4,-4,4", "--cells", "96", "--workers", "1",
+                   "--phi", phi, "--out", str(tmp_path)) == code
+        digests = [hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+                   for name in ("transport_report.json", "transport_diff.pgm")]
+        assert digests == [report, diff]
+        ratios = json.loads((tmp_path / "transport_report.json").read_text())["ratios"]
+        assert ratios["julia"] != ratios["fatou"]
+
 
 class TestNormalFormCommand:
     def test_explicit_words(self, tmp_path):
@@ -256,10 +280,10 @@ class TestExitCodeContract:
         def carries_affine(e):
             return isinstance(e, AffineExpr) or any(map(carries_affine, children(e)))
 
-        def degenerate(exprs, plan, count=None):
+        def degenerate(exprs, plan):
             if any(map(carries_affine, exprs)):
                 raise semidyn.commutator.DegenerateSamplesError("no clean samples")
-            return real(exprs, plan, count)
+            return real(exprs, plan)
 
         monkeypatch.setattr(semidyn.commutator, "find_clean_points", degenerate)
         monkeypatch.setattr(semidyn.words, "find_clean_points", degenerate)

@@ -45,6 +45,7 @@ from semidyn.grid import (
     map_classification,
     resolve_workers,
     status_bytes,
+    transport_ratios,
     write_csv,
     write_pgm,
 )
@@ -86,6 +87,20 @@ class TestGridSpec:
         centers = spec.cell_centers()
         assert centers[0, 0].imag > centers[-1, 0].imag  # row 0 on top
         assert centers[0, 0].real < centers[0, -1].real
+
+    def test_cell_index_inverts_cell_centers(self):
+        spec = small_spec(center=0.3 - 1.1j, width=5.0, height=3.0, cols=7, rows=5)
+        row, col, valid = spec.cell_index(spec.cell_centers())
+        assert valid.all()
+        assert np.array_equal(row, np.repeat(np.arange(5)[:, None], 7, axis=1))
+        assert np.array_equal(col, np.repeat(np.arange(7)[None, :], 5, axis=0))
+
+    def test_cell_index_outside_window_is_invalid(self):
+        spec = small_spec(cols=4, rows=4)
+        points = np.array([-4.5 + 0j, 4.5 + 0j, 4.5j, -4.5j, 3.9 - 3.9j])
+        row, col, valid = spec.cell_index(points)
+        assert valid.tolist() == [False, False, False, False, True]
+        assert (row[-1], col[-1]) == cell_index_of(spec, points[-1]) == (3, 3)
 
 
 class TestClassifyMap:
@@ -509,6 +524,15 @@ class TestTransport:
         moved = map_classification(g, AffineMap(1, 1000 + 0j), g.spec)
         assert (moved.status == STATUS_UNDECIDED).all()
 
+    def test_far_shift_fatou_ratio_has_no_cells(self):
+        # no target cell has its preimage in the window: the Julia ratio is
+        # over every cell, the Fatou ratio over none, so it is vacuous
+        g = classify_map(Cos(Z), small_spec())
+        _, ratios, vacuous = transport_ratios(g, g, AffineMap(1, 1000 + 0j), g.spec)
+        julia = extract_julia_boundary(g)
+        assert ratios["julia"] == float((~julia).mean()) < 1.0
+        assert ratios["fatou"] == 0.0 and vacuous["fatou"] and not vacuous["julia"]
+
 
 class TestCompare:
     def test_identical(self):
@@ -545,26 +569,21 @@ class TestCompare:
 
 
 class TestFatouInvariance:
-    def test_identity(self):
+    @staticmethod
+    def cos_grid(**kw):
         fx = FIXTURES["example-2.1-cos"]
-        rep = check_fatou_invariance(
-            fx.presentation, AffineMap(1, 0), small_spec(word_depth=1)
-        )
+        return classify_semigroup(fx.presentation, small_spec(word_depth=1, **kw))
+
+    def test_identity(self):
+        rep = check_fatou_invariance(self.cos_grid(), AffineMap(1, 0))
         assert rep.ratio == 1.0
 
     def test_negation_on_symmetric_window(self):
-        fx = FIXTURES["example-2.1-cos"]
-        rep = check_fatou_invariance(
-            fx.presentation, AffineMap(-1, 0), small_spec(cols=128, rows=128,
-                                                          word_depth=1)
-        )
+        rep = check_fatou_invariance(self.cos_grid(cols=128, rows=128), AffineMap(-1, 0))
         assert rep.ratio >= 0.99
 
     def test_far_shift_is_indeterminate(self):
-        fx = FIXTURES["example-2.1-cos"]
-        rep = check_fatou_invariance(
-            fx.presentation, AffineMap(1, 1000 + 0j), small_spec(word_depth=1)
-        )
+        rep = check_fatou_invariance(self.cos_grid(), AffineMap(1, 1000 + 0j))
         # no comparable overlap in the window interior
         assert rep.indeterminate and rep.compared == 0
 
