@@ -15,6 +15,7 @@ import numpy as np
 
 from .expr import (
     AffineMap,
+    DegenerateAffineError,
     EquivalenceReport,
     Expr,
     IDENTITY_MAP,
@@ -78,7 +79,7 @@ def find_clean_points(
     """The first plan.count points of a seeded search at which every
     expression evaluates cleanly, and each one's values there.  Entire
     functions agreeing on an open set agree everywhere, so any clean
-    sub-disk will do.  Stage 1 draws batches from the plan's disk
+    sub-disk will do.  Stage 1 draws batches from the plan's disk about 0
     (4n seeded points, a lattice, 16n and 64n more), stage 2 zooms onto the
     clean points found; if neither finds enough, DegenerateSamplesError.
     Each point is evaluated at most once per expression, and expression k
@@ -104,12 +105,12 @@ def find_clean_points(
         return cols
 
     def stage1():
-        yield draw(plan.center, plan.radius, 4 * n)
+        yield draw(0j, plan.radius, 4 * n)
         side = np.linspace(-plan.radius, plan.radius, 48)
-        lattice = plan.center + (side[:, None] + 1j * side[None, :]).ravel()
-        yield lattice[np.abs(lattice - plan.center) <= plan.radius]
-        yield draw(plan.center, plan.radius, 16 * n)
-        yield draw(plan.center, plan.radius, 64 * n)
+        lattice = (side[:, None] + 1j * side[None, :]).ravel()
+        yield lattice[np.abs(lattice) <= plan.radius]
+        yield draw(0j, plan.radius, 16 * n)
+        yield draw(0j, plan.radius, 64 * n)
 
     found = [np.empty(0, dtype=np.complex128)] * (len(exprs) + 1)
     for batch in stage1():
@@ -170,8 +171,10 @@ def find_affine_commutator(
         raise DegenerateSamplesError("no well-separated pair of w-values")
     a = (u[i] - u[j]) / (w[i] - w[j])
     b = u[i] - a * w[i]
-    if a == 0:
-        raise NoAffineCommutatorError("solved a = 0, not an affine conjugacy")
+    try:
+        phi = AffineMap(complex(a), complex(b))
+    except DegenerateAffineError as exc:
+        raise NoAffineCommutatorError(f"solved {exc}, not an affine conjugacy") from exc
 
     scale = np.maximum(np.abs(u), np.abs(w))
     scale = np.maximum(scale, plan.abs_floor / plan.tolerance)
@@ -181,7 +184,7 @@ def find_affine_commutator(
             f"affine fit residual {max_resid:.3e} exceeds tolerance",
             residual=max_resid,
         )
-    return CommutatorResult(AffineMap(complex(a), complex(b)), max_resid)
+    return CommutatorResult(phi, max_resid)
 
 
 # ---------------------------------------------------------------------------

@@ -26,6 +26,7 @@ array nor returns memory shared with it.
 
 from __future__ import annotations
 
+import cmath
 import math
 import re as _re
 from dataclasses import dataclass, fields
@@ -47,7 +48,7 @@ class EvalOverflow(ArithmeticError):
 
 
 class DegenerateAffineError(ValueError):
-    """Affine map with a = 0 requested where invertibility is required."""
+    """Affine coefficient a where a or 1/a is 0 or not finite."""
 
 
 class IndeterminateComparison(RuntimeError):
@@ -379,14 +380,14 @@ def eval_at(expr: Expr, z: complex) -> complex:
 
 @dataclass(frozen=True)
 class AffineMap:
-    """z -> a*z + b with a != 0."""
+    """z -> a*z + b with a and 1/a finite and nonzero: invertible."""
 
     a: complex
     b: complex
 
     def __post_init__(self):
         a = complex(self.a)
-        if a == 0 or not (math.isfinite(a.real) and math.isfinite(a.imag)):
+        if a == 0 or not all(map(cmath.isfinite, (a, 1 / a))) or 1 / a == 0:
             raise DegenerateAffineError(f"invalid affine coefficient a={self.a!r}")
 
     def __call__(self, z):
@@ -425,15 +426,14 @@ def affine_distance(m1: AffineMap, m2: AffineMap) -> float:
 
 @dataclass(frozen=True)
 class SamplePlan:
-    """Seeded sample points in a disk, standing in for pointwise equality
-    of entire functions (functions agreeing on the disk agree everywhere)."""
+    """Seeded sample points in the disk |z| <= radius, standing in for pointwise
+    equality of entire functions (agreeing on a disk, they agree everywhere)."""
 
     seed: int = 0
     count: int = 32
     radius: float = 2.0
     tolerance: float = 1e-9
     abs_floor: float = 1e-12
-    center: complex = 0j
 
     def __post_init__(self):
         if self.seed < 0:
@@ -447,12 +447,12 @@ class SamplePlan:
 
 
 def sample_points(plan: SamplePlan, count: int | None = None) -> np.ndarray:
-    """Reproducible uniform points in the plan's disk."""
+    """Reproducible uniform points in the plan's disk about 0."""
     n = plan.count if count is None else count
     rng = np.random.default_rng(plan.seed)
     r = plan.radius * np.sqrt(rng.random(n))
     theta = 2 * np.pi * rng.random(n)
-    return plan.center + r * np.exp(1j * theta)
+    return r * np.exp(1j * theta)
 
 
 @dataclass(frozen=True)

@@ -53,7 +53,6 @@ from dataclasses import asdict, dataclass
 from itertools import product as iter_product, starmap
 
 import numpy as np
-from scipy.ndimage import binary_dilation
 
 from .commutator import SemigroupPresentation
 from .expr import (
@@ -313,16 +312,24 @@ def classify_semigroup(
 # boundary extraction and transport
 
 
+def _dilate(mask: np.ndarray) -> np.ndarray:
+    """mask OR-ed with its four one-cell shifts: the cells whose cross-shaped
+    4-neighbourhood holds a True cell, where cells beyond the edge are False."""
+    out = mask.copy()
+    out[1:] |= mask[:-1]
+    out[:-1] |= mask[1:]
+    out[:, 1:] |= mask[:, :-1]
+    out[:, :-1] |= mask[:, 1:]
+    return out
+
+
 def escape_boundary(grid: ClassificationGrid) -> np.ndarray:
-    """Cells whose 4-neighborhood (including the cell) contains both
-    escaping and non-escaping cells: the boundary of the escaping cells,
-    the discrete form of the boundary of I(f).  Empty where every cell
-    escapes, even when I(f) is dense with empty interior."""
+    """Cells whose cross-shaped 4-neighbourhood (the cell and the four that
+    share a side with it) holds both escaping and non-escaping cells: the
+    discrete boundary of I(f); cells beyond the edge count as neither.  Empty
+    where every cell escapes, even when I(f) is dense with empty interior."""
     esc = grid.status == STATUS_ESCAPING
-    struct = np.array([[0, 1, 0], [1, 1, 1], [0, 1, 0]], dtype=bool)
-    near_esc = binary_dilation(esc, structure=struct)
-    near_nonesc = binary_dilation(~esc, structure=struct)
-    return near_esc & near_nonesc
+    return _dilate(esc) & _dilate(~esc)
 
 
 def extract_julia_boundary(grid: ClassificationGrid) -> np.ndarray:
@@ -384,12 +391,12 @@ def compare_classifications(
     ga: ClassificationGrid, gb: ClassificationGrid
 ) -> ComparisonReport:
     """Agreement ratio over cells decided in both grids and outside the
-    union of their escape boundaries dilated by one cell (boundary cells
+    union of their escape boundaries dilated once by _dilate (boundary cells
     legitimately flip status at finite resolution; the escaping cells of a
     class-B grid do not, so they stay compared)."""
     if ga.spec != gb.spec:
         raise SpecMismatchError("grids have different specs")
-    band = binary_dilation(escape_boundary(ga) | escape_boundary(gb))
+    band = _dilate(escape_boundary(ga) | escape_boundary(gb))
     mask = (ga.status != STATUS_UNDECIDED) & (gb.status != STATUS_UNDECIDED) & ~band
     compared = int(mask.sum())
     if compared == 0:

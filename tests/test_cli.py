@@ -260,6 +260,9 @@ class TestExitCodeContract:
               "--window", "0,inf,0,1"], EXIT_USAGE),
         ({}, ["transport", "--fixture", "example-2.1-cos", "--cells", "8",
               "--window", "0,inf,0,1"], EXIT_USAGE),
+        # 1/a overflows, so phi has no inverse to transport by
+        ({}, ["transport", "--fixture", "example-2.1-cos", "--cells", "8",
+              "--phi", "1e-320;0"], EXIT_USAGE),
     ])
     def test_documented_code_not_traceback(self, tmp_path, monkeypatch, capsys,
                                            env, argv, code):
@@ -364,7 +367,7 @@ FLAG_VALUES = {
     "--rows": st.integers(-1, 16).map(str),
     "--cols": st.integers(-1, 16).map(str),
     "--phi": st.sampled_from(["1+0i;0+0i", "-1+0i;0+0i", "0+0i;0+0i", "2;1",
-                              "1/0", "inf;0", "1", "1;2;3", "x;y"]),
+                              "1/0", "inf;0", "1e-320;0", "1", "1;2;3", "x;y"]),
     "--threshold": st.sampled_from(NUMBERS),
     "--word": st.lists(st.sampled_from(["1", "2,1", "1,2,1,2", "1,3", "0", "",
                                         "a", ",".join(["2", "1"] * 8),

@@ -163,6 +163,20 @@ class TestFindAffineCommutator:
         with pytest.raises((NoAffineCommutatorError, DegenerateSamplesError)):
             find_affine_commutator(Exp(Z), Cos(Z), PLAN)
 
+    # u = a*w at the sample values: a = 0 and an a whose reciprocal
+    # overflows both solve to maps with no valid inverse
+    @pytest.mark.parametrize("a", [0.0, 1e-320])
+    def test_uninvertible_solution_is_no_commutator(self, monkeypatch, a):
+        w = np.arange(1.0, 33.0) + 0j
+        u = a * w
+
+        def fake(exprs, plan):
+            return w, [u, w]
+
+        monkeypatch.setattr(semidyn.commutator, "find_clean_points", fake)
+        with pytest.raises(NoAffineCommutatorError):
+            find_affine_commutator(Exp(Z), Cos(Z), PLAN)
+
 
 class TestCommutatorTable:
     def test_negation_pair_table(self):

@@ -425,6 +425,60 @@ class TestBoundary:
         assert np.array_equal(fatou_mask(g), ~extract_julia_boundary(g))
 
 
+CROSS = ((0, 0), (-1, 0), (1, 0), (0, -1), (0, 1))
+
+
+def neighbourhood(mask, r, c):
+    """Values of mask on the in-window cells of the cross at (r, c)."""
+    rows, cols = mask.shape
+    return [mask[r + dr, c + dc] for dr, dc in CROSS
+            if 0 <= r + dr < rows and 0 <= c + dc < cols]
+
+
+def edge_masks(rows, cols):
+    """Masks that are True on one edge row or one edge column only."""
+    for index in (np.s_[0, :], np.s_[-1, :], np.s_[:, 0], np.s_[:, -1]):
+        mask = np.zeros((rows, cols), dtype=bool)
+        mask[index] = True
+        yield mask
+
+
+def reference_masks():
+    rng = np.random.default_rng(20181)
+    for shape in [(2, 2), (2, 7), (7, 2), (3, 3), (5, 9), (16, 16)]:
+        for density in (0.1, 0.5, 0.9):
+            yield rng.random(shape) < density
+        yield np.ones(shape, dtype=bool)
+        yield np.zeros(shape, dtype=bool)
+        yield from edge_masks(*shape)
+
+
+class TestDilation:
+    """_dilate and escape_boundary against a loop over each cell's
+    cross-shaped 4-neighbourhood, with cells beyond the edge left out."""
+
+    @pytest.mark.parametrize("mask", list(reference_masks()))
+    def test_dilate_matches_loop(self, mask):
+        want = np.array([[any(neighbourhood(mask, r, c)) for c in range(mask.shape[1])]
+                         for r in range(mask.shape[0])])
+        got = grid._dilate(mask)
+        assert got.dtype == bool and np.array_equal(got, want)
+
+    @pytest.mark.parametrize("mask", list(reference_masks()))
+    def test_escape_boundary_matches_loop(self, mask):
+        g = synthetic_grid(np.where(mask, STATUS_ESCAPING, STATUS_BOUNDED))
+        want = np.array([[len(set(neighbourhood(mask, r, c))) == 2
+                          for c in range(mask.shape[1])]
+                         for r in range(mask.shape[0])])
+        assert np.array_equal(escape_boundary(g), want)
+
+    def test_input_unchanged(self):
+        mask = np.zeros((4, 5), dtype=bool)
+        mask[2, 2] = True
+        grid._dilate(mask)
+        assert mask.sum() == 1
+
+
 class TestClassBJuliaMask:
     """J(f) is the boundary of I(f) for transcendental entire f; for f in
     class B, I(f) lies in J(f), so the escaping cells belong to the mask."""
