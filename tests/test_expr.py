@@ -248,11 +248,15 @@ class TestAffine:
     def test_solved_inverse(self):
         assert affine_inverse(AffineMap(2, 4)) == AffineMap(0.5, -2)
 
-    # 0, non-finite, and finite values whose reciprocal overflows to inf or
-    # underflows to 0, so that affine_inverse could not be built
-    @pytest.mark.parametrize("a", [0, math.inf, complex(math.nan, 0), 1e-320,
+    def test_degenerate_rejected(self):
+        with pytest.raises(DegenerateAffineError):
+            AffineMap(0, 1)
+
+    # non-finite values, and finite values whose reciprocal overflows to inf
+    # or underflows to 0, so that affine_inverse could not be built
+    @pytest.mark.parametrize("a", [math.inf, complex(math.nan, 0), 1e-320,
                                    complex(1e-320, 1e-320), complex(1e308, 1e308)])
-    def test_degenerate_rejected(self, a):
+    def test_uninvertible_rejected(self, a):
         with pytest.raises(DegenerateAffineError):
             AffineMap(a, 1)
 
