@@ -28,14 +28,21 @@ iterated as one map: a cell escapes if every word escapes it and is
 bounded if some word bounds it; a map is one generator at depth 1.  The
 grid is cut into 4 x workers row bands, run in this process for one
 worker and on one forked pool otherwise, and each band runs every word
-over its rows, vectorised over the live cells only.  Two shortcuts keep
+over its rows, vectorised over the live cells only.  Three shortcuts keep
 every bit.  A word f after s starts from f evaluated on s's step-1
 values, with s's overflow mask OR-ed in: Compose evaluates its outer
 tree on its inner tree's values with one shared mask, so these are the
-same bits.  A cell that some word has bounded ends up bounded whatever
-the other words do, so the words after it skip that cell.  Per-cell
-results depend on nothing but the cell center, so the assembled grid is
-bitwise identical for any worker count.
+same bits.  The sibling words g after s, one per generator g, take those
+step-1 values from one eval_arrays call, made when s's own iteration
+ends: a subtree the generators share, such as h in <h, -h>, is evaluated
+once, and each generator gets eval_array's bits.  A later sibling cuts
+its share to the cells still live; evaluation is elementwise, so the cut
+share holds the bits those cells would get alone.  A word whose
+composition folds (affine after affine, or an identity) is evaluated
+whole.  A cell that some word has bounded ends up bounded whatever the other words
+do, so the words after it skip that cell.  Per-cell results depend on
+nothing but the cell center, so the assembled grid is bitwise identical
+for any worker count.
 
 Transport by an affine phi gives each target cell the source cell that
 holds phi^{-1} of its center, found by GridSpec.cell_index, the inverse
@@ -64,6 +71,7 @@ from .expr import (
     complex_to_json,
     compose,
     eval_array,
+    eval_arrays,
     format_expr,
     is_class_b,
 )
@@ -126,11 +134,23 @@ class GridSpec:
 
     def cell_index(self, z: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """The (row, col) of the cell containing each point of z, and
-        whether it lies in the window: the inverse of cell_centers."""
+        whether it lies in the window: the inverse of cell_centers.  Points
+        outside the window, infinite or NaN get row and col -1."""
         xmin, ymax, dx, dy = self._geometry()
-        col = np.floor((z.real - xmin) / dx).astype(np.int64)
-        row = np.floor((ymax - z.imag) / dy).astype(np.int64)
+        col = z.real - xmin
+        col /= dx
+        row = ymax - z.imag
+        row /= dy
+        np.floor(col, out=col)
+        np.floor(row, out=row)
         valid = (col >= 0) & (col < self.cols) & (row >= 0) & (row < self.rows)
+        invalid = ~valid
+        col[invalid] = -1
+        row[invalid] = -1
+        # in-window values only, so no cast leaves int64's range; each step
+        # works in place, since a transport indexes every target cell
+        col = col.astype(np.int64)
+        row = row.astype(np.int64)
         return row, col, valid
 
     def _geometry(self) -> tuple[float, float, float, float]:
@@ -180,27 +200,38 @@ def _classify_band(gens, words, spec: GridSpec, row0: int, row1: int):
     bounded = np.zeros(z0.size, dtype=bool)  # under some word
     undecided = np.zeros(z0.size, dtype=bool)  # under some word
 
-    def run(f: Expr, suffix, keep: bool):
-        """Iterate f after the suffix over the suffix's cells that no word
-        has bounded; returns the word's (expr, cells, step-1 values, bad)
-        when keep, for the words that extend it."""
-        inner, active, v, vbad = suffix
-        live = np.flatnonzero(~bounded[active])
-        if live.size < active.size:
-            active = active.take(live)
-            if v is not None:
-                v, vbad = v.take(live), vbad.take(live)
-        expr = compose(f, inner)
+    def node(word: Expr, cells, v, vbad, letters):
+        """The trie node of ``word`` for the words that extend it: its cells
+        that no word has bounded and, for each g in ``letters``, the step-1
+        values and bad mask there of gens[g] after ``word``, from one
+        eval_arrays on word's step-1 values v with its mask vbad OR-ed in."""
+        live = np.flatnonzero(~bounded[cells])
+        if live.size < cells.size:
+            cells, v, vbad = cells.take(live), v.take(live), vbad.take(live)
+        shares = eval_arrays([gens[g] for g in letters], v)
+        for _, bad in shares:
+            bad |= vbad
+        return word, cells, dict(zip(letters, shares))
+
+    def run(g: int, parent, keep: bool):
+        """Iterate gens[g] after the parent node's word over the node's
+        cells that no word has bounded; returns the word's node when keep."""
+        inner, cells, shares = parent
+        expr = compose(gens[g], inner)
+        live = np.flatnonzero(~bounded[cells])
+        cut = live.size < cells.size
+        active = cells.take(live) if cut else cells
         # the reference is z0 until step 1, then the iterate at the last
         # checkpoint; eval_array neither writes into its input nor returns
         # its memory, so neither the reference nor the kept step 1 is copied
         ref = z0.take(active)
-        if v is not None and expr == Compose(f, inner):
-            z, bad = eval_array(f, v)
-            bad |= vbad
+        if g in shares:
+            z, bad = shares.pop(g)
+            if cut:
+                z, bad = z.take(live), bad.take(live)
         else:
             z, bad = eval_array(expr, ref)
-        entry = (expr, active, z, bad) if keep else None
+        first = (active, z, bad) if keep else None
         checkpoint = 1
         for k in range(1, spec.max_iter + 1):
             if k > 1:
@@ -226,14 +257,21 @@ def _classify_band(gens, words, spec: GridSpec, row0: int, row1: int):
                 ref = z
                 checkpoint *= 2
         undecided[active] = True
-        return entry
+        if first is None:
+            return None
+        # a word whose composition with gens[h] folds is evaluated whole
+        letters = [h for h, f in enumerate(gens)
+                   if compose(f, expr) == Compose(f, expr)]
+        return node(expr, *first, letters)
 
     depth = max(map(len, words))
-    # entries of the suffixes of the current word, the identity's first
-    trail = [(Identity(), np.flatnonzero(~immediate), None, None)]
+    cells = np.flatnonzero(~immediate)
+    # nodes of the suffixes of the current word, the identity's first
+    trail = [node(Identity(), cells, z0.take(cells), np.zeros(cells.size, dtype=bool),
+                  range(len(gens)))]
     for w in words:
         del trail[len(w):]
-        entry = run(gens[w[0] - 1], trail[-1], len(w) < depth)
+        entry = run(w[0] - 1, trail[-1], len(w) < depth)
         if entry is not None:
             trail.append(entry)
 

@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 import time
+import warnings
 
 import pytest
 from hypothesis import example, given, settings
@@ -198,6 +199,15 @@ class TestTransportCommand:
         assert digests == [report, diff]
         ratios = json.loads((tmp_path / "transport_report.json").read_text())["ratios"]
         assert ratios["julia"] != ratios["fatou"]
+
+    def test_contracting_phi_warns_nothing(self, tmp_path):
+        # phi^{-1} = 1e300 z carries every target cell far outside the source
+        # window, beyond what a cell index can hold
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = run("transport", "--fixture", "example-2.1-cos", "--cells", "80",
+                       "--phi", "1e-300;0", "--out", str(tmp_path))
+        assert code == EXIT_TRANSPORT_BELOW_THRESHOLD
 
 
 class TestNormalFormCommand:

@@ -1,6 +1,8 @@
 import cmath
 import hashlib
+import math
 import os
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -22,6 +24,7 @@ from semidyn.expr import (
     is_class_b,
     parse_expr,
 )
+import semidyn.expr as expr_module
 import semidyn.grid as grid
 from semidyn.cli import main
 from semidyn.fixtures import FIXTURES
@@ -101,6 +104,18 @@ class TestGridSpec:
         row, col, valid = spec.cell_index(points)
         assert valid.tolist() == [False, False, False, False, True]
         assert (row[-1], col[-1]) == cell_index_of(spec, points[-1]) == (3, 3)
+
+    def test_cell_index_far_infinite_and_nan_points_are_invalid(self):
+        spec = small_spec(cols=4, rows=4)
+        inf, nan = math.inf, math.nan
+        points = np.array([4e301 + 0j, -4e301j, 1e300 + 1e300j, complex(inf, 0),
+                           complex(0, -inf), complex(nan, 0), complex(0, nan), 1 + 1j])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            row, col, valid = spec.cell_index(points)
+        assert valid.tolist() == [False] * 7 + [True]
+        assert (row[:-1] == -1).all() and (col[:-1] == -1).all()
+        assert (row[-1], col[-1]) == cell_index_of(spec, points[-1]) == (1, 2)
 
 
 class TestClassifyMap:
@@ -295,6 +310,10 @@ def per_word_reference(S, spec):
     return status, np.where(escaping_all, esc_iter, -1).astype(np.int32)
 
 
+# eval_array elements of classify_semigroup on example-2.1-cos at 64 x 64;
+# 145964 when each sibling word evaluated its own generator at step 1
+KERNEL_ELEMENTS = 140060
+
 THREE = SemigroupPresentation((Cos(Z), Sin(Z), Negate(Cos(Z))), label="three")
 THREE_SPEC = GridSpec(center=0.5j, width=8.0, height=6.0, cols=40, rows=30,
                       max_iter=40, word_depth=2)
@@ -328,8 +347,9 @@ KERNEL_CASES = {
 
 class TestSemigroupKernel:
     """The band kernel walks the words as a suffix trie, shares each
-    suffix's first step and skips cells some word has bounded; none of
-    that may change a bit of the per-word combination."""
+    suffix's first step, evaluates a subtree that sibling words' generators
+    share once, and skips cells some word has bounded; none of that may
+    change a bit of the per-word combination."""
 
     @pytest.mark.parametrize("case", sorted(KERNEL_CASES))
     def test_matches_per_word_reference(self, case):
@@ -367,22 +387,44 @@ class TestSemigroupKernel:
         assert pools == []
 
     def test_evaluates_fewer_elements_than_per_word(self, monkeypatch):
+        # every eval_array call: the kernel's own and those eval_arrays
+        # makes for the subtrees sibling words share
         sizes = []
-        real = grid.eval_array
+        real = expr_module.eval_array
 
         def spy(expr, z):
             sizes.append(z.size)
             return real(expr, z)
 
         monkeypatch.setattr(grid, "eval_array", spy)
+        monkeypatch.setattr(expr_module, "eval_array", spy)
         fx = FIXTURES["example-2.1-cos"]
         spec = replace(fx.window, cols=64, rows=64)
         classify_semigroup(fx.presentation, spec)
         kernel = sum(sizes)
         sizes.clear()
         per_word_reference(fx.presentation, spec)
-        assert kernel == 145964
+        assert kernel == KERNEL_ELEMENTS
         assert kernel < sum(sizes)
+
+    def test_siblings_evaluate_the_shared_subtree_once_at_step_one(self, monkeypatch):
+        # example-2.1-exp is <h, -h>: at depth 1 the two words are siblings
+        # at the root, and max_iter 1 leaves step 1 alone, so each band
+        # evaluates h once, not once per word
+        fx = FIXTURES["example-2.1-exp"]
+        h = fx.presentation.generator(1)
+        calls = []
+        real = Sum._eval
+
+        def spy(self, rec, w, bad):
+            if self is h:
+                calls.append(w.size)
+            return real(self, rec, w, bad)
+
+        monkeypatch.setattr(Sum, "_eval", spy)
+        spec = replace(fx.window, cols=32, rows=32, max_iter=1, word_depth=1)
+        classify_semigroup(fx.presentation, spec, workers=1)
+        assert calls == [8 * 32] * 4  # 4 bands of 8 rows
 
     def test_auto_workers_follow_cpu_affinity(self, monkeypatch):
         monkeypatch.delenv("SEMIDYN_THREADS", raising=False)
