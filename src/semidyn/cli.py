@@ -52,6 +52,7 @@ from .grid import (
     write_pgm,
 )
 from .words import (
+    MAX_WORD_LENGTH,
     AmbiguousXiError,
     NoXiError,
     VerificationFailedError,
@@ -107,8 +108,7 @@ class Run:
         self.S, self.fx = (None, None) if self.map is not None else self._presentation()
         self.plan = self._plan()
         self.spec = self._grid() if "window" in flags else None
-        workers = self.get("workers", 0) or 0
-        self.workers = resolve_workers(workers) if "workers" in flags else None
+        self.workers = resolve_workers(self.get("workers")) if "workers" in flags else None
         self.phi = None
         if phi := self.get("phi"):
             a, b = phi.split(";") if ";" in phi else phi.split("/")
@@ -183,6 +183,8 @@ class Run:
         n_random = self.get("random", 0) or 0
         if n_random:
             max_len = self.get("max_len", 6)
+            if not 1 <= max_len <= MAX_WORD_LENGTH:
+                raise UsageError(f"--max-len must be 1..{MAX_WORD_LENGTH}, got {max_len}")
             rng = np.random.default_rng(self.plan.seed)
             for _ in range(int(n_random)):
                 length = int(rng.integers(1, max_len + 1))

@@ -1,9 +1,9 @@
 """Expression trees for entire functions of one complex variable.
 
 Nodes are immutable dataclasses, so trees can be shared freely across
-worker processes.  Each node class is one row of the node table: its
-prefix name, its typed fields, and one numpy evaluation step.  Walking
-the children, printing and parsing follow the field types alone.
+threads.  Each node class is one row of the node table: its prefix name,
+its typed fields, and one numpy evaluation step.  Walking the children,
+printing and parsing follow the field types alone.
 
 There is one evaluation path.  ``eval_array`` evaluates a tree on an
 array and tracks a per-element "bad" mask: any intermediate value whose
@@ -41,10 +41,10 @@ import numpy as np
 
 OVERFLOW_CEILING = 1e150
 # Deepest nesting parse_expr accepts, counting every node on a path (exp(z)
-# is 2).  The deepest recursions over a tree, pickling it and printing or
-# walking a sum, take up to 4 frames a level, and words of up to 32 letters
-# compose a tree 31 levels deeper, so 128 keeps them well inside Python's
-# default recursion limit of 1000.
+# is 2).  The deepest recursions over a tree, printing it or walking a
+# sum, take up to 4 frames a level, and words of up to 32 letters compose
+# a tree 31 levels deeper, so 128 keeps them well inside Python's default
+# recursion limit of 1000.
 MAX_EXPR_DEPTH = 128
 
 

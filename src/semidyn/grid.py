@@ -26,8 +26,8 @@ escape test's approximation.
 A semigroup grid combines every word of up to word_depth letters, each
 iterated as one map: a cell escapes if every word escapes it and is
 bounded if some word bounds it; a map is one generator at depth 1.  The
-grid is cut into 4 x workers row bands, run in this process for one
-worker and on one forked pool otherwise, and each band runs every word
+grid is cut into 4 x workers row bands, run in this thread for one
+worker and on one thread pool otherwise, and each band runs every word
 over its rows, vectorised over the live cells only.  Three shortcuts keep
 every bit.  A word f after s starts from f evaluated on s's step-1
 values, with s's overflow mask OR-ed in: Compose evaluates its outer
@@ -54,10 +54,11 @@ from __future__ import annotations
 
 import csv
 import math
-import multiprocessing as mp
 import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass
-from itertools import product as iter_product, starmap
+from functools import partial
+from itertools import product as iter_product
 
 import numpy as np
 
@@ -312,21 +313,18 @@ def enumerate_words(n_generators: int, word_depth: int) -> list[tuple[int, ...]]
 
 def _classify(gens, word_depth: int, spec: GridSpec, workers: int):
     """Combined status and escape_iter of every word of up to word_depth
-    letters, over 4 x workers row bands: in this process for one worker,
-    else on one forked pool."""
+    letters, over 4 x workers row bands: in this thread for one worker or
+    fewer than two rows a worker, else on one pool of ``workers`` threads,
+    which run at once because numpy releases the GIL inside its loops."""
     words = sorted(enumerate_words(len(gens), word_depth), key=lambda w: w[::-1])
     workers = resolve_workers(workers)
-    bounds = np.linspace(0, spec.rows, 4 * workers + 1).astype(int)
-    jobs = [
-        (gens, words, spec, int(a), int(b))
-        for a, b in zip(bounds[:-1], bounds[1:])
-        if a < b
-    ]
+    bounds = np.unique(np.linspace(0, spec.rows, 4 * workers + 1).astype(int)).tolist()
+    band = partial(_classify_band, gens, words, spec)
     if workers == 1 or spec.rows < 2 * workers:
-        parts = list(starmap(_classify_band, jobs))
+        parts = list(map(band, bounds[:-1], bounds[1:]))
     else:
-        with mp.get_context("fork").Pool(workers) as pool:
-            parts = pool.starmap(_classify_band, jobs)
+        with ThreadPoolExecutor(workers) as pool:
+            parts = list(pool.map(band, bounds[:-1], bounds[1:]))
     return np.vstack([p[0] for p in parts]), np.vstack([p[1] for p in parts])
 
 

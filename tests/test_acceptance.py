@@ -181,7 +181,7 @@ def test_criterion_7_determinism_and_scaling(tmp_path):
     a, b = tmp_path / "a", tmp_path / "b"
     args = ["render", "--map", "exp(z)", "--window", "-4,4,-4,4",
             "--cells", "1024", "--max-iter", "100"]
-    # warm-up so the fork pool and numpy caches do not bias the timings
+    # warm-up so one-time costs such as numpy's caches do not bias the timings
     assert cli_main(args + ["--workers", "4", "--out", str(tmp_path / "w")]) == EXIT_OK
 
     # same config, two runs: everything on disk must match byte for byte

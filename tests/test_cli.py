@@ -273,6 +273,11 @@ class TestExitCodeContract:
         # 1/a overflows, so phi has no inverse to transport by
         ({}, ["transport", "--fixture", "example-2.1-cos", "--cells", "8",
               "--phi", "1e-320;0"], EXIT_USAGE),
+        # --max-len outside 1..32, whatever length the seed draws
+        ({}, ["normal-form", "--fixture", "example-2.1-cos", "--random", "3",
+              "--max-len", "0"], EXIT_USAGE),
+        ({}, ["normal-form", "--fixture", "example-2.1-cos", "--random", "1",
+              "--max-len", "40", "--seed", "1"], EXIT_USAGE),
     ])
     def test_documented_code_not_traceback(self, tmp_path, monkeypatch, capsys,
                                            env, argv, code):
@@ -311,7 +316,7 @@ class TestExitCodeContract:
 
     # neg(...(exp(z))...) nests levels + 2 nodes; the deepest text the
     # parser accepts must also get through printing, evaluation and the
-    # worker pool, so the whole process runs as a user would start it
+    # worker threads, so the whole process runs as a user would start it
     @pytest.mark.parametrize("levels,code", [
         (450, EXIT_USAGE),
         (1200, EXIT_USAGE),

@@ -1,7 +1,9 @@
 import cmath
 import hashlib
 import math
+import multiprocessing
 import os
+import sys
 import warnings
 from dataclasses import replace
 
@@ -359,32 +361,67 @@ class TestSemigroupKernel:
             assert (status == STATUS_UNDECIDED).any() and (status == STATUS_BOUNDED).any()
         if case == "three-immediate":
             assert (esc == 0).any() and (esc > 0).any()
-        for workers in (1, 2, 3):
+        for workers in (1, 2, 3, 4):
             g = classify_semigroup(S, spec, workers=workers)
             assert np.array_equal(g.status, status), workers
             assert np.array_equal(g.escape_iter, esc), workers
 
     @pytest.fixture
-    def pools(self, monkeypatch):
-        methods = []
-        real = grid.mp.get_context
+    def executors(self, monkeypatch):
+        sizes = []
+        real = grid.ThreadPoolExecutor
 
-        def spy(method=None):
-            methods.append(method)
-            return real(method)
+        def spy(workers):
+            sizes.append(workers)
+            return real(workers)
 
-        monkeypatch.setattr(grid.mp, "get_context", spy)
-        return methods
+        monkeypatch.setattr(grid, "ThreadPoolExecutor", spy)
+        return sizes
 
-    def test_transport_forks_one_pool_per_grid(self, pools, tmp_path):
+    def test_transport_starts_one_executor_per_grid(self, executors, tmp_path):
         main(["transport", "--fixture", "example-2.1-cos", "--cells", "32",
               "--workers", "2", "--out", str(tmp_path)])
-        assert pools == ["fork", "fork"]
+        assert executors == [2, 2]
 
-    def test_one_worker_forks_no_pool(self, pools, tmp_path):
+    def test_one_worker_starts_no_executor(self, executors, tmp_path):
         main(["render", "--fixture", "example-2.1-cos", "--cells", "32",
               "--workers", "1", "--out", str(tmp_path)])
-        assert pools == []
+        assert executors == []
+
+    def test_fewer_than_two_rows_a_worker_start_no_executor(self, executors, tmp_path):
+        assert main(["render", "--fixture", "example-2.1-cos", "--cells", "4",
+                     "--workers", "4", "--out", str(tmp_path)]) == 0
+        assert executors == []
+
+    def test_runs_without_fork(self, monkeypatch, tmp_path):
+        # as on a platform whose multiprocessing has no fork start method
+        def no_fork(method=None):
+            raise ValueError("cannot find context for 'fork'")
+
+        monkeypatch.setattr(multiprocessing, "get_context", no_fork)
+        for workers in ("1", "2"):
+            assert main(["render", "--fixture", "example-2.1-cos", "--cells", "32",
+                         "--workers", workers, "--out", str(tmp_path / workers)]) == 0
+        for name in ("classification.pgm", "heatmap.pgm"):
+            # past the "# config=..." line, whose hash covers --workers
+            one, two = ((tmp_path / w / name).read_bytes().split(b"\n", 2)[2]
+                        for w in ("1", "2"))
+            assert one == two
+
+    def test_threads_switching_often_keep_every_bit(self):
+        # more band threads than CPUs, switching every 10 us: a band that
+        # shared mutable state with another would lose bits here
+        S, spec = KERNEL_CASES["example-2.1-cos-depth2"]
+        spec = replace(spec, cols=64, rows=64)
+        one = classify_semigroup(S, spec, workers=1)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            many = classify_semigroup(S, spec, workers=8)
+        finally:
+            sys.setswitchinterval(interval)
+        assert np.array_equal(many.status, one.status)
+        assert np.array_equal(many.escape_iter, one.escape_iter)
 
     def test_evaluates_fewer_elements_than_per_word(self, monkeypatch):
         # every eval_array call: the kernel's own and those eval_arrays
