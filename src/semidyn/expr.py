@@ -12,12 +12,13 @@ infinity, so products can never silently turn into NaN.  Identity (where
 the input enters), Const, AffineExpr, Power, Sum and Product check their
 output; the others cannot go over: the guards of Exp, Cos and Sin keep
 them below e^345 ~ 1.3e149, Negate keeps the magnitude and Compose returns
-its outer child's value.  ``eval_at`` is ``eval_array`` on a one-element
-array, raising EvalOverflow where that element is bad.  ``eval_arrays``
-evaluates several trees at the same points, as the grid kernel's sibling
-words need: a subtree they repeat there goes through ``eval_array`` once,
-and the rest of each tree runs the same ``_eval`` steps, so every tree
-gets ``eval_array``'s values and mask bit for bit.
+its outer child's value or, when every point is already bad, its inner
+child's array.  ``eval_at`` is ``eval_array`` on a one-element array,
+raising EvalOverflow where that element is bad.  ``eval_arrays`` evaluates
+several trees at the same points, as the grid kernel's sibling words need:
+a subtree they repeat there goes through ``eval_array`` once, and the rest
+of each tree runs the same ``_eval`` steps, so every tree gets
+``eval_array``'s values and mask bit for bit.
 
 Evaluation works in place.  Each node's ``_eval`` returns a fresh array
 that no other node holds, and its parent may overwrite it: Exp, Cos, Sin
@@ -239,7 +240,10 @@ class Compose(Expr):
     name = "compose"
 
     def _eval(self, rec, w, bad):
-        return rec(self.outer, rec(self.inner, w))
+        u = rec(self.inner, w)
+        # the outer child could only set bits already set, and values at
+        # bad points are unspecified
+        return u if bad.all() else rec(self.outer, u)
 
 
 NODE_TYPES = (
@@ -360,14 +364,18 @@ def eval_array(expr: Expr, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Vectorised evaluation.
 
     Returns (values, bad) where bad marks elements at which some
-    intermediate overflowed; values are unspecified there.
+    intermediate overflowed; values are unspecified there.  A Compose
+    whose inner child leaves every point bad returns that child's array
+    without evaluating its outer child.  numpy's overflow and invalid
+    warnings are silenced: the mask records those elements.
     """
     bad = np.zeros(z.shape, dtype=bool)
 
     def rec(e: Expr, w: np.ndarray) -> np.ndarray:
         return e._eval(rec, w, bad)
 
-    return rec(expr, np.asarray(z, dtype=np.complex128)), bad
+    with np.errstate(over="ignore", invalid="ignore"):
+        return rec(expr, np.asarray(z, dtype=np.complex128)), bad
 
 
 def eval_arrays(
@@ -405,9 +413,10 @@ def eval_arrays(
             stack.extend(_children_at_points(e))
     memo = {}
     out = []
-    for e in exprs:
-        bad = np.zeros(z.shape, dtype=bool)
-        out.append((_SharedRec(z, bad, keys, uses, memo)(e, z), bad))
+    with np.errstate(over="ignore", invalid="ignore"):
+        for e in exprs:
+            bad = np.zeros(z.shape, dtype=bool)
+            out.append((_SharedRec(z, bad, keys, uses, memo)(e, z), bad))
     return out
 
 

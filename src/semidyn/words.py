@@ -148,13 +148,14 @@ def normal_form(
     table(i, j) ∘ f_j ∘ f_i; the inserted affine map is migrated eagerly to
     the far left across each generator it passes, then absorbed into the
     prefix.  Each migration f_k ∘ phi = xi ∘ f_k is resolved by resolve_xi
-    once per (k, phi), keyed by the exact AffineMap value of phi, and
+    once per (k, phi), keyed by k and phi's exact coefficients, and
     reused for the rest of the word.  Letters are permuted, never created
     or destroyed, so the exponents always sum to the word length.
     The result is verified by evaluating the whole word.
     """
     w.validate(S)
-    xi_of: dict[tuple[int, AffineMap], AffineMap] = {}
+    # keyed by coefficients, which hash in C, not by the AffineMap itself
+    xi_of: dict[tuple[int, complex, complex], AffineMap] = {}
     letters = list(w.letters)
     prefix = IDENTITY_MAP
 
@@ -168,7 +169,7 @@ def normal_form(
                 letters[idx], letters[idx + 1] = j, i
                 # migrate phi left across letters[0..idx-1]
                 for k in range(idx - 1, -1, -1):
-                    key = (letters[k], phi)
+                    key = (letters[k], phi.a, phi.b)
                     if key not in xi_of:
                         xi_of[key] = resolve_xi(S.generator(letters[k]), phi, G, plan)
                     phi = xi_of[key]

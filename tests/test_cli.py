@@ -31,6 +31,15 @@ def run(*args):
     return main(list(args))
 
 
+def run_process(*args):
+    """The CLI in its own interpreter, as a user would start it."""
+    src = os.path.dirname(os.path.dirname(semidyn.__file__))
+    path = filter(None, [src, os.environ.get("PYTHONPATH")])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(path)}
+    return subprocess.run([sys.executable, "-m", "semidyn.cli", *args],
+                          capture_output=True, text=True, env=env, timeout=120)
+
+
 class TestCommutatorCommand:
     def test_fixture_table(self, tmp_path):
         out = tmp_path / "o"
@@ -123,6 +132,16 @@ class TestRenderCommand:
                        "--out", str(out)) == EXIT_OK
         for name in ("classification.pgm", "heatmap.pgm", "render_meta.json"):
             assert (a / name).read_bytes() == (b / name).read_bytes()
+
+    def test_overflow_prints_no_warning(self, tmp_path):
+        # iterates up to the 1e150 ceiling stay inside the 1e200 escape
+        # radius, and cubing them overflows a float; the bad mask records
+        # those cells, so numpy's warning is noise
+        proc = run_process("render", "--generators", "mul(z, z, z)",
+                           "neg(mul(z,z,z))", "--window", "-4,4,-4,4", "--cells", "8",
+                           "--escape-radius", "1e200", "--out", str(tmp_path))
+        assert proc.returncode == EXIT_OK
+        assert proc.stderr == ""
 
     def test_word_budget_exit_4(self, tmp_path):
         assert run("render", "--fixture", "example-2.1-cos", "--cells", "16",
@@ -324,14 +343,8 @@ class TestExitCodeContract:
     ])
     def test_deep_nesting_exits_without_traceback(self, tmp_path, levels, code):
         text = "neg(" * levels + "exp(z)" + ")" * levels
-        src = os.path.dirname(os.path.dirname(semidyn.__file__))
-        path = filter(None, [src, os.environ.get("PYTHONPATH")])
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join(path)}
-        proc = subprocess.run(
-            [sys.executable, "-m", "semidyn.cli", "render", "--map", text,
-             "--cells", "16", "--workers", "2", "--out", str(tmp_path)],
-            capture_output=True, text=True, env=env, timeout=120,
-        )
+        proc = run_process("render", "--map", text, "--cells", "16",
+                           "--workers", "2", "--out", str(tmp_path))
         assert proc.returncode == code, proc.stderr
         assert "Traceback" not in proc.stderr
 

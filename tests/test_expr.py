@@ -1,6 +1,7 @@
 import cmath
 import gc
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -119,7 +120,7 @@ class TestEval:
 
     # bad masks at the ceiling's edges, recorded at 3ea6d88, where every
     # node checked its own output
-    @pytest.mark.parametrize("expr,points,mask", [
+    CEILING_EDGES = [
         (Const(1e200), [0, 1, 1e160], [1, 1, 1]),
         (Const(1e149), [0, 1e160], [0, 0]),
         (Sum((Z, Const(6e149))), [1, 5e149, -6e149, 1e151], [0, 1, 0, 1]),
@@ -132,10 +133,28 @@ class TestEval:
         (Z, [INF, NAN, 1e160, complex(1, math.inf), 1e150, 0], [1, 1, 1, 1, 0, 0]),
         (Negate(Const(1e200)), [0], [1]),
         (Compose(Exp(Z), Power(Z, 2)), [18, 19, 18.6, 1e80], [0, 1, 1, 1]),
-    ], ids=lambda v: type(v).__name__ if isinstance(v, Expr) else None)
+        # added later; they pass float range on the way: inf, and NaN
+        # from inf * 0
+        (Power(Z, 3), [1e149, 1e49], [1, 0]),
+        (AffineExpr(1e200, 0), [1e149, 1e-60], [1, 0]),
+        (Product((Z, Z, Z)), [1e149, 1e49], [1, 0]),
+        (Power(Z, 4), [1e149, 1e37], [1, 0]),
+    ]
+
+    @pytest.mark.parametrize("expr,points,mask", CEILING_EDGES,
+                             ids=lambda v: type(v).__name__ if isinstance(v, Expr) else None)
     def test_bad_mask_at_ceiling_edges(self, expr, points, mask):
         _, bad = eval_array(expr, np.array(points, dtype=np.complex128))
         assert bad.astype(int).tolist() == mask
+
+    def test_ceiling_edges_warn_nothing(self):
+        # the bad mask records every overflow, so numpy's warnings are noise
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            for expr, points, _ in self.CEILING_EDGES:
+                pts = np.array(points, dtype=np.complex128)
+                eval_array(expr, pts)
+                eval_arrays([expr, Negate(expr)], pts)
 
     @settings(max_examples=300, deadline=None)
     @given(TREES, st.integers(0, 2**32 - 1), st.sampled_from([1.0, 20.0, 400.0, 1e50]))
@@ -278,6 +297,33 @@ class TestCompose:
             rhs = eval_at(Cos(Z), eval_at(F_EXP_SQ, z))
             lhs = eval_at(compose(Cos(Z), F_EXP_SQ), z)
             assert lhs == rhs
+
+    def test_all_bad_inner_skips_outer(self, monkeypatch):
+        calls = []
+        real = Cos._eval
+
+        def spy(self, rec, w, bad):
+            calls.append(w.size)
+            return real(self, rec, w, bad)
+
+        monkeypatch.setattr(Cos, "_eval", spy)
+        # real parts over 345: exp's guard marks every point bad
+        pts = np.array([346.0, 400 + 1j, 1e3 - 5j])
+        _, bad = eval_array(Compose(Cos(Z), Exp(Z)), pts)
+        assert bad.all() and calls == []
+        _, bad = eval_array(Compose(Cos(Z), Exp(Z)), np.append(pts, 0))
+        assert bad.tolist() == [True, True, True, False] and calls == [4]
+
+    @settings(max_examples=300, deadline=None)
+    @given(TREES, TREES, st.integers(0, 2**32 - 1), st.sampled_from([1.0, 20.0, 400.0, 1e50]))
+    def test_outer_at_inner_values(self, u, t, seed, radius):
+        rng = np.random.default_rng(seed)
+        pts = radius * (rng.standard_normal(64) + 1j * rng.standard_normal(64))
+        tv, tbad = eval_array(t, pts)
+        uv, ubad = eval_array(u, tv)
+        vals, bad = eval_array(Compose(u, t), pts)
+        assert np.array_equal(bad, tbad | ubad)
+        assert vals[~bad].tobytes() == uv[~bad].tobytes()
 
     def test_associativity_at_samples(self):
         f, g, h = Cos(Z), Exp(Z), AffineExpr(0.5, 0.1)
