@@ -83,8 +83,10 @@ def find_clean_points(
     (4n seeded points, a lattice, 16n and 64n more), stage 2 zooms onto the
     clean points found; if neither finds enough, DegenerateSamplesError.
     Each point is evaluated at most once per expression, and expression k
-    only where 1..k-1 are clean; evaluation is elementwise, so the values
-    are those at the chosen points alone."""
+    only where 1..k-1 are clean.  Evaluation is elementwise, so the values
+    are those at the chosen points alone, and reordering the expressions
+    gives the same points (or the same error) and reorders the values
+    alone, bit for bit."""
     n = plan.count
     rng = np.random.default_rng(plan.seed)
 
@@ -157,7 +159,12 @@ def find_affine_commutator(
     if f is g or f == g:
         return CommutatorResult(IDENTITY_MAP, 0.0)
     _, (u, w) = find_clean_points([compose(f, g), compose(g, f)], plan)
+    return _fit_affine(u, w, plan)
 
+
+def _fit_affine(u: np.ndarray, w: np.ndarray, plan: SamplePlan) -> CommutatorResult:
+    """The affine phi with u = phi(w), from the values u of f∘g and w of
+    g∘f at the same clean points."""
     # anchor pair: among the smallest-magnitude values, the best separated
     order = np.argsort(np.maximum(np.abs(u), np.abs(w)))
     for m in (8, 16, len(u)):
@@ -260,29 +267,43 @@ def presentation_from_json_dict(doc: dict, **kwargs) -> SemigroupPresentation:
 def build_commutator_table(
     S: SemigroupPresentation, plan: SamplePlan
 ) -> CommutatorTable:
+    """Every entry (i, j) = [f_i, f_j], as find_affine_commutator solves it.
+
+    One clean-point search serves both orders of a pair: at the points
+    where f_i∘f_j and f_j∘f_i are clean, (i, j) fits the first's values to
+    the second's and (j, i) the reverse, and find_clean_points gives
+    (j, i)'s own search those points and values.  Raises
+    NotNearlyRepresentableError listing the unsolved (i, j) in row order.
+    """
     n = len(S)
-    entries: dict[tuple[int, int], AffineMap] = {}
-    residuals: dict[tuple[int, int], float] = {}
-    failing: list[tuple[int, int]] = []
+    same = CommutatorResult(IDENTITY_MAP, 0.0)
+    solved = {(i, i): same for i in range(1, n + 1)}
     for i in range(1, n + 1):
-        entries[(i, i)] = IDENTITY_MAP
-        residuals[(i, i)] = 0.0
-    for i in range(1, n + 1):
-        for j in range(1, n + 1):
-            if i == j:
+        for j in range(i + 1, n + 1):
+            f, g = S.generator(i), S.generator(j)
+            if f is g or f == g:
+                solved[(i, j)] = solved[(j, i)] = same
                 continue
             try:
-                res = find_affine_commutator(
-                    S.generator(i), S.generator(j), plan
-                )
-            except (NoAffineCommutatorError, DegenerateSamplesError):
-                failing.append((i, j))
+                _, (u, w) = find_clean_points([compose(f, g), compose(g, f)], plan)
+            except DegenerateSamplesError:
                 continue
-            entries[(i, j)] = res.map
-            residuals[(i, j)] = res.residual
+            for key, x, y in (((i, j), u, w), ((j, i), w, u)):
+                try:
+                    solved[key] = _fit_affine(x, y, plan)
+                except (NoAffineCommutatorError, DegenerateSamplesError):
+                    pass
+    order = [(i, i) for i in range(1, n + 1)] + [
+        (i, j) for i in range(1, n + 1) for j in range(1, n + 1) if i != j
+    ]
+    failing = [key for key in order if key not in solved]
     if failing:
         raise NotNearlyRepresentableError(failing)
-    return CommutatorTable(n, entries, residuals)
+    return CommutatorTable(
+        n,
+        {key: solved[key].map for key in order},
+        {key: solved[key].residual for key in order},
+    )
 
 
 @dataclass(frozen=True)

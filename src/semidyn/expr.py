@@ -12,21 +12,33 @@ infinity, so products can never silently turn into NaN.  Identity (where
 the input enters), Const, AffineExpr, Power, Sum and Product check their
 output; the others cannot go over: the guards of Exp, Cos and Sin keep
 them below e^345 ~ 1.3e149, Negate keeps the magnitude and Compose returns
-its outer child's value or, when every point is already bad, its inner
-child's array.  ``eval_at`` is ``eval_array`` on a one-element array,
-raising EvalOverflow where that element is bad.  ``eval_arrays`` evaluates
-several trees at the same points, as the grid kernel's sibling words need:
-a subtree they repeat there goes through ``eval_array`` once, and the rest
-of each tree runs the same ``_eval`` steps, so every tree gets
-``eval_array``'s values and mask bit for bit.
+its outer child's values.
+
+Evaluation is elementwise: an element's value and bad bit depend on that
+element alone, bit for bit, whatever the array's length.  The clean-point
+search and the grid kernel rely on it when they evaluate a subset of
+points, and so does Compose: once its inner child leaves at least half the
+points bad, it evaluates its outer child at the clean points alone and
+writes those values and bad bits back into the inner child's array, and
+when every point is bad it skips the outer child.  numpy's in-place complex
+multiply rounds one-element arrays differently from every other length, so
+Power and Product multiply out of place.
+
+``eval_at`` is ``eval_array`` on a one-element array, raising EvalOverflow
+where that element is bad.  ``eval_arrays`` evaluates several trees at the
+same points, as the grid kernel's sibling words need: a subtree they repeat
+there goes through ``eval_array`` once, and the rest of each tree runs the
+same ``_eval`` steps, so every tree gets ``eval_array``'s values and mask
+bit for bit.
 
 Evaluation works in place.  Each node's ``_eval`` returns a fresh array
 that no other node holds, and its parent may overwrite it: Exp, Cos, Sin
-and Negate write their result into their child's array, and Sum and
-Product accumulate into their first child's.  No node writes into the
-points it is evaluated at, so only Identity, where those points become a
-value, copies its input, and ``eval_array`` never alters the caller's
-array nor returns memory shared with it.
+and Negate write their result into their child's array, Sum accumulates
+into its first child's, and a compacting Compose writes into its inner
+child's.  No node writes into the points it is evaluated at, so only
+Identity, where those points become a value, copies its input, and
+``eval_array`` never alters the caller's array nor returns memory shared
+with it.
 """
 
 from __future__ import annotations
@@ -93,11 +105,13 @@ class Expr:
 def _capped(v: np.ndarray, bad: np.ndarray) -> np.ndarray:
     """v, its elements over the ceiling (or not finite) marked bad and
     zeroed in place."""
-    over = np.abs(v) <= OVERFLOW_CEILING
+    mag = np.abs(v)
+    if not mag.size or mag.max() <= OVERFLOW_CEILING:  # a NaN max fails
+        return v
+    over = mag <= OVERFLOW_CEILING
     np.logical_not(over, out=over)
-    if over.any():
-        bad |= over
-        v[over] = 0.0
+    bad |= over
+    v[over] = 0.0
     return v
 
 
@@ -157,7 +171,7 @@ class Power(Expr):
         b = rec(self.base, w)
         v = b * b if self.k > 1 else b
         for _ in range(self.k - 2):
-            v *= b
+            v = v * b  # not *=: see the module docstring
         return _capped(v, bad)
 
 
@@ -219,7 +233,7 @@ class Product(Expr):
     def _eval(self, rec, w, bad):
         v = rec(self.factors[0], w)
         for f in self.factors[1:]:
-            v *= rec(f, w)
+            v = v * rec(f, w)  # not *=: see the module docstring
         return _capped(v, bad)
 
 
@@ -242,8 +256,18 @@ class Compose(Expr):
     def _eval(self, rec, w, bad):
         u = rec(self.inner, w)
         # the outer child could only set bits already set, and values at
-        # bad points are unspecified
-        return u if bad.all() else rec(self.outer, u)
+        # bad points are unspecified, so once half the points are bad it
+        # runs at the clean ones alone
+        nbad = np.count_nonzero(bad)
+        if nbad * 2 < bad.size:
+            return rec(self.outer, u)
+        if nbad == bad.size:
+            return u
+        clean = ~bad
+        sub = _Rec(np.zeros(bad.size - nbad, dtype=bool))
+        u[clean] = sub(self.outer, u[clean])
+        bad[clean] = sub.bad
+        return u
 
 
 NODE_TYPES = (
@@ -365,9 +389,10 @@ def eval_array(expr: Expr, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
     Returns (values, bad) where bad marks elements at which some
     intermediate overflowed; values are unspecified there.  A Compose
-    whose inner child leaves every point bad returns that child's array
-    without evaluating its outer child.  numpy's overflow and invalid
-    warnings are silenced: the mask records those elements.
+    whose inner child leaves at least half the points bad evaluates its
+    outer child at the clean points alone, and none when every point is
+    bad.  numpy's overflow and invalid warnings are silenced: the mask
+    records those elements.
     """
     bad = np.zeros(z.shape, dtype=bool)
 
@@ -418,6 +443,20 @@ def eval_arrays(
             bad = np.zeros(z.shape, dtype=bool)
             out.append((_SharedRec(z, bad, keys, uses, memo)(e, z), bad))
     return out
+
+
+class _Rec:
+    """The ``rec`` of a Compose's outer child evaluated at its clean points
+    alone, into its own bad mask.  A class rather than a closure, for the
+    reason _SharedRec gives."""
+
+    __slots__ = ("bad",)
+
+    def __init__(self, bad):
+        self.bad = bad
+
+    def __call__(self, e: Expr, w: np.ndarray) -> np.ndarray:
+        return e._eval(self, w, self.bad)
 
 
 def _children_at_points(e: Expr):

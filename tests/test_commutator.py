@@ -206,6 +206,49 @@ class TestCommutatorTable:
                 m = affine_compose(table.entry(i, j), table.entry(j, i))
                 assert affine_distance(m, IDENT) < 1e-9
 
+    # the fixtures, a pair with no commutator, and three generators of
+    # which only the first two pair up
+    TABLE_CASES = {
+        **{name: (FIXTURES[name].presentation, FIXTURES[name].plan) for name in FIXTURES},
+        "exp-cos": (SemigroupPresentation((Exp(Z), Cos(Z))), PLAN),
+        "three": (SemigroupPresentation((Cos(Z), Negate(Cos(Z)), Exp(Z))), PLAN),
+    }
+
+    @pytest.mark.parametrize("case", list(TABLE_CASES))
+    def test_one_search_per_pair(self, monkeypatch, case):
+        S, plan = self.TABLE_CASES[case]
+        n = len(S)
+        searches = []
+        real = semidyn.commutator.find_clean_points
+
+        def spy(exprs, plan):
+            searches.append(exprs)
+            return real(exprs, plan)
+
+        monkeypatch.setattr(semidyn.commutator, "find_clean_points", spy)
+        try:
+            table = build_commutator_table(S, plan)
+            got, failing = table.to_json_dict()["entries"], []
+            assert list(table.entries)[:n] == [(i, i) for i in range(1, n + 1)]
+        except NotNearlyRepresentableError as exc:
+            got, failing = [], exc.failing_pairs
+        assert len(searches) == n * (n - 1) // 2
+        monkeypatch.undo()
+
+        want, want_failing = [], []
+        for i in range(1, n + 1):
+            for j in range(1, n + 1):
+                try:
+                    res = find_affine_commutator(S.generator(i), S.generator(j), plan)
+                except (NoAffineCommutatorError, DegenerateSamplesError):
+                    want_failing.append((i, j))
+                    continue
+                want.append({"i": i, "j": j, **res.map.to_json_dict(),
+                             "residual": res.residual})
+        assert failing == want_failing
+        assert got == ([] if want_failing else want)
+        assert case not in ("exp-cos", "three") or failing
+
     def test_json_round_trip(self):
         fx = FIXTURES["derived-exp-shift"]
         table = build_commutator_table(fx.presentation, fx.plan)

@@ -97,15 +97,12 @@ class TestEval:
             eval_at(Product((Const(1e100), Const(1e100))), 0)
 
     def test_eval_array_matches_scalar(self):
-        # the two paths may differ in the last ulp (different libm kernels);
-        # each path individually is bitwise deterministic
+        # eval_at is eval_array at one point, and evaluation is elementwise
         pts = sample_points(PLAN)
         vals, bad = eval_array(F_EXP_SQ, pts)
         assert not bad.any()
         for z, v in zip(pts, vals):
-            assert eval_at(F_EXP_SQ, complex(z)) == pytest.approx(
-                complex(v), rel=1e-14, abs=1e-14
-            )
+            assert np.complex128(eval_at(F_EXP_SQ, complex(z))).tobytes() == v.tobytes()
         vals2, _ = eval_array(F_EXP_SQ, pts)
         assert np.array_equal(vals, vals2)
         for z in pts[:4]:
@@ -139,6 +136,8 @@ class TestEval:
         (AffineExpr(1e200, 0), [1e149, 1e-60], [1, 0]),
         (Product((Z, Z, Z)), [1e149, 1e49], [1, 0]),
         (Power(Z, 4), [1e149, 1e37], [1, 0]),
+        # a NaN makes the max NaN, which must fail the all-clean test
+        (Z, [NAN, 0], [1, 0]),
     ]
 
     @pytest.mark.parametrize("expr,points,mask", CEILING_EDGES,
@@ -146,6 +145,27 @@ class TestEval:
     def test_bad_mask_at_ceiling_edges(self, expr, points, mask):
         _, bad = eval_array(expr, np.array(points, dtype=np.complex128))
         assert bad.astype(int).tolist() == mask
+
+    def test_empty_points(self):
+        # the all-clean test reduces with max, which has no empty answer
+        for expr, _, _ in self.CEILING_EDGES:
+            vals, bad = eval_array(expr, np.empty(0, dtype=np.complex128))
+            assert vals.shape == bad.shape == (0,)
+
+    # numpy's in-place complex multiply rounds one-element arrays apart from
+    # every other length (numpy 2.4 on AVX-512 hardware); a one-point
+    # eval_at, and a Compose left with one clean point, would see it
+    @pytest.mark.parametrize("tree", [Power(Z, 3), Product((Z, Exp(Z)))], ids=format_expr)
+    def test_one_point_is_the_full_array_element(self, tree):
+        rng = np.random.default_rng(5)
+        pts = rng.standard_normal(200) + 1j * rng.standard_normal(200)
+        vals, bad = eval_array(tree, pts)
+        assert not bad.any()
+        for k in range(len(pts)):
+            one, _ = eval_array(tree, pts[k:k + 1])
+            assert one.tobytes() == vals[k:k + 1].tobytes()
+            at = np.complex128(eval_at(tree, complex(pts[k])))
+            assert at.tobytes() == vals[k].tobytes()
 
     def test_ceiling_edges_warn_nothing(self):
         # the bad mask records every overflow, so numpy's warnings are noise
@@ -298,7 +318,9 @@ class TestCompose:
             lhs = eval_at(compose(Cos(Z), F_EXP_SQ), z)
             assert lhs == rhs
 
-    def test_all_bad_inner_skips_outer(self, monkeypatch):
+    @pytest.fixture
+    def cos_sizes(self, monkeypatch):
+        """The number of points of each Cos evaluation."""
         calls = []
         real = Cos._eval
 
@@ -307,12 +329,60 @@ class TestCompose:
             return real(self, rec, w, bad)
 
         monkeypatch.setattr(Cos, "_eval", spy)
+        return calls
+
+    def test_all_bad_inner_skips_outer(self, cos_sizes):
+        calls = cos_sizes
         # real parts over 345: exp's guard marks every point bad
         pts = np.array([346.0, 400 + 1j, 1e3 - 5j])
         _, bad = eval_array(Compose(Cos(Z), Exp(Z)), pts)
         assert bad.all() and calls == []
+        # three of four bad: the outer child sees the clean point alone
         _, bad = eval_array(Compose(Cos(Z), Exp(Z)), np.append(pts, 0))
-        assert bad.tolist() == [True, True, True, False] and calls == [4]
+        assert bad.tolist() == [True, True, True, False] and calls == [1]
+
+    def test_under_half_bad_outer_sees_every_point(self, cos_sizes):
+        calls = cos_sizes
+        pts = np.array([346.0, 0, 1j, -2.0, 3 + 1j])
+        _, bad = eval_array(Compose(Cos(Z), Exp(Z)), pts)
+        assert bad.tolist() == [True, False, False, False, False] and calls == [5]
+        # exactly half bad compacts
+        _, bad = eval_array(Compose(Cos(Z), Exp(Z)), np.append(pts[:3], 400))
+        assert bad.tolist() == [True, False, False, True] and calls == [5, 2]
+
+    def test_compaction_leaves_no_reference_cycle(self):
+        # eval_arrays of a tree that repeats nothing makes no closure, so
+        # any cycle would be the compacting Compose's
+        pts = np.array([0, 346, 400, 400 + 5j])
+        gc.collect()
+        gc.disable()
+        try:
+            got = eval_arrays((Compose(Cos(Z), Exp(Z)),), pts)
+            assert got[0][1].tolist() == [False, True, True, True]
+            del got
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.one_of(TREES, st.sampled_from([F_EXP_SQ, Negate(F_EXP_SQ), Exp(Z)])),
+                    min_size=2, max_size=12),
+           st.integers(0, 2**32 - 1), st.sampled_from([1.0, 3.0, 20.0, 400.0]))
+    def test_chain_is_level_by_level(self, maps, seed, radius):
+        # a chain compacts at each level where half its points have gone
+        # bad; clean values and masks stay those of one map at a time
+        rng = np.random.default_rng(seed)
+        pts = radius * (rng.standard_normal(64) + 1j * rng.standard_normal(64))
+        chain = maps[0]
+        for m in maps[1:]:
+            chain = Compose(m, chain)
+        want, want_bad = pts, np.zeros(64, dtype=bool)
+        for m in maps:
+            want, b = eval_array(m, want)
+            want_bad |= b
+        vals, bad = eval_array(chain, pts)
+        assert np.array_equal(bad, want_bad)
+        assert vals[~bad].tobytes() == want[~bad].tobytes()
 
     @settings(max_examples=300, deadline=None)
     @given(TREES, TREES, st.integers(0, 2**32 - 1), st.sampled_from([1.0, 20.0, 400.0, 1e50]))
