@@ -53,7 +53,6 @@ from .grid import (
 )
 from .words import (
     MAX_WORD_LENGTH,
-    AmbiguousXiError,
     NoXiError,
     VerificationFailedError,
     Word,
@@ -270,7 +269,7 @@ def cmd_verify(run: Run) -> int:
         same = near.algebraic == near_conj.algebraic
         record("conjugation-preserves-nearly-abelian", same, 0.0)
         try:
-            G = group_closure(near.table.maps(), cap=64)
+            G = group_closure(near.table.maps())
             xi = resolve_xi(f, phi, G, plan)
             record("resolve-xi(f, phi)", True, 0.0)
             checks[-1]["xi"] = xi.to_json_dict()
@@ -282,7 +281,7 @@ def cmd_verify(run: Run) -> int:
             record("left-resolve-exists", exists, 0.0, expected=expect_left)
         except (ClosureOverflowError, NoXiError) as exc:
             checks.append({"check": "xi-resolution", "error": str(exc), "ok": True})
-        except (DegenerateSamplesError, AmbiguousXiError) as exc:
+        except DegenerateSamplesError as exc:
             record_error("resolve-xi(f, phi)", exc)
 
     doc = run.meta({"presentation": presentation_to_json_dict(S), "checks": checks})
@@ -372,17 +371,15 @@ def cmd_normal_form(run: Run) -> int:
         print(f"incomplete commutator table: {near.failing_pairs}", file=sys.stderr)
         return EXIT_TABLE_INCOMPLETE
     try:
-        G = group_closure(near.table.maps(), cap=256)
-    except ClosureOverflowError as exc:
-        print(f"commutator group is not finite: {exc}", file=sys.stderr)
-        return EXIT_NORMAL_FORM_FAILED
+        G = group_closure(near.table.maps())
+    except ClosureOverflowError:
+        G = None  # each xi is fitted and used unchecked against the group
 
     results = []
     for w in run.words:
         try:
             nf = normal_form(w, S, near.table, G, plan)
-        except (NoXiError, AmbiguousXiError, VerificationFailedError,
-                DegenerateSamplesError) as exc:
+        except (NoXiError, VerificationFailedError, DegenerateSamplesError) as exc:
             print(f"word {list(w.letters)}: {exc}", file=sys.stderr)
             return EXIT_NORMAL_FORM_FAILED
         results.append(normal_form_to_json_dict(w, nf))

@@ -34,6 +34,7 @@ from .expr import (
 
 DEDUP_TOLERANCE = 1e-9
 MIN_SEPARATION = 1e-6
+CLOSURE_CAP = 64
 
 
 class NoAffineCommutatorError(ValueError):
@@ -57,12 +58,11 @@ class NotNearlyRepresentableError(ValueError):
 
 
 class ClosureOverflowError(RuntimeError):
-    """Group closure exceeded its element cap."""
+    """Group closure exceeded CLOSURE_CAP elements."""
 
-    def __init__(self, partial: tuple[AffineMap, ...], cap: int):
-        super().__init__(f"closure exceeded cap {cap}")
+    def __init__(self, partial: tuple[AffineMap, ...]):
+        super().__init__(f"closure exceeded cap {CLOSURE_CAP}")
         self.partial = partial
-        self.cap = cap
 
 
 class MissingCommutatorError(ValueError):
@@ -146,25 +146,26 @@ class CommutatorResult:
     residual: float
 
 
-def find_affine_commutator(
-    f: Expr, g: Expr, plan: SamplePlan
-) -> CommutatorResult:
-    """Solve f∘g = phi∘g∘f for an affine phi.
-
-    Two small-magnitude well-separated sample values pin down (a, b); all
-    remaining clean samples verify the fit in max norm.  Small-magnitude
-    anchors keep b free of catastrophic cancellation when the values are
-    huge.
-    """
-    if f is g or f == g:
-        return CommutatorResult(IDENTITY_MAP, 0.0)
-    _, (u, w) = find_clean_points([compose(f, g), compose(g, f)], plan)
+def solve_affine(P: Expr, Q: Expr, plan: SamplePlan) -> CommutatorResult:
+    """Solve P = A∘Q for an affine A: one clean-point search for both
+    trees, then _fit_affine of P's values to Q's."""
+    _, (u, w) = find_clean_points([P, Q], plan)
     return _fit_affine(u, w, plan)
 
 
+def find_affine_commutator(f: Expr, g: Expr, plan: SamplePlan) -> CommutatorResult:
+    """Solve f∘g = phi∘g∘f for an affine phi: solve_affine's case
+    P = f∘g, Q = g∘f."""
+    if f is g or f == g:
+        return CommutatorResult(IDENTITY_MAP, 0.0)
+    return solve_affine(compose(f, g), compose(g, f), plan)
+
+
 def _fit_affine(u: np.ndarray, w: np.ndarray, plan: SamplePlan) -> CommutatorResult:
-    """The affine phi with u = phi(w), from the values u of f∘g and w of
-    g∘f at the same clean points."""
+    """The affine phi with u = phi(w), from the values u and w of two trees
+    at the same clean points.  Two small-magnitude well-separated values
+    pin down (a, b), which keeps b free of catastrophic cancellation when
+    the values are huge; all the others verify the fit in max norm."""
     # anchor pair: among the smallest-magnitude values, the best separated
     order = np.argsort(np.maximum(np.abs(u), np.abs(w)))
     for m in (8, 16, len(u)):
@@ -331,6 +332,10 @@ def is_nearly_abelian(S: SemigroupPresentation, plan: SamplePlan) -> NearAbelian
 # the group generated by the commutators
 
 
+def _find(elements, m: AffineMap) -> AffineMap | None:
+    return next((e for e in elements if affine_distance(e, m) < DEDUP_TOLERANCE), None)
+
+
 @dataclass(frozen=True)
 class AffineGroup:
     elements: tuple[AffineMap, ...]
@@ -338,26 +343,23 @@ class AffineGroup:
     def __len__(self) -> int:
         return len(self.elements)
 
-    def find(self, m: AffineMap, tol: float = DEDUP_TOLERANCE) -> AffineMap | None:
-        for e in self.elements:
-            if affine_distance(e, m) < tol:
-                return e
-        return None
+    def find(self, m: AffineMap) -> AffineMap | None:
+        """The element whose coefficients agree with m's within
+        DEDUP_TOLERANCE, as group_closure deduplicates, or None."""
+        return _find(self.elements, m)
 
 
-def group_closure(seeds: list[AffineMap], cap: int = 256) -> AffineGroup:
+def group_closure(seeds: list[AffineMap]) -> AffineGroup:
     """Breadth-first closure of the seeds under composition and inverse,
-    deduplicating maps whose coefficients agree within DEDUP_TOLERANCE."""
-    if cap < 1:
-        raise ValueError("cap must be >= 1")
+    deduplicated as AffineGroup.find looks up; ClosureOverflowError past
+    CLOSURE_CAP elements."""
     elements: list[AffineMap] = [IDENTITY_MAP]
 
     def add(m: AffineMap) -> bool:
-        for e in elements:
-            if affine_distance(e, m) < DEDUP_TOLERANCE:
-                return False
-        if len(elements) >= cap:
-            raise ClosureOverflowError(tuple(elements), cap)
+        if _find(elements, m) is not None:
+            return False
+        if len(elements) >= CLOSURE_CAP:
+            raise ClosureOverflowError(tuple(elements))
         elements.append(m)
         return True
 

@@ -19,9 +19,10 @@ class Fixture:
     presentation: SemigroupPresentation
     window: GridSpec
     plan: SamplePlan
-    # whether the generator pair is expected to admit a full commutator
-    # table (the shifted-exp pair does, but its commutator group is
-    # infinite, so normal forms are out of reach for it)
+    # whether the commutator group is finite (the shifted-exp pair has a
+    # full table, but its group does not close, so its normal forms use
+    # each fitted xi unchecked, and a word fails where a migration has no
+    # affine xi)
     finite_commutator_group: bool
 
 

@@ -6,8 +6,10 @@ commutator group followed by the generators in index order with
 nonnegative exponents; it is produced by bubble-sorting the letters, each
 adjacent swap inserting the pair's commutator, which is then migrated to
 the far left one generator at a time.  Since f_k ∘ phi = xi ∘ f_k, each
-migration depends only on the pair (k, phi), and phi ranges over the
-finite commutator group, so normal_form resolves each pair once per word.
+migration depends only on the pair (k, phi), so normal_form resolves each
+pair once per word.  xi is fitted from sampled values, so the commutator
+group need not be finite; when group_closure closes it, xi is snapped to
+its element of the group.
 """
 
 from __future__ import annotations
@@ -18,9 +20,11 @@ from .commutator import (
     AffineGroup,
     CommutatorTable,
     DegenerateSamplesError,
+    NoAffineCommutatorError,
     SemigroupPresentation,
-    find_clean_points,
+    find_clean_points,  # noqa: F401  the benchmark's tracer wraps it by this name
     sampled_equal,
+    solve_affine,
 )
 from .expr import (
     AffineMap,
@@ -29,22 +33,17 @@ from .expr import (
     SamplePlan,
     affine_compose,
     affine_distance,
-    compare_values,
     compose,
     compose_power,
-    eval_array,
     eval_at,
+    format_expr,
 )
 
 MAX_WORD_LENGTH = 32
 
 
 class NoXiError(ValueError):
-    """No group element xi satisfies f ∘ phi = xi ∘ f."""
-
-
-class AmbiguousXiError(ValueError):
-    """More than one group element matched; tolerance is misconfigured."""
+    """No affine xi (or none in the group) satisfies f ∘ phi = xi ∘ f."""
 
 
 class VerificationFailedError(ValueError):
@@ -98,26 +97,26 @@ def word_eval(w: Word, S: SemigroupPresentation, z: complex) -> complex:
 
 
 def resolve_xi(
-    f: Expr, phi: AffineMap, G: AffineGroup, plan: SamplePlan
+    f: Expr, phi: AffineMap, G: AffineGroup | None, plan: SamplePlan
 ) -> AffineMap:
-    """The unique xi in G with f ∘ phi = xi ∘ f (right-to-left migration
-    of an affine map across f)."""
+    """The xi with f ∘ phi = xi ∘ f (right-to-left migration of an affine
+    map across f): solve_affine's case P = f∘phi, Q = f.  Given the closed
+    group G, the fit is snapped to its element of G, which it must be;
+    with G None it is returned as fitted."""
     if affine_distance(phi, IDENTITY_MAP) < plan.tolerance:
         return IDENTITY_MAP
-    _, (lv, fv) = find_clean_points([compose(f, phi.as_expr()), f], plan)
-    matches = []
-    for xi in G.elements:
-        # xi∘f at those points: xi's tree evaluated at f's values there
-        xv, xbad = eval_array(xi.as_expr(), fv)
-        if compare_values(lv, xv, plan, ~xbad).equal:
-            matches.append(xi)
-    if not matches:
-        raise NoXiError(f"no xi in a group of {len(G)} matches f∘phi")
-    if len(matches) > 1:
-        raise AmbiguousXiError(
-            f"{len(matches)} group elements match; tolerance misconfigured"
-        )
-    return matches[0]
+    try:
+        xi = solve_affine(compose(f, phi.as_expr()), f, plan).map
+    except NoAffineCommutatorError as exc:
+        raise NoXiError(
+            f"no affine xi migrates {phi} across {format_expr(f)}: {exc}"
+        ) from exc
+    if G is None:
+        return xi
+    snapped = G.find(xi)
+    if snapped is None:
+        raise NoXiError(f"fitted xi {xi} is not in a group of {len(G)}")
+    return snapped
 
 
 def left_resolve_exists(
@@ -139,7 +138,7 @@ def normal_form(
     w: Word,
     S: SemigroupPresentation,
     table: CommutatorTable,
-    G: AffineGroup,
+    G: AffineGroup | None,
     plan: SamplePlan,
 ) -> NormalForm:
     """Rewrite a word into prefix ∘ f_1^{t_1} ∘ ... ∘ f_m^{t_m}.

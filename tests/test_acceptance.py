@@ -19,6 +19,7 @@ import conftest
 
 from semidyn.cli import EXIT_OK, main as cli_main
 from semidyn.commutator import (
+    SemigroupPresentation,
     build_commutator_table,
     conjugate_semigroup,
     find_affine_commutator,
@@ -28,7 +29,16 @@ from semidyn.commutator import (
 )
 from semidyn.expr import (
     AffineMap,
+    Const,
+    Cos,
+    Exp,
+    Identity,
+    Product,
+    SamplePlan,
+    Sum,
+    affine_compose,
     affine_distance,
+    affine_inverse,
     numerically_equal,
 )
 from semidyn.fixtures import FIXTURES, INVOLUTION_FIXTURES
@@ -141,6 +151,45 @@ def test_criterion_4_transport_agreement():
     assert report(4, "affine transport of I/J/F grids", ok, "; ".join(details))
 
 
+def test_criterion_9_conjugation_carries_commutators():
+    # psi is no involution (a not in {1, -1}, b != 0), so conjugating by
+    # psi^-1 in place of psi changes the table, which criteria 3 and 4,
+    # conjugating by -z, cannot see; the pairs are built here, so the
+    # fixture-wide criteria 2 and 8 do not grow
+    psi = AffineMap(1 + 0.5j, 0.3)
+    psi_inv = affine_inverse(psi)
+    plan = SamplePlan()
+    Z = Identity()
+    exp_z = Exp(Z)
+    small = Product((Const(0.2), exp_z))
+    pairs = {
+        "<0.2e^z, 0.2e^z + 0.1>": (small, Sum((small, Const(0.1)))),
+        "<e^z, e^z + 2 pi i>": (exp_z, Sum((exp_z, Const(2j * math.pi)))),
+    }
+    ok = True
+    details = []
+    for label, gens in pairs.items():
+        S = SemigroupPresentation(gens, label=label)
+        table = build_commutator_table(S, plan)
+        conj = build_commutator_table(conjugate_semigroup(S, psi), plan)
+        worst = max(
+            affine_distance(
+                conj.entry(*key),
+                affine_compose(psi, affine_compose(table.entry(*key), psi_inv)),
+            )
+            for key in table.entries
+        )
+        ok &= worst < 1e-9
+        details.append(f"{label}: {worst:.1e}")
+    S = SemigroupPresentation((exp_z, Cos(Z)), label="<e^z, cos z>")
+    verdicts = [is_nearly_abelian(T, plan).algebraic
+                for T in (S, conjugate_semigroup(S, psi))]
+    ok &= verdicts == [False, False]
+    details.append(f"<e^z, cos z>: nearly abelian {verdicts}")
+    assert report(9, "conjugation carries the commutator table", ok,
+                  "; ".join(details))
+
+
 def test_criterion_5_normal_form_oracle():
     t0 = time.perf_counter()
     ok = True
@@ -148,7 +197,7 @@ def test_criterion_5_normal_form_oracle():
     for name in INVOLUTION_FIXTURES:
         fx = FIXTURES[name]
         table = build_commutator_table(fx.presentation, fx.plan)
-        G = group_closure(table.maps(), cap=64)
+        G = group_closure(table.maps())
         rng = np.random.default_rng(fx.plan.seed)
         for _ in range(100):
             length = int(rng.integers(1, 7))
@@ -169,7 +218,7 @@ def test_criterion_6_xi_resolution():
     for name in INVOLUTION_FIXTURES:
         fx = FIXTURES[name]
         table = build_commutator_table(fx.presentation, fx.plan)
-        G = group_closure(table.maps(), cap=64)
+        G = group_closure(table.maps())
         for gen in fx.presentation.generators:
             xi = resolve_xi(gen, NEGATION, G, fx.plan)
             ok &= affine_distance(xi, IDENT) < 1e-9

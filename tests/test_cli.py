@@ -252,10 +252,32 @@ class TestNormalFormCommand:
             assert sum(rec["exponents"]) == len(rec["word"])
             assert rec["residual"] < 1e-9
 
-    def test_infinite_commutator_group_exit_6(self, tmp_path):
+    # the commutator group of derived-exp-shift does not close, so each xi
+    # is fitted without it: a word fails only on a migration with no
+    # affine xi, and phi = z/e + 1 has none across exp(z)
+    def test_migration_without_affine_xi_exit_6(self, tmp_path, capsys):
         code = run("normal-form", "--fixture", "derived-exp-shift",
-                   "--word", "2,1", "--out", str(tmp_path))
+                   "--word", "1,2,1", "--out", str(tmp_path))
         assert code == EXIT_NORMAL_FORM_FAILED
+        err = capsys.readouterr().err
+        assert "no affine xi migrates" in err and "across exp(z)" in err
+        assert "affine fit residual 1.730e+00" in err
+
+    def test_infinite_commutator_group_word_without_migration(self, tmp_path):
+        assert run("normal-form", "--fixture", "derived-exp-shift",
+                   "--word", "2,1", "--out", str(tmp_path)) == EXIT_OK
+        rec, = json.loads((tmp_path / "normal_forms.json").read_text())["normal_forms"]
+        assert rec["exponents"] == [1, 1]
+
+    def test_translation_commutator_migrates_unchecked(self, tmp_path):
+        # <e^z, e^z + 2 pi i>: the commutator group of translations by
+        # multiples of 2 pi i is infinite, and every migration has xi = id
+        assert run("normal-form", "--generators", "exp(z)",
+                   "add(exp(z), const(0+6.283185307179586i))",
+                   "--word", "2,1,2,1", "--out", str(tmp_path)) == EXIT_OK
+        rec, = json.loads((tmp_path / "normal_forms.json").read_text())["normal_forms"]
+        assert rec["exponents"] == [2, 2]
+        assert rec["residual"] <= 1e-9
 
     def test_no_words_usage(self, tmp_path):
         assert run("normal-form", "--fixture", "example-2.1-exp",
@@ -439,7 +461,8 @@ class TestCliFuzz:
 
     # each pinned example ended in a traceback before it was mended: a
     # negative seed reached numpy's generator, and a tolerance so loose
-    # that two group elements match raised AmbiguousXiError out of verify
+    # that two group elements matched the migration raised out of verify
+    # (since xi is fitted, that tolerance fails left-resolve-exists instead)
     @settings(max_examples=200, deadline=None, derandomize=True)
     @given(cli_argv())
     @example(argv=["commutator", "--fixture", "example-2.1-cos", "--seed", "-1"])

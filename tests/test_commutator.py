@@ -128,7 +128,7 @@ class TestFindCleanPoints:
         rng = np.random.default_rng(length)
         w = Word(tuple(int(x) for x in rng.integers(1, 3, length)))
         table = build_commutator_table(fx.presentation, fx.plan)
-        G = group_closure(table.maps(), cap=64)
+        G = group_closure(table.maps())
         with pytest.raises(DegenerateSamplesError):
             normal_form(w, fx.presentation, table, G, fx.plan)
         text = ",".join(map(str, w.letters))
@@ -292,7 +292,7 @@ class TestGroupClosure:
 
     def test_doubling_overflows(self):
         with pytest.raises(ClosureOverflowError) as exc:
-            group_closure([AffineMap(2, 0)], cap=64)
+            group_closure([AffineMap(2, 0)])
         assert len(exc.value.partial) <= 64
 
     def test_rotation_order_four(self):
@@ -300,7 +300,7 @@ class TestGroupClosure:
         assert len(G) == 4
 
     def test_closure_is_closed(self):
-        G = group_closure([AffineMap(1j, 0), AffineMap(-1j, 0)], cap=256)
+        G = group_closure([AffineMap(1j, 0), AffineMap(-1j, 0)])
         for x in G.elements:
             for y in G.elements:
                 assert G.find(affine_compose(x, y)) is not None

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from semidyn.commutator import (
+    NoAffineCommutatorError,
     SemigroupPresentation,
     build_commutator_table,
     group_closure,
@@ -18,6 +19,7 @@ from semidyn.expr import (
     Exp,
     Identity,
     SamplePlan,
+    Sin,
     affine_distance,
     eval_at,
     numerically_equal,
@@ -26,7 +28,6 @@ import semidyn.words
 from semidyn.cli import EXIT_OK, main as cli_main
 from semidyn.fixtures import FIXTURES, INVOLUTION_FIXTURES
 from semidyn.words import (
-    AmbiguousXiError,
     NoXiError,
     Word,
     left_resolve_exists,
@@ -45,7 +46,7 @@ PLAN = SamplePlan(seed=5)
 def fixture_machinery(name):
     fx = FIXTURES[name]
     table = build_commutator_table(fx.presentation, fx.plan)
-    G = group_closure(table.maps(), cap=64)
+    G = group_closure(table.maps())
     return fx, table, G
 
 
@@ -107,6 +108,25 @@ class TestResolveXi:
         fx, table, G = fixture_machinery("example-2.1-cos")
         with pytest.raises(NoXiError):
             resolve_xi(Exp(Z), AffineMap(1, 1 + 0j), G, fx.plan)
+
+    def test_fit_is_snapped_to_the_group_element(self):
+        # sin(-z) = -sin z: xi is the negation, which the sign group holds
+        G = group_closure([AffineMap(-1, 0)])
+        xi = resolve_xi(Sin(Z), AffineMap(-1, 0), G, PLAN)
+        assert xi is G.find(AffineMap(-1, 0))
+
+    def test_without_group_the_fit_is_returned(self):
+        xi = resolve_xi(Sin(Z), AffineMap(-1, 0), None, PLAN)
+        assert affine_distance(xi, AffineMap(-1, 0)) < 1e-9
+        # exp(z + 1) = e * exp(z), a xi no finite group was asked to hold
+        xi = resolve_xi(Exp(Z), AffineMap(1, 1 + 0j), None, PLAN)
+        assert affine_distance(xi, AffineMap(math.e, 0)) < 1e-9
+
+    def test_no_affine_fit(self):
+        # exp(-z) = 1/exp(z) is no affine map of exp(z)
+        with pytest.raises(NoXiError, match="affine fit residual") as exc:
+            resolve_xi(Exp(Z), AffineMap(-1, 0), None, PLAN)
+        assert isinstance(exc.value.__cause__, NoAffineCommutatorError)
 
     @pytest.mark.parametrize("name", INVOLUTION_FIXTURES)
     def test_no_ambiguity_on_fixture_groups(self, name):
