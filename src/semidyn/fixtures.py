@@ -19,11 +19,6 @@ class Fixture:
     presentation: SemigroupPresentation
     window: GridSpec
     plan: SamplePlan
-    # whether the commutator group is finite (the shifted-exp pair has a
-    # full table, but its group does not close, so its normal forms use
-    # each fitted xi unchecked, and a word fails where a migration has no
-    # affine xi)
-    finite_commutator_group: bool
 
 
 def build_fixtures() -> dict[str, Fixture]:
@@ -38,7 +33,6 @@ def build_fixtures() -> dict[str, Fixture]:
             ),
             window=window,
             plan=SamplePlan(seed=21),
-            finite_commutator_group=True,
         ),
         "example-2.1-cos": Fixture(
             name="example-2.1-cos",
@@ -47,7 +41,6 @@ def build_fixtures() -> dict[str, Fixture]:
             ),
             window=window,
             plan=SamplePlan(seed=22),
-            finite_commutator_group=True,
         ),
         "derived-exp-shift": Fixture(
             name="derived-exp-shift",
@@ -57,7 +50,6 @@ def build_fixtures() -> dict[str, Fixture]:
             ),
             window=window,
             plan=SamplePlan(seed=23),
-            finite_commutator_group=False,
         ),
     }
     return fixtures

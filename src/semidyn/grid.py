@@ -27,8 +27,8 @@ A semigroup grid combines every word of up to word_depth letters, each
 iterated as one map: a cell escapes if every word escapes it and is
 bounded if some word bounds it; a map is one generator at depth 1.  The
 grid is cut into 4 x workers row bands, run in this thread for one
-worker and on one thread pool otherwise, and each band runs every word
-over its rows, vectorised over the live cells only.  Three shortcuts keep
+worker and on one thread pool otherwise, and each band runs the words
+over its rows, vectorised over the live cells only.  Four shortcuts keep
 every bit.  A word f after s starts from f evaluated on s's step-1
 values, with s's overflow mask OR-ed in: Compose evaluates its outer
 tree on its inner tree's values with one shared mask, so these are the
@@ -39,10 +39,24 @@ once, and each generator gets eval_array's bits.  A later sibling cuts
 its share to the cells still live; evaluation is elementwise, so the cut
 share holds the bits those cells would get alone.  A word whose
 composition folds (affine after affine, or an identity) is evaluated
-whole.  A cell that some word has bounded ends up bounded whatever the other words
-do, so the words after it skip that cell.  Per-cell results depend on
-nothing but the cell center, so the assembled grid is bitwise identical
-for any worker count.
+whole.  A cell that some word has bounded ends up bounded whatever the
+other words do, so the words after it skip that cell.
+
+The fourth shortcut is the paper's normal form, which writes a word as an
+element of <Phi(S)> followed by generator powers: on <h, -h> with h even,
+<Phi(S)> = {+-z} and g(-z) = g(z) for both generators, so the word
+(g, w2, ..., wn) is g after h^(n-1) whatever w2..wn are.  When
+is_exactly_even proves every generator even bit for bit, the generators
+fall into sign classes, one tree up to outer Negate nodes, and the band
+iterates only the words whose letters after the first each name their
+class's first generator.  Negate is exact and the letter applied after
+it is even, so each later letter's sign vanishes bit for bit: a dropped
+word iterates its kept twin's values and bad masks, and the combination
+takes nothing from a duplicate.  The first letter stays free, because
+the step-1 cycle test compares the word's value with z0, which no letter
+has seen.  The word budget still counts every word.  Per-cell results
+depend on nothing but the cell center, so the assembled grid is bitwise
+identical for any worker count.
 
 Transport by an affine phi gives each target cell the source cell that
 holds phi^{-1} of its center, found by GridSpec.cell_index, the inverse
@@ -68,6 +82,7 @@ from .expr import (
     Compose,
     Expr,
     Identity,
+    Negate,
     affine_inverse,
     complex_to_json,
     compose,
@@ -75,6 +90,7 @@ from .expr import (
     eval_arrays,
     format_expr,
     is_class_b,
+    is_exactly_even,
 )
 
 STATUS_UNDECIDED = 0
@@ -265,14 +281,16 @@ def _classify_band(gens, words, spec: GridSpec, row0: int, row1: int):
                    if compose(f, expr) == Compose(f, expr)]
         return node(expr, *first, letters)
 
-    depth = max(map(len, words))
+    # only a word that another word extends keeps a node: a word list cut
+    # to sign classes has words of less than full length that none extends
+    parents = {w[1:] for w in words}
     cells = np.flatnonzero(~immediate)
     # nodes of the suffixes of the current word, the identity's first
     trail = [node(Identity(), cells, z0.take(cells), np.zeros(cells.size, dtype=bool),
                   range(len(gens)))]
     for w in words:
         del trail[len(w):]
-        entry = run(w[0] - 1, trail[-1], len(w) < depth)
+        entry = run(w[0] - 1, trail[-1], w in parents)
         if entry is not None:
             trail.append(entry)
 
@@ -311,12 +329,34 @@ def enumerate_words(n_generators: int, word_depth: int) -> list[tuple[int, ...]]
     return words
 
 
+def iterated_words(gens, word_depth: int) -> list[tuple[int, ...]]:
+    """The words of up to word_depth letters that the kernel iterates, in
+    suffix-trie order (each word right after its suffix w[1:]): all of
+    them, or, when every generator is exactly even, those whose letters
+    after the first each name the first generator of their sign class.
+    The word budget counts every word either way."""
+    words = enumerate_words(len(gens), word_depth)
+    if all(map(is_exactly_even, gens)):
+        first = {}
+        rep = [first.setdefault(_unsigned(g), i) for i, g in enumerate(gens, 1)]
+        words = [w for w in words if all(rep[i - 1] == i for i in w[1:])]
+    return sorted(words, key=lambda w: w[::-1])
+
+
+def _unsigned(g: Expr) -> str:
+    """The text of g without its outer Negate nodes: two generators with
+    the same text are the same map up to sign, bit for bit."""
+    while isinstance(g, Negate):
+        g = g.inner
+    return format_expr(g)
+
+
 def _classify(gens, word_depth: int, spec: GridSpec, workers: int):
     """Combined status and escape_iter of every word of up to word_depth
     letters, over 4 x workers row bands: in this thread for one worker or
     fewer than two rows a worker, else on one pool of ``workers`` threads,
     which run at once because numpy releases the GIL inside its loops."""
-    words = sorted(enumerate_words(len(gens), word_depth), key=lambda w: w[::-1])
+    words = iterated_words(gens, word_depth)
     workers = resolve_workers(workers)
     bounds = np.unique(np.linspace(0, spec.rows, 4 * workers + 1).astype(int)).tolist()
     band = partial(_classify_band, gens, words, spec)

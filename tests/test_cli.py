@@ -1,4 +1,6 @@
+import contextlib
 import hashlib
+import io
 import json
 import math
 import os
@@ -22,6 +24,8 @@ from semidyn.cli import (
     EXIT_USAGE,
     EXIT_VERIFY_FAILED,
     EXIT_WORD_BUDGET,
+    _join_dash_values,
+    build_parser,
     main,
 )
 from semidyn.expr import MAX_EXPR_DEPTH, AffineExpr, children
@@ -286,8 +290,7 @@ class TestNormalFormCommand:
 
 class TestExitCodeContract:
     EXP_14 = ",".join(["1"] * 14)
-
-    @pytest.mark.parametrize("env,argv,code", [
+    CASES = [
         ({}, ["render", "--map", "foo("], EXIT_USAGE),
         ({}, ["render", "--map", "exp(z, z)"], EXIT_USAGE),
         ({}, ["render", "--fixture", "nope"], EXIT_USAGE),
@@ -319,12 +322,24 @@ class TestExitCodeContract:
               "--max-len", "0"], EXIT_USAGE),
         ({}, ["normal-form", "--fixture", "example-2.1-cos", "--random", "1",
               "--max-len", "40", "--seed", "1"], EXIT_USAGE),
-    ])
+        # a relative error never exceeds 2, so such a tolerance passes
+        # nearly every comparison, whether it comes as a flag or a config key
+        ({}, ["verify", "--fixture", "example-2.1-cos", "--tolerance", "1"], EXIT_USAGE),
+        ({}, ["commutator", "--fixture", "example-2.1-exp", "--config",
+              "{tmp}/tolerance2.json"], EXIT_USAGE),
+        # the kernel iterates 26 of this even pair's words, but the budget
+        # counts all 2^13
+        ({}, ["render", "--fixture", "example-2.1-exp", "--cells", "16",
+              "--word-depth", "13"], EXIT_WORD_BUDGET),
+    ]
+
+    @pytest.mark.parametrize("env,argv,code", CASES)
     def test_documented_code_not_traceback(self, tmp_path, monkeypatch, capsys,
                                            env, argv, code):
         for key, value in env.items():
             monkeypatch.setenv(key, value)
         (tmp_path / "grid5.json").write_text('{"grid": 5}')
+        (tmp_path / "tolerance2.json").write_text('{"tolerance": 2}')
         argv = [a.format(tmp=tmp_path) for a in argv]
         assert run(*argv, "--out", str(tmp_path)) == code
         assert "Traceback" not in capsys.readouterr().err
@@ -462,7 +477,7 @@ class TestCliFuzz:
     # each pinned example ended in a traceback before it was mended: a
     # negative seed reached numpy's generator, and a tolerance so loose
     # that two group elements matched the migration raised out of verify
-    # (since xi is fitted, that tolerance fails left-resolve-exists instead)
+    # (a tolerance of 1 or more is now a usage error)
     @settings(max_examples=200, deadline=None, derandomize=True)
     @given(cli_argv())
     @example(argv=["commutator", "--fixture", "example-2.1-cos", "--seed", "-1"])
@@ -494,3 +509,36 @@ class TestCliFuzz:
                 if not all(map(math.isfinite, numbers)):
                     return True
         return False
+
+
+class TestParserReuse:
+    """build_parser() builds the parser once a process.  Every argv below
+    goes through that one parser in turn, and each parse must equal the
+    parse by a parser built for it alone: no state carries over."""
+
+    @staticmethod
+    def parse(parser, argv):
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            try:
+                # repr, since a NaN value never equals itself
+                parsed = repr(vars(parser.parse_args(_join_dash_values(argv))))
+            except SystemExit as exc:
+                parsed = exc.code
+        return parsed, err.getvalue()
+
+    def check(self, argv):
+        shared = self.parse(build_parser(), argv)
+        assert shared == self.parse(build_parser.__wrapped__(), argv)
+
+    def test_built_once(self):
+        assert build_parser() is build_parser()
+
+    def test_exit_code_cases(self):
+        for _, argv, _ in TestExitCodeContract.CASES:
+            self.check(argv)
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(cli_argv())
+    def test_fuzzed_argv(self, argv):
+        self.check(argv)

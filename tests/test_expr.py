@@ -30,6 +30,7 @@ from semidyn.expr import (
     affine_compose,
     affine_distance,
     affine_inverse,
+    compare_values,
     compose,
     compose_power,
     eval_array,
@@ -438,6 +439,15 @@ class TestNumericEquality:
         for bad in ({"tolerance": math.nan}, {"radius": math.nan}, {"seed": -1}):
             with pytest.raises(ValueError):
                 SamplePlan(**bad)
+
+    def test_tolerance_below_one(self):
+        # opposite values differ by 2 relative to their size, the largest
+        # error compare_values measures, so a tolerance of 2 passes them
+        v = sample_points(PLAN)
+        assert compare_values(v, -v, PLAN).max_error == 2.0
+        for tolerance in (1, 2, math.inf):
+            with pytest.raises(ValueError):
+                SamplePlan(tolerance=tolerance)
 
     def test_sample_points_deterministic(self):
         assert np.array_equal(sample_points(PLAN), sample_points(PLAN))

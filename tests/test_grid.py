@@ -23,7 +23,10 @@ from semidyn.expr import (
     Sum,
     Const,
     compose,
+    eval_array,
+    format_expr,
     is_class_b,
+    is_exactly_even,
     parse_expr,
 )
 import semidyn.expr as expr_module
@@ -47,6 +50,7 @@ from semidyn.grid import (
     extract_julia_boundary,
     fatou_mask,
     heatmap_bytes,
+    iterated_words,
     map_classification,
     resolve_workers,
     status_bytes,
@@ -316,6 +320,7 @@ def per_word_reference(S, spec):
 # 145964 when each sibling word evaluated its own generator at step 1
 KERNEL_ELEMENTS = 140060
 
+EXP_H = FIXTURES["example-2.1-exp"].presentation.generator(1)
 THREE = SemigroupPresentation((Cos(Z), Sin(Z), Negate(Cos(Z))), label="three")
 THREE_SPEC = GridSpec(center=0.5j, width=8.0, height=6.0, cols=40, rows=30,
                       max_iter=40, word_depth=2)
@@ -336,6 +341,11 @@ KERNEL_CASES = {
     "exp-overflow": (SemigroupPresentation((Exp(Z), Cos(Z)), label="exp-cos"),
                      replace(THREE_SPEC, width=1600.0, height=1600.0,
                              escape_radius=1000.0)),
+    # two sign classes of exactly even maps, one generator a double
+    # negation: the kernel iterates 12 of the 20 words
+    "even-sign-classes": (SemigroupPresentation(
+        (EXP_H, Negate(Cos(Power(Z, 2))), Cos(Power(Z, 2)), Negate(Negate(EXP_H))),
+        label="even-classes"), THREE_SPEC),
     # compose folds 1.5z - 1.5e8 after z + 1e8 into 1.5z, which reaches the
     # escape radius 3 at step 1 or 2 on this window; applying the two maps
     # in turn rounds z + 1e8 and moves some cells across
@@ -345,6 +355,62 @@ KERNEL_CASES = {
         replace(THREE_SPEC, center=2 + 0j, width=1e-7, height=1e-7,
                 escape_radius=3.0)),
 }
+
+
+def trie_order(words):
+    return sorted(words, key=lambda w: w[::-1])
+
+
+class TestWordQuotient:
+    """When every generator is exactly even, a word's letters after the
+    first matter only up to sign, so the kernel iterates one word per sign
+    class there; the per-word references in KERNEL_CASES (the exp fixture
+    at depths 1-3, even-sign-classes) check the grids bit for bit."""
+
+    ACCEPTED = [EXP_H, Negate(EXP_H), Power(Z, 2), Const(3 + 1j),
+                Cos(Power(Z, 2)), compose(Exp(Z), Power(Z, 2)),
+                Sum((Exp(Power(Z, 2)), Negate(Sin(Power(Z, 2))))),
+                parse_expr("mul(pow(z,2), exp(neg(pow(z,2))), const(-0.5+0i))")]
+    EXP_Z = Exp(Z)
+    EXP_Z2_PLUS_Z = Exp(Sum((Power(Z, 2), Z)))
+    REJECTED = {
+        "exp": (EXP_Z, Negate(EXP_Z)),
+        "exp-z2-plus-z": (EXP_Z2_PLUS_Z, Negate(EXP_Z2_PLUS_Z)),
+        "exp-pair-and-cos": (EXP_H, Negate(EXP_H), Cos(Z)),
+        "cos-fixture": FIXTURES["example-2.1-cos"].presentation.generators,
+    }
+
+    @pytest.mark.parametrize("e", ACCEPTED, ids=format_expr)
+    def test_accepted_trees_are_even_bit_for_bit(self, e):
+        assert is_exactly_even(e)
+        rng = np.random.default_rng(0)
+        z = np.concatenate([
+            (rng.standard_normal(4000) + 1j * rng.standard_normal(4000)) * scale
+            for scale in (0.5, 3.0, 20.0, 1e80)
+        ] + [np.array([0j, complex(0.0, -0.0), complex(-0.0, 0.0), 1e200 + 0j])])
+        (v, bad), (vn, badn) = eval_array(e, z), eval_array(e, -z)
+        assert np.array_equal(bad, badn)
+        assert v.tobytes() == vn.tobytes()
+
+    @pytest.mark.parametrize("name", sorted(REJECTED))
+    def test_rejected_generators_iterate_every_word(self, name):
+        gens = self.REJECTED[name]
+        assert not all(map(is_exactly_even, gens))
+        for d in (1, 2, 3):
+            assert iterated_words(gens, d) == trie_order(enumerate_words(len(gens), d))
+
+    def test_odd_and_unproven_trees_rejected(self):
+        for text in ("z", "affine(1+0i, 0+0i)", "pow(z, 3)", "pow(z, 4)",
+                     "cos(z)", "sin(pow(neg(z), 2))", "compose(pow(z, 2), z)"):
+            assert not is_exactly_even(parse_expr(text)), text
+
+    def test_exp_fixture_words(self):
+        gens = FIXTURES["example-2.1-exp"].presentation.generators
+        assert iterated_words(gens, 1) == [(1,), (2,)]
+        assert iterated_words(gens, 2) == [(1,), (1, 1), (2, 1), (2,)]
+        assert iterated_words(gens, 3) == [(1,), (1, 1), (1, 1, 1), (2, 1, 1),
+                                           (2, 1), (2,)]
+        assert [len(enumerate_words(2, d)) for d in (2, 3)] == [6, 14]
 
 
 class TestSemigroupKernel:
