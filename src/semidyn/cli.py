@@ -3,10 +3,10 @@ expressions, emitting JSON reports, PGM rasters and CSV dumps.
 
 Exit codes are a stable scripting contract: 0 success, 2 incomplete
 commutator table, 3 failed identity check, 4 word budget exceeded,
-5 transport agreement below threshold, 6 normal-form failure, 64 usage
-error (a malformed flag, config file, expression, fixture name, window,
-word or SEMIDYN_THREADS value, or a window, escape radius or threshold
-that is not finite).
+5 transport agreement below threshold, 6 normal-form failure of some
+word, 64 usage error (a malformed flag, config file, expression, fixture
+name, window, word or SEMIDYN_THREADS value, a word depth over 32, or a
+window, escape radius or threshold that is not finite).
 """
 
 from __future__ import annotations
@@ -377,14 +377,16 @@ def cmd_normal_form(run: Run) -> int:
     except ClosureOverflowError:
         G = None  # each xi is fitted and used unchecked against the group
 
+    # a failed word gets an error record, and the batch goes on
     results = []
     for w in run.words:
         try:
             nf = normal_form(w, S, near.table, G, plan)
         except (NoXiError, VerificationFailedError, DegenerateSamplesError) as exc:
             print(f"word {list(w.letters)}: {exc}", file=sys.stderr)
-            return EXIT_NORMAL_FORM_FAILED
-        results.append(normal_form_to_json_dict(w, nf))
+            results.append({"word": list(w.letters), "error": str(exc)})
+        else:
+            results.append(normal_form_to_json_dict(w, nf))
 
     doc = run.meta(
         {
@@ -394,9 +396,12 @@ def cmd_normal_form(run: Run) -> int:
         }
     )
     _write_json(run.path("normal_forms.json"), doc)
-    print(f"{len(results)} normal forms, max residual "
-          f"{max(r['residual'] for r in results):.3e}")
-    return EXIT_OK
+    residuals = [r["residual"] for r in results if "error" not in r]
+    failed = len(results) - len(residuals)
+    print(f"{len(residuals)} normal forms, max residual "
+          f"{max(residuals, default=math.nan):.3e}"
+          + (f", {failed} failed" if failed else ""))
+    return EXIT_NORMAL_FORM_FAILED if failed else EXIT_OK
 
 
 # ---------------------------------------------------------------------------

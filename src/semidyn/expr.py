@@ -25,11 +25,10 @@ multiply rounds one-element arrays differently from every other length, so
 Power and Product multiply out of place.
 
 ``eval_at`` is ``eval_array`` on a one-element array, raising EvalOverflow
-where that element is bad.  ``eval_arrays`` evaluates several trees at the
-same points, as the grid kernel's sibling words need: a subtree they repeat
-there goes through ``eval_array`` once, and the rest of each tree runs the
-same ``_eval`` steps, so every tree gets ``eval_array``'s values and mask
-bit for bit.
+where that element is bad.  Negate is exact and sets no bad bit, so
+negating ``eval_array(e, z)``'s values gives ``eval_array(Negate(e), z)``
+bit for bit; the grid kernel shares one evaluation among the generators
+that differ only in their outer Negate nodes this way.
 
 Evaluation works in place.  Each node's ``_eval`` returns a fresh array
 that no other node holds, and its parent may overwrite it: Exp, Cos, Sin
@@ -46,9 +45,8 @@ from __future__ import annotations
 import cmath
 import math
 import re as _re
-from collections import Counter
 from dataclasses import dataclass, fields
-from typing import Iterator, Mapping, Sequence, get_type_hints
+from typing import Iterator, Mapping, get_type_hints
 
 import numpy as np
 
@@ -417,61 +415,18 @@ def eval_array(expr: Expr, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     bad.  numpy's overflow and invalid warnings are silenced: the mask
     records those elements.
     """
-    bad = np.zeros(z.shape, dtype=bool)
-
-    def rec(e: Expr, w: np.ndarray) -> np.ndarray:
-        return e._eval(rec, w, bad)
-
-    with np.errstate(over="ignore", invalid="ignore"):
-        return rec(expr, np.asarray(z, dtype=np.complex128)), bad
-
-
-def eval_arrays(
-    exprs: Sequence[Expr], z: np.ndarray
-) -> list[tuple[np.ndarray, np.ndarray]]:
-    """eval_array of each tree at the same points z, evaluating once each
-    subtree that the trees repeat there.
-
-    A subtree repeats when it occurs at the points z more than once, across
-    the trees or within one; a Compose's outer child is evaluated at other
-    points and does not count.  Each outermost repeated subtree is
-    evaluated by eval_array on its first use.  Every use ORs that bad mask
-    into its tree's and takes a copy of the values, and the last use takes
-    the values themselves.  Subtrees match by their prefix text, which tells
-    0.0 from -0.0 where == does not, so each tree gets eval_array's values
-    and mask bit for bit.
-    """
     z = np.asarray(z, dtype=np.complex128)
-    count = Counter()
-    stack = list(exprs)
-    while stack:
-        e = stack.pop()
-        count[format_expr(e)] += 1
-        stack.extend(_children_at_points(e))
-    uses = Counter()
-    keys = {}  # id of each outermost repeated node -> its text
-    stack = list(exprs)
-    while stack:
-        e = stack.pop()
-        k = format_expr(e)
-        if count[k] > 1:
-            uses[k] += 1
-            keys[id(e)] = k
-        else:
-            stack.extend(_children_at_points(e))
-    memo = {}
-    out = []
+    rec = _Rec(np.zeros(z.shape, dtype=bool))
     with np.errstate(over="ignore", invalid="ignore"):
-        for e in exprs:
-            bad = np.zeros(z.shape, dtype=bool)
-            out.append((_SharedRec(z, bad, keys, uses, memo)(e, z), bad))
-    return out
+        return rec(expr, z), rec.bad
 
 
 class _Rec:
-    """The ``rec`` of a Compose's outer child evaluated at its clean points
-    alone, into its own bad mask.  A class rather than a closure, for the
-    reason _SharedRec gives."""
+    """The ``rec`` that evaluates a tree's nodes into one bad mask: the
+    whole tree's in eval_array, a Compose's outer child's at its clean
+    points alone.  A class rather than a closure, because a closure that
+    passes itself on refers to itself, and the cycle would keep the arrays
+    of each call alive until the cyclic GC runs."""
 
     __slots__ = ("bad",)
 
@@ -480,36 +435,6 @@ class _Rec:
 
     def __call__(self, e: Expr, w: np.ndarray) -> np.ndarray:
         return e._eval(self, w, self.bad)
-
-
-def _children_at_points(e: Expr):
-    """The children that e evaluates at its own points."""
-    return (e.inner,) if isinstance(e, Compose) else children(e)
-
-
-class _SharedRec:
-    """The ``rec`` of one tree in eval_arrays.  A class rather than a
-    closure, because a closure that passes itself on refers to itself, and
-    the cycle would keep the arrays it holds alive until the cyclic GC."""
-
-    __slots__ = ("z", "bad", "keys", "uses", "memo")
-
-    def __init__(self, z, bad, keys, uses, memo):
-        self.z, self.bad, self.keys, self.uses, self.memo = z, bad, keys, uses, memo
-
-    def __call__(self, e: Expr, w: np.ndarray) -> np.ndarray:
-        k = self.keys.get(id(e)) if w is self.z else None
-        if k is None:
-            return e._eval(self, w, self.bad)
-        if k not in self.memo:
-            self.memo[k] = eval_array(e, w)
-        values, bad = self.memo[k]
-        self.bad |= bad
-        self.uses[k] -= 1
-        if self.uses[k]:
-            return values.copy()
-        del self.memo[k]
-        return values
 
 
 def eval_at(expr: Expr, z: complex) -> complex:

@@ -32,24 +32,26 @@ over its rows, vectorised over the live cells only.  Four shortcuts keep
 every bit.  A word f after s starts from f evaluated on s's step-1
 values, with s's overflow mask OR-ed in: Compose evaluates its outer
 tree on its inner tree's values with one shared mask, so these are the
-same bits.  The sibling words g after s, one per generator g, take those
-step-1 values from one eval_arrays call, made when s's own iteration
-ends: a subtree the generators share, such as h in <h, -h>, is evaluated
-once, and each generator gets eval_array's bits.  A later sibling cuts
-its share to the cells still live; evaluation is elementwise, so the cut
-share holds the bits those cells would get alone.  A word whose
-composition folds (affine after affine, or an identity) is evaluated
-whole.  A cell that some word has bounded ends up bounded whatever the
-other words do, so the words after it skip that cell.
+same bits.  The second rests on sign classes: the generators that are
+one tree up to outer Negate nodes, such as h and -h in <h, -h>.  When
+s's own iteration ends, its trie node evaluates each class's unsigned
+tree once with eval_array on s's step-1 values, ORs in s's mask, and
+hands the sibling words g after s those values, negated for a g with an
+odd number of outer Negate nodes.  Negate is exact and sets no bad bit,
+so each g gets eval_array's bits.  A later sibling cuts its share to the
+cells still live; evaluation is elementwise, so the cut share holds the
+bits those cells would get alone.  A word whose composition folds
+(affine after affine, or an identity) is evaluated whole.  A cell that
+some word has bounded ends up bounded whatever the other words do, so
+the words after it skip that cell.
 
 The fourth shortcut is the paper's normal form, which writes a word as an
 element of <Phi(S)> followed by generator powers: on <h, -h> with h even,
 <Phi(S)> = {+-z} and g(-z) = g(z) for both generators, so the word
 (g, w2, ..., wn) is g after h^(n-1) whatever w2..wn are.  When
-is_exactly_even proves every generator even bit for bit, the generators
-fall into sign classes, one tree up to outer Negate nodes, and the band
+is_exactly_even proves every generator even bit for bit, the band
 iterates only the words whose letters after the first each name their
-class's first generator.  Negate is exact and the letter applied after
+sign class's first generator.  Negate is exact and the letter applied after
 it is even, so each later letter's sign vanishes bit for bit: a dropped
 word iterates its kept twin's values and bad masks, and the combination
 takes nothing from a duplicate.  The first letter stays free, because
@@ -87,11 +89,11 @@ from .expr import (
     complex_to_json,
     compose,
     eval_array,
-    eval_arrays,
     format_expr,
     is_class_b,
     is_exactly_even,
 )
+from .words import MAX_WORD_LENGTH
 
 STATUS_UNDECIDED = 0
 STATUS_BOUNDED = 1
@@ -139,6 +141,9 @@ class GridSpec:
             raise ValueError("escape radius must be > 1")
         if self.max_iter < 1 or self.word_depth < 1:
             raise ValueError("max_iter and word_depth must be >= 1")
+        # longer words compose trees deeper than MAX_EXPR_DEPTH allows for
+        if self.word_depth > MAX_WORD_LENGTH:
+            raise ValueError(f"word_depth must be <= {MAX_WORD_LENGTH}")
 
     def cell_centers(self, row0: int = 0, row1: int | None = None) -> np.ndarray:
         """Complex coordinates of cell centers for rows [row0, row1);
@@ -216,19 +221,29 @@ def _classify_band(gens, words, spec: GridSpec, row0: int, row1: int):
     esc = np.where(immediate, 0, -1).astype(np.int32)  # latest escape so far
     bounded = np.zeros(z0.size, dtype=bool)  # under some word
     undecided = np.zeros(z0.size, dtype=bool)  # under some word
+    classes = _sign_classes(gens)
 
     def node(word: Expr, cells, v, vbad, letters):
         """The trie node of ``word`` for the words that extend it: its cells
         that no word has bounded and, for each g in ``letters``, the step-1
-        values and bad mask there of gens[g] after ``word``, from one
-        eval_arrays on word's step-1 values v with its mask vbad OR-ed in."""
+        values and bad mask there of gens[g] after ``word``.  Each sign
+        class's unsigned tree is evaluated once on word's step-1 values v,
+        with its mask vbad OR-ed in; the class's members share the mask
+        and the values, negated for odd parity.  The kernel only reads a
+        share, so none is copied."""
         live = np.flatnonzero(~bounded[cells])
         if live.size < cells.size:
             cells, v, vbad = cells.take(live), v.take(live), vbad.take(live)
-        shares = eval_arrays([gens[g] for g in letters], v)
-        for _, bad in shares:
-            bad |= vbad
-        return word, cells, dict(zip(letters, shares))
+        unsigned, shares = {}, {}
+        for g in letters:
+            c, tree, odd = classes[g]
+            if c not in unsigned:
+                u, bad = eval_array(tree, v)
+                bad |= vbad
+                unsigned[c] = u, bad
+            u, bad = unsigned[c]
+            shares[g] = np.negative(u) if odd else u, bad
+        return word, cells, shares
 
     def run(g: int, parent, keep: bool):
         """Iterate gens[g] after the parent node's word over the node's
@@ -337,18 +352,23 @@ def iterated_words(gens, word_depth: int) -> list[tuple[int, ...]]:
     The word budget counts every word either way."""
     words = enumerate_words(len(gens), word_depth)
     if all(map(is_exactly_even, gens)):
-        first = {}
-        rep = [first.setdefault(_unsigned(g), i) for i, g in enumerate(gens, 1)]
-        words = [w for w in words if all(rep[i - 1] == i for i in w[1:])]
+        first = [c for c, _, _ in _sign_classes(gens)]
+        words = [w for w in words if all(first[i - 1] == i - 1 for i in w[1:])]
     return sorted(words, key=lambda w: w[::-1])
 
 
-def _unsigned(g: Expr) -> str:
-    """The text of g without its outer Negate nodes: two generators with
+def _sign_classes(gens) -> list[tuple[int, Expr, bool]]:
+    """For each generator, its sign class as the index of the class's first
+    generator, its unsigned tree (without outer Negate nodes), and whether
+    it has an odd number of those.  Generators whose unsigned trees have
     the same text are the same map up to sign, bit for bit."""
-    while isinstance(g, Negate):
-        g = g.inner
-    return format_expr(g)
+    first, out = {}, []
+    for i, g in enumerate(gens):
+        odd = False
+        while isinstance(g, Negate):
+            g, odd = g.inner, not odd
+        out.append((first.setdefault(format_expr(g), i), g, odd))
+    return out
 
 
 def _classify(gens, word_depth: int, spec: GridSpec, workers: int):

@@ -267,6 +267,17 @@ class TestNormalFormCommand:
         assert "no affine xi migrates" in err and "across exp(z)" in err
         assert "affine fit residual 1.730e+00" in err
 
+    def test_failed_word_keeps_the_batch(self, tmp_path, capsys):
+        code = run("normal-form", "--fixture", "derived-exp-shift",
+                   "--word", "2,1", "--word", "1,2,1", "--out", str(tmp_path))
+        assert code == EXIT_NORMAL_FORM_FAILED
+        good, failed = json.loads((tmp_path / "normal_forms.json").read_text())["normal_forms"]
+        assert good["word"] == [2, 1] and good["exponents"] == [1, 1]
+        assert "error" not in good
+        assert failed["word"] == [1, 2, 1] and set(failed) == {"word", "error"}
+        assert "no affine xi migrates" in failed["error"]
+        assert "1 normal forms" in capsys.readouterr().out
+
     def test_infinite_commutator_group_word_without_migration(self, tmp_path):
         assert run("normal-form", "--fixture", "derived-exp-shift",
                    "--word", "2,1", "--out", str(tmp_path)) == EXIT_OK
@@ -331,6 +342,10 @@ class TestExitCodeContract:
         # counts all 2^13
         ({}, ["render", "--fixture", "example-2.1-exp", "--cells", "16",
               "--word-depth", "13"], EXIT_WORD_BUDGET),
+        # one generator passes the budget at any depth, but words deeper
+        # than 32 letters compose trees too deep to evaluate
+        ({}, ["render", "--generators", "mul(z, const(1.0001+0i))", "--cells", "4",
+              "--word-depth", "33"], EXIT_USAGE),
     ]
 
     @pytest.mark.parametrize("env,argv,code", CASES)
@@ -426,7 +441,7 @@ FLAG_VALUES = {
     "--cells": st.sampled_from(["-1", *map(str, range(1, 17))]),
     "--max-iter": st.sampled_from(["-1", "0", "1", "5", "50", "x"]),
     "--escape-radius": st.sampled_from(NUMBERS),
-    "--word-depth": st.sampled_from(["-1", "0", "1", "2", "3"]),
+    "--word-depth": st.sampled_from(["-1", "0", "1", "2", "3", "33", "1000"]),
     "--workers": st.sampled_from(["1", "1", "1", "2", "0", "-1", "x"]),
     "--map": st.sampled_from(EXPRS),
     "--rows": st.integers(-1, 16).map(str),
@@ -488,6 +503,9 @@ class TestCliFuzz:
                    "--threshold", "-inf"])
     @example(argv=["transport", "--fixture", "example-2.1-exp", "--cells", "8",
                    "--window", "-4,4,nan,4"])
+    # a RecursionError before GridSpec rejected words of more than 32 letters
+    @example(argv=["render", "--generators", "mul(z, const(1.0001+0i))",
+                   "--word-depth", "1000", "--cells", "4", "--max-iter", "3"])
     def test_exit_code_is_documented(self, tmp_path_factory, argv):
         out = tmp_path_factory.mktemp("fuzz")
         code = main([*argv, "--out", str(out)])

@@ -34,7 +34,6 @@ from semidyn.expr import (
     compose,
     compose_power,
     eval_array,
-    eval_arrays,
     eval_at,
     format_complex,
     format_expr,
@@ -175,7 +174,6 @@ class TestEval:
             for expr, points, _ in self.CEILING_EDGES:
                 pts = np.array(points, dtype=np.complex128)
                 eval_array(expr, pts)
-                eval_arrays([expr, Negate(expr)], pts)
 
     @settings(max_examples=300, deadline=None)
     @given(TREES, st.integers(0, 2**32 - 1), st.sampled_from([1.0, 20.0, 400.0, 1e50]))
@@ -203,94 +201,29 @@ class TestEval:
         assert pts.tobytes() == before
         assert not np.shares_memory(vals, pts)
 
-
-H_COS = Cos(Z)
-EXP_Z = Exp(Z)
-SHARED_CASES = {
-    "exp-fixture": (F_EXP_SQ, Negate(F_EXP_SQ)),
-    "cos-fixture": (H_COS, Negate(H_COS)),
-    "exp-shift": (EXP_Z, Sum((EXP_Z, Const(1.0)))),
-    "equal-not-same": (Exp(Identity()), Sum((Exp(Identity()), Const(1.0)))),
-    "repeat-within": (Product((F_EXP_SQ, Sum((F_EXP_SQ, Z)))),),
-    "const-over-ceiling": (Sum((Const(1e200), Z)), Negate(Const(1e200)), Const(1e200)),
-    "compose-inner": (Compose(Cos(Z), F_EXP_SQ), F_EXP_SQ, Negate(F_EXP_SQ)),
-    "compose-both": (Compose(F_EXP_SQ, F_EXP_SQ), F_EXP_SQ),
-    "nested": (Exp(Power(Z, 2)), Sum((Exp(Power(Z, 2)), Const(0.2))), Power(Z, 2)),
-    "signed-zero": (Const(0j), Const(complex(-0.0, -0.0)), AffineExpr(-1, 0j)),
-}
-
-
-def shared_points(seed):
-    rng = np.random.default_rng(seed)
-    pts = 12.0 * (rng.standard_normal(61) + 1j * rng.standard_normal(61))
-    # overflowing somewhere in every case: exp(z^2), exp and cos go over
-    return np.concatenate([pts, [400, 19, 346j, 1e160, complex(-0.0, -0.0)]])
-
-
-class TestSharedEval:
-    """eval_arrays gives every tree eval_array's values and bad mask."""
-
-    @pytest.mark.parametrize("case", sorted(SHARED_CASES))
-    @pytest.mark.parametrize("seed", [0, 1, 2])
-    def test_matches_eval_array(self, case, seed):
-        trees = SHARED_CASES[case]
-        pts = shared_points(seed)
-        before = pts.tobytes()
-        got = eval_arrays(trees, pts)
-        assert pts.tobytes() == before
-        assert len(got) == len(trees)
-        for tree, (vals, bad) in zip(trees, got):
-            want_vals, want_bad = eval_array(tree, pts)
-            assert np.array_equal(bad, want_bad), format_expr(tree)
-            assert vals[~bad].tobytes() == want_vals[~bad].tobytes(), format_expr(tree)
-        assert any(bad.any() for _, bad in got) or case == "signed-zero"
-        arrays = [pts] + [a for pair in got for a in pair]
-        for i, a in enumerate(arrays):
-            assert not any(np.shares_memory(a, b) for b in arrays[i + 1:])
-
-    @pytest.mark.parametrize("trees,calls", [
-        ((F_EXP_SQ, Negate(F_EXP_SQ)), 1),
-        ((Compose(Cos(Z), F_EXP_SQ), F_EXP_SQ, Negate(F_EXP_SQ)), 1),
-        ((Product((F_EXP_SQ, Sum((F_EXP_SQ, Z)))),), 1),
-        # the outer child is evaluated at other points, so it runs apart
-        ((Compose(F_EXP_SQ, F_EXP_SQ), F_EXP_SQ), 2),
-    ])
-    def test_shared_subtree_runs_once(self, monkeypatch, trees, calls):
-        seen = []
-        real = Sum._eval
-
-        def spy(self, rec, w, bad):
-            if self is F_EXP_SQ:
-                seen.append(w.size)
-            return real(self, rec, w, bad)
-
-        monkeypatch.setattr(Sum, "_eval", spy)
-        eval_arrays(trees, shared_points(0))
-        assert len(seen) == calls
+    @settings(max_examples=300, deadline=None)
+    @given(TREES, st.integers(0, 2**32 - 1))
+    def test_negating_the_values_is_the_negated_tree(self, tree, seed):
+        # the grid kernel evaluates h once for <h, -h> and negates it
+        rng = np.random.default_rng(seed)
+        pts = 20.0 * (rng.standard_normal(64) + 1j * rng.standard_normal(64))
+        vals, bad = eval_array(tree, pts)
+        neg_vals, neg_bad = eval_array(Negate(tree), pts)
+        assert np.array_equal(neg_bad, bad)
+        assert np.negative(vals).tobytes() == neg_vals.tobytes()
 
     def test_leaves_no_reference_cycle(self):
-        # a cycle would keep the per-tree state, and the arrays it holds,
-        # alive until the cyclic GC runs; these trees repeat no subtree, so
-        # eval_array, whose closure does form one, is not called
+        # a cycle would keep the call's state, and the arrays it holds,
+        # alive until the cyclic GC runs
+        pts = 12.0 * (np.random.default_rng(0).standard_normal(64) + 1j)
         gc.collect()
         gc.disable()
         try:
-            got = eval_arrays((Exp(AffineExpr(2, 1)), Cos(Z)), shared_points(0))
+            got = eval_array(Sum((Exp(AffineExpr(2, 1)), Cos(Z))), pts)
             del got
             assert gc.collect() == 0
         finally:
             gc.enable()
-
-    @settings(max_examples=200, deadline=None)
-    @given(TREES, TREES, st.integers(0, 2**32 - 1))
-    def test_arbitrary_shared_trees(self, t, u, seed):
-        trees = (t, Negate(t), Sum((u, t)), Compose(u, t), u)
-        rng = np.random.default_rng(seed)
-        pts = 20.0 * (rng.standard_normal(32) + 1j * rng.standard_normal(32))
-        for tree, (vals, bad) in zip(trees, eval_arrays(trees, pts)):
-            want_vals, want_bad = eval_array(tree, pts)
-            assert np.array_equal(bad, want_bad)
-            assert vals[~bad].tobytes() == want_vals[~bad].tobytes()
 
 
 class TestCompose:
@@ -352,14 +285,12 @@ class TestCompose:
         assert bad.tolist() == [True, False, False, True] and calls == [5, 2]
 
     def test_compaction_leaves_no_reference_cycle(self):
-        # eval_arrays of a tree that repeats nothing makes no closure, so
-        # any cycle would be the compacting Compose's
         pts = np.array([0, 346, 400, 400 + 5j])
         gc.collect()
         gc.disable()
         try:
-            got = eval_arrays((Compose(Cos(Z), Exp(Z)),), pts)
-            assert got[0][1].tolist() == [False, True, True, True]
+            got = eval_array(Compose(Cos(Z), Exp(Z)), pts)
+            assert got[1].tolist() == [False, True, True, True]
             del got
             assert gc.collect() == 0
         finally:

@@ -14,6 +14,7 @@ from semidyn.commutator import SemigroupPresentation, build_commutator_table
 from semidyn.expr import (
     AffineExpr,
     AffineMap,
+    Compose,
     Cos,
     Exp,
     Identity,
@@ -29,7 +30,6 @@ from semidyn.expr import (
     is_exactly_even,
     parse_expr,
 )
-import semidyn.expr as expr_module
 import semidyn.grid as grid
 from semidyn.cli import main
 from semidyn.fixtures import FIXTURES
@@ -300,13 +300,14 @@ class TestClassifySemigroup:
 def per_word_reference(S, spec):
     """classify_semigroup as a loop over the words: classify_map of each
     word's composed tree, combined by AND (escaping), OR (bounded) and max
-    (escape_iter)."""
+    (escape_iter).  Each tree runs after an explicit identity, so that no
+    word, not even a negated generator alone, is evaluated as a sign class."""
     grids = []
     for w in enumerate_words(len(S), spec.word_depth):
         expr = S.generator(w[-1])
         for i in reversed(w[:-1]):
             expr = compose(S.generator(i), expr)
-        grids.append(classify_map(expr, spec))
+        grids.append(classify_map(Compose(expr, Z), spec))
     escaping_all = np.logical_and.reduce([g.status == STATUS_ESCAPING for g in grids])
     bounded_any = np.logical_or.reduce([g.status == STATUS_BOUNDED for g in grids])
     esc_iter = np.maximum.reduce([g.escape_iter for g in grids])
@@ -341,6 +342,17 @@ KERNEL_CASES = {
     "exp-overflow": (SemigroupPresentation((Exp(Z), Cos(Z)), label="exp-cos"),
                      replace(THREE_SPEC, width=1600.0, height=1600.0,
                              escape_radius=1000.0)),
+    # sign classes without evenness, at depths 1-3: the class of e^z has
+    # no un-negated member, so the kernel evaluates a tree that is no
+    # generator and negates it for -e^z alone; cos z is in no class.  With
+    # escape radius 3, a step-1 value of the wrong sign changes the grids
+    # at depths 1 and 2
+    **{
+        f"uneven-sign-classes-depth{d}": (SemigroupPresentation(
+            (Negate(Exp(Z)), Negate(Negate(Exp(Z))), Cos(Z)), label="uneven-classes"),
+            replace(THREE_SPEC, word_depth=d, escape_radius=3.0))
+        for d in (1, 2, 3)
+    },
     # two sign classes of exactly even maps, one generator a double
     # negation: the kernel iterates 12 of the 20 words
     "even-sign-classes": (SemigroupPresentation(
@@ -415,8 +427,8 @@ class TestWordQuotient:
 
 class TestSemigroupKernel:
     """The band kernel walks the words as a suffix trie, shares each
-    suffix's first step, evaluates a subtree that sibling words' generators
-    share once, and skips cells some word has bounded; none of that may
+    suffix's first step, evaluates the step-1 values of sibling words once
+    per sign class, and skips cells some word has bounded; none of that may
     change a bit of the per-word combination."""
 
     @pytest.mark.parametrize("case", sorted(KERNEL_CASES))
@@ -490,17 +502,16 @@ class TestSemigroupKernel:
         assert np.array_equal(many.escape_iter, one.escape_iter)
 
     def test_evaluates_fewer_elements_than_per_word(self, monkeypatch):
-        # every eval_array call: the kernel's own and those eval_arrays
-        # makes for the subtrees sibling words share
+        # every eval_array call of the kernel, one a sign class for the
+        # step-1 values of sibling words among them
         sizes = []
-        real = expr_module.eval_array
+        real = eval_array
 
         def spy(expr, z):
             sizes.append(z.size)
             return real(expr, z)
 
         monkeypatch.setattr(grid, "eval_array", spy)
-        monkeypatch.setattr(expr_module, "eval_array", spy)
         fx = FIXTURES["example-2.1-cos"]
         spec = replace(fx.window, cols=64, rows=64)
         classify_semigroup(fx.presentation, spec)
@@ -528,6 +539,25 @@ class TestSemigroupKernel:
         spec = replace(fx.window, cols=32, rows=32, max_iter=1, word_depth=1)
         classify_semigroup(fx.presentation, spec, workers=1)
         assert calls == [8 * 32] * 4  # 4 bands of 8 rows
+
+    def test_siblings_share_step_one_without_evenness(self, monkeypatch):
+        # example-2.1-cos is <cos z, -cos z>, and cos z is not exactly even:
+        # every word is iterated, but cos z still runs once a band at step 1
+        fx = FIXTURES["example-2.1-cos"]
+        h = fx.presentation.generator(1)
+        assert not is_exactly_even(h)
+        calls = []
+        real = Cos._eval
+
+        def spy(self, rec, w, bad):
+            if self is h:
+                calls.append(w.size)
+            return real(self, rec, w, bad)
+
+        monkeypatch.setattr(Cos, "_eval", spy)
+        spec = replace(fx.window, cols=32, rows=32, max_iter=1, word_depth=1)
+        classify_semigroup(fx.presentation, spec, workers=1)
+        assert calls == [8 * 32] * 4
 
     def test_auto_workers_follow_cpu_affinity(self, monkeypatch):
         monkeypatch.delenv("SEMIDYN_THREADS", raising=False)
