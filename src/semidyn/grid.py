@@ -48,17 +48,21 @@ the words after it skip that cell.
 The fourth shortcut is the paper's normal form, which writes a word as an
 element of <Phi(S)> followed by generator powers: on <h, -h> with h even,
 <Phi(S)> = {+-z} and g(-z) = g(z) for both generators, so the word
-(g, w2, ..., wn) is g after h^(n-1) whatever w2..wn are.  When
-is_exactly_even proves every generator even bit for bit, the band
-iterates only the words whose letters after the first each name their
-sign class's first generator.  Negate is exact and the letter applied after
-it is even, so each later letter's sign vanishes bit for bit: a dropped
-word iterates its kept twin's values and bad masks, and the combination
-takes nothing from a duplicate.  The first letter stays free, because
-the step-1 cycle test compares the word's value with z0, which no letter
-has seen.  The word budget still counts every word.  Per-cell results
-depend on nothing but the cell center, so the assembled grid is bitwise
-identical for any worker count.
+(w1, ..., wn) is +-h^n whatever its letters are.  When is_exactly_even
+proves every generator even bit for bit, the band iterates only the words
+whose letters all name their sign class's first generator.  Negate is
+exact and the letter applied after it is even, so a later letter's sign
+vanishes bit for bit, and the first letter's sign negates the word's
+values and nothing else: a dropped word iterates its kept twin's values
+or their negation, with the same bad masks.  From step 2 on, the cycle
+test compares two iterates of one sign, so the twins escape, settle and
+stay undecided alike.  At step 1 the negated twin compares -z1 with z0, so
+a mirrored word, one whose first letter's class has members of both
+parities, also settles the cells where |z1 + z0| is below the tolerance.
+A cell that either sign bounds is bounded whatever the other words do,
+and the combination takes nothing else from a duplicate.  The word budget
+still counts every word.  Per-cell results depend on nothing but the cell
+center, so the assembled grid is bitwise identical for any worker count.
 
 Transport by an affine phi gives each target cell the source cell that
 holds phi^{-1} of its center, found by GridSpec.cell_index, the inverse
@@ -214,8 +218,9 @@ class ClassificationGrid:
 
 def _classify_band(gens, words, spec: GridSpec, row0: int, row1: int):
     """Status and escape_iter over rows [row0, row1) from every word in
-    ``words`` (letters index ``gens`` from 1), listed in suffix-trie order:
-    each word right after its suffix w[1:]."""
+    ``words`` (letters index ``gens`` from 1), listed in suffix-trie order,
+    each word right after its suffix w[1:], and mapped to whether it is
+    mirrored (see iterated_words)."""
     z0 = spec.cell_centers(row0, row1).ravel()
     immediate = np.abs(z0) > spec.escape_radius
     esc = np.where(immediate, 0, -1).astype(np.int32)  # latest escape so far
@@ -226,28 +231,30 @@ def _classify_band(gens, words, spec: GridSpec, row0: int, row1: int):
     def node(word: Expr, cells, v, vbad, letters):
         """The trie node of ``word`` for the words that extend it: its cells
         that no word has bounded and, for each g in ``letters``, the step-1
-        values and bad mask there of gens[g] after ``word``.  Each sign
-        class's unsigned tree is evaluated once on word's step-1 values v,
-        with its mask vbad OR-ed in; the class's members share the mask
-        and the values, negated for odd parity.  The kernel only reads a
-        share, so none is copied."""
+        values and bad mask there of gens[g]'s unsigned tree after ``word``.
+        Each sign class's unsigned tree is evaluated once on word's step-1
+        values v, with its mask vbad OR-ed in, and its members share the
+        values and the mask; run negates them for odd parity.  The kernel
+        only reads a share, so none is copied."""
         live = np.flatnonzero(~bounded[cells])
         if live.size < cells.size:
             cells, v, vbad = cells.take(live), v.take(live), vbad.take(live)
         unsigned, shares = {}, {}
         for g in letters:
-            c, tree, odd = classes[g]
+            c, tree, _ = classes[g]
             if c not in unsigned:
                 u, bad = eval_array(tree, v)
                 bad |= vbad
                 unsigned[c] = u, bad
-            u, bad = unsigned[c]
-            shares[g] = np.negative(u) if odd else u, bad
+            shares[g] = unsigned[c]
         return word, cells, shares
 
-    def run(g: int, parent, keep: bool):
-        """Iterate gens[g] after the parent node's word over the node's
-        cells that no word has bounded; returns the word's node when keep."""
+    def run(w, mirrored: bool, parent):
+        """Iterate the word w, gens[w[0] - 1] after the parent node's word,
+        over the node's cells that no word has bounded; returns w's node
+        when some word extends it.  A mirrored w also bounds the cells
+        where its negation settles at step 1."""
+        g = w[0] - 1
         inner, cells, shares = parent
         expr = compose(gens[g], inner)
         live = np.flatnonzero(~bounded[cells])
@@ -261,9 +268,12 @@ def _classify_band(gens, words, spec: GridSpec, row0: int, row1: int):
             z, bad = shares.pop(g)
             if cut:
                 z, bad = z.take(live), bad.take(live)
+            if classes[g][2]:
+                z = np.negative(z)
         else:
             z, bad = eval_array(expr, ref)
-        first = (active, z, bad) if keep else None
+        extensions = children.get(w)
+        first = (active, z, bad) if extensions else None
         checkpoint = 1
         for k in range(1, spec.max_iter + 1):
             if k > 1:
@@ -273,6 +283,9 @@ def _classify_band(gens, words, spec: GridSpec, row0: int, row1: int):
             escaped = np.abs(z) > spec.escape_radius
             escaped |= bad
             settled = np.abs(z - ref) < CYCLE_TOLERANCE
+            if mirrored and k == 1:
+                # -w's step 1 is -z, which the test compares with z0 too
+                settled |= np.abs(z + ref) < CYCLE_TOLERANCE
             settled &= ~escaped
 
             hit = active[escaped]
@@ -292,20 +305,23 @@ def _classify_band(gens, words, spec: GridSpec, row0: int, row1: int):
         if first is None:
             return None
         # a word whose composition with gens[h] folds is evaluated whole
-        letters = [h for h, f in enumerate(gens)
-                   if compose(f, expr) == Compose(f, expr)]
+        letters = [h for h in extensions
+                   if compose(gens[h], expr) == Compose(gens[h], expr)]
         return node(expr, *first, letters)
 
-    # only a word that another word extends keeps a node: a word list cut
-    # to sign classes has words of less than full length that none extends
-    parents = {w[1:] for w in words}
+    # the first letters of the words that extend each word; only a word
+    # that another word extends keeps a node, since a word list cut to sign
+    # classes has words of less than full length that none extends
+    children = {}
+    for w in words:
+        children.setdefault(w[1:], []).append(w[0] - 1)
     cells = np.flatnonzero(~immediate)
     # nodes of the suffixes of the current word, the identity's first
     trail = [node(Identity(), cells, z0.take(cells), np.zeros(cells.size, dtype=bool),
-                  range(len(gens)))]
-    for w in words:
+                  children[()])]
+    for w, mirrored in words.items():
         del trail[len(w):]
-        entry = run(w[0] - 1, trail[-1], w in parents)
+        entry = run(w, mirrored, trail[-1])
         if entry is not None:
             trail.append(entry)
 
@@ -344,17 +360,23 @@ def enumerate_words(n_generators: int, word_depth: int) -> list[tuple[int, ...]]
     return words
 
 
-def iterated_words(gens, word_depth: int) -> list[tuple[int, ...]]:
+def iterated_words(gens, word_depth: int) -> dict[tuple[int, ...], bool]:
     """The words of up to word_depth letters that the kernel iterates, in
-    suffix-trie order (each word right after its suffix w[1:]): all of
-    them, or, when every generator is exactly even, those whose letters
-    after the first each name the first generator of their sign class.
-    The word budget counts every word either way."""
+    suffix-trie order (each word right after its suffix w[1:]), each mapped
+    to whether it is mirrored: all of them, none mirrored, or, when every
+    generator is exactly even, those whose letters all name the first
+    generator of their sign class.  A word is mirrored when its first
+    letter's class has a member of the other parity: the word then stands
+    also for its negation, which it iterates bit for bit but for the sign,
+    so the two differ only in the step-1 cycle test.  The word budget
+    counts every word either way."""
     words = enumerate_words(len(gens), word_depth)
+    mirrored = set()
     if all(map(is_exactly_even, gens)):
-        first = [c for c, _, _ in _sign_classes(gens)]
-        words = [w for w in words if all(first[i - 1] == i - 1 for i in w[1:])]
-    return sorted(words, key=lambda w: w[::-1])
+        classes = _sign_classes(gens)
+        words = [w for w in words if all(classes[i - 1][0] == i - 1 for i in w)]
+        mirrored = {c + 1 for c, _, odd in classes if odd != classes[c][2]}
+    return {w: w[0] in mirrored for w in sorted(words, key=lambda w: w[::-1])}
 
 
 def _sign_classes(gens) -> list[tuple[int, Expr, bool]]:

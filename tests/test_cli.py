@@ -99,6 +99,18 @@ class TestVerifyCommand:
                    "--out", str(tmp_path))
         assert code == EXIT_VERIFY_FAILED
 
+    def test_unclosed_group_resolves_xi_without_it(self, tmp_path):
+        # the commutator group of derived-exp-shift does not close: xi is
+        # fitted as in normal-form, where e^(ez - e) is no affine map of e^z,
+        # and the left-sided search over the group is recorded as not run
+        assert run("verify", "--fixture", "derived-exp-shift",
+                   "--out", str(tmp_path)) == EXIT_VERIFY_FAILED
+        checks = {c["check"]: c for c in json.loads(
+            (tmp_path / "verify_report.json").read_text())["checks"]}
+        assert checks["xi-resolution"]["error"].startswith("no affine xi migrates")
+        assert checks["left-resolve-exists"] == {
+            "check": "left-resolve-exists", "not_run": "closure exceeded cap 64", "ok": True}
+
 
 class TestRenderCommand:
     def test_map_render(self, tmp_path):

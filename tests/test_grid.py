@@ -296,6 +296,12 @@ class TestClassifySemigroup:
             classify_semigroup(fx.presentation, spec)
         assert len(enumerate_words(2, 2)) == 6
 
+    def test_word_budget_counts_words_not_iterated(self):
+        # the kernel would iterate 13 words of the exp fixture at depth 13
+        fx = FIXTURES["example-2.1-exp"]
+        with pytest.raises(WordBudgetExceededError):
+            classify_semigroup(fx.presentation, small_spec(word_depth=13))
+
 
 def per_word_reference(S, spec):
     """classify_semigroup as a loop over the words: classify_map of each
@@ -325,6 +331,9 @@ EXP_H = FIXTURES["example-2.1-exp"].presentation.generator(1)
 THREE = SemigroupPresentation((Cos(Z), Sin(Z), Negate(Cos(Z))), label="three")
 THREE_SPEC = GridSpec(center=0.5j, width=8.0, height=6.0, cols=40, rows=30,
                       max_iter=40, word_depth=2)
+MIRROR_CELL = (16, 25)
+_MIRROR_Z0 = THREE_SPEC.cell_centers()[MIRROR_CELL]
+MIRROR_H = Sum((Exp(Power(Z, 2)), Const(-_MIRROR_Z0 - cmath.exp(_MIRROR_Z0**2) + 9e-7)))
 KERNEL_CASES = {
     **{
         f"{name}-depth{d}": (fx.presentation,
@@ -354,7 +363,7 @@ KERNEL_CASES = {
         for d in (1, 2, 3)
     },
     # two sign classes of exactly even maps, one generator a double
-    # negation: the kernel iterates 12 of the 20 words
+    # negation: the kernel iterates 6 of the 20 words
     "even-sign-classes": (SemigroupPresentation(
         (EXP_H, Negate(Cos(Power(Z, 2))), Cos(Power(Z, 2)), Negate(Negate(EXP_H))),
         label="even-classes"), THREE_SPEC),
@@ -366,6 +375,16 @@ KERNEL_CASES = {
         label="affine", require_transcendental=False),
         replace(THREE_SPEC, center=2 + 0j, width=1e-7, height=1e-7,
                 escape_radius=3.0)),
+    # <h, -h> with h = e^{z^2} + c exactly even, where -h(z0) = z0 - 9e-7 at
+    # the centre z0 of cell MIRROR_CELL: -h settles that cell at step 1,
+    # and h, which the kernel iterates for both, does not (|h'(z0)| is
+    # about 7.2, so the fixed point near -z0 repels)
+    **{
+        f"mirrored-step-one-depth{d}": (
+            SemigroupPresentation((MIRROR_H, Negate(MIRROR_H)), label="mirrored"),
+            replace(THREE_SPEC, word_depth=d, escape_radius=3.0))
+        for d in (1, 2, 3)
+    },
 }
 
 
@@ -374,10 +393,11 @@ def trie_order(words):
 
 
 class TestWordQuotient:
-    """When every generator is exactly even, a word's letters after the
-    first matter only up to sign, so the kernel iterates one word per sign
-    class there; the per-word references in KERNEL_CASES (the exp fixture
-    at depths 1-3, even-sign-classes) check the grids bit for bit."""
+    """When every generator is exactly even, a word's letters matter only
+    up to sign, and the first letter's sign only in the step-1 cycle test,
+    so the kernel iterates one word per sign class; the per-word references
+    in KERNEL_CASES (the exp fixture at depths 1-3, even-sign-classes,
+    mirrored-step-one) check the grids bit for bit."""
 
     ACCEPTED = [EXP_H, Negate(EXP_H), Power(Z, 2), Const(3 + 1j),
                 Cos(Power(Z, 2)), compose(Exp(Z), Power(Z, 2)),
@@ -409,7 +429,9 @@ class TestWordQuotient:
         gens = self.REJECTED[name]
         assert not all(map(is_exactly_even, gens))
         for d in (1, 2, 3):
-            assert iterated_words(gens, d) == trie_order(enumerate_words(len(gens), d))
+            words = iterated_words(gens, d)
+            assert list(words) == trie_order(enumerate_words(len(gens), d))
+            assert not any(words.values())
 
     def test_odd_and_unproven_trees_rejected(self):
         for text in ("z", "affine(1+0i, 0+0i)", "pow(z, 3)", "pow(z, 4)",
@@ -417,12 +439,21 @@ class TestWordQuotient:
             assert not is_exactly_even(parse_expr(text)), text
 
     def test_exp_fixture_words(self):
+        # h stands for -h too, so every iterated word is mirrored
         gens = FIXTURES["example-2.1-exp"].presentation.generators
-        assert iterated_words(gens, 1) == [(1,), (2,)]
-        assert iterated_words(gens, 2) == [(1,), (1, 1), (2, 1), (2,)]
-        assert iterated_words(gens, 3) == [(1,), (1, 1), (1, 1, 1), (2, 1, 1),
-                                           (2, 1), (2,)]
+        words = [iterated_words(gens, d) for d in (1, 2, 3)]
+        assert [list(w) for w in words] == [[(1,)], [(1,), (1, 1)],
+                                            [(1,), (1, 1), (1, 1, 1)]]
+        assert all(all(w.values()) for w in words)
         assert [len(enumerate_words(2, d)) for d in (2, 3)] == [6, 14]
+
+    def test_even_sign_classes_words(self):
+        # the class of h has two even members, so its words are not
+        # mirrored; the class of cos(z^2) is led by its odd member
+        S, spec = KERNEL_CASES["even-sign-classes"]
+        words = iterated_words(S.generators, spec.word_depth)
+        assert list(words.items()) == [((1,), False), ((1, 1), False), ((2, 1), True),
+                                       ((2,), True), ((1, 2), False), ((2, 2), True)]
 
 
 class TestSemigroupKernel:
@@ -439,6 +470,8 @@ class TestSemigroupKernel:
             assert (status == STATUS_UNDECIDED).any() and (status == STATUS_BOUNDED).any()
         if case == "three-immediate":
             assert (esc == 0).any() and (esc > 0).any()
+        if case.startswith("mirrored-step-one"):
+            assert status[MIRROR_CELL] == STATUS_BOUNDED
         for workers in (1, 2, 3, 4):
             g = classify_semigroup(S, spec, workers=workers)
             assert np.array_equal(g.status, status), workers
