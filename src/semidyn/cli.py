@@ -286,7 +286,8 @@ def cmd_verify(run: Run) -> int:
                 expect_left = None if run.fx is None else False
                 record("left-resolve-exists", exists, 0.0, expected=expect_left)
         except NoXiError as exc:
-            checks.append({"check": "xi-resolution", "error": str(exc), "ok": True})
+            # the migration f o phi = xi o f that the rewriting needs fails
+            record_error("xi-resolution", exc)
         except DegenerateSamplesError as exc:
             record_error("resolve-xi(f, phi)", exc)
         if G is None:

@@ -28,22 +28,23 @@ iterated as one map: a cell escapes if every word escapes it and is
 bounded if some word bounds it; a map is one generator at depth 1.  The
 grid is cut into 4 x workers row bands, run in this thread for one
 worker and on one thread pool otherwise, and each band runs the words
-over its rows, vectorised over the live cells only.  Four shortcuts keep
+over its rows, vectorised over the live cells only.  Five shortcuts keep
 every bit.  A word f after s starts from f evaluated on s's step-1
-values, with s's overflow mask OR-ed in: Compose evaluates its outer
-tree on its inner tree's values with one shared mask, so these are the
-same bits.  The second rests on sign classes: the generators that are
-one tree up to outer Negate nodes, such as h and -h in <h, -h>.  When
-s's own iteration ends, its trie node evaluates each class's unsigned
-tree once with eval_array on s's step-1 values, ORs in s's mask, and
-hands the sibling words g after s those values, negated for a g with an
-odd number of outer Negate nodes.  Negate is exact and sets no bad bit,
-so each g gets eval_array's bits.  A later sibling cuts its share to the
-cells still live; evaluation is elementwise, so the cut share holds the
-bits those cells would get alone.  A word whose composition folds
-(affine after affine, or an identity) is evaluated whole.  A cell that
-some word has bounded ends up bounded whatever the other words do, so
-the words after it skip that cell.
+values: Compose evaluates its outer tree on its inner tree's values with
+one shared mask, so these are the same bits.  Where s's step 1 is bad,
+every word after s escapes at its step 1, a step s has recorded already,
+so those cells start no word after s.  The second rests on sign classes:
+the generators that are one tree up to outer Negate nodes, such as h and
+-h in <h, -h>.  s's trie node evaluates each class's unsigned tree once
+with eval_array on s's step-1 values and hands the sibling words g after
+s those values, negated for a g with an odd number of outer Negate
+nodes.  Negate is exact and sets no bad bit, so each g gets eval_array's
+bits.  A later sibling cuts its share to the cells still live;
+evaluation is elementwise, so the cut share holds the bits those cells
+would get alone.  A word whose composition folds (affine after affine, or
+an identity) is evaluated whole, from every cell.  A cell that some word
+has bounded ends up bounded whatever the other words do, so the words
+after it skip that cell.
 
 The fourth shortcut is the paper's normal form, which writes a word as an
 element of <Phi(S)> followed by generator powers: on <h, -h> with h even,
@@ -61,8 +62,23 @@ a mirrored word, one whose first letter's class has members of both
 parities, also settles the cells where |z1 + z0| is below the tolerance.
 A cell that either sign bounds is bounded whatever the other words do,
 and the combination takes nothing else from a duplicate.  The word budget
-still counts every word.  Per-cell results depend on nothing but the cell
-center, so the assembled grid is bitwise identical for any worker count.
+still counts every word.
+
+The fifth shortcut: power words ride their root's orbit.  A word
+w = r^m, r primitive, whose tree composes without folding is r's map
+applied m times, bit for bit, since Compose shares one bad mask and
+evaluation is elementwise.  So the band iterates each root's map once and
+tests each power m only at the orbit indices j = m k, as w's step k, with
+w's own reference, checkpoints, escape step and mirrored step-1 test.  A
+bad bit at index j ends every live power at step ceil(j / m), where w's
+own evaluation sets it; a cell that some power bounds leaves every power;
+and a cell leaves the orbit when no power is still live on it.  The node
+of a power word takes its step-1 values from the orbit at index m, and a
+one-letter root's orbit one index further holds its own class's share for
+the words after that power, such as (2, 1) on <cos z, -cos z>, so neither
+is evaluated twice.  On <h, -h> the band then evaluates h on one orbit.
+Per-cell results depend on nothing but the cell center, so the assembled
+grid is bitwise identical for any worker count.
 
 Transport by an affine phi gives each target cell the source cell that
 holds phi^{-1} of its center, found by GridSpec.cell_index, the inverse
@@ -77,7 +93,7 @@ import math
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass
-from functools import partial
+from functools import partial, reduce
 from itertools import product as iter_product
 
 import numpy as np
@@ -217,113 +233,179 @@ class ClassificationGrid:
 
 
 def _classify_band(gens, words, spec: GridSpec, row0: int, row1: int):
-    """Status and escape_iter over rows [row0, row1) from every word in
-    ``words`` (letters index ``gens`` from 1), listed in suffix-trie order,
-    each word right after its suffix w[1:], and mapped to whether it is
-    mirrored (see iterated_words)."""
+    """Status and escape_iter over rows [row0, row1) from the words of
+    iterated_words, walked in suffix-trie order: each root word's map is
+    iterated once, and its powers are tested on that one orbit."""
     z0 = spec.cell_centers(row0, row1).ravel()
     immediate = np.abs(z0) > spec.escape_radius
     esc = np.where(immediate, 0, -1).astype(np.int32)  # latest escape so far
     bounded = np.zeros(z0.size, dtype=bool)  # under some word
     undecided = np.zeros(z0.size, dtype=bool)  # under some word
     classes = _sign_classes(gens)
+    base = np.flatnonzero(~immediate)
 
-    def node(word: Expr, cells, v, vbad, letters):
-        """The trie node of ``word`` for the words that extend it: its cells
-        that no word has bounded and, for each g in ``letters``, the step-1
-        values and bad mask there of gens[g]'s unsigned tree after ``word``.
-        Each sign class's unsigned tree is evaluated once on word's step-1
-        values v, with its mask vbad OR-ed in, and its members share the
-        values and the mask; run negates them for odd parity.  The kernel
+    def node(word: Expr, letters, cells, v, ahead=None):
+        """The trie node of ``word`` for the root words that extend it: its
+        cells that no word has bounded and, for each g in ``letters``, the
+        step-1 values and bad mask there of gens[g]'s sign class after
+        ``word``, with the parity of the tree they are values of.  v holds
+        word's step-1 values at ``cells``, which are clean there.  Each
+        class's unsigned tree is evaluated once on v, unless ``ahead``, a
+        one-letter root's orbit at the next index, already holds a class's
+        values; run negates a share where the parities differ.  The kernel
         only reads a share, so none is copied."""
+        if not letters:
+            return word, None, {}
         live = np.flatnonzero(~bounded[cells])
-        if live.size < cells.size:
-            cells, v, vbad = cells.take(live), v.take(live), vbad.take(live)
-        unsigned, shares = {}, {}
+        cut = live.size < cells.size
+        if cut:
+            cells, v = cells.take(live), v.take(live)
+        values = {}
+        if ahead is not None:
+            c, u, bad, odd = ahead
+            values[c] = (u.take(live), bad.take(live), odd) if cut else (u, bad, odd)
+        shares = {}
         for g in letters:
             c, tree, _ = classes[g]
-            if c not in unsigned:
+            if c not in values:
                 u, bad = eval_array(tree, v)
-                bad |= vbad
-                unsigned[c] = u, bad
-            shares[g] = unsigned[c]
+                values[c] = u, bad, False
+            shares[g] = values[c]
         return word, cells, shares
 
-    def run(w, mirrored: bool, parent):
-        """Iterate the word w, gens[w[0] - 1] after the parent node's word,
-        over the node's cells that no word has bounded; returns w's node
-        when some word extends it.  A mirrored w also bounds the cells
-        where its negation settles at step 1."""
+    def run(w, expr, mirrored: bool, powers, parent):
+        """Iterate expr, the map of the root word w (gens[w[0] - 1] after
+        the parent node's word), once over the cells that no word has
+        bounded, and test each power m in ``powers`` at the orbit indices
+        j = m * k as the word w^m's step k, k = 1 .. max_iter.  A power keeps
+        its own reference and checkpoints; a bad bit at index j ends it at
+        step ceil(j / m), and a cell that some power bounds leaves them all.
+        A cell leaves the orbit when no power is still live on it.  For each
+        power that root words extend, ``first`` gets its step-1 values: the
+        orbit at index m, at the cells clean there and not bounded.  A
+        mirrored w also bounds the cells where a power's negation settles at
+        its step 1."""
         g = w[0] - 1
-        inner, cells, shares = parent
-        expr = compose(gens[g], inner)
+        _, cells, shares = parent
+        if g not in shares:
+            cells = base  # a word whose composition folds is evaluated whole
         live = np.flatnonzero(~bounded[cells])
         cut = live.size < cells.size
         active = cells.take(live) if cut else cells
         # the reference is z0 until step 1, then the iterate at the last
         # checkpoint; eval_array neither writes into its input nor returns
-        # its memory, so neither the reference nor the kept step 1 is copied
+        # its memory, so no reference and no kept value is copied
         ref = z0.take(active)
         if g in shares:
-            z, bad = shares.pop(g)
+            x, bad, odd = shares.pop(g)
             if cut:
-                z, bad = z.take(live), bad.take(live)
-            if classes[g][2]:
-                z = np.negative(z)
+                x, bad = x.take(live), bad.take(live)
+            if odd != classes[g][2]:
+                x = np.negative(x)
         else:
-            z, bad = eval_array(expr, ref)
-        extensions = children.get(w)
-        first = (active, z, bad) if extensions else None
-        checkpoint = 1
-        for k in range(1, spec.max_iter + 1):
-            if k > 1:
-                if active.size == 0:
-                    break
-                z, bad = eval_array(expr, z)
-            escaped = np.abs(z) > spec.escape_radius
-            escaped |= bad
-            settled = np.abs(z - ref) < CYCLE_TOLERANCE
-            if mirrored and k == 1:
-                # -w's step 1 is -z, which the test compares with z0 too
-                settled |= np.abs(z + ref) < CYCLE_TOLERANCE
-            settled &= ~escaped
+            x, bad = eval_array(expr, ref)
+        # each power's reference, live cells (None for every orbit cell)
+        # and next checkpoint
+        state = {m: [ref, None, 1] for m in powers}
+        needs = {m for m in powers if w * m in children}
+        # a one-letter root's map is its generator, so at the next index the
+        # orbit holds its class's values after a power, which the power's
+        # node then need not evaluate
+        c = classes[g][0]
+        lookahead = {m + 1 for m in needs if len(w) == 1
+                     and any(classes[h][0] == c for h in children[w * m])}
+        j = 1
+        while True:
+            if j in lookahead and first[w * (j - 1)][0].size == active.size:
+                first[w * (j - 1)][2] = c, x, bad, classes[g][2]
+            far = done = None
+            for m in list(state):
+                st = state[m]  # no local names its arrays, which each step replaces
+                if j % m:
+                    # a bad bit inside w^m's step ceil(j / m) ends it there
+                    if bad.any():
+                        hit = bad if st[1] is None else bad & st[1]
+                        st[1] = ~bad if st[1] is None else st[1] ^ hit
+                        hit = active[hit]
+                        esc[hit] = np.maximum(esc.take(hit), j // m + 1)
+                    continue
+                k = j // m
+                if far is None:
+                    far = np.abs(x) > spec.escape_radius
+                    far |= bad
+                    near = ~far
+                settled = np.abs(x - st[0]) < CYCLE_TOLERANCE
+                if mirrored and k == 1:
+                    # -w^m's step 1 is -x, which the test compares with z0 too
+                    settled |= np.abs(x + st[0]) < CYCLE_TOLERANCE
+                settled &= near
+                if st[1] is None:
+                    hit = far
+                    st[1] = near ^ settled
+                else:
+                    settled &= st[1]
+                    hit = far & st[1]
+                    st[1] ^= hit  # hit and settled are disjoint parts of it
+                    st[1] ^= settled
+                done = settled if done is None else done | settled
+                hit = active[hit]
+                esc[hit] = np.maximum(esc.take(hit), k)
+                if k == st[2]:
+                    st[0] = x
+                    st[2] = 2 * k
+                if k == spec.max_iter:
+                    undecided[active[st[1]]] = True
+                    del state[m]
+            if done is not None:
+                bounded[active[done]] = True
+            if j in needs:
+                clean = ~bad if done is None else ~(bad | done)
+                first[w * j] = [active[clean], x[clean], None]
+            if not state:
+                break
+            ons = [st[1] for st in state.values()]
+            if any(on is None for on in ons):
+                keep = None if done is None else ~done
+            else:
+                keep = reduce(np.logical_or, ons)
+                if done is not None and len(powers) > 1:
+                    # a cell one power bounds leaves the others; one power
+                    # has dropped it from its live cells already
+                    keep &= ~done
+            if keep is not None and not keep.all():
+                rest = np.flatnonzero(keep)
+                active, x = active.take(rest), x.take(rest)
+                for st in state.values():
+                    st[0] = st[0].take(rest)
+                    # one power's live cells are the orbit's
+                    st[1] = None if st[1] is None or len(state) == 1 else st[1].take(rest)
+            if not active.size:
+                break
+            j += 1
+            x, bad = eval_array(expr, x)
 
-            hit = active[escaped]
-            esc[hit] = np.maximum(esc.take(hit), k)
-            done = active[settled]
-            bounded[done] = True
-
-            if hit.size or done.size:
-                rest = np.flatnonzero(~(escaped | settled))
-                active = active.take(rest)
-                z = z.take(rest)
-                ref = ref.take(rest)
-            if k == checkpoint:
-                ref = z
-                checkpoint *= 2
-        undecided[active] = True
-        if first is None:
-            return None
-        # a word whose composition with gens[h] folds is evaluated whole
-        letters = [h for h in extensions
-                   if compose(gens[h], expr) == Compose(gens[h], expr)]
-        return node(expr, *first, letters)
-
-    # the first letters of the words that extend each word; only a word
-    # that another word extends keeps a node, since a word list cut to sign
-    # classes has words of less than full length that none extends
-    children = {}
-    for w in words:
-        children.setdefault(w[1:], []).append(w[0] - 1)
-    cells = np.flatnonzero(~immediate)
+    # the first letters of the root words that extend each word, and the
+    # words that some word extends, which keep a node on the trail
+    children, extended = {}, set()
+    for w, (_, powers) in words.items():
+        extended.add(w[1:])
+        if powers:
+            children.setdefault(w[1:], []).append(w[0] - 1)
+    first = {}  # step-1 values of the powers that root words extend
+    empty = (base[:0], z0[:0])
     # nodes of the suffixes of the current word, the identity's first
-    trail = [node(Identity(), cells, z0.take(cells), np.zeros(cells.size, dtype=bool),
-                  children[()])]
-    for w, mirrored in words.items():
+    trail = [node(Identity(), children[()], base, z0.take(base))]
+    for w, (mirrored, powers) in words.items():
         del trail[len(w):]
-        entry = run(w, mirrored, trail[-1])
-        if entry is not None:
-            trail.append(entry)
+        parent = trail[-1]
+        expr = compose(gens[w[0] - 1], parent[0])
+        if powers:
+            run(w, expr, mirrored, powers, parent)
+        if w in extended:
+            # a word whose composition with gens[h] folds is evaluated whole
+            letters = [h for h in children.get(w, ())
+                       if compose(gens[h], expr) == Compose(gens[h], expr)]
+            trail.append(node(expr, letters, *first.pop(w, empty)))
 
     status = np.full(z0.size, STATUS_ESCAPING, dtype=np.uint8)
     status[undecided] = STATUS_UNDECIDED
@@ -360,23 +442,47 @@ def enumerate_words(n_generators: int, word_depth: int) -> list[tuple[int, ...]]
     return words
 
 
-def iterated_words(gens, word_depth: int) -> dict[tuple[int, ...], bool]:
-    """The words of up to word_depth letters that the kernel iterates, in
+def iterated_words(gens, word_depth: int) -> dict[tuple[int, ...], tuple[bool, tuple]]:
+    """The words of up to word_depth letters that the kernel walks, in
     suffix-trie order (each word right after its suffix w[1:]), each mapped
-    to whether it is mirrored: all of them, none mirrored, or, when every
-    generator is exactly even, those whose letters all name the first
-    generator of their sign class.  A word is mirrored when its first
-    letter's class has a member of the other parity: the word then stands
-    also for its negation, which it iterates bit for bit but for the sign,
-    so the two differ only in the step-1 cycle test.  The word budget
-    counts every word either way."""
+    to (mirrored, powers).
+
+    The words are all of them or, when every generator is exactly even,
+    those whose letters all name the first generator of their sign class.
+    A word is mirrored when its first letter's class has a member of the
+    other parity: the word then stands also for its negation, which it
+    iterates bit for bit but for the sign, so the two differ only in the
+    step-1 cycle test.  powers lists the m for which the kernel tests w^m
+    on w's orbit: 1 and each m > 1 for which w is primitive and w^m is a
+    listed word whose tree composes without folding, so that it is w's map
+    applied m times, bit for bit.  Such a w^m rides that orbit and lists no
+    powers.  The word budget counts every word either way."""
     words = enumerate_words(len(gens), word_depth)
     mirrored = set()
     if all(map(is_exactly_even, gens)):
         classes = _sign_classes(gens)
         words = [w for w in words if all(classes[i - 1][0] == i - 1 for i in w)]
         mirrored = {c + 1 for c, _, odd in classes if odd != classes[c][2]}
-    return {w: w[0] in mirrored for w in sorted(words, key=lambda w: w[::-1])}
+    words.sort(key=lambda w: w[::-1])
+    trees, chained, powers = {(): Identity()}, set(), {}
+    for w in words:
+        inner, g = trees[w[1:]], gens[w[0] - 1]
+        trees[w] = compose(g, inner)
+        if len(w) == 1 or (w[1:] in chained and trees[w] == Compose(g, inner)):
+            chained.add(w)
+        root = _root(w)
+        if root != w and w in chained:
+            powers[w] = ()
+            powers[root] += (len(w) // len(root),)
+        else:
+            powers[w] = (1,)
+    return {w: (w[0] in mirrored, powers[w]) for w in words}
+
+
+def _root(w: tuple[int, ...]) -> tuple[int, ...]:
+    """The shortest word r with w = r^m."""
+    n = len(w)
+    return next(w[:p] for p in range(1, n + 1) if n % p == 0 and w[:p] * (n // p) == w)
 
 
 def _sign_classes(gens) -> list[tuple[int, Expr, bool]]:

@@ -108,6 +108,7 @@ class TestVerifyCommand:
         checks = {c["check"]: c for c in json.loads(
             (tmp_path / "verify_report.json").read_text())["checks"]}
         assert checks["xi-resolution"]["error"].startswith("no affine xi migrates")
+        assert checks["xi-resolution"]["ok"] is False
         assert checks["left-resolve-exists"] == {
             "check": "left-resolve-exists", "not_run": "closure exceeded cap 64", "ok": True}
 

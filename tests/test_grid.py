@@ -23,6 +23,7 @@ from semidyn.expr import (
     Sin,
     Sum,
     Const,
+    Product,
     compose,
     eval_array,
     format_expr,
@@ -324,8 +325,14 @@ def per_word_reference(S, spec):
 
 
 # eval_array elements of classify_semigroup on example-2.1-cos at 64 x 64;
-# 145964 when each sibling word evaluated its own generator at step 1
-KERNEL_ELEMENTS = 140060
+# 145964 when each sibling word evaluated its own generator at step 1, and
+# 140060 when each power word iterated its own tree
+KERNEL_ELEMENTS = 135172
+
+# elements h is evaluated on by classify_semigroup on example-2.1-exp at
+# 64 x 64, depths 1-3; 13528, 27552 and 41868 when h, h o h and h o h o h
+# each iterated their own tree
+H_ELEMENTS = [13528, 18120, 22176]
 
 EXP_H = FIXTURES["example-2.1-exp"].presentation.generator(1)
 THREE = SemigroupPresentation((Cos(Z), Sin(Z), Negate(Cos(Z))), label="three")
@@ -341,6 +348,29 @@ KERNEL_CASES = {
         for name, fx in sorted(FIXTURES.items())
         for d in (1, 2, 3)
     },
+    # a two-letter root, (1, 2, 1, 2) = (1, 2)^2, and words that extend
+    # power words, such as (2, 1, 1) after (1, 1)
+    "example-2.1-cos-depth4": (FIXTURES["example-2.1-cos"].presentation,
+                               replace(FIXTURES["example-2.1-cos"].window, cols=40,
+                                       rows=30, word_depth=4)),
+    # with max_iter 3, h^3 tests its steps at orbit indices 3, 6 and 9, past
+    # the 3 steps of its root h
+    "powers-past-the-root-budget": (FIXTURES["example-2.1-cos"].presentation,
+                                    replace(FIXTURES["example-2.1-cos"].window, cols=40,
+                                            rows=30, word_depth=3, max_iter=3)),
+    # 0.1 sin z contracts tenfold a step towards 0: with max_iter 3, h o h o h
+    # compares x9 with its step-2 checkpoint x6 and bounds the cells with
+    # |z0| below about 1, which h alone leaves undecided (x3 would be too far)
+    "power-checkpoints": (SemigroupPresentation((Product((Const(0.1), Sin(Z))),),
+                                                label="contraction"),
+                          replace(THREE_SPEC, word_depth=3, max_iter=3)),
+    # h = e^{400 - 100 z^2} near z = 1.99: h(z0) is past the escape radius 3,
+    # h(h(z0)) is about 0 and h at 0 overflows, so the bad bit at orbit
+    # index 3 ends h o h at its step 2, after h has escaped at step 1
+    "power-ends-inside-its-step": (
+        SemigroupPresentation((Exp(Sum((Const(400), Product((Const(-100), Power(Z, 2)))))),),
+                              label="gauss"),
+        replace(THREE_SPEC, center=1.99 + 0j, width=0.05, height=0.05, escape_radius=3.0)),
     # three generators with cells no word decides
     "three-undecided": (THREE, THREE_SPEC),
     # a 12-wide window with escape radius 3: its corners escape at step 0
@@ -431,7 +461,7 @@ class TestWordQuotient:
         for d in (1, 2, 3):
             words = iterated_words(gens, d)
             assert list(words) == trie_order(enumerate_words(len(gens), d))
-            assert not any(words.values())
+            assert not any(mirrored for mirrored, _ in words.values())
 
     def test_odd_and_unproven_trees_rejected(self):
         for text in ("z", "affine(1+0i, 0+0i)", "pow(z, 3)", "pow(z, 4)",
@@ -439,12 +469,15 @@ class TestWordQuotient:
             assert not is_exactly_even(parse_expr(text)), text
 
     def test_exp_fixture_words(self):
-        # h stands for -h too, so every iterated word is mirrored
+        # h stands for -h too, so every word is mirrored, and h o h and
+        # h o h o h ride the orbit of h
         gens = FIXTURES["example-2.1-exp"].presentation.generators
         words = [iterated_words(gens, d) for d in (1, 2, 3)]
         assert [list(w) for w in words] == [[(1,)], [(1,), (1, 1)],
                                             [(1,), (1, 1), (1, 1, 1)]]
-        assert all(all(w.values()) for w in words)
+        assert [w[(1,)] for w in words] == [(True, (1,)), (True, (1, 2)),
+                                            (True, (1, 2, 3))]
+        assert words[2][(1, 1)] == words[2][(1, 1, 1)] == (True, ())
         assert [len(enumerate_words(2, d)) for d in (2, 3)] == [6, 14]
 
     def test_even_sign_classes_words(self):
@@ -452,15 +485,34 @@ class TestWordQuotient:
         # mirrored; the class of cos(z^2) is led by its odd member
         S, spec = KERNEL_CASES["even-sign-classes"]
         words = iterated_words(S.generators, spec.word_depth)
-        assert list(words.items()) == [((1,), False), ((1, 1), False), ((2, 1), True),
-                                       ((2,), True), ((1, 2), False), ((2, 2), True)]
+        assert list(words.items()) == [
+            ((1,), (False, (1, 2))), ((1, 1), (False, ())), ((2, 1), (True, (1,))),
+            ((2,), (True, (1, 2))), ((1, 2), (False, (1,))), ((2, 2), (True, ()))]
+
+    def test_cos_fixture_roots(self):
+        # words are rooted at their primitive root, (1, 2, 1, 2) at (1, 2)
+        words = iterated_words(FIXTURES["example-2.1-cos"].presentation.generators, 4)
+        roots = {w: powers for w, (_, powers) in words.items() if powers}
+        assert roots[(1,)] == roots[(2,)] == (1, 2, 3, 4)
+        assert roots[(1, 2)] == roots[(2, 1)] == (1, 2)
+        assert len(roots) == 30 - 8
+        assert all(words[w * m][1] == () for w, powers in roots.items()
+                   for m in powers[1:])
+
+    def test_folding_powers_iterate_their_own_tree(self):
+        # (1, 1) composes into one affine map, which rounds otherwise than
+        # applying z + 1e8 twice, so it rides no orbit
+        S, spec = KERNEL_CASES["affine-folding"]
+        words = iterated_words(S.generators, spec.word_depth)
+        assert all(powers == (1,) for _, powers in words.values())
 
 
 class TestSemigroupKernel:
     """The band kernel walks the words as a suffix trie, shares each
     suffix's first step, evaluates the step-1 values of sibling words once
-    per sign class, and skips cells some word has bounded; none of that may
-    change a bit of the per-word combination."""
+    per sign class, tests the powers of each root word on its one orbit,
+    and skips cells some word has bounded; none of that may change a bit of
+    the per-word combination."""
 
     @pytest.mark.parametrize("case", sorted(KERNEL_CASES))
     def test_matches_per_word_reference(self, case):
@@ -472,6 +524,12 @@ class TestSemigroupKernel:
             assert (esc == 0).any() and (esc > 0).any()
         if case.startswith("mirrored-step-one"):
             assert status[MIRROR_CELL] == STATUS_BOUNDED
+        if case in ("powers-past-the-root-budget", "power-checkpoints"):
+            # the powers of h decide cells otherwise than h alone
+            assert (classify_map(S.generator(1), spec).status != status).any()
+        if case == "power-ends-inside-its-step":
+            alone = classify_map(S.generator(1), spec).escape_iter
+            assert ((alone == 1) & (esc == 2)).any()
         for workers in (1, 2, 3, 4):
             g = classify_semigroup(S, spec, workers=workers)
             assert np.array_equal(g.status, status), workers
@@ -591,6 +649,48 @@ class TestSemigroupKernel:
         spec = replace(fx.window, cols=32, rows=32, max_iter=1, word_depth=1)
         classify_semigroup(fx.presentation, spec, workers=1)
         assert calls == [8 * 32] * 4
+
+    def test_powers_ride_their_roots_orbit(self, monkeypatch):
+        # example-2.1-exp iterates h, h o h and h o h o h at depths 1-3, and
+        # each is a power of h: h runs once a band, on one orbit
+        fx = FIXTURES["example-2.1-exp"]
+        h = fx.presentation.generator(1)
+        sizes = []
+        real = Sum._eval
+
+        def spy(self, rec, w, bad):
+            if self is h:
+                sizes.append(w.size)
+            return real(self, rec, w, bad)
+
+        monkeypatch.setattr(Sum, "_eval", spy)
+        counts = []
+        for d in (1, 2, 3):
+            sizes.clear()
+            classify_semigroup(fx.presentation, replace(fx.window, cols=64, rows=64,
+                                                        word_depth=d))
+            counts.append(sum(sizes))
+        assert counts == H_ELEMENTS
+
+    def test_root_orbit_serves_the_sibling_share(self, monkeypatch):
+        # on <cos z, -cos z> at depth 2, the orbit of (1,) reaches index 2 at
+        # cos(x1), which is also the step-1 value of (2, 1); with max_iter 1
+        # each band evaluates cos once for the identity node's class and
+        # once for each root's orbit, and never again for the siblings
+        fx = FIXTURES["example-2.1-cos"]
+        h = fx.presentation.generator(1)
+        calls = []
+        real = Cos._eval
+
+        def spy(self, rec, w, bad):
+            if self is h:
+                calls.append(w.size)
+            return real(self, rec, w, bad)
+
+        monkeypatch.setattr(Cos, "_eval", spy)
+        spec = replace(fx.window, cols=32, rows=32, max_iter=1, word_depth=2)
+        classify_semigroup(fx.presentation, spec, workers=1)
+        assert calls == [8 * 32] * 12
 
     def test_auto_workers_follow_cpu_affinity(self, monkeypatch):
         monkeypatch.delenv("SEMIDYN_THREADS", raising=False)
