@@ -27,8 +27,8 @@ Power and Product multiply out of place.
 ``eval_at`` is ``eval_array`` on a one-element array, raising EvalOverflow
 where that element is bad.  Negate is exact and sets no bad bit, so
 negating ``eval_array(e, z)``'s values gives ``eval_array(Negate(e), z)``
-bit for bit; the grid kernel shares one evaluation among the generators
-that differ only in their outer Negate nodes this way.
+bit for bit; the grid kernel's mirrored words, which stand for a word and
+its negation, rest on this.
 
 Evaluation works in place.  Each node's ``_eval`` returns a fresh array
 that no other node holds, and its parent may overwrite it: Exp, Cos, Sin

@@ -28,57 +28,41 @@ iterated as one map: a cell escapes if every word escapes it and is
 bounded if some word bounds it; a map is one generator at depth 1.  The
 grid is cut into 4 x workers row bands, run in this thread for one
 worker and on one thread pool otherwise, and each band runs the words
-over its rows, vectorised over the live cells only.  Five shortcuts keep
-every bit.  A word f after s starts from f evaluated on s's step-1
-values: Compose evaluates its outer tree on its inner tree's values with
-one shared mask, so these are the same bits.  Where s's step 1 is bad,
-every word after s escapes at its step 1, a step s has recorded already,
-so those cells start no word after s.  The second rests on sign classes:
-the generators that are one tree up to outer Negate nodes, such as h and
--h in <h, -h>.  s's trie node evaluates each class's unsigned tree once
-with eval_array on s's step-1 values and hands the sibling words g after
-s those values, negated for a g with an odd number of outer Negate
-nodes.  Negate is exact and sets no bad bit, so each g gets eval_array's
-bits.  A later sibling cuts its share to the cells still live;
-evaluation is elementwise, so the cut share holds the bits those cells
-would get alone.  A word whose composition folds (affine after affine, or
-an identity) is evaluated whole, from every cell.  A cell that some word
-has bounded ends up bounded whatever the other words do, so the words
-after it skip that cell.
+over its rows, vectorised over the live cells only.  Three shortcuts keep
+every bit.  The first: a cell that some word has bounded ends up bounded
+whatever the other words do, so the words after it skip that cell.
 
-The fourth shortcut is the paper's normal form, which writes a word as an
-element of <Phi(S)> followed by generator powers: on <h, -h> with h even,
+The second is the paper's normal form, which writes a word as an element
+of <Phi(S)> followed by generator powers: on <h, -h> with h even,
 <Phi(S)> = {+-z} and g(-z) = g(z) for both generators, so the word
-(w1, ..., wn) is +-h^n whatever its letters are.  When is_exactly_even
-proves every generator even bit for bit, the band iterates only the words
-whose letters all name their sign class's first generator.  Negate is
-exact and the letter applied after it is even, so a later letter's sign
-vanishes bit for bit, and the first letter's sign negates the word's
-values and nothing else: a dropped word iterates its kept twin's values
-or their negation, with the same bad masks.  From step 2 on, the cycle
-test compares two iterates of one sign, so the twins escape, settle and
-stay undecided alike.  At step 1 the negated twin compares -z1 with z0, so
-a mirrored word, one whose first letter's class has members of both
-parities, also settles the cells where |z1 + z0| is below the tolerance.
-A cell that either sign bounds is bounded whatever the other words do,
-and the combination takes nothing else from a duplicate.  The word budget
-still counts every word.
+(w1, ..., wn) is +-h^n whatever its letters are.  Sign classes are the
+generators that are one tree up to outer Negate nodes.  When
+is_exactly_even proves every generator even bit for bit, the band
+iterates only the words whose letters all name their sign class's first
+generator.  Negate is exact and the letter applied after it is even, so a
+later letter's sign vanishes bit for bit, and the first letter's sign
+negates the word's values and nothing else: a dropped word iterates its
+kept twin's values or their negation, with the same bad masks.  From step
+2 on, the cycle test compares two iterates of one sign, so the twins
+escape, settle and stay undecided alike.  At step 1 the negated twin
+compares -z1 with z0, so a mirrored word, one whose first letter's class
+has members of both parities, also settles the cells where |z1 + z0| is
+below the tolerance.  A cell that either sign bounds is bounded whatever
+the other words do, and the combination takes nothing else from a
+duplicate.  The word budget still counts every word.
 
-The fifth shortcut: power words ride their root's orbit.  A word
-w = r^m, r primitive, whose tree composes without folding is r's map
-applied m times, bit for bit, since Compose shares one bad mask and
-evaluation is elementwise.  So the band iterates each root's map once and
-tests each power m only at the orbit indices j = m k, as w's step k, with
-w's own reference, checkpoints, escape step and mirrored step-1 test.  A
-bad bit at index j ends every live power at step ceil(j / m), where w's
-own evaluation sets it; a cell that some power bounds leaves every power;
-and a cell leaves the orbit when no power is still live on it.  The node
-of a power word takes its step-1 values from the orbit at index m, and a
-one-letter root's orbit one index further holds its own class's share for
-the words after that power, such as (2, 1) on <cos z, -cos z>, so neither
-is evaluated twice.  On <h, -h> the band then evaluates h on one orbit.
-Per-cell results depend on nothing but the cell center, so the assembled
-grid is bitwise identical for any worker count.
+The third: power words ride their root's orbit.  A word w = r^m, r
+primitive, whose tree composes without folding is r's map applied m
+times, bit for bit, since Compose shares one bad mask and evaluation is
+elementwise.  So the band iterates each root's map once, from z0, and
+tests each power m only at the orbit indices j = m k, as w's step k,
+with w's own reference, checkpoints, escape step and mirrored step-1
+test.  A bad bit at index j ends every live power at step ceil(j / m),
+where w's own evaluation sets it; a cell that some power bounds leaves
+every power; and a cell leaves the orbit when no power is still live on
+it.  On <h, -h> the band then evaluates h on one orbit.  Per-cell results
+depend on nothing but the cell center, so the assembled grid is bitwise
+identical for any worker count.
 
 Transport by an affine phi gives each target cell the source cell that
 holds phi^{-1} of its center, found by GridSpec.cell_index, the inverse
@@ -232,97 +216,40 @@ class ClassificationGrid:
 # kernel
 
 
-def _classify_band(gens, words, spec: GridSpec, row0: int, row1: int):
-    """Status and escape_iter over rows [row0, row1) from the words of
-    iterated_words, walked in suffix-trie order: each root word's map is
-    iterated once, and its powers are tested on that one orbit."""
+def _classify_band(roots, spec: GridSpec, row0: int, row1: int):
+    """Status and escape_iter over rows [row0, row1) from the root words of
+    iterated_words, as (tree, mirrored, powers) triples.  Each root's map
+    is iterated once over the cells that no word has bounded, and each
+    power m in ``powers`` is tested at the orbit indices j = m * k as the
+    word r^m's step k, k = 1 .. max_iter.  A power keeps its own reference
+    and checkpoints; a bad bit at index j ends it at step ceil(j / m), and
+    a cell that some power bounds leaves them all.  A cell leaves the orbit
+    when no power is still live on it.  A mirrored root also bounds the
+    cells where a power's negation settles at its step 1."""
     z0 = spec.cell_centers(row0, row1).ravel()
     immediate = np.abs(z0) > spec.escape_radius
     esc = np.where(immediate, 0, -1).astype(np.int32)  # latest escape so far
     bounded = np.zeros(z0.size, dtype=bool)  # under some word
     undecided = np.zeros(z0.size, dtype=bool)  # under some word
-    classes = _sign_classes(gens)
-    base = np.flatnonzero(~immediate)
-
-    def node(word: Expr, letters, cells, v, ahead=None):
-        """The trie node of ``word`` for the root words that extend it: its
-        cells that no word has bounded and, for each g in ``letters``, the
-        step-1 values and bad mask there of gens[g]'s sign class after
-        ``word``, with the parity of the tree they are values of.  v holds
-        word's step-1 values at ``cells``, which are clean there.  Each
-        class's unsigned tree is evaluated once on v, unless ``ahead``, a
-        one-letter root's orbit at the next index, already holds a class's
-        values; run negates a share where the parities differ.  The kernel
-        only reads a share, so none is copied."""
-        if not letters:
-            return word, None, {}
-        live = np.flatnonzero(~bounded[cells])
-        cut = live.size < cells.size
-        if cut:
-            cells, v = cells.take(live), v.take(live)
-        values = {}
-        if ahead is not None:
-            c, u, bad, odd = ahead
-            values[c] = (u.take(live), bad.take(live), odd) if cut else (u, bad, odd)
-        shares = {}
-        for g in letters:
-            c, tree, _ = classes[g]
-            if c not in values:
-                u, bad = eval_array(tree, v)
-                values[c] = u, bad, False
-            shares[g] = values[c]
-        return word, cells, shares
-
-    def run(w, expr, mirrored: bool, powers, parent):
-        """Iterate expr, the map of the root word w (gens[w[0] - 1] after
-        the parent node's word), once over the cells that no word has
-        bounded, and test each power m in ``powers`` at the orbit indices
-        j = m * k as the word w^m's step k, k = 1 .. max_iter.  A power keeps
-        its own reference and checkpoints; a bad bit at index j ends it at
-        step ceil(j / m), and a cell that some power bounds leaves them all.
-        A cell leaves the orbit when no power is still live on it.  For each
-        power that root words extend, ``first`` gets its step-1 values: the
-        orbit at index m, at the cells clean there and not bounded.  A
-        mirrored w also bounds the cells where a power's negation settles at
-        its step 1."""
-        g = w[0] - 1
-        _, cells, shares = parent
-        if g not in shares:
-            cells = base  # a word whose composition folds is evaluated whole
-        live = np.flatnonzero(~bounded[cells])
-        cut = live.size < cells.size
-        active = cells.take(live) if cut else cells
+    for expr, mirrored, powers in roots:
+        active = np.flatnonzero(~(immediate | bounded))
+        if not active.size:
+            continue
         # the reference is z0 until step 1, then the iterate at the last
         # checkpoint; eval_array neither writes into its input nor returns
-        # its memory, so no reference and no kept value is copied
+        # its memory, so no reference is copied
         ref = z0.take(active)
-        if g in shares:
-            x, bad, odd = shares.pop(g)
-            if cut:
-                x, bad = x.take(live), bad.take(live)
-            if odd != classes[g][2]:
-                x = np.negative(x)
-        else:
-            x, bad = eval_array(expr, ref)
+        x, bad = eval_array(expr, ref)
         # each power's reference, live cells (None for every orbit cell)
         # and next checkpoint
         state = {m: [ref, None, 1] for m in powers}
-        needs = {m for m in powers if w * m in children}
-        # a one-letter root's map is its generator, so at the next index the
-        # orbit holds its class's values after a power, which the power's
-        # node then need not evaluate
-        c = classes[g][0]
-        lookahead = {m + 1 for m in needs if len(w) == 1
-                     and any(classes[h][0] == c for h in children[w * m])}
         j = 1
         while True:
-            if j in lookahead and first[w * (j - 1)][0].size == active.size:
-                first[w * (j - 1)][2] = c, x, bad, classes[g][2]
             far = done = None
             for m in list(state):
                 st = state[m]  # no local names its arrays, which each step replaces
                 if j % m:
-                    # a bad bit inside w^m's step ceil(j / m) ends it there
+                    # a bad bit inside r^m's step ceil(j / m) ends it there
                     if bad.any():
                         hit = bad if st[1] is None else bad & st[1]
                         st[1] = ~bad if st[1] is None else st[1] ^ hit
@@ -336,7 +263,7 @@ def _classify_band(gens, words, spec: GridSpec, row0: int, row1: int):
                     near = ~far
                 settled = np.abs(x - st[0]) < CYCLE_TOLERANCE
                 if mirrored and k == 1:
-                    # -w^m's step 1 is -x, which the test compares with z0 too
+                    # -r^m's step 1 is -x, which the test compares with z0 too
                     settled |= np.abs(x + st[0]) < CYCLE_TOLERANCE
                 settled &= near
                 if st[1] is None:
@@ -358,9 +285,6 @@ def _classify_band(gens, words, spec: GridSpec, row0: int, row1: int):
                     del state[m]
             if done is not None:
                 bounded[active[done]] = True
-            if j in needs:
-                clean = ~bad if done is None else ~(bad | done)
-                first[w * j] = [active[clean], x[clean], None]
             if not state:
                 break
             ons = [st[1] for st in state.values()]
@@ -383,29 +307,6 @@ def _classify_band(gens, words, spec: GridSpec, row0: int, row1: int):
                 break
             j += 1
             x, bad = eval_array(expr, x)
-
-    # the first letters of the root words that extend each word, and the
-    # words that some word extends, which keep a node on the trail
-    children, extended = {}, set()
-    for w, (_, powers) in words.items():
-        extended.add(w[1:])
-        if powers:
-            children.setdefault(w[1:], []).append(w[0] - 1)
-    first = {}  # step-1 values of the powers that root words extend
-    empty = (base[:0], z0[:0])
-    # nodes of the suffixes of the current word, the identity's first
-    trail = [node(Identity(), children[()], base, z0.take(base))]
-    for w, (mirrored, powers) in words.items():
-        del trail[len(w):]
-        parent = trail[-1]
-        expr = compose(gens[w[0] - 1], parent[0])
-        if powers:
-            run(w, expr, mirrored, powers, parent)
-        if w in extended:
-            # a word whose composition with gens[h] folds is evaluated whole
-            letters = [h for h in children.get(w, ())
-                       if compose(gens[h], expr) == Compose(gens[h], expr)]
-            trail.append(node(expr, letters, *first.pop(w, empty)))
 
     status = np.full(z0.size, STATUS_ESCAPING, dtype=np.uint8)
     status[undecided] = STATUS_UNDECIDED
@@ -442,27 +343,29 @@ def enumerate_words(n_generators: int, word_depth: int) -> list[tuple[int, ...]]
     return words
 
 
-def iterated_words(gens, word_depth: int) -> dict[tuple[int, ...], tuple[bool, tuple]]:
-    """The words of up to word_depth letters that the kernel walks, in
-    suffix-trie order (each word right after its suffix w[1:]), each mapped
-    to (mirrored, powers).
+def iterated_words(gens, word_depth: int) -> dict[tuple[int, ...], tuple[Expr, bool, tuple]]:
+    """The words of up to word_depth letters that the kernel iterates or
+    tests on a root's orbit, in suffix-trie order (each word right after
+    its suffix w[1:], whose tree it composes on), each mapped to (tree,
+    mirrored, powers).
 
     The words are all of them or, when every generator is exactly even,
     those whose letters all name the first generator of their sign class.
-    A word is mirrored when its first letter's class has a member of the
-    other parity: the word then stands also for its negation, which it
-    iterates bit for bit but for the sign, so the two differ only in the
-    step-1 cycle test.  powers lists the m for which the kernel tests w^m
-    on w's orbit: 1 and each m > 1 for which w is primitive and w^m is a
-    listed word whose tree composes without folding, so that it is w's map
-    applied m times, bit for bit.  Such a w^m rides that orbit and lists no
-    powers.  The word budget counts every word either way."""
+    tree is the word's composed map.  A word is mirrored when its first
+    letter's class has a member of the other parity: the word then stands
+    also for its negation, which it iterates bit for bit but for the sign,
+    so the two differ only in the step-1 cycle test.  powers lists the m
+    for which the kernel tests w^m on w's orbit: 1 and each m > 1 for which
+    w is primitive and w^m is a listed word whose tree composes without
+    folding, so that it is w's map applied m times, bit for bit.  Such a
+    w^m rides that orbit and lists no powers.  The word budget counts every
+    word either way."""
     words = enumerate_words(len(gens), word_depth)
     mirrored = set()
     if all(map(is_exactly_even, gens)):
         classes = _sign_classes(gens)
         words = [w for w in words if all(classes[i - 1][0] == i - 1 for i in w)]
-        mirrored = {c + 1 for c, _, odd in classes if odd != classes[c][2]}
+        mirrored = {c + 1 for c, odd in classes if odd != classes[c][1]}
     words.sort(key=lambda w: w[::-1])
     trees, chained, powers = {(): Identity()}, set(), {}
     for w in words:
@@ -476,7 +379,7 @@ def iterated_words(gens, word_depth: int) -> dict[tuple[int, ...], tuple[bool, t
             powers[root] += (len(w) // len(root),)
         else:
             powers[w] = (1,)
-    return {w: (w[0] in mirrored, powers[w]) for w in words}
+    return {w: (trees[w], w[0] in mirrored, powers[w]) for w in words}
 
 
 def _root(w: tuple[int, ...]) -> tuple[int, ...]:
@@ -485,17 +388,17 @@ def _root(w: tuple[int, ...]) -> tuple[int, ...]:
     return next(w[:p] for p in range(1, n + 1) if n % p == 0 and w[:p] * (n // p) == w)
 
 
-def _sign_classes(gens) -> list[tuple[int, Expr, bool]]:
+def _sign_classes(gens) -> list[tuple[int, bool]]:
     """For each generator, its sign class as the index of the class's first
-    generator, its unsigned tree (without outer Negate nodes), and whether
-    it has an odd number of those.  Generators whose unsigned trees have
-    the same text are the same map up to sign, bit for bit."""
+    generator, and whether it has an odd number of outer Negate nodes.
+    Generators whose trees without those nodes have the same text are the
+    same map up to sign, bit for bit."""
     first, out = {}, []
     for i, g in enumerate(gens):
         odd = False
         while isinstance(g, Negate):
             g, odd = g.inner, not odd
-        out.append((first.setdefault(format_expr(g), i), g, odd))
+        out.append((first.setdefault(format_expr(g), i), odd))
     return out
 
 
@@ -504,10 +407,10 @@ def _classify(gens, word_depth: int, spec: GridSpec, workers: int):
     letters, over 4 x workers row bands: in this thread for one worker or
     fewer than two rows a worker, else on one pool of ``workers`` threads,
     which run at once because numpy releases the GIL inside its loops."""
-    words = iterated_words(gens, word_depth)
+    roots = [word for word in iterated_words(gens, word_depth).values() if word[2]]
     workers = resolve_workers(workers)
     bounds = np.unique(np.linspace(0, spec.rows, 4 * workers + 1).astype(int)).tolist()
-    band = partial(_classify_band, gens, words, spec)
+    band = partial(_classify_band, roots, spec)
     if workers == 1 or spec.rows < 2 * workers:
         parts = list(map(band, bounds[:-1], bounds[1:]))
     else:

@@ -1,14 +1,19 @@
+import ast
 import os
 import subprocess
 import sys
 
+import pytest
+
 import semidyn
+
+PACKAGE = os.path.dirname(semidyn.__file__)
 
 
 def test_import_loads_no_scipy():
     # the package runs on numpy alone; loading scipy would be most of its
     # start-up time and memory
-    src = os.path.dirname(os.path.dirname(semidyn.__file__))
+    src = os.path.dirname(PACKAGE)
     code = ("import sys, semidyn, semidyn.cli; "
             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
@@ -16,3 +21,26 @@ def test_import_loads_no_scipy():
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          env=env, check=True)
     assert out.stdout.strip() == "[]"
+
+
+@pytest.mark.parametrize("name", sorted(
+    f for f in os.listdir(PACKAGE) if f.endswith(".py") and f != "__init__.py"))
+def test_every_import_is_used(name):
+    # the imports of __init__.py are the package's API; elsewhere an unused
+    # import is dead unless its line says otherwise with "# noqa: F401"
+    with open(os.path.join(PACKAGE, name)) as fh:
+        source = fh.read()
+    lines = source.splitlines()
+    tree = ast.parse(source)
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    unused = []
+    for node in ast.walk(tree):
+        if not isinstance(node, (ast.Import, ast.ImportFrom)):
+            continue
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        for alias in node.names:
+            bound = alias.asname or alias.name.split(".")[0]
+            if bound not in used and "# noqa: F401" not in lines[alias.lineno - 1]:
+                unused.append(f"{name}:{alias.lineno} {bound}")
+    assert unused == []

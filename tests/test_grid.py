@@ -325,9 +325,10 @@ def per_word_reference(S, spec):
 
 
 # eval_array elements of classify_semigroup on example-2.1-cos at 64 x 64;
-# 145964 when each sibling word evaluated its own generator at step 1, and
-# 140060 when each power word iterated its own tree
-KERNEL_ELEMENTS = 135172
+# 145964 when each sibling word evaluated its own generator at step 1,
+# 140060 when each power word iterated its own tree, and 135172 when
+# sibling words took their step-1 values from a shared suffix
+KERNEL_ELEMENTS = 141076
 
 # elements h is evaluated on by classify_semigroup on example-2.1-exp at
 # 64 x 64, depths 1-3; 13528, 27552 and 41868 when h, h o h and h o h o h
@@ -376,16 +377,15 @@ KERNEL_CASES = {
     # a 12-wide window with escape radius 3: its corners escape at step 0
     "three-immediate": (THREE, replace(THREE_SPEC, width=12.0, height=12.0,
                                        escape_radius=3.0)),
-    # exp overflows at step 1 where Re z > 345, so cos after exp starts
-    # from a suffix whose overflow mask is set
+    # exp overflows at step 1 where Re z > 345, so cos after exp overflows
+    # inside its own step 1
     "exp-overflow": (SemigroupPresentation((Exp(Z), Cos(Z)), label="exp-cos"),
                      replace(THREE_SPEC, width=1600.0, height=1600.0,
                              escape_radius=1000.0)),
     # sign classes without evenness, at depths 1-3: the class of e^z has
-    # no un-negated member, so the kernel evaluates a tree that is no
-    # generator and negates it for -e^z alone; cos z is in no class.  With
-    # escape radius 3, a step-1 value of the wrong sign changes the grids
-    # at depths 1 and 2
+    # no un-negated member, and cos z is in no class.  With escape radius
+    # 3, a step-1 value of the wrong sign changes the grids at depths 1
+    # and 2
     **{
         f"uneven-sign-classes-depth{d}": (SemigroupPresentation(
             (Negate(Exp(Z)), Negate(Negate(Exp(Z))), Cos(Z)), label="uneven-classes"),
@@ -461,7 +461,7 @@ class TestWordQuotient:
         for d in (1, 2, 3):
             words = iterated_words(gens, d)
             assert list(words) == trie_order(enumerate_words(len(gens), d))
-            assert not any(mirrored for mirrored, _ in words.values())
+            assert not any(mirrored for _, mirrored, _ in words.values())
 
     def test_odd_and_unproven_trees_rejected(self):
         for text in ("z", "affine(1+0i, 0+0i)", "pow(z, 3)", "pow(z, 4)",
@@ -475,9 +475,9 @@ class TestWordQuotient:
         words = [iterated_words(gens, d) for d in (1, 2, 3)]
         assert [list(w) for w in words] == [[(1,)], [(1,), (1, 1)],
                                             [(1,), (1, 1), (1, 1, 1)]]
-        assert [w[(1,)] for w in words] == [(True, (1,)), (True, (1, 2)),
-                                            (True, (1, 2, 3))]
-        assert words[2][(1, 1)] == words[2][(1, 1, 1)] == (True, ())
+        assert [w[(1,)][1:] for w in words] == [(True, (1,)), (True, (1, 2)),
+                                                (True, (1, 2, 3))]
+        assert words[2][(1, 1)][1:] == words[2][(1, 1, 1)][1:] == (True, ())
         assert [len(enumerate_words(2, d)) for d in (2, 3)] == [6, 14]
 
     def test_even_sign_classes_words(self):
@@ -485,18 +485,18 @@ class TestWordQuotient:
         # mirrored; the class of cos(z^2) is led by its odd member
         S, spec = KERNEL_CASES["even-sign-classes"]
         words = iterated_words(S.generators, spec.word_depth)
-        assert list(words.items()) == [
+        assert [(w, v[1:]) for w, v in words.items()] == [
             ((1,), (False, (1, 2))), ((1, 1), (False, ())), ((2, 1), (True, (1,))),
             ((2,), (True, (1, 2))), ((1, 2), (False, (1,))), ((2, 2), (True, ()))]
 
     def test_cos_fixture_roots(self):
         # words are rooted at their primitive root, (1, 2, 1, 2) at (1, 2)
         words = iterated_words(FIXTURES["example-2.1-cos"].presentation.generators, 4)
-        roots = {w: powers for w, (_, powers) in words.items() if powers}
+        roots = {w: powers for w, (_, _, powers) in words.items() if powers}
         assert roots[(1,)] == roots[(2,)] == (1, 2, 3, 4)
         assert roots[(1, 2)] == roots[(2, 1)] == (1, 2)
         assert len(roots) == 30 - 8
-        assert all(words[w * m][1] == () for w, powers in roots.items()
+        assert all(words[w * m][2] == () for w, powers in roots.items()
                    for m in powers[1:])
 
     def test_folding_powers_iterate_their_own_tree(self):
@@ -504,15 +504,13 @@ class TestWordQuotient:
         # applying z + 1e8 twice, so it rides no orbit
         S, spec = KERNEL_CASES["affine-folding"]
         words = iterated_words(S.generators, spec.word_depth)
-        assert all(powers == (1,) for _, powers in words.values())
+        assert all(powers == (1,) for _, _, powers in words.values())
 
 
 class TestSemigroupKernel:
-    """The band kernel walks the words as a suffix trie, shares each
-    suffix's first step, evaluates the step-1 values of sibling words once
-    per sign class, tests the powers of each root word on its one orbit,
-    and skips cells some word has bounded; none of that may change a bit of
-    the per-word combination."""
+    """The band kernel iterates each root word's tree once, tests the
+    root's powers on that one orbit, and skips cells some word has bounded;
+    none of that may change a bit of the per-word combination."""
 
     @pytest.mark.parametrize("case", sorted(KERNEL_CASES))
     def test_matches_per_word_reference(self, case):
@@ -592,30 +590,20 @@ class TestSemigroupKernel:
         assert np.array_equal(many.status, one.status)
         assert np.array_equal(many.escape_iter, one.escape_iter)
 
-    def test_evaluates_fewer_elements_than_per_word(self, monkeypatch):
-        # every eval_array call of the kernel, one a sign class for the
-        # step-1 values of sibling words among them
-        sizes = []
-        real = eval_array
-
-        def spy(expr, z):
-            sizes.append(z.size)
-            return real(expr, z)
-
-        monkeypatch.setattr(grid, "eval_array", spy)
+    def test_evaluates_fewer_elements_than_per_word(self, kernel_calls):
         fx = FIXTURES["example-2.1-cos"]
         spec = replace(fx.window, cols=64, rows=64)
         classify_semigroup(fx.presentation, spec)
-        kernel = sum(sizes)
-        sizes.clear()
+        kernel = sum(size for _, size in kernel_calls)
+        kernel_calls.clear()
         per_word_reference(fx.presentation, spec)
         assert kernel == KERNEL_ELEMENTS
-        assert kernel < sum(sizes)
+        assert kernel < sum(size for _, size in kernel_calls)
 
     def test_siblings_evaluate_the_shared_subtree_once_at_step_one(self, monkeypatch):
-        # example-2.1-exp is <h, -h>: at depth 1 the two words are siblings
-        # at the root, and max_iter 1 leaves step 1 alone, so each band
-        # evaluates h once, not once per word
+        # example-2.1-exp is <h, -h> with h exactly even: at depth 1 the
+        # quotient keeps h alone, mirrored for -h, and max_iter 1 leaves
+        # step 1 alone, so each band evaluates h once, not once per word
         fx = FIXTURES["example-2.1-exp"]
         h = fx.presentation.generator(1)
         calls = []
@@ -630,25 +618,6 @@ class TestSemigroupKernel:
         spec = replace(fx.window, cols=32, rows=32, max_iter=1, word_depth=1)
         classify_semigroup(fx.presentation, spec, workers=1)
         assert calls == [8 * 32] * 4  # 4 bands of 8 rows
-
-    def test_siblings_share_step_one_without_evenness(self, monkeypatch):
-        # example-2.1-cos is <cos z, -cos z>, and cos z is not exactly even:
-        # every word is iterated, but cos z still runs once a band at step 1
-        fx = FIXTURES["example-2.1-cos"]
-        h = fx.presentation.generator(1)
-        assert not is_exactly_even(h)
-        calls = []
-        real = Cos._eval
-
-        def spy(self, rec, w, bad):
-            if self is h:
-                calls.append(w.size)
-            return real(self, rec, w, bad)
-
-        monkeypatch.setattr(Cos, "_eval", spy)
-        spec = replace(fx.window, cols=32, rows=32, max_iter=1, word_depth=1)
-        classify_semigroup(fx.presentation, spec, workers=1)
-        assert calls == [8 * 32] * 4
 
     def test_powers_ride_their_roots_orbit(self, monkeypatch):
         # example-2.1-exp iterates h, h o h and h o h o h at depths 1-3, and
@@ -672,25 +641,43 @@ class TestSemigroupKernel:
             counts.append(sum(sizes))
         assert counts == H_ELEMENTS
 
-    def test_root_orbit_serves_the_sibling_share(self, monkeypatch):
-        # on <cos z, -cos z> at depth 2, the orbit of (1,) reaches index 2 at
-        # cos(x1), which is also the step-1 value of (2, 1); with max_iter 1
-        # each band evaluates cos once for the identity node's class and
-        # once for each root's orbit, and never again for the siblings
-        fx = FIXTURES["example-2.1-cos"]
-        h = fx.presentation.generator(1)
+    @pytest.fixture
+    def kernel_calls(self, monkeypatch):
         calls = []
-        real = Cos._eval
+        real = eval_array
 
-        def spy(self, rec, w, bad):
-            if self is h:
-                calls.append(w.size)
-            return real(self, rec, w, bad)
+        def spy(expr, z):
+            calls.append((expr, z.size))
+            return real(expr, z)
 
-        monkeypatch.setattr(Cos, "_eval", spy)
-        spec = replace(fx.window, cols=32, rows=32, max_iter=1, word_depth=2)
+        monkeypatch.setattr(grid, "eval_array", spy)
+        return calls
+
+    def test_evaluates_only_the_root_words_trees(self, kernel_calls, monkeypatch):
+        # the kernel evaluates the root words' trees, the very objects that
+        # iterated_words composed, and composes no tree of its own
+        words = []
+
+        def spy(gens, word_depth):
+            words.append(iterated_words(gens, word_depth))
+            return words[-1]
+
+        monkeypatch.setattr(grid, "iterated_words", spy)
+        fx = FIXTURES["example-2.1-cos"]
+        spec = replace(fx.window, cols=32, rows=32, word_depth=2)
         classify_semigroup(fx.presentation, spec, workers=1)
-        assert calls == [8 * 32] * 12
+        roots = [tree for tree, _, powers in words[0].values() if powers]
+        assert kernel_calls
+        assert all(any(expr is t for t in roots) for expr, _ in kernel_calls)
+
+    def test_no_evaluation_on_zero_elements(self, kernel_calls):
+        # roots late in the walk find every cell of a band bounded by an
+        # earlier word, and start no evaluation there
+        fx = FIXTURES["example-2.1-cos"]
+        spec = replace(fx.window, cols=128, rows=128, word_depth=3)
+        classify_semigroup(fx.presentation, spec, workers=2)
+        assert kernel_calls
+        assert all(size for _, size in kernel_calls)
 
     def test_auto_workers_follow_cpu_affinity(self, monkeypatch):
         monkeypatch.delenv("SEMIDYN_THREADS", raising=False)
