@@ -5,8 +5,9 @@ Exit codes are a stable scripting contract: 0 success, 2 incomplete
 commutator table, 3 failed identity check, 4 word budget exceeded,
 5 transport agreement below threshold, 6 normal-form failure of some
 word, 64 usage error (a malformed flag, config file, expression, fixture
-name, window, word or SEMIDYN_THREADS value, a word depth over 32, or a
-window, escape radius or threshold that is not finite).
+name, window, word or SEMIDYN_THREADS value, a word depth over 32, a
+window, escape radius or threshold that is not finite, or transport
+without --phi on a single generator).
 """
 
 from __future__ import annotations
@@ -337,9 +338,13 @@ def cmd_transport(run: Run) -> int:
     threshold = run.threshold
     phi = run.phi
     if phi is None:
+        if len(S) < 2:
+            raise UsageError("phi defaults to the commutator of generators 1 and 2, "
+                             "and a single generator has none; give --phi")
         near = is_nearly_abelian(S, run.plan)
-        if not near.algebraic or len(S) < 2:
-            print("fixture is not nearly representable; give --phi", file=sys.stderr)
+        if not near.algebraic:
+            print(f"incomplete commutator table: {near.failing_pairs}; give --phi",
+                  file=sys.stderr)
             return EXIT_TABLE_INCOMPLETE
         phi = near.table.entry(1, 2)
 

@@ -29,7 +29,6 @@ from .expr import (
     eval_array,
     format_expr,
     is_transcendental,
-    parse_expr,
 )
 
 DEDUP_TOLERANCE = 1e-9
@@ -242,15 +241,6 @@ class CommutatorTable:
             ],
         }
 
-    @staticmethod
-    def from_json_dict(doc: dict) -> "CommutatorTable":
-        entries, residuals = {}, {}
-        for rec in doc["entries"]:
-            key = (rec["i"], rec["j"])
-            entries[key] = AffineMap.from_json_dict(rec)
-            residuals[key] = float(rec["residual"])
-        return CommutatorTable(doc["size"], entries, residuals)
-
 
 def presentation_to_json_dict(S: SemigroupPresentation) -> dict:
     return {
@@ -258,11 +248,6 @@ def presentation_to_json_dict(S: SemigroupPresentation) -> dict:
         "generators": [format_expr(g) for g in S.generators],
         "composition_order": "rightmost letter applied first",
     }
-
-
-def presentation_from_json_dict(doc: dict, **kwargs) -> SemigroupPresentation:
-    gens = tuple(parse_expr(t) for t in doc["generators"])
-    return SemigroupPresentation(gens, label=doc.get("label", ""), **kwargs)
 
 
 def build_commutator_table(

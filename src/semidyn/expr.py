@@ -471,10 +471,6 @@ class AffineMap:
     def to_json_dict(self) -> dict:
         return {"a": complex_to_json(self.a), "b": complex_to_json(self.b)}
 
-    @staticmethod
-    def from_json_dict(doc: dict) -> "AffineMap":
-        return AffineMap(complex_from_json(doc["a"]), complex_from_json(doc["b"]))
-
 
 IDENTITY_MAP = AffineMap(1 + 0j, 0j)
 
@@ -595,11 +591,6 @@ def complex_to_json(c: complex) -> str:
     """The "re,im" text that JSON reports hold a complex number as."""
     c = complex(c)
     return f"{c.real!r},{c.imag!r}"
-
-
-def complex_from_json(text: str) -> complex:
-    re_part, im_part = text.split(",")
-    return complex(float(re_part), float(im_part))
 
 
 # every character outside whitespace is punctuation or part of an atom

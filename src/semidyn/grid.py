@@ -55,14 +55,17 @@ The third: power words ride their root's orbit.  A word w = r^m, r
 primitive, whose tree composes without folding is r's map applied m
 times, bit for bit, since Compose shares one bad mask and evaluation is
 elementwise.  So the band iterates each root's map once, from z0, and
-tests each power m only at the orbit indices j = m k, as w's step k,
-with w's own reference, checkpoints, escape step and mirrored step-1
-test.  A bad bit at index j ends every live power at step ceil(j / m),
-where w's own evaluation sets it; a cell that some power bounds leaves
-every power; and a cell leaves the orbit when no power is still live on
-it.  On <h, -h> the band then evaluates h on one orbit.  Per-cell results
-depend on nothing but the cell center, so the assembled grid is bitwise
-identical for any worker count.
+tests each power m only at the orbit indices j = m k, as w's step k.
+Every power holds the same state from the start, w's own reference,
+live cells and next checkpoint, and each orbit index decides a cell in
+one place: a power whose step k = ceil(j / m) is still running ends the
+cells where a bad bit falls, at step k, where w's own evaluation sets
+it; a power at j = m k runs its escape test, its cycle test and, for a
+mirrored root, the step-1 test of its negation.  A cell that some power
+bounds leaves every power, and a cell leaves the orbit when no power is
+still live on it.  On <h, -h> the band then evaluates h on one orbit.
+Per-cell results depend on nothing but the cell center, so the assembled
+grid is bitwise identical for any worker count.
 
 Transport by an affine phi gives each target cell the source cell that
 holds phi^{-1} of its center, found by GridSpec.cell_index, the inverse
@@ -77,7 +80,7 @@ import math
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass
-from functools import partial, reduce
+from functools import partial
 from itertools import product as iter_product
 
 import numpy as np
@@ -221,96 +224,66 @@ def _classify_band(roots, spec: GridSpec, row0: int, row1: int):
     iterated_words, as (tree, mirrored, powers) triples.  Each root's map
     is iterated once over the cells that no word has bounded, and each
     power m in ``powers`` is tested at the orbit indices j = m * k as the
-    word r^m's step k, k = 1 .. max_iter.  A power keeps its own reference
-    and checkpoints; a bad bit at index j ends it at step ceil(j / m), and
-    a cell that some power bounds leaves them all.  A cell leaves the orbit
-    when no power is still live on it.  A mirrored root also bounds the
-    cells where a power's negation settles at its step 1."""
+    word r^m's step k, k = 1 .. max_iter.  Every power holds the same
+    state from its first test on: its reference, its live cells and its
+    next checkpoint.  At an index j inside r^m's step k = ceil(j / m), a
+    bad bit ends the power on its cell at step k; at j = m * k the power
+    runs its escape and cycle tests, and a mirrored root also bounds the
+    cells where the power's negation settles at its step 1.  A cell stays
+    on the orbit while some power is live on it and none has bounded it.
+    One status array records each cell as it is decided, bounded after
+    any undecided, since a bounded cell leaves every later orbit."""
     z0 = spec.cell_centers(row0, row1).ravel()
     immediate = np.abs(z0) > spec.escape_radius
     esc = np.where(immediate, 0, -1).astype(np.int32)  # latest escape so far
-    bounded = np.zeros(z0.size, dtype=bool)  # under some word
-    undecided = np.zeros(z0.size, dtype=bool)  # under some word
+    status = np.full(z0.size, STATUS_ESCAPING, dtype=np.uint8)
     for expr, mirrored, powers in roots:
-        active = np.flatnonzero(~(immediate | bounded))
-        if not active.size:
-            continue
+        active = np.flatnonzero(~immediate & (status != STATUS_BOUNDED))
         # the reference is z0 until step 1, then the iterate at the last
         # checkpoint; eval_array neither writes into its input nor returns
         # its memory, so no reference is copied
-        ref = z0.take(active)
-        x, bad = eval_array(expr, ref)
-        # each power's reference, live cells (None for every orbit cell)
-        # and next checkpoint
-        state = {m: [ref, None, 1] for m in powers}
-        j = 1
-        while True:
-            far = done = None
-            for m in list(state):
-                st = state[m]  # no local names its arrays, which each step replaces
-                if j % m:
-                    # a bad bit inside r^m's step ceil(j / m) ends it there
-                    if bad.any():
-                        hit = bad if st[1] is None else bad & st[1]
-                        st[1] = ~bad if st[1] is None else st[1] ^ hit
-                        hit = active[hit]
-                        esc[hit] = np.maximum(esc.take(hit), j // m + 1)
-                    continue
-                k = j // m
-                if far is None:
-                    far = np.abs(x) > spec.escape_radius
-                    far |= bad
-                    near = ~far
-                settled = np.abs(x - st[0]) < CYCLE_TOLERANCE
-                if mirrored and k == 1:
-                    # -r^m's step 1 is -x, which the test compares with z0 too
-                    settled |= np.abs(x + st[0]) < CYCLE_TOLERANCE
-                settled &= near
-                if st[1] is None:
-                    hit = far
-                    st[1] = near ^ settled
+        x = z0.take(active)
+        state = {m: [x, np.ones(active.size, dtype=bool), 1] for m in powers}
+        j = 0
+        while state and active.size:
+            j += 1
+            x, bad = eval_array(expr, x)
+            far = np.abs(x) > spec.escape_radius
+            far |= bad
+            done = np.zeros(active.size, dtype=bool)
+            for m, st in list(state.items()):
+                k = -(-j // m)  # r^m's step that index j falls in
+                if j < m * k:
+                    # a bad bit inside r^m's step k ends it there
+                    hit = bad & st[1]
+                    st[1] ^= hit
                 else:
-                    settled &= st[1]
                     hit = far & st[1]
-                    st[1] ^= hit  # hit and settled are disjoint parts of it
+                    st[1] ^= hit
+                    settled = np.abs(x - st[0]) < CYCLE_TOLERANCE
+                    if mirrored and k == 1:
+                        # -r^m's step 1 is -x, which the test compares with z0 too
+                        settled |= np.abs(x + st[0]) < CYCLE_TOLERANCE
+                    settled &= st[1]  # which has lost the far cells
                     st[1] ^= settled
-                done = settled if done is None else done | settled
+                    done |= settled
+                    if k == st[2]:
+                        st[0], st[2] = x, 2 * k
+                    if k == spec.max_iter:
+                        status[active[st[1]]] = STATUS_UNDECIDED
+                        del state[m]
                 hit = active[hit]
                 esc[hit] = np.maximum(esc.take(hit), k)
-                if k == st[2]:
-                    st[0] = x
-                    st[2] = 2 * k
-                if k == spec.max_iter:
-                    undecided[active[st[1]]] = True
-                    del state[m]
-            if done is not None:
-                bounded[active[done]] = True
-            if not state:
-                break
-            ons = [st[1] for st in state.values()]
-            if any(on is None for on in ons):
-                keep = None if done is None else ~done
-            else:
-                keep = reduce(np.logical_or, ons)
-                if done is not None and len(powers) > 1:
-                    # a cell one power bounds leaves the others; one power
-                    # has dropped it from its live cells already
-                    keep &= ~done
-            if keep is not None and not keep.all():
+            status[active[done]] = STATUS_BOUNDED
+            # a cell one power bounds leaves the others too
+            keep = ~done
+            keep &= np.logical_or.reduce([st[1] for st in state.values()])
+            if not keep.all():
                 rest = np.flatnonzero(keep)
                 active, x = active.take(rest), x.take(rest)
                 for st in state.values():
-                    st[0] = st[0].take(rest)
-                    # one power's live cells are the orbit's
-                    st[1] = None if st[1] is None or len(state) == 1 else st[1].take(rest)
-            if not active.size:
-                break
-            j += 1
-            x, bad = eval_array(expr, x)
+                    st[0], st[1] = st[0].take(rest), st[1].take(rest)
 
-    status = np.full(z0.size, STATUS_ESCAPING, dtype=np.uint8)
-    status[undecided] = STATUS_UNDECIDED
-    status[bounded] = STATUS_BOUNDED
     esc[status != STATUS_ESCAPING] = -1
     return status.reshape(-1, spec.cols), esc.reshape(-1, spec.cols)
 

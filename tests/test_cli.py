@@ -182,6 +182,17 @@ class TestTransportCommand:
         assert all(v >= 0.99 for v in doc["ratios"].values())
         assert (tmp_path / "transport_diff.pgm").exists()
 
+    def test_without_phi_names_the_cause(self, tmp_path, capsys):
+        # one generator's table is complete but has no pair to take phi
+        # from, and inline generators are no fixture
+        run("transport", "--generators", "exp(z)", "--cells", "8", "--out", str(tmp_path))
+        assert "single generator" in capsys.readouterr().err
+        run("transport", "--generators", "exp(z)", "pow(z,2)", "--cells", "8",
+            "--out", str(tmp_path))
+        err = capsys.readouterr().err
+        assert "incomplete commutator table: ((1, 2), (2, 1))" in err
+        assert "fixture" not in err
+
     def test_exp_fatou_invariance_is_indeterminate(self, tmp_path):
         # every cell escapes and e^{z^2}+0.2 is in class B, so the Fatou
         # mask is empty and the invariance check has nothing to compare
@@ -359,6 +370,12 @@ class TestExitCodeContract:
         # than 32 letters compose trees too deep to evaluate
         ({}, ["render", "--generators", "mul(z, const(1.0001+0i))", "--cells", "4",
               "--word-depth", "33"], EXIT_USAGE),
+        # transport without --phi takes phi from the commutator table: one
+        # generator has no pair to take it from, and exp(z), z^2 have no
+        # affine commutator
+        ({}, ["transport", "--generators", "exp(z)", "--cells", "8"], EXIT_USAGE),
+        ({}, ["transport", "--generators", "exp(z)", "pow(z,2)", "--cells", "8"],
+         EXIT_TABLE_INCOMPLETE),
     ]
 
     @pytest.mark.parametrize("env,argv,code", CASES)

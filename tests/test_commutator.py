@@ -1,4 +1,5 @@
 import hashlib
+import json
 import math
 
 import numpy as np
@@ -9,7 +10,6 @@ from semidyn.cli import EXIT_NORMAL_FORM_FAILED, main as cli_main
 from semidyn.commutator import (
     AffineGroup,
     ClosureOverflowError,
-    CommutatorTable,
     NoAffineCommutatorError,
     DegenerateSamplesError,
     NotNearlyRepresentableError,
@@ -20,8 +20,6 @@ from semidyn.commutator import (
     find_clean_points,
     group_closure,
     is_nearly_abelian,
-    presentation_from_json_dict,
-    presentation_to_json_dict,
     verify_identity,
 )
 from semidyn.expr import (
@@ -249,14 +247,21 @@ class TestCommutatorTable:
         assert got == ([] if want_failing else want)
         assert case not in ("exp-cos", "three") or failing
 
-    def test_json_round_trip(self):
+    def test_json_coefficients_parse_back_bit_for_bit(self, tmp_path):
+        # commutator_table.json holds each coefficient as "re,im" text, and
+        # float() of each part gives the table's bits back
         fx = FIXTURES["derived-exp-shift"]
         table = build_commutator_table(fx.presentation, fx.plan)
-        again = CommutatorTable.from_json_dict(table.to_json_dict())
-        assert again.entries == table.entries
-        doc = presentation_to_json_dict(fx.presentation)
-        S2 = presentation_from_json_dict(doc)
-        assert presentation_to_json_dict(S2) == doc
+        assert cli_main(["commutator", "--fixture", "derived-exp-shift",
+                         "--out", str(tmp_path)]) == 0
+        doc = json.loads((tmp_path / "commutator_table.json").read_text())
+        assert len(doc["table"]["entries"]) == len(table.entries)
+        for rec in doc["table"]["entries"]:
+            m = table.entry(rec["i"], rec["j"])
+            for key in ("a", "b"):
+                want = complex(getattr(m, key))
+                got = [float(part).hex() for part in rec[key].split(",")]
+                assert got == [want.real.hex(), want.imag.hex()]
 
 
 class TestNearlyAbelian:

@@ -44,3 +44,23 @@ def test_every_import_is_used(name):
             if bound not in used and "# noqa: F401" not in lines[alias.lineno - 1]:
                 unused.append(f"{name}:{alias.lineno} {bound}")
     assert unused == []
+
+
+@pytest.mark.parametrize("name", sorted(f for f in os.listdir(PACKAGE) if f.endswith(".py")))
+def test_every_private_name_is_used(name):
+    # a module-level _name is the module's own, so a module that never
+    # reads it holds dead code
+    with open(os.path.join(PACKAGE, name)) as fh:
+        tree = ast.parse(fh.read())
+    defined = set()
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            defined.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign, ast.AugAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            defined.update(n.id for t in targets for n in ast.walk(t)
+                           if isinstance(n, ast.Name))
+    read = {node.id for node in ast.walk(tree)
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+    private = {d for d in defined if d.startswith("_") and not d.startswith("__")}
+    assert sorted(private - read) == []

@@ -9,6 +9,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from semidyn.commutator import SemigroupPresentation, build_commutator_table
 from semidyn.expr import (
@@ -422,6 +424,61 @@ def trie_order(words):
     return sorted(words, key=lambda w: w[::-1])
 
 
+COEFFS = st.sampled_from([0.1, 0.5, -0.4 + 0.3j, 1.0, 2.0, 1j, 3.0])
+# maps of a few nodes, under which some cells of a small window escape,
+# overflow, settle on a cycle or stay undecided within a few steps
+SMALL_MAPS = st.recursive(
+    st.one_of(st.sampled_from([Z, Power(Z, 2)]), st.builds(AffineExpr, COEFFS, COEFFS)),
+    lambda inner: st.one_of(
+        st.builds(Exp, inner),
+        st.builds(Cos, inner),
+        st.builds(Sin, inner),
+        st.builds(Power, inner, st.just(2)),
+        st.builds(lambda a, t: Product((Const(a), t)), COEFFS, inner),
+        st.builds(lambda t, b: Sum((t, Const(b))), inner, COEFFS),
+        st.builds(compose, inner, inner),
+    ),
+    max_leaves=3,
+)
+RANDOM_GENERATORS = st.one_of(
+    st.lists(SMALL_MAPS, min_size=1, max_size=3),
+    SMALL_MAPS.map(lambda g: [g, Negate(g)]),
+    # exactly even, so the kernel iterates one word per sign class
+    SMALL_MAPS.map(lambda f: compose(f, Power(Z, 2))).map(lambda g: [g, Negate(g)]),
+)
+
+
+def small_windows(center, width):
+    """About 10 x 8 cells, with every budget the kernel branches on small."""
+    return st.builds(
+        lambda c, w, r, d, n: GridSpec(center=c, width=w, height=0.8 * w, cols=10,
+                                       rows=8, escape_radius=r, word_depth=d,
+                                       max_iter=n),
+        center, width, st.floats(2.0, 8.0), st.integers(1, 3), st.integers(1, 6))
+
+
+@st.composite
+def mirrored_pairs(draw):
+    """<h, -h> with h = e^{z^2} + c exactly even, built as MIRROR_H is, so
+    that -h(z0) lies within 1e-6 of a drawn cell centre z0 and h(z0) near
+    -z0: only the mirrored step-1 test settles that cell at step 1."""
+    spec = draw(small_windows(st.complex_numbers(max_magnitude=1.0), st.floats(0.5, 2.0)))
+    z0 = complex(spec.cell_centers()[draw(st.integers(0, 7)), draw(st.integers(0, 9))])
+    shift = complex(draw(st.floats(-6e-7, 6e-7)), draw(st.floats(-6e-7, 6e-7)))
+    h = Sum((Exp(Power(Z, 2)), Const(-z0 - cmath.exp(z0**2) + shift)))
+    return [h, Negate(h)], spec
+
+
+@st.composite
+def gaussian_bumps(draw):
+    """e^{A - B z^2} on a 0.05-wide window at sqrt(A / B), as in
+    power-ends-inside-its-step: h escapes, h(h) is near 0 and h overflows
+    there (A > 345), so a bad bit falls inside a power's step."""
+    a, b = draw(st.floats(350.0, 700.0)), draw(st.floats(50.0, 200.0))
+    h = Exp(Sum((Const(a), Product((Const(-b), Power(Z, 2))))))
+    return [h], draw(small_windows(st.just(complex(math.sqrt(a / b))), st.just(0.05)))
+
+
 class TestWordQuotient:
     """When every generator is exactly even, a word's letters matter only
     up to sign, and the first letter's sign only in the step-1 cycle test,
@@ -532,6 +589,28 @@ class TestSemigroupKernel:
             g = classify_semigroup(S, spec, workers=workers)
             assert np.array_equal(g.status, status), workers
             assert np.array_equal(g.escape_iter, esc), workers
+
+    def assert_matches_per_word_reference(self, gens, spec, workers):
+        S = SemigroupPresentation(tuple(gens), require_transcendental=False)
+        status, esc = per_word_reference(S, spec)
+        g = classify_semigroup(S, spec, workers=workers)
+        assert np.array_equal(g.status, status)
+        assert np.array_equal(g.escape_iter, esc)
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(RANDOM_GENERATORS,
+           small_windows(st.complex_numbers(max_magnitude=2.0), st.floats(0.5, 6.0)),
+           st.integers(1, 2))
+    def test_random_generators_match_per_word_reference(self, gens, spec, workers):
+        # free generators, sign pairs and exactly even pairs on z^2
+        self.assert_matches_per_word_reference(gens, spec, workers)
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(st.one_of(mirrored_pairs(), gaussian_bumps()), st.integers(1, 2))
+    def test_constructed_generators_match_per_word_reference(self, case, workers):
+        # the mirrored step-1 test and a bad bit inside a power's step,
+        # which random generators on random windows almost never reach
+        self.assert_matches_per_word_reference(*case, workers)
 
     @pytest.fixture
     def executors(self, monkeypatch):
