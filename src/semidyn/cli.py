@@ -6,7 +6,8 @@ commutator table, 3 failed identity check, 4 word budget exceeded,
 5 transport agreement below threshold, 6 normal-form failure of some
 word, 64 usage error (a malformed flag, config file, expression, fixture
 name, window, word or SEMIDYN_THREADS value, a word depth over 32, a
-window, escape radius or threshold that is not finite, or transport
+sample seed or count that is not an integer, a window, escape radius,
+sample radius, abs_floor or threshold that is not finite, or transport
 without --phi on a single generator).
 """
 

@@ -16,19 +16,20 @@ import numpy as np
 from .expr import (
     AffineMap,
     DegenerateAffineError,
-    EquivalenceReport,
+    DegenerateSamplesError,
     Expr,
     IDENTITY_MAP,
     SamplePlan,
+    _relative_error,
     affine_compose,
     affine_distance,
     affine_inverse,
     compose,
-    compare_values,
     compose_power,
-    eval_array,
+    find_clean_points,
     format_expr,
     is_transcendental,
+    numerically_equal,
 )
 
 DEDUP_TOLERANCE = 1e-9
@@ -42,10 +43,6 @@ class NoAffineCommutatorError(ValueError):
     def __init__(self, message: str, residual: float | None = None):
         super().__init__(message)
         self.residual = residual
-
-
-class DegenerateSamplesError(RuntimeError):
-    """Could not find a well-separated clean pair of sample values."""
 
 
 class NotNearlyRepresentableError(ValueError):
@@ -66,73 +63,6 @@ class ClosureOverflowError(RuntimeError):
 
 class MissingCommutatorError(ValueError):
     """An identity check needs a bracket that could not be solved."""
-
-
-# ---------------------------------------------------------------------------
-# clean-point search
-
-
-def find_clean_points(
-    exprs: list[Expr], plan: SamplePlan
-) -> tuple[np.ndarray, list[np.ndarray]]:
-    """The first plan.count points of a seeded search at which every
-    expression evaluates cleanly, and each one's values there.  Entire
-    functions agreeing on an open set agree everywhere, so any clean
-    sub-disk will do.  Stage 1 draws batches from the plan's disk about 0
-    (4n seeded points, a lattice, 16n and 64n more), stage 2 zooms onto the
-    clean points found; if neither finds enough, DegenerateSamplesError.
-    Each point is evaluated at most once per expression, and expression k
-    only where 1..k-1 are clean.  Evaluation is elementwise, so the values
-    are those at the chosen points alone, and reordering the expressions
-    gives the same points (or the same error) and reorders the values
-    alone, bit for bit."""
-    n = plan.count
-    rng = np.random.default_rng(plan.seed)
-
-    def draw(center: complex, radius: float, m: int) -> np.ndarray:
-        r = radius * np.sqrt(rng.random(m))
-        theta = 2 * np.pi * rng.random(m)
-        return center + r * np.exp(1j * theta)
-
-    def clean(pts: np.ndarray) -> list[np.ndarray]:
-        """[the points clean for every expression, each one's values there]"""
-        cols = [pts]
-        for e in exprs:
-            if not len(cols[0]):
-                return [cols[0]] * (len(exprs) + 1)
-            v, bad = eval_array(e, cols[0])
-            ok = ~bad
-            cols = [c[ok] for c in cols + [v]]
-        return cols
-
-    def stage1():
-        yield draw(0j, plan.radius, 4 * n)
-        side = np.linspace(-plan.radius, plan.radius, 48)
-        lattice = (side[:, None] + 1j * side[None, :]).ravel()
-        yield lattice[np.abs(lattice) <= plan.radius]
-        yield draw(0j, plan.radius, 16 * n)
-        yield draw(0j, plan.radius, 64 * n)
-
-    found = [np.empty(0, dtype=np.complex128)] * (len(exprs) + 1)
-    for batch in stage1():
-        found = [np.concatenate(pair) for pair in zip(found, clean(batch))]
-        if len(found[0]) >= n:
-            return found[0][:n], [v[:n] for v in found[1:]]
-
-    for center in found[0][:8]:  # stage 2
-        for shrink in (8.0, 32.0, 128.0, 512.0):
-            pts, *values = clean(draw(complex(center), plan.radius / shrink, 4 * n))
-            if len(pts) >= n:
-                return pts[:n], [v[:n] for v in values]
-    raise DegenerateSamplesError(
-        f"no disk with {n} clean samples found for {len(exprs)} expression(s)"
-    )
-
-
-def sampled_equal(lhs: Expr, rhs: Expr, plan: SamplePlan) -> EquivalenceReport:
-    """compare_values of two trees at the points find_clean_points picks."""
-    _, (lv, rv) = find_clean_points([lhs, rhs], plan)
-    return compare_values(lv, rv, plan)
 
 
 # ---------------------------------------------------------------------------
@@ -183,10 +113,8 @@ def _fit_affine(u: np.ndarray, w: np.ndarray, plan: SamplePlan) -> CommutatorRes
     except DegenerateAffineError as exc:
         raise NoAffineCommutatorError(f"solved {exc}, not an affine conjugacy") from exc
 
-    scale = np.maximum(np.abs(u), np.abs(w))
-    scale = np.maximum(scale, plan.abs_floor / plan.tolerance)
-    max_resid = float((np.abs(a * w + b - u) / scale).max())
-    if max_resid > plan.tolerance:
+    max_resid = _relative_error(a * w + b - u, u, w, plan)
+    if not max_resid <= plan.tolerance:  # a NaN residual fails too
         raise NoAffineCommutatorError(
             f"affine fit residual {max_resid:.3e} exceeds tolerance",
             residual=max_resid,
@@ -297,15 +225,14 @@ class NearAbelianReport:
     algebraic: bool
     table: CommutatorTable | None
     failing_pairs: tuple[tuple[int, int], ...] = ()
-    # pre-compactness of the commutator family has no finite certificate;
-    # it is carried as an assumption, never verified
-    precompactness_assumed: bool = True
 
 
 def is_nearly_abelian(S: SemigroupPresentation, plan: SamplePlan) -> NearAbelianReport:
     """Algebraic half of the nearly-abelian check: every generator pair
     admits an affine commutator.  Fatou-set invariance of those maps is a
-    grid-level question, reported separately by the dynamics module."""
+    grid-level question, reported separately by the dynamics module.
+    Pre-compactness of the commutator family has no finite certificate:
+    it is assumed, never verified."""
     try:
         table = build_commutator_table(S, plan)
     except NotNearlyRepresentableError as exc:
@@ -423,7 +350,7 @@ def verify_identity(
     if isinstance(lhs, AffineMap):  # two brackets: compare their coefficients
         resid = affine_distance(lhs, rhs)
         return IdentityReport(which, resid <= plan.tolerance, resid)
-    rep = sampled_equal(lhs, rhs, plan)
+    rep = numerically_equal(lhs, rhs, plan)
     return IdentityReport(which, rep.equal, rep.max_error)
 
 

@@ -38,6 +38,12 @@ child's.  No node writes into the points it is evaluated at, so only
 Identity, where those points become a value, copies its input, and
 ``eval_array`` never alters the caller's array nor returns memory shared
 with it.
+
+Two trees are compared at sample points, in one way: ``numerically_equal``
+asks ``find_clean_points`` for plan.count seeded points at which both are
+clean, and ``compare_values`` takes the largest relative error of their
+values there, with an absolute floor.  The commutator module's affine fit
+measures its residual with the same error.
 """
 
 from __future__ import annotations
@@ -67,8 +73,11 @@ class DegenerateAffineError(ValueError):
     """Affine coefficient a where a or 1/a is 0 or not finite."""
 
 
-class IndeterminateComparison(RuntimeError):
-    """Too few sample points evaluated cleanly to compare two functions."""
+class DegenerateSamplesError(RuntimeError):
+    """Too few usable sample values.  Raised by find_clean_points when no
+    disk holds plan.count points at which every expression is clean, and
+    by commutator._fit_affine when no two of those points' values are well
+    separated."""
 
 
 class ExprParseError(ValueError):
@@ -504,60 +513,107 @@ class SamplePlan:
     abs_floor: float = 1e-12
 
     def __post_init__(self):
-        if self.seed < 0:
-            raise ValueError("sample seed must be >= 0")
-        if self.count < 8:
-            raise ValueError("sample count must be >= 8")
-        if not self.radius > 0:  # rejects NaN too
-            raise ValueError("sample radius must be > 0")
+        # a config file can give any JSON value for each field, and JSON
+        # true is a Python bool, an int subclass
+        if type(self.seed) is not int or self.seed < 0:
+            raise ValueError(f"sample seed must be an integer >= 0, got {self.seed!r}")
+        if type(self.count) is not int or self.count < 8:
+            raise ValueError(f"sample count must be an integer >= 8, got {self.count!r}")
+        if not 0 < self.radius < math.inf:  # rejects NaN too
+            raise ValueError(f"sample radius must be finite and > 0, got {self.radius!r}")
         # the relative error compare_values measures never exceeds 2, so a
         # tolerance of 1 or more passes nearly every comparison
         if not 0 < self.tolerance < 1:
             raise ValueError(f"tolerance must be in (0, 1), got {self.tolerance!r}")
+        if not 0 < self.abs_floor < math.inf:
+            raise ValueError(f"abs_floor must be finite and > 0, got {self.abs_floor!r}")
 
 
-def sample_points(plan: SamplePlan, count: int | None = None) -> np.ndarray:
-    """Reproducible uniform points in the plan's disk about 0."""
-    n = plan.count if count is None else count
+def find_clean_points(
+    exprs: list[Expr], plan: SamplePlan
+) -> tuple[np.ndarray, list[np.ndarray]]:
+    """The first plan.count points of a seeded search at which every
+    expression evaluates cleanly, and each one's values there.  Entire
+    functions agreeing on an open set agree everywhere, so any clean
+    sub-disk will do.  Stage 1 draws batches from the plan's disk about 0
+    (4n seeded points, a lattice, 16n and 64n more), stage 2 zooms onto the
+    clean points found; if neither finds enough, DegenerateSamplesError.
+    Each point is evaluated at most once per expression, and expression k
+    only where 1..k-1 are clean.  Evaluation is elementwise, so the values
+    are those at the chosen points alone, and reordering the expressions
+    gives the same points (or the same error) and reorders the values
+    alone, bit for bit."""
+    n = plan.count
     rng = np.random.default_rng(plan.seed)
-    r = plan.radius * np.sqrt(rng.random(n))
-    theta = 2 * np.pi * rng.random(n)
-    return r * np.exp(1j * theta)
+
+    def draw(center: complex, radius: float, m: int) -> np.ndarray:
+        r = radius * np.sqrt(rng.random(m))
+        theta = 2 * np.pi * rng.random(m)
+        return center + r * np.exp(1j * theta)
+
+    def clean(pts: np.ndarray) -> list[np.ndarray]:
+        """[the points clean for every expression, each one's values there]"""
+        cols = [pts]
+        for e in exprs:
+            if not len(cols[0]):
+                return [cols[0]] * (len(exprs) + 1)
+            v, bad = eval_array(e, cols[0])
+            ok = ~bad
+            cols = [c[ok] for c in cols + [v]]
+        return cols
+
+    def stage1():
+        yield draw(0j, plan.radius, 4 * n)
+        side = np.linspace(-plan.radius, plan.radius, 48)
+        lattice = (side[:, None] + 1j * side[None, :]).ravel()
+        yield lattice[np.abs(lattice) <= plan.radius]
+        yield draw(0j, plan.radius, 16 * n)
+        yield draw(0j, plan.radius, 64 * n)
+
+    found = [np.empty(0, dtype=np.complex128)] * (len(exprs) + 1)
+    for batch in stage1():
+        found = [np.concatenate(pair) for pair in zip(found, clean(batch))]
+        if len(found[0]) >= n:
+            return found[0][:n], [v[:n] for v in found[1:]]
+
+    for center in found[0][:8]:  # stage 2
+        for shrink in (8.0, 32.0, 128.0, 512.0):
+            pts, *values = clean(draw(complex(center), plan.radius / shrink, 4 * n))
+            if len(pts) >= n:
+                return pts[:n], [v[:n] for v in values]
+    raise DegenerateSamplesError(
+        f"no disk with {n} clean samples found for {len(exprs)} expression(s)"
+    )
+
+
+def _relative_error(
+    diff: np.ndarray, x: np.ndarray, y: np.ndarray, plan: SamplePlan
+) -> float:
+    """The largest |diff| relative to max(|x|, |y|), that scale floored at
+    abs_floor / tolerance; NaN where some term is."""
+    scale = np.maximum(np.abs(x), np.abs(y))
+    scale = np.maximum(scale, plan.abs_floor / plan.tolerance)
+    return float((np.abs(diff) / scale).max())
 
 
 @dataclass(frozen=True)
 class EquivalenceReport:
     equal: bool
     max_error: float
-    clean_count: int
-    total_count: int
 
 
-def compare_values(
-    fv: np.ndarray, gv: np.ndarray, plan: SamplePlan, clean: np.ndarray | None = None
-) -> EquivalenceReport:
+def compare_values(fv: np.ndarray, gv: np.ndarray, plan: SamplePlan) -> EquivalenceReport:
     """Relative error with an absolute floor between two functions' values
-    at the same points, over those where ``clean`` holds (default: all).
-    Raises IndeterminateComparison when none, or under half, are clean."""
-    total = len(fv)
-    if clean is not None:
-        fv, gv = fv[clean], gv[clean]
-    if not len(fv) or len(fv) * 2 < total:
-        raise IndeterminateComparison(f"{len(fv)}/{total} samples evaluated cleanly")
-    scale = np.maximum(np.abs(fv), np.abs(gv))
-    scale = np.maximum(scale, plan.abs_floor / plan.tolerance)
-    max_err = float((np.abs(fv - gv) / scale).max())
-    return EquivalenceReport(max_err <= plan.tolerance, max_err, len(fv), total)
+    at the same points; equal when it is within the plan's tolerance."""
+    max_err = _relative_error(fv - gv, fv, gv, plan)
+    return EquivalenceReport(max_err <= plan.tolerance, max_err)
 
 
-def numerically_equal(
-    fexpr: Expr, gexpr: Expr, plan: SamplePlan, points: np.ndarray | None = None
-) -> EquivalenceReport:
-    """compare_values at the points (default: the plan's samples) both are clean at."""
-    pts = sample_points(plan) if points is None else points
-    fv, fbad = eval_array(fexpr, pts)
-    gv, gbad = eval_array(gexpr, pts)
-    return compare_values(fv, gv, plan, ~(fbad | gbad))
+def numerically_equal(fexpr: Expr, gexpr: Expr, plan: SamplePlan) -> EquivalenceReport:
+    """compare_values of two trees at the points find_clean_points picks;
+    DegenerateSamplesError where it finds too few."""
+    _, (fv, gv) = find_clean_points([fexpr, gexpr], plan)
+    return compare_values(fv, gv, plan)
 
 
 # ---------------------------------------------------------------------------

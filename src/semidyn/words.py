@@ -19,15 +19,13 @@ from dataclasses import dataclass
 from .commutator import (
     AffineGroup,
     CommutatorTable,
-    DegenerateSamplesError,
     NoAffineCommutatorError,
     SemigroupPresentation,
-    find_clean_points,  # noqa: F401  the benchmark's tracer wraps it by this name
-    sampled_equal,
     solve_affine,
 )
 from .expr import (
     AffineMap,
+    DegenerateSamplesError,
     Expr,
     IDENTITY_MAP,
     SamplePlan,
@@ -35,8 +33,9 @@ from .expr import (
     affine_distance,
     compose,
     compose_power,
-    eval_at,
+    find_clean_points,  # noqa: F401  the benchmark's tracer wraps it by this name
     format_expr,
+    numerically_equal,
 )
 
 MAX_WORD_LENGTH = 32
@@ -91,11 +90,6 @@ def word_expr(w: Word, S: SemigroupPresentation) -> Expr:
     return out
 
 
-def word_eval(w: Word, S: SemigroupPresentation, z: complex) -> complex:
-    """Right-to-left application of the generators; raises EvalOverflow."""
-    return eval_at(word_expr(w, S), z)
-
-
 def resolve_xi(
     f: Expr, phi: AffineMap, G: AffineGroup | None, plan: SamplePlan
 ) -> AffineMap:
@@ -127,7 +121,7 @@ def left_resolve_exists(
     lhs = compose(phi.as_expr(), f)
     for xi in G.elements:
         try:
-            if sampled_equal(lhs, compose(f, xi.as_expr()), plan).equal:
+            if numerically_equal(lhs, compose(f, xi.as_expr()), plan).equal:
                 return True
         except DegenerateSamplesError:
             continue
@@ -181,7 +175,7 @@ def normal_form(
     for i, t in enumerate(exponents, start=1):
         if t > 0:
             rhs = compose(rhs, compose_power(S.generator(i), t))
-    rep = sampled_equal(word_expr(w, S), rhs, plan)
+    rep = numerically_equal(word_expr(w, S), rhs, plan)
     if not rep.equal:
         raise VerificationFailedError(
             f"normal form residual {rep.max_error:.3e}", rep.max_error

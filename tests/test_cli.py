@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 
 import semidyn
 import semidyn.commutator
+import semidyn.expr
 import semidyn.words
 from semidyn.cli import (
     EXIT_NORMAL_FORM_FAILED,
@@ -389,6 +390,22 @@ class TestExitCodeContract:
         assert run(*argv, "--out", str(tmp_path)) == code
         assert "Traceback" not in capsys.readouterr().err
 
+    # sample plan values from the config: a NaN abs_floor passed every
+    # commutator fit, an infinite radius failed the cos pair's, and a
+    # fractional count or seed ended in a TypeError traceback
+    @pytest.mark.parametrize("config,argv", [
+        ('{"plan": {"abs_floor": NaN}}', ["--generators", "exp(z)", "cos(z)"]),
+        ('{"plan": {"radius": Infinity}}', ["--fixture", "example-2.1-cos"]),
+        ('{"plan": {"count": 32.5}}', ["--fixture", "example-2.1-cos"]),
+        ('{"seed": 1.5}', ["--fixture", "example-2.1-cos"]),
+    ])
+    def test_bad_sample_plan_config_is_usage_error(self, tmp_path, capsys, config, argv):
+        (tmp_path / "plan.json").write_text(config)
+        assert run("commutator", *argv, "--config", str(tmp_path / "plan.json"),
+                   "--out", str(tmp_path)) == EXIT_USAGE
+        assert "Traceback" not in capsys.readouterr().err
+        assert not (tmp_path / "commutator_table.json").exists()
+
     def test_verify_degenerate_samples_fail_the_check(self, tmp_path, monkeypatch, capsys):
         # the fake finds no clean sample points for a tree that carries an
         # affine map: identities 2 and 3 compare such trees, and so does
@@ -404,6 +421,7 @@ class TestExitCodeContract:
                 raise semidyn.commutator.DegenerateSamplesError("no clean samples")
             return real(exprs, plan)
 
+        monkeypatch.setattr(semidyn.expr, "find_clean_points", degenerate)
         monkeypatch.setattr(semidyn.commutator, "find_clean_points", degenerate)
         monkeypatch.setattr(semidyn.words, "find_clean_points", degenerate)
         code = run("verify", "--fixture", "example-2.1-cos", "--out", str(tmp_path))

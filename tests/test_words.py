@@ -34,7 +34,6 @@ from semidyn.words import (
     normal_form,
     normal_form_to_json_dict,
     resolve_xi,
-    word_eval,
     word_expr,
 )
 
@@ -63,30 +62,31 @@ class TestWord:
     def test_single_letter_eval(self):
         S = FIXTURES["example-2.1-cos"].presentation
         z = 0.7 + 0.1j
-        assert word_eval(Word((1,)), S, z) == eval_at(S.generator(1), z)
+        assert eval_at(word_expr(Word((1,)), S), z) == eval_at(S.generator(1), z)
 
     def test_two_letter_oracle(self):
         # [2, 1] over <cos z, -cos z> at 1 is -cos(cos 1)
         S = FIXTURES["example-2.1-cos"].presentation
-        got = word_eval(Word((2, 1)), S, 1.0)
+        got = eval_at(word_expr(Word((2, 1)), S), 1.0)
         assert got == pytest.approx(-cmath.cos(cmath.cos(1.0)), abs=1e-15)
 
     def test_iterated_exp_oracle(self):
         S = SemigroupPresentation((Exp(Z),), label="exp")
-        got = word_eval(Word((1, 1)), S, 1.0)
+        got = eval_at(word_expr(Word((1, 1)), S), 1.0)
         assert got == pytest.approx(math.e**math.e)
 
-    def test_word_expr_matches_word_eval(self):
+    def test_word_expr_applies_the_rightmost_letter_first(self):
+        # [1, 2, 1] is f_1(f_2(f_1(z))), bit for bit
         S = FIXTURES["example-2.1-exp"].presentation
-        w = Word((1, 2, 1))
-        expr = word_expr(w, S)
+        f1, f2 = S.generators
+        expr = word_expr(Word((1, 2, 1)), S)
         for z in (0.1 + 0.2j, -0.3 + 0.05j):
-            assert eval_at(expr, z) == word_eval(w, S, z)
+            assert eval_at(expr, z) == eval_at(f1, eval_at(f2, eval_at(f1, z)))
 
     def test_overflow_propagates(self):
         S = SemigroupPresentation((Exp(Z),), label="exp")
         with pytest.raises(EvalOverflow):
-            word_eval(Word((1, 1, 1, 1)), S, 3.0)
+            eval_at(word_expr(Word((1, 1, 1, 1)), S), 3.0)
 
 
 class TestResolveXi:
