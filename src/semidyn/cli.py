@@ -4,11 +4,17 @@ expressions, emitting JSON reports, PGM rasters and CSV dumps.
 Exit codes are a stable scripting contract: 0 success, 2 incomplete
 commutator table, 3 failed identity check, 4 word budget exceeded,
 5 transport agreement below threshold, 6 normal-form failure of some
-word, 64 usage error (a malformed flag, config file, expression, fixture
-name, window, word or SEMIDYN_THREADS value, a word depth over 32, a
-sample seed or count that is not an integer, a window, escape radius,
-sample radius, abs_floor or threshold that is not finite, or transport
-without --phi on a single generator).
+word, 64 usage error (a malformed flag, expression, fixture name, window,
+word or --phi, a config file that is not a JSON object or has a key that
+is not a flag of the subcommand or a value that the flag rejects, a
+negative worker count, a word depth over 32, a window, escape radius, sample
+radius, abs_floor or threshold that is not finite, or transport without
+--phi on a single generator).
+
+A --config file is flags in JSON: each key is a flag's dest (max_iter for
+--max-iter), at the top level or inside a "grid" or "plan" object, which
+only group them.  The subcommand's own parser reads the entries as those
+flags, and a flag given on the command line wins.
 """
 
 from __future__ import annotations
@@ -84,111 +90,73 @@ def _write_json(path: str, doc: dict) -> None:
         fh.write("\n")
 
 
-def _load_config(path: str | None) -> dict:
-    if path is None:
-        return {}
-    with open(path) as fh:
-        config = json.load(fh)
-    if not isinstance(config, dict):
-        raise UsageError(f"config {path} is not a JSON object")
-    return config
-
-
 class Run:
-    """One invocation's inputs, resolved from the flags and ``--config``
-    (a flag wins over its config key).  Each piece is built only for the
-    subcommands that declare its flag, and all of it before any work
-    starts, so malformed input raises ValueError, KeyError, OSError or,
-    for a config value of the wrong JSON type, TypeError here."""
+    """One invocation's inputs, read from the merged namespace of flags
+    and config.  Each piece is built only for the subcommands that declare
+    its flag, and all of it before any work starts, so malformed input
+    raises ValueError, KeyError or OSError here."""
 
     def __init__(self, args: argparse.Namespace):
         self.args = args
         flags = vars(args)
-        self.config = _load_config(args.config)
-        map_text = self.get("map")
-        self.map = parse_expr(map_text) if map_text else None
+        self.map = parse_expr(args.map) if flags.get("map") else None
         self.S, self.fx = (None, None) if self.map is not None else self._presentation()
         self.plan = self._plan()
         self.spec = self._grid() if "window" in flags else None
-        self.workers = resolve_workers(self.get("workers")) if "workers" in flags else None
+        self.workers = resolve_workers(args.workers) if "workers" in flags else None
         self.phi = None
-        if phi := self.get("phi"):
-            a, b = phi.split(";") if ";" in phi else phi.split("/")
+        if phi := flags.get("phi"):
+            if phi.count(";") != 1:
+                raise UsageError(f"--phi takes 'a;b', got {phi!r}")
+            a, b = phi.split(";")
             self.phi = AffineMap(parse_complex(a), parse_complex(b))
-        self.words = self._words() if "word" in flags else []
-        self.threshold = self.get("threshold", 0.99)
+        self.words = self._words() if "words" in flags else []
+        self.threshold = 0.99 if flags.get("threshold") is None else args.threshold
         if not math.isfinite(self.threshold):
             raise UsageError(f"threshold {self.threshold!r} is not finite")
-        self.out = self.get("out", ".")
+        self.out = "." if args.out is None else args.out
         os.makedirs(self.out, exist_ok=True)
 
-    def get(self, key: str, default=None):
-        """The flag's value, else the config key's, else default; default
-        also for a key whose flag the subcommand does not declare."""
-        flags = vars(self.args)
-        if key not in flags:
-            return default
-        if flags[key] is not None:
-            return flags[key]
-        return self.config.get(key, default)
-
     def _presentation(self) -> tuple[SemigroupPresentation, Fixture | None]:
-        name = self.get("fixture")
-        if name:
-            fx = get_fixture(name)
+        if self.args.fixture:
+            fx = get_fixture(self.args.fixture)
             return fx.presentation, fx
-        gens = self.get("generators")
-        if not gens:
+        if not self.args.generators:
             raise UsageError("need --fixture or --generators (render: or --map)")
-        exprs = tuple(parse_expr(t) for t in gens)
+        exprs = tuple(parse_expr(t) for t in self.args.generators)
         S = SemigroupPresentation(exprs, label="inline", require_transcendental=False)
         return S, None
 
     def _plan(self) -> SamplePlan:
-        kwargs = {}
-        for key in ("seed", "tolerance"):
-            if (val := self.get(key)) is not None:
-                kwargs[key] = val
-        plan_cfg = self.config.get("plan", {})
-        for key in ("count", "radius", "abs_floor"):
-            if key in plan_cfg:
-                kwargs[key] = plan_cfg[key]
-        return replace(self.fx.plan if self.fx else SamplePlan(), **kwargs)
+        flags = vars(self.args)
+        keys = ("seed", "tolerance", "count", "radius", "abs_floor")
+        given = {key: flags[key] for key in keys if flags[key] is not None}
+        return replace(self.fx.plan if self.fx else SamplePlan(), **given)
 
     def _grid(self) -> GridSpec:
-        cfg = dict(self.config.get("grid", {}))
-        window = self.args.window or cfg.pop("window", None)
+        flags = vars(self.args)
         kwargs = {}
-        if window:
-            if isinstance(window, str):
-                window = window.split(",")
-            xmin, xmax, ymin, ymax = (float(t) for t in window)
+        if self.args.window:
+            xmin, xmax, ymin, ymax = (float(t) for t in self.args.window.split(","))
             kwargs["center"] = complex((xmin + xmax) / 2, (ymin + ymax) / 2)
             kwargs["width"] = xmax - xmin
             kwargs["height"] = ymax - ymin
-        cells = self.args.cells or cfg.pop("cells", None)
-        if cells:
-            kwargs["cols"] = kwargs["rows"] = int(cells)
+        if self.args.cells:
+            kwargs["cols"] = kwargs["rows"] = self.args.cells
         for key in ("max_iter", "escape_radius", "word_depth", "cols", "rows"):
-            val = getattr(self.args, key, None)
-            if val is None:
-                val = cfg.pop(key, None)
-            if val is not None:
-                kwargs[key] = val
+            if flags.get(key) is not None:
+                kwargs[key] = flags[key]
         return replace(self.fx.window if self.fx else GridSpec(), **kwargs)
 
     def _words(self) -> list[Word]:
-        words = []
-        for text in self.args.word or self.config.get("words", []):
-            letters = text.split(",") if isinstance(text, str) else text
-            words.append(Word(tuple(int(t) for t in letters)))
-        n_random = self.get("random", 0) or 0
-        if n_random:
-            max_len = self.get("max_len", 6)
+        words = [Word(tuple(int(t) for t in text.split(",")))
+                 for text in self.args.words or []]
+        if self.args.random:
+            max_len = 6 if self.args.max_len is None else self.args.max_len
             if not 1 <= max_len <= MAX_WORD_LENGTH:
                 raise UsageError(f"--max-len must be 1..{MAX_WORD_LENGTH}, got {max_len}")
             rng = np.random.default_rng(self.plan.seed)
-            for _ in range(int(n_random)):
+            for _ in range(self.args.random):
                 length = int(rng.integers(1, max_len + 1))
                 letters = rng.integers(1, len(self.S) + 1, length)
                 words.append(Word(tuple(int(x) for x in letters)))
@@ -312,32 +280,22 @@ def cmd_render(run: Run) -> int:
     else:
         grid = classify_semigroup(run.S, spec, workers=run.workers)
 
-    meta = run.meta(
-        {
-            "grid": spec.to_json_dict(),
-            "subject": grid.subject,
-            "counts": grid.counts(),
-            "boundary_cells": int(escape_boundary(grid).sum()),
-            "workers": run.workers,
-        },
-    )
+    meta = run.meta({"grid": spec.to_json_dict(), "subject": grid.subject,
+                     "counts": grid.counts(), "workers": run.workers,
+                     "boundary_cells": int(escape_boundary(grid).sum())})
     comment = f"config={meta['config_hash']} seed={plan.seed}"
     write_pgm(run.path("classification.pgm"), status_bytes(grid), comment)
     write_pgm(run.path("heatmap.pgm"), heatmap_bytes(grid), comment)
     _write_json(run.path("render_meta.json"), meta)
-    if run.args.csv or run.config.get("csv"):
+    if run.args.csv:
         write_csv(run.path("classification.csv"), grid)
-    print(
-        f"rendered {spec.cols}x{spec.rows} {grid.subject}: "
-        + ", ".join(f"{k}={v}" for k, v in grid.counts().items())
-    )
+    print(f"rendered {spec.cols}x{spec.rows} {grid.subject}: "
+          + ", ".join(f"{k}={v}" for k, v in grid.counts().items()))
     return EXIT_OK
 
 
 def cmd_transport(run: Run) -> int:
-    S, spec, workers = run.S, run.spec, run.workers
-    threshold = run.threshold
-    phi = run.phi
+    S, spec, workers, phi, threshold = run.S, run.spec, run.workers, run.phi, run.threshold
     if phi is None:
         if len(S) < 2:
             raise UsageError("phi defaults to the commutator of generators 1 and 2, "
@@ -403,13 +361,8 @@ def cmd_normal_form(run: Run) -> int:
         else:
             results.append(normal_form_to_json_dict(w, nf))
 
-    doc = run.meta(
-        {
-            "presentation": presentation_to_json_dict(S),
-            "normal_forms": results,
-            "composition_order": "rightmost letter applied first",
-        }
-    )
+    doc = run.meta({"presentation": presentation_to_json_dict(S), "normal_forms": results,
+                    "composition_order": "rightmost letter applied first"})
     _write_json(run.path("normal_forms.json"), doc)
     residuals = [r["residual"] for r in results if "error" not in r]
     failed = len(results) - len(residuals)
@@ -431,6 +384,10 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--seed", type=int, help="sample plan seed")
     common.add_argument("--out", help="output directory")
     common.add_argument("--tolerance", type=float, help="relative tolerance")
+    common.add_argument("--sample-count", dest="count", type=int, help="sample points")
+    common.add_argument("--sample-radius", dest="radius", type=float,
+                        help="radius of the sample disk")
+    common.add_argument("--abs-floor", type=float, help="absolute error floor")
     common.add_argument("--fixture", help="built-in fixture name")
     common.add_argument("--generators", nargs="+", help="inline prefix expressions")
 
@@ -443,9 +400,7 @@ def build_parser() -> argparse.ArgumentParser:
     grid.add_argument("--workers", type=int)
 
     parser = argparse.ArgumentParser(
-        prog="semidyn",
-        description="semigroup dynamics of transcendental entire maps",
-    )
+        prog="semidyn", description="semigroup dynamics of transcendental entire maps")
     sub = parser.add_subparsers(dest="command", required=True)
 
     def command(name, func, help, *parents):
@@ -460,37 +415,81 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--map", help="single map as a prefix expression")
     p.add_argument("--rows", type=int)
     p.add_argument("--cols", type=int)
-    p.add_argument("--csv", action="store_true")
+    p.add_argument("--csv", action="store_true", default=None)
 
-    p = command(
-        "transport", cmd_transport, "verify affine transport of I/J/F grids", grid
-    )
+    p = command("transport", cmd_transport, "verify affine transport of I/J/F grids", grid)
     p.add_argument("--phi", help="affine map as 'a;b' complex literals")
     p.add_argument("--threshold", type=float)
 
-    p = command(
-        "normal-form", cmd_normal_form, "rewrite words to prefix + sorted powers"
-    )
-    p.add_argument("--word", action="append", help="comma-separated letters, repeatable")
+    p = command("normal-form", cmd_normal_form, "rewrite words to prefix + sorted powers")
+    p.add_argument("--word", dest="words", action="append",
+                   help="comma-separated letters, repeatable")
     p.add_argument("--random", type=int, help="number of random words")
     p.add_argument("--max-len", type=int)
 
     return parser
 
 
+def _config_argv(options: dict[str, argparse.Action], config: dict) -> list[str]:
+    """The flags a config object stands for, each option by its dest.  A
+    JSON value must be what the flag takes: true or false for a switch, a
+    string for text, a number for a number, and a list only for a flag
+    that takes several values."""
+    argv = []
+    for key, value in config.items():
+        if key in ("grid", "plan") and isinstance(value, dict):
+            argv += _config_argv(options, value)
+            continue
+        if key not in options:
+            raise UsageError(f"config key {key!r} is not a flag of this subcommand")
+        action = options[key]
+        flag = action.option_strings[0]
+        many = action.nargs == "+" or isinstance(action, argparse._AppendAction)
+        values = value if many and isinstance(value, list) else [value]
+        kinds = ((bool,) if action.nargs == 0 else (str,) if action.type is None
+                 else (int, float))
+        if not all(type(v) in kinds for v in values):
+            raise UsageError(f"config key {key!r}: {flag} cannot take {value!r}")
+        texts = [v if type(v) is str else json.dumps(v) for v in values]
+        if action.nargs == 0:
+            argv += [flag] if value else []
+        elif action.nargs == "+":
+            argv += [flag, *texts]
+        else:
+            argv += [f"{flag}={t}" for t in texts]
+    return argv
+
+
+def parse_args(argv: list[str]) -> argparse.Namespace:
+    """The command line's namespace.  With --config, each dest it leaves
+    unset takes its value from a second parse, of the file's flags."""
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    if args.config is None:
+        return args
+    with open(args.config) as fh:
+        config = json.load(fh)
+    if not isinstance(config, dict):
+        raise UsageError(f"config {args.config} is not a JSON object")
+    sub = next(a for a in parser._actions if a.dest == "command").choices[args.command]
+    options = {a.dest: a for a in sub._actions
+               if a.option_strings and a.dest not in ("help", "config")}
+    from_file = parser.parse_args([args.command, *_config_argv(options, config)])
+    for dest, value in vars(args).items():
+        if value is None:
+            setattr(args, dest, getattr(from_file, dest))
+    return args
+
+
 def _join_dash_values(argv: list[str]) -> list[str]:
     # argparse rejects values that start with '-' (e.g. --window -4,4,-4,4);
     # fold them into --flag=value form
-    out, i = [], 0
-    joinable = {"--window", "--phi"}
-    while i < len(argv):
-        tok = argv[i]
-        if tok in joinable and i + 1 < len(argv) and argv[i + 1].startswith("-"):
-            out.append(f"{tok}={argv[i + 1]}")
-            i += 2
+    out = []
+    for tok in argv:
+        if out and out[-1] in ("--window", "--phi") and tok.startswith("-"):
+            out[-1] += "=" + tok
         else:
             out.append(tok)
-            i += 1
     return out
 
 
@@ -502,12 +501,11 @@ def _fail(exc: Exception, code: int) -> int:
 def main(argv: list[str] | None = None) -> int:
     argv = _join_dash_values(list(sys.argv[1:] if argv is None else argv))
     try:
-        args = build_parser().parse_args(argv)
+        args = parse_args(argv)
+        run = Run(args)
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else 0
-    try:
-        run = Run(args)
-    except (ValueError, KeyError, OSError, TypeError) as exc:
+    except (ValueError, KeyError, OSError) as exc:
         return _fail(exc, EXIT_USAGE)
     try:
         return args.func(run)

@@ -513,8 +513,8 @@ class SamplePlan:
     abs_floor: float = 1e-12
 
     def __post_init__(self):
-        # a config file can give any JSON value for each field, and JSON
-        # true is a Python bool, an int subclass
+        # a caller can pass any value for each field, and True is a bool,
+        # an int subclass
         if type(self.seed) is not int or self.seed < 0:
             raise ValueError(f"sample seed must be an integer >= 0, got {self.seed!r}")
         if type(self.count) is not int or self.count < 8:

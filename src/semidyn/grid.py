@@ -289,20 +289,14 @@ def _classify_band(roots, spec: GridSpec, row0: int, row1: int):
 
 
 def resolve_workers(workers: int | None = None) -> int:
-    """0 or None means auto, the CPUs this process may run on;
-    SEMIDYN_THREADS caps the result (0 = auto)."""
+    """0 or None means auto, the CPUs this process may run on."""
+    if workers is not None and workers < 0:
+        raise ValueError(f"workers must be >= 0 (0 = auto), got {workers}")
+    if workers:
+        return workers
     if hasattr(os, "sched_getaffinity"):
-        auto = len(os.sched_getaffinity(0))
-    else:
-        auto = os.cpu_count() or 1
-    if not workers:
-        workers = auto
-    env = os.environ.get("SEMIDYN_THREADS")
-    if env is not None:
-        cap = int(env)
-        if cap > 0:
-            workers = min(workers, cap)
-    return max(1, workers)
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
 
 def enumerate_words(n_generators: int, word_depth: int) -> list[tuple[int, ...]]:

@@ -325,19 +325,23 @@ class TestNormalFormCommand:
 
 
 class TestExitCodeContract:
+    # env: the files the run finds, each JSON document written under its
+    # name into the directory that "{tmp}" in argv stands for
     EXP_14 = ",".join(["1"] * 14)
     CASES = [
         ({}, ["render", "--map", "foo("], EXIT_USAGE),
         ({}, ["render", "--map", "exp(z, z)"], EXIT_USAGE),
         ({}, ["render", "--fixture", "nope"], EXIT_USAGE),
-        ({"SEMIDYN_THREADS": "abc"}, ["render", "--map", "exp(z)"], EXIT_USAGE),
+        # a negative worker count once ran one worker
+        ({}, ["render", "--map", "exp(z)", "--workers", "-1"], EXIT_USAGE),
         ({}, ["render", "--map", "exp(z)", "--window", "a,b"], EXIT_USAGE),
         ({}, ["render", "--map", "exp(z)", "--cells", "1"], EXIT_USAGE),
         ({}, ["render", "--map", "exp(z)", "--window", "1,1,0,1"], EXIT_USAGE),
         ({}, ["normal-form", "--fixture", "example-2.1-exp", "--word", "1,3"],
          EXIT_USAGE),
         ({}, ["commutator", "--config", "{tmp}/missing.json"], EXIT_USAGE),
-        ({}, ["render", "--map", "exp(z)", "--config", "{tmp}/grid5.json"], EXIT_USAGE),
+        ({"grid5.json": {"grid": 5}},
+         ["render", "--map", "exp(z)", "--config", "{tmp}/grid5.json"], EXIT_USAGE),
         # the composed tree overflows everywhere: no clean sample points
         ({}, ["normal-form", "--fixture", "example-2.1-exp", "--word", EXP_14],
          EXIT_NORMAL_FORM_FAILED),
@@ -361,8 +365,9 @@ class TestExitCodeContract:
         # a relative error never exceeds 2, so such a tolerance passes
         # nearly every comparison, whether it comes as a flag or a config key
         ({}, ["verify", "--fixture", "example-2.1-cos", "--tolerance", "1"], EXIT_USAGE),
-        ({}, ["commutator", "--fixture", "example-2.1-exp", "--config",
-              "{tmp}/tolerance2.json"], EXIT_USAGE),
+        ({"tolerance2.json": {"tolerance": 2}},
+         ["commutator", "--fixture", "example-2.1-exp", "--config", "{tmp}/tolerance2.json"],
+         EXIT_USAGE),
         # the kernel iterates 26 of this even pair's words, but the budget
         # counts all 2^13
         ({}, ["render", "--fixture", "example-2.1-exp", "--cells", "16",
@@ -377,15 +382,26 @@ class TestExitCodeContract:
         ({}, ["transport", "--generators", "exp(z)", "--cells", "8"], EXIT_USAGE),
         ({}, ["transport", "--generators", "exp(z)", "pow(z,2)", "--cells", "8"],
          EXIT_TABLE_INCOMPLETE),
+        # --phi takes a;b alone
+        ({}, ["transport", "--fixture", "example-2.1-cos", "--cells", "8", "--phi", "1/0"],
+         EXIT_USAGE),
+        # a config key is a flag of the subcommand, its value one that flag
+        # takes, inside "plan" as at the top level
+        ({"plan.json": {"plan": {"seed": 3, "tolerance": 2, "cuont": 4}}},
+         ["commutator", "--fixture", "example-2.1-cos", "--config", "{tmp}/plan.json"],
+         EXIT_USAGE),
+        ({"tolerance.json": {"tolerance": "1e-9"}},
+         ["commutator", "--fixture", "example-2.1-cos", "--config", "{tmp}/tolerance.json"],
+         EXIT_USAGE),
+        ({"map.json": {"map": "exp(z)"}},
+         ["commutator", "--fixture", "example-2.1-cos", "--config", "{tmp}/map.json"],
+         EXIT_USAGE),
     ]
 
     @pytest.mark.parametrize("env,argv,code", CASES)
-    def test_documented_code_not_traceback(self, tmp_path, monkeypatch, capsys,
-                                           env, argv, code):
-        for key, value in env.items():
-            monkeypatch.setenv(key, value)
-        (tmp_path / "grid5.json").write_text('{"grid": 5}')
-        (tmp_path / "tolerance2.json").write_text('{"tolerance": 2}')
+    def test_documented_code_not_traceback(self, tmp_path, capsys, env, argv, code):
+        for name, doc in env.items():
+            (tmp_path / name).write_text(json.dumps(doc))
         argv = [a.format(tmp=tmp_path) for a in argv]
         assert run(*argv, "--out", str(tmp_path)) == code
         assert "Traceback" not in capsys.readouterr().err
@@ -463,6 +479,52 @@ class TestConfigFile:
         meta = json.loads((out / "render_meta.json").read_text())
         assert meta["grid"]["cols"] == 24  # flag wins
         assert meta["seed"] == 99  # config survives where no flag given
+
+    @pytest.mark.parametrize("config", [None, {"grid": {"cells": 8}}])
+    def test_cols_win_over_cells(self, tmp_path, config):
+        argv = ["render", "--map", "cos(z)", "--cols", "4", "--out", str(tmp_path)]
+        if config is None:
+            argv += ["--cells", "8"]
+        else:
+            (tmp_path / "cfg.json").write_text(json.dumps(config))
+            argv += ["--config", str(tmp_path / "cfg.json")]
+        assert run(*argv) == EXIT_OK
+        grid = json.loads((tmp_path / "render_meta.json").read_text())["grid"]
+        assert (grid["cols"], grid["rows"]) == (4, 8)
+
+    def test_plan_flags_are_config_keys(self, tmp_path):
+        # the sample plan's count, radius and abs_floor are flags, and a
+        # config sets them by their dests, grouped under "plan" or not
+        (tmp_path / "cfg.json").write_text(json.dumps(
+            {"count": 16, "plan": {"radius": 1.5, "abs_floor": 1e-10}}))
+        a, b = tmp_path / "a", tmp_path / "b"
+        assert run("commutator", "--fixture", "example-2.1-cos", "--sample-count", "16",
+                   "--sample-radius", "1.5", "--abs-floor", "1e-10",
+                   "--out", str(a)) == EXIT_OK
+        assert run("commutator", "--fixture", "example-2.1-cos",
+                   "--config", str(tmp_path / "cfg.json"), "--out", str(b)) == EXIT_OK
+        table = (a / "commutator_table.json").read_bytes()
+        assert table == (b / "commutator_table.json").read_bytes()
+        assert run("commutator", "--fixture", "example-2.1-cos", "--sample-count", "4",
+                   "--out", str(tmp_path / "c")) == EXIT_USAGE
+
+    # before config entries were parsed as flags, the first four exited 0
+    # or with a message naming neither the key nor the flag
+    @pytest.mark.parametrize("config,named", [
+        ({"plan": {"seed": 3, "tolerance": 2, "cuont": 4}}, "'cuont'"),
+        ({"cuont": 4}, "'cuont'"),
+        ({"tolerance": "1e-9"}, "--tolerance"),
+        ({"map": "exp(z)"}, "'map'"),
+        ({"seed": 1.5}, "--seed"),
+        ({"generators": [1]}, "--generators"),
+    ])
+    def test_rejected_config_names_the_key(self, tmp_path, capsys, config, named):
+        (tmp_path / "cfg.json").write_text(json.dumps(config))
+        out = tmp_path / "out"
+        assert run("commutator", "--fixture", "example-2.1-cos", "--config",
+                   str(tmp_path / "cfg.json"), "--out", str(out)) == EXIT_USAGE
+        assert named in capsys.readouterr().err
+        assert not out.exists()
 
 
 # argv for every subcommand from pools of valid, odd and malformed values;
@@ -560,6 +622,73 @@ class TestCliFuzz:
         assert code in self.DOCUMENTED
         if self._has_non_finite_value(argv):
             assert code == EXIT_USAGE
+
+    INT_FLAGS = {"--seed", "--cells", "--max-iter", "--word-depth", "--workers", "--rows",
+                 "--cols", "--random", "--max-len"}
+    FLOAT_FLAGS = {"--tolerance", "--escape-radius", "--threshold"}
+
+    ALL = 2**16 - 1
+
+    # few drawn argv pass every check, so these runs, with every flag moved
+    # or every other one, make sure that each flag's value reaches the run
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(cli_argv(), st.integers(0, ALL))
+    @example(argv=["render", "--fixture", "example-2.1-cos", "--window", "-2,2,-2,2",
+                   "--cells", "12", "--max-iter", "5", "--escape-radius", "40",
+                   "--word-depth", "1", "--workers", "1", "--rows", "8", "--seed", "7",
+                   "--tolerance", "1e-8"], moved=ALL)
+    @example(argv=["render", "--map", "exp(z)", "--cols", "6", "--cells", "8"], moved=ALL)
+    @example(argv=["transport", "--generators", "cos(z)", "neg(cos(z))", "--cells", "8",
+                   "--phi", "-1+0i;0+0i", "--threshold", "0.5", "--workers", "2"],
+             moved=0b1010101)
+    @example(argv=["transport", "--generators", "cos(z)", "neg(cos(z))", "--cells", "8",
+                   "--phi", "-1+0i;0+0i", "--threshold", "0.5", "--workers", "2"],
+             moved=ALL)
+    @example(argv=["normal-form", "--fixture", "example-2.1-cos", "--word", "2,1",
+                   "--word", "1", "--random", "3", "--max-len", "4", "--seed", "5"],
+             moved=ALL)
+    @example(argv=["commutator", "--generators", "exp(z)", "cos(z)", "--seed", "3"],
+             moved=ALL)
+    def test_config_file_equals_its_flags(self, tmp_path_factory, argv, moved):
+        """The flags that the bits of moved pick, moved into a --config
+        file, each under its dest with the JSON value of its text, give the
+        exit code and the artifact bytes of the run with every flag on the
+        command line."""
+        command, kept, config = argv[0], [], {}
+        given = {}  # each flag's values, in order; no value starts with "--"
+        for tok in argv[1:]:
+            if tok.startswith("--"):
+                values = given.setdefault(tok, [])
+            else:
+                values.append(tok)
+        for i, (flag, values) in enumerate(given.items()):
+            if not moved >> i & 1:
+                repeated = flag == "--word"
+                kept += [t for v in values for t in (flag, v)] if repeated else [flag, *values]
+                continue
+            values = [self._json_value(flag, v) for v in values]
+            dest = "words" if flag == "--word" else flag[2:].replace("-", "_")
+            config[dest] = values if flag in ("--generators", "--word") else values[0]
+        root = tmp_path_factory.mktemp("cfg")
+        (root / "cfg.json").write_text(json.dumps(config))
+        a, b = root / "flags", root / "config"
+        code = main([*argv, "--out", str(a)])
+        assert main([command, *kept, "--config", str(root / "cfg.json"),
+                     "--out", str(b)]) == code
+        files = sorted(p.name for p in a.iterdir()) if a.exists() else []
+        assert files == (sorted(p.name for p in b.iterdir()) if b.exists() else [])
+        for name in files:
+            assert (a / name).read_bytes() == (b / name).read_bytes(), name
+
+    @classmethod
+    def _json_value(cls, flag, text):
+        """The JSON value a config gives for the flag's text; text that is
+        no number stays a string, which a number flag rejects."""
+        kind = int if flag in cls.INT_FLAGS else float if flag in cls.FLOAT_FLAGS else str
+        try:
+            return kind(text)
+        except ValueError:
+            return text
 
     @staticmethod
     def _has_non_finite_value(argv):

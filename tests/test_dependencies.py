@@ -64,3 +64,19 @@ def test_every_private_name_is_used(name):
             if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
     private = {d for d in defined if d.startswith("_") and not d.startswith("__")}
     assert sorted(private - read) == []
+
+
+ENVIRONMENT = {"environ", "environb", "getenv", "getenvb"}
+
+
+@pytest.mark.parametrize("name", sorted(f for f in os.listdir(PACKAGE) if f.endswith(".py")))
+def test_no_environment_reads(name):
+    # every input is a flag or a config key naming one, so a run depends on
+    # its command line and files alone, never on the environment
+    with open(os.path.join(PACKAGE, name)) as fh:
+        tree = ast.parse(fh.read())
+    reads = [node.lineno for node in ast.walk(tree)
+             if isinstance(node, ast.Attribute) and node.attr in ENVIRONMENT
+             or isinstance(node, ast.ImportFrom) and node.module == "os"
+             and any(alias.name in ENVIRONMENT for alias in node.names)]
+    assert reads == []

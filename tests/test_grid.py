@@ -759,7 +759,6 @@ class TestSemigroupKernel:
         assert all(size for _, size in kernel_calls)
 
     def test_auto_workers_follow_cpu_affinity(self, monkeypatch):
-        monkeypatch.delenv("SEMIDYN_THREADS", raising=False)
         monkeypatch.setattr(os, "cpu_count", lambda: 8)
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
         assert resolve_workers(0) == resolve_workers(None) == 1
