@@ -7,14 +7,15 @@ commutator table, 3 failed identity check, 4 word budget exceeded,
 word, 64 usage error (a malformed flag, expression, fixture name, window,
 word or --phi, a config file that is not a JSON object or has a key that
 is not a flag of the subcommand or a value that the flag rejects, a
-negative worker count, a word depth over 32, a window, escape radius, sample
-radius, abs_floor or threshold that is not finite, or transport without
---phi on a single generator).
+negative worker count, a grid under 2x2, a word depth over 32, a window,
+escape radius or threshold that is not finite, or transport without --phi
+on a single generator).
 
 A --config file is flags in JSON: each key is a flag's dest (max_iter for
---max-iter), at the top level or inside a "grid" or "plan" object, which
-only group them.  The subcommand's own parser reads the entries as those
-flags, and a flag given on the command line wins.
+--max-iter), at the top level or inside a top-level "grid" or "plan"
+object, which only groups them, and no dest may appear twice.  The
+subcommand's own parser reads the entries as those flags, and a flag given
+on the command line wins.
 """
 
 from __future__ import annotations
@@ -129,19 +130,19 @@ class Run:
 
     def _plan(self) -> SamplePlan:
         flags = vars(self.args)
-        keys = ("seed", "tolerance", "count", "radius", "abs_floor")
+        keys = ("seed", "tolerance")
         given = {key: flags[key] for key in keys if flags[key] is not None}
         return replace(self.fx.plan if self.fx else SamplePlan(), **given)
 
     def _grid(self) -> GridSpec:
         flags = vars(self.args)
         kwargs = {}
-        if self.args.window:
+        if self.args.window is not None:
             xmin, xmax, ymin, ymax = (float(t) for t in self.args.window.split(","))
             kwargs["center"] = complex((xmin + xmax) / 2, (ymin + ymax) / 2)
             kwargs["width"] = xmax - xmin
             kwargs["height"] = ymax - ymin
-        if self.args.cells:
+        if self.args.cells is not None:
             kwargs["cols"] = kwargs["rows"] = self.args.cells
         for key in ("max_iter", "escape_radius", "word_depth", "cols", "rows"):
             if flags.get(key) is not None:
@@ -280,22 +281,32 @@ def cmd_render(run: Run) -> int:
     else:
         grid = classify_semigroup(run.S, spec, workers=run.workers)
 
-    meta = run.meta({"grid": spec.to_json_dict(), "subject": grid.subject,
-                     "counts": grid.counts(), "workers": run.workers,
-                     "boundary_cells": int(escape_boundary(grid).sum())})
+    meta = run.meta(
+        {
+            "grid": spec.to_json_dict(),
+            "subject": grid.subject,
+            "counts": grid.counts(),
+            "boundary_cells": int(escape_boundary(grid).sum()),
+            "workers": run.workers,
+        },
+    )
     comment = f"config={meta['config_hash']} seed={plan.seed}"
     write_pgm(run.path("classification.pgm"), status_bytes(grid), comment)
     write_pgm(run.path("heatmap.pgm"), heatmap_bytes(grid), comment)
     _write_json(run.path("render_meta.json"), meta)
     if run.args.csv:
         write_csv(run.path("classification.csv"), grid)
-    print(f"rendered {spec.cols}x{spec.rows} {grid.subject}: "
-          + ", ".join(f"{k}={v}" for k, v in grid.counts().items()))
+    print(
+        f"rendered {spec.cols}x{spec.rows} {grid.subject}: "
+        + ", ".join(f"{k}={v}" for k, v in grid.counts().items())
+    )
     return EXIT_OK
 
 
 def cmd_transport(run: Run) -> int:
-    S, spec, workers, phi, threshold = run.S, run.spec, run.workers, run.phi, run.threshold
+    S, spec, workers = run.S, run.spec, run.workers
+    threshold = run.threshold
+    phi = run.phi
     if phi is None:
         if len(S) < 2:
             raise UsageError("phi defaults to the commutator of generators 1 and 2, "
@@ -361,8 +372,13 @@ def cmd_normal_form(run: Run) -> int:
         else:
             results.append(normal_form_to_json_dict(w, nf))
 
-    doc = run.meta({"presentation": presentation_to_json_dict(S), "normal_forms": results,
-                    "composition_order": "rightmost letter applied first"})
+    doc = run.meta(
+        {
+            "presentation": presentation_to_json_dict(S),
+            "normal_forms": results,
+            "composition_order": "rightmost letter applied first",
+        }
+    )
     _write_json(run.path("normal_forms.json"), doc)
     residuals = [r["residual"] for r in results if "error" not in r]
     failed = len(results) - len(residuals)
@@ -384,10 +400,6 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--seed", type=int, help="sample plan seed")
     common.add_argument("--out", help="output directory")
     common.add_argument("--tolerance", type=float, help="relative tolerance")
-    common.add_argument("--sample-count", dest="count", type=int, help="sample points")
-    common.add_argument("--sample-radius", dest="radius", type=float,
-                        help="radius of the sample disk")
-    common.add_argument("--abs-floor", type=float, help="absolute error floor")
     common.add_argument("--fixture", help="built-in fixture name")
     common.add_argument("--generators", nargs="+", help="inline prefix expressions")
 
@@ -400,7 +412,9 @@ def build_parser() -> argparse.ArgumentParser:
     grid.add_argument("--workers", type=int)
 
     parser = argparse.ArgumentParser(
-        prog="semidyn", description="semigroup dynamics of transcendental entire maps")
+        prog="semidyn",
+        description="semigroup dynamics of transcendental entire maps",
+    )
     sub = parser.add_subparsers(dest="command", required=True)
 
     def command(name, func, help, *parents):
@@ -417,11 +431,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--cols", type=int)
     p.add_argument("--csv", action="store_true", default=None)
 
-    p = command("transport", cmd_transport, "verify affine transport of I/J/F grids", grid)
+    p = command(
+        "transport", cmd_transport, "verify affine transport of I/J/F grids", grid
+    )
     p.add_argument("--phi", help="affine map as 'a;b' complex literals")
     p.add_argument("--threshold", type=float)
 
-    p = command("normal-form", cmd_normal_form, "rewrite words to prefix + sorted powers")
+    p = command(
+        "normal-form", cmd_normal_form, "rewrite words to prefix + sorted powers"
+    )
     p.add_argument("--word", dest="words", action="append",
                    help="comma-separated letters, repeatable")
     p.add_argument("--random", type=int, help="number of random words")
@@ -431,17 +449,21 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _config_argv(options: dict[str, argparse.Action], config: dict) -> list[str]:
-    """The flags a config object stands for, each option by its dest.  A
-    JSON value must be what the flag takes: true or false for a switch, a
-    string for text, a number for a number, and a list only for a flag
-    that takes several values."""
-    argv = []
+    """The flags a config object stands for, each option by its dest; a
+    top-level "grid" or "plan" object only groups them.  A JSON value must
+    be what the flag takes: true or false for a switch, a string for text,
+    a number for a number, and a list only for a flag that takes several
+    values."""
+    entries = []
     for key, value in config.items():
-        if key in ("grid", "plan") and isinstance(value, dict):
-            argv += _config_argv(options, value)
-            continue
+        grouped = key in ("grid", "plan") and isinstance(value, dict)
+        entries += value.items() if grouped else [(key, value)]
+    keys, argv = [key for key, _ in entries], []
+    for key, value in entries:
         if key not in options:
             raise UsageError(f"config key {key!r} is not a flag of this subcommand")
+        if keys.count(key) > 1:
+            raise UsageError(f"config key {key!r} is given twice")
         action = options[key]
         flag = action.option_strings[0]
         many = action.nargs == "+" or isinstance(action, argparse._AppendAction)
@@ -449,7 +471,8 @@ def _config_argv(options: dict[str, argparse.Action], config: dict) -> list[str]
         kinds = ((bool,) if action.nargs == 0 else (str,) if action.type is None
                  else (int, float))
         if not all(type(v) in kinds for v in values):
-            raise UsageError(f"config key {key!r}: {flag} cannot take {value!r}")
+            raise UsageError(f"config key {key!r}: {flag} cannot take "
+                             f"{json.dumps(value)}")
         texts = [v if type(v) is str else json.dumps(v) for v in values]
         if action.nargs == 0:
             argv += [flag] if value else []
@@ -484,12 +507,16 @@ def parse_args(argv: list[str]) -> argparse.Namespace:
 def _join_dash_values(argv: list[str]) -> list[str]:
     # argparse rejects values that start with '-' (e.g. --window -4,4,-4,4);
     # fold them into --flag=value form
-    out = []
-    for tok in argv:
-        if out and out[-1] in ("--window", "--phi") and tok.startswith("-"):
-            out[-1] += "=" + tok
+    out, i = [], 0
+    joinable = {"--window", "--phi"}
+    while i < len(argv):
+        tok = argv[i]
+        if tok in joinable and i + 1 < len(argv) and argv[i + 1].startswith("-"):
+            out.append(f"{tok}={argv[i + 1]}")
+            i += 2
         else:
             out.append(tok)
+            i += 1
     return out
 
 

@@ -396,6 +396,9 @@ class TestExitCodeContract:
         ({"map.json": {"map": "exp(z)"}},
          ["commutator", "--fixture", "example-2.1-cos", "--config", "{tmp}/map.json"],
          EXIT_USAGE),
+        # a zero cell count or an empty window once read as no flag at all
+        ({}, ["render", "--map", "cos(z)", "--cells", "0", "--max-iter", "3"], EXIT_USAGE),
+        ({}, ["render", "--map", "cos(z)", "--cells", "8", "--window", ""], EXIT_USAGE),
     ]
 
     @pytest.mark.parametrize("env,argv,code", CASES)
@@ -492,22 +495,6 @@ class TestConfigFile:
         grid = json.loads((tmp_path / "render_meta.json").read_text())["grid"]
         assert (grid["cols"], grid["rows"]) == (4, 8)
 
-    def test_plan_flags_are_config_keys(self, tmp_path):
-        # the sample plan's count, radius and abs_floor are flags, and a
-        # config sets them by their dests, grouped under "plan" or not
-        (tmp_path / "cfg.json").write_text(json.dumps(
-            {"count": 16, "plan": {"radius": 1.5, "abs_floor": 1e-10}}))
-        a, b = tmp_path / "a", tmp_path / "b"
-        assert run("commutator", "--fixture", "example-2.1-cos", "--sample-count", "16",
-                   "--sample-radius", "1.5", "--abs-floor", "1e-10",
-                   "--out", str(a)) == EXIT_OK
-        assert run("commutator", "--fixture", "example-2.1-cos",
-                   "--config", str(tmp_path / "cfg.json"), "--out", str(b)) == EXIT_OK
-        table = (a / "commutator_table.json").read_bytes()
-        assert table == (b / "commutator_table.json").read_bytes()
-        assert run("commutator", "--fixture", "example-2.1-cos", "--sample-count", "4",
-                   "--out", str(tmp_path / "c")) == EXIT_USAGE
-
     # before config entries were parsed as flags, the first four exited 0
     # or with a message naming neither the key nor the flag
     @pytest.mark.parametrize("config,named", [
@@ -517,6 +504,12 @@ class TestConfigFile:
         ({"map": "exp(z)"}, "'map'"),
         ({"seed": 1.5}, "--seed"),
         ({"generators": [1]}, "--generators"),
+        # each dest at most once, "grid" and "plan" groups only at the top
+        # level, null is no value, and the sample count is the fixture's
+        ({"seed": 3, "plan": {"seed": 4}}, "'seed'"),
+        ({"grid": {"plan": {"seed": 3}}}, "'plan'"),
+        ({"seed": None}, "--seed"),
+        ({"plan": {"count": 16}}, "'count'"),
     ])
     def test_rejected_config_names_the_key(self, tmp_path, capsys, config, named):
         (tmp_path / "cfg.json").write_text(json.dumps(config))
