@@ -152,10 +152,12 @@ class Run:
     def _words(self) -> list[Word]:
         words = [Word(tuple(int(t) for t in text.split(",")))
                  for text in self.args.words or []]
+        max_len = 6 if self.args.max_len is None else self.args.max_len
+        if not 1 <= max_len <= MAX_WORD_LENGTH:
+            raise UsageError(f"--max-len must be 1..{MAX_WORD_LENGTH}, got {max_len}")
+        if self.args.random is not None and self.args.random < 0:
+            raise UsageError(f"--random must be >= 0, got {self.args.random}")
         if self.args.random:
-            max_len = 6 if self.args.max_len is None else self.args.max_len
-            if not 1 <= max_len <= MAX_WORD_LENGTH:
-                raise UsageError(f"--max-len must be 1..{MAX_WORD_LENGTH}, got {max_len}")
             rng = np.random.default_rng(self.plan.seed)
             for _ in range(self.args.random):
                 length = int(rng.integers(1, max_len + 1))

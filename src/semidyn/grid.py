@@ -28,7 +28,7 @@ iterated as one map: a cell escapes if every word escapes it and is
 bounded if some word bounds it; a map is one generator at depth 1.  The
 grid is cut into 4 x workers row bands, run in this thread for one
 worker and on one thread pool otherwise, and each band runs the words
-over its rows, vectorised over the live cells only.  Three shortcuts keep
+over its rows, vectorised over the live cells only.  Four shortcuts keep
 every bit.  The first: a cell that some word has bounded ends up bounded
 whatever the other words do, so the words after it skip that cell.
 
@@ -66,6 +66,27 @@ bounds leaves every power, and a cell leaves the orbit when no power is
 still live on it.  On <h, -h> the band then evaluates h on one orbit.
 Per-cell results depend on nothing but the cell center, so the assembled
 grid is bitwise identical for any worker count.
+
+The fourth is the paper's transport by a commutator.  On <h, -h> with h
+even, the commutator is N(z) = -z and N S N^{-1} = S, so N(I(S)) = I(S),
+and the same holds for J(S) and F(S).  The finite test keeps this symmetry
+bit for bit when every generator passes is_exactly_even, every root word
+is mirrored, and the cell centres mirror: x[::-1] == -x and y[::-1] == -y
+on the two axes that cell_centers builds from, so the cell flipped in both
+axes from z0's holds -z0.  The step-0 test |z0| > R reads the same
+magnitude at both cells.  Every word's tree is even, so its step-1 value
+has the same bits at both, and from then on the two cells run one orbit
+against the same references and checkpoints.  Only the step-1 cycle test
+sees z0 itself, comparing z1 with z0 at one cell and with -z0 at the
+other; a mirrored root compares it with both at each, which is symmetric.
+So the bands cover rows [0, ceil(rows / 2)) and the other rows are that
+block flipped in both axes; an odd middle row is computed in full.  A
+centre on the imaginary axis has real part +0 at both cells, so there the
+flipped cell holds -z0 but for the sign of a zero; evaluation carries such
+a sign into zero parts only, and every test reads magnitudes.  A root that
+is not mirrored, as in classify_map, <h> alone or <-h> alone, settles z0
+at step 1 when z1 is near z0 and -z0 when z1 is near -z0, not both, so
+there every row is classified.
 
 Transport by an affine phi gives each target cell the source cell that
 holds phi^{-1} of its center, found by GridSpec.cell_index, the inverse
@@ -155,11 +176,17 @@ class GridSpec:
     def cell_centers(self, row0: int = 0, row1: int | None = None) -> np.ndarray:
         """Complex coordinates of cell centers for rows [row0, row1);
         row 0 is the top of the window (largest imaginary part)."""
+        x, y = self._axes(row0, row1)
+        return x[None, :] + 1j * y[:, None]
+
+    def _axes(self, row0: int = 0, row1: int | None = None) -> tuple[np.ndarray, np.ndarray]:
+        """The cell centers' real parts by column and imaginary parts by
+        row, for rows [row0, row1)."""
         row1 = self.rows if row1 is None else row1
         xmin, ymax, dx, dy = self._geometry()
         x = xmin + (np.arange(self.cols) + 0.5) * dx
         y = ymax - (np.arange(row0, row1) + 0.5) * dy
-        return x[None, :] + 1j * y[:, None]
+        return x, y
 
     def cell_index(self, z: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """The (row, col) of the cell containing each point of z, and
@@ -373,17 +400,29 @@ def _classify(gens, word_depth: int, spec: GridSpec, workers: int):
     """Combined status and escape_iter of every word of up to word_depth
     letters, over 4 x workers row bands: in this thread for one worker or
     fewer than two rows a worker, else on one pool of ``workers`` threads,
-    which run at once because numpy releases the GIL inside its loops."""
+    which run at once because numpy releases the GIL inside its loops.
+    When N(z) = -z maps the grid onto itself cell for cell (the fourth
+    shortcut of the module docstring), the bands cover the top
+    ceil(rows / 2) rows and the rest is that block flipped in both axes."""
     roots = [word for word in iterated_words(gens, word_depth).values() if word[2]]
+    x, y = spec._axes()
+    mirror = (all(map(is_exactly_even, gens)) and all(word[1] for word in roots)
+              and np.array_equal(x[::-1], -x) and np.array_equal(y[::-1], -y))
+    rows = -(-spec.rows // 2) if mirror else spec.rows
     workers = resolve_workers(workers)
-    bounds = np.unique(np.linspace(0, spec.rows, 4 * workers + 1).astype(int)).tolist()
+    bounds = np.unique(np.linspace(0, rows, 4 * workers + 1).astype(int)).tolist()
     band = partial(_classify_band, roots, spec)
-    if workers == 1 or spec.rows < 2 * workers:
+    if workers == 1 or rows < 2 * workers:
         parts = list(map(band, bounds[:-1], bounds[1:]))
     else:
         with ThreadPoolExecutor(workers) as pool:
             parts = list(pool.map(band, bounds[:-1], bounds[1:]))
-    return np.vstack([p[0] for p in parts]), np.vstack([p[1] for p in parts])
+    status, esc = map(np.vstack, zip(*parts))
+    if mirror:
+        # an odd middle row is its own mirror image, computed in full
+        n = spec.rows - rows
+        status, esc = (np.vstack([a, a[:n][::-1, ::-1]]) for a in (status, esc))
+    return status, esc
 
 
 def classify_map(f: Expr, spec: GridSpec, workers: int = 1) -> ClassificationGrid:

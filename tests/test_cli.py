@@ -399,6 +399,12 @@ class TestExitCodeContract:
         # a zero cell count or an empty window once read as no flag at all
         ({}, ["render", "--map", "cos(z)", "--cells", "0", "--max-iter", "3"], EXIT_USAGE),
         ({}, ["render", "--map", "cos(z)", "--cells", "8", "--window", ""], EXIT_USAGE),
+        # once checked only next to a non-zero --random, and a negative
+        # --random once drew no words
+        ({}, ["normal-form", "--fixture", "example-2.1-cos", "--word", "1",
+              "--max-len", "99"], EXIT_USAGE),
+        ({}, ["normal-form", "--fixture", "example-2.1-cos", "--word", "1",
+              "--random", "-2"], EXIT_USAGE),
     ]
 
     @pytest.mark.parametrize("env,argv,code", CASES)

@@ -334,16 +334,40 @@ KERNEL_ELEMENTS = 141076
 
 # elements h is evaluated on by classify_semigroup on example-2.1-exp at
 # 64 x 64, depths 1-3; 13528, 27552 and 41868 when h, h o h and h o h o h
-# each iterated their own tree
-H_ELEMENTS = [13528, 18120, 22176]
+# each iterated their own tree, and 13528, 18120 and 22176 when the kernel
+# classified every row, not the top half alone
+H_ELEMENTS = [6764, 9060, 11088]
 
 EXP_H = FIXTURES["example-2.1-exp"].presentation.generator(1)
 THREE = SemigroupPresentation((Cos(Z), Sin(Z), Negate(Cos(Z))), label="three")
 THREE_SPEC = GridSpec(center=0.5j, width=8.0, height=6.0, cols=40, rows=30,
                       max_iter=40, word_depth=2)
+
+
+def mirror_h(spec, cell):
+    """h = e^{z^2} + c, exactly even, with -h(z0) = z0 - 9e-7 at the centre
+    z0 of ``cell``, so that h(z0) = -z0 + 9e-7."""
+    z0 = spec.cell_centers()[cell]
+    return Sum((Exp(Power(Z, 2)), Const(-z0 - cmath.exp(z0**2) + 9e-7)))
+
+
+def mirrored_pair(spec, cell):
+    h = mirror_h(spec, cell)
+    return SemigroupPresentation((h, Negate(h)), label="mirrored")
+
+
 MIRROR_CELL = (16, 25)
-_MIRROR_Z0 = THREE_SPEC.cell_centers()[MIRROR_CELL]
-MIRROR_H = Sum((Exp(Power(Z, 2)), Const(-_MIRROR_Z0 - cmath.exp(_MIRROR_Z0**2) + 9e-7)))
+MIRROR_H = mirror_h(THREE_SPEC, MIRROR_CELL)
+# windows centred at 0 with cell size 1/8, whose cell centres N(z) = -z
+# maps onto cell centres bit for bit, with an even and an odd row count,
+# each with a cell for mirror_h that h alone and -h alone decide otherwise
+# than the cell at its negation
+MIRROR_WINDOWS = {
+    "even": (GridSpec(width=8.0, height=8.0, cols=64, rows=64, max_iter=40,
+                      escape_radius=3.0), (27, 38)),
+    "odd": (GridSpec(width=7.875, height=7.875, cols=63, rows=63, max_iter=40,
+                     escape_radius=3.0), (21, 38)),
+}
 KERNEL_CASES = {
     **{
         f"{name}-depth{d}": (fx.presentation,
@@ -417,6 +441,14 @@ KERNEL_CASES = {
             replace(THREE_SPEC, word_depth=d, escape_radius=3.0))
         for d in (1, 2, 3)
     },
+    # the same construction on a window that N(z) = -z maps onto itself:
+    # the kernel classifies the top half of the rows and flips it
+    **{
+        f"mirrored-window-{parity}-depth{d}": (mirrored_pair(spec, cell),
+                                               replace(spec, word_depth=d))
+        for parity, (spec, cell) in sorted(MIRROR_WINDOWS.items())
+        for d in (1, 2, 3)
+    },
 }
 
 
@@ -440,11 +472,12 @@ SMALL_MAPS = st.recursive(
     ),
     max_leaves=3,
 )
+# exactly even, so the kernel iterates one word per sign class
+EVEN_PAIRS = SMALL_MAPS.map(lambda f: compose(f, Power(Z, 2))).map(lambda g: [g, Negate(g)])
 RANDOM_GENERATORS = st.one_of(
     st.lists(SMALL_MAPS, min_size=1, max_size=3),
     SMALL_MAPS.map(lambda g: [g, Negate(g)]),
-    # exactly even, so the kernel iterates one word per sign class
-    SMALL_MAPS.map(lambda f: compose(f, Power(Z, 2))).map(lambda g: [g, Negate(g)]),
+    EVEN_PAIRS,
 )
 
 
@@ -458,12 +491,25 @@ def small_windows(center, width):
 
 
 @st.composite
-def mirrored_pairs(draw):
+def centred_windows(draw):
+    """Windows centred at 0 with a dyadic cell size and 5-11 columns and
+    rows of either parity, whose cell centres N(z) = -z maps onto cell
+    centres bit for bit, with every budget the kernel branches on small."""
+    size = 2.0 ** -draw(st.integers(0, 4))
+    cols, rows = draw(st.integers(5, 11)), draw(st.integers(5, 11))
+    return GridSpec(width=cols * size, height=rows * size, cols=cols, rows=rows,
+                    escape_radius=draw(st.floats(2.0, 8.0)),
+                    word_depth=draw(st.integers(1, 3)), max_iter=draw(st.integers(1, 6)))
+
+
+@st.composite
+def mirrored_pairs(draw, windows):
     """<h, -h> with h = e^{z^2} + c exactly even, built as MIRROR_H is, so
     that -h(z0) lies within 1e-6 of a drawn cell centre z0 and h(z0) near
     -z0: only the mirrored step-1 test settles that cell at step 1."""
-    spec = draw(small_windows(st.complex_numbers(max_magnitude=1.0), st.floats(0.5, 2.0)))
-    z0 = complex(spec.cell_centers()[draw(st.integers(0, 7)), draw(st.integers(0, 9))])
+    spec = draw(windows)
+    z0 = complex(spec.cell_centers()[draw(st.integers(0, spec.rows - 1)),
+                                     draw(st.integers(0, spec.cols - 1))])
     shift = complex(draw(st.floats(-6e-7, 6e-7)), draw(st.floats(-6e-7, 6e-7)))
     h = Sum((Exp(Power(Z, 2)), Const(-z0 - cmath.exp(z0**2) + shift)))
     return [h, Negate(h)], spec
@@ -477,6 +523,20 @@ def gaussian_bumps(draw):
     a, b = draw(st.floats(350.0, 700.0)), draw(st.floats(50.0, 200.0))
     h = Exp(Sum((Const(a), Product((Const(-b), Power(Z, 2))))))
     return [h], draw(small_windows(st.just(complex(math.sqrt(a / b))), st.just(0.05)))
+
+
+@st.composite
+def centred_cases(draw):
+    """Generators on a centred window: a random exactly even pair <g, -g>,
+    whose grid the kernel fills from its top half, or a pair from
+    mirrored_pairs, or one of its generators alone.  h alone settles -z0 at
+    step 1 and -h alone z0, and neither root is mirrored, so their grids
+    need not be symmetric and the kernel must classify every row."""
+    spec = draw(centred_windows())
+    if draw(st.booleans()):
+        return draw(EVEN_PAIRS), spec
+    pair, _ = draw(mirrored_pairs(st.just(spec)))
+    return draw(st.sampled_from([pair, pair[:1], pair[1:]])), spec
 
 
 class TestWordQuotient:
@@ -579,6 +639,8 @@ class TestSemigroupKernel:
             assert (esc == 0).any() and (esc > 0).any()
         if case.startswith("mirrored-step-one"):
             assert status[MIRROR_CELL] == STATUS_BOUNDED
+        if case.startswith("mirrored-window"):
+            assert (status == STATUS_ESCAPING).any() and (status != STATUS_ESCAPING).any()
         if case in ("powers-past-the-root-budget", "power-checkpoints"):
             # the powers of h decide cells otherwise than h alone
             assert (classify_map(S.generator(1), spec).status != status).any()
@@ -606,11 +668,76 @@ class TestSemigroupKernel:
         self.assert_matches_per_word_reference(gens, spec, workers)
 
     @settings(max_examples=60, deadline=None, derandomize=True)
-    @given(st.one_of(mirrored_pairs(), gaussian_bumps()), st.integers(1, 2))
+    @given(st.one_of(mirrored_pairs(small_windows(st.complex_numbers(max_magnitude=1.0),
+                                                   st.floats(0.5, 2.0))),
+                     gaussian_bumps()),
+           st.integers(1, 2))
     def test_constructed_generators_match_per_word_reference(self, case, workers):
         # the mirrored step-1 test and a bad bit inside a power's step,
         # which random generators on random windows almost never reach
         self.assert_matches_per_word_reference(*case, workers)
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(centred_cases(), st.integers(1, 2))
+    def test_centred_windows_match_per_word_reference(self, case, workers):
+        # the top-half rule fires on exactly even pairs and must not fire
+        # on roots that are not mirrored
+        self.assert_matches_per_word_reference(*case, workers)
+
+    @pytest.fixture
+    def band_rows(self, monkeypatch):
+        rows = []
+        real = grid._classify_band
+
+        def spy(roots, spec, row0, row1):
+            rows.extend(range(row0, row1))
+            return real(roots, spec, row0, row1)
+
+        monkeypatch.setattr(grid, "_classify_band", spy)
+        return rows
+
+    @pytest.mark.parametrize("case", [c for c in sorted(KERNEL_CASES)
+                                      if c.startswith("mirrored-window")])
+    def test_mirrored_window_classifies_the_top_half(self, band_rows, case):
+        S, spec = KERNEL_CASES[case]
+        for workers in (1, 2, 3, 4):
+            band_rows.clear()
+            classify_semigroup(S, spec, workers=workers)
+            assert sorted(band_rows) == list(range(-(-spec.rows // 2))), workers
+
+    @pytest.mark.parametrize("parity", sorted(MIRROR_WINDOWS))
+    @pytest.mark.parametrize("negated", [False, True])
+    def test_unmirrored_root_classifies_every_row(self, band_rows, parity, negated):
+        # h alone and -h alone are exactly even, but neither root stands for
+        # its negation: -h settles z0 at step 1 and h settles -z0, each not
+        # the other, so the grid is not its own double flip
+        spec, cell = MIRROR_WINDOWS[parity]
+        f = Negate(mirror_h(spec, cell)) if negated else mirror_h(spec, cell)
+        S, spec = SemigroupPresentation((f,), label="alone"), replace(spec, word_depth=1)
+        status, esc = per_word_reference(S, spec)
+        assert status[cell] != status[spec.rows - 1 - cell[0], spec.cols - 1 - cell[1]]
+        band_rows.clear()
+        for workers in (1, 2, 3, 4):
+            for g in (classify_semigroup(S, spec, workers=workers),
+                      classify_map(f, spec, workers=workers)):
+                assert np.array_equal(g.status, status), workers
+                assert np.array_equal(g.escape_iter, esc), workers
+        assert sorted(band_rows) == sorted(list(range(spec.rows)) * 8)
+
+    def test_unmirrored_window_classifies_every_row(self, band_rows):
+        # centred at 0, but with cell size 2/15 some centres are 1 ulp off
+        # the negation of their mirror image's
+        spec = replace(MIRROR_WINDOWS["even"][0], cols=60, rows=60)
+        x, y = spec._axes()
+        assert not np.array_equal(x[::-1], -x) and not np.array_equal(y[::-1], -y)
+        S = mirrored_pair(spec, (27, 38))
+        status, esc = per_word_reference(S, spec)
+        band_rows.clear()
+        for workers in (1, 2):
+            g = classify_semigroup(S, spec, workers=workers)
+            assert np.array_equal(g.status, status), workers
+            assert np.array_equal(g.escape_iter, esc), workers
+        assert sorted(band_rows) == sorted(list(range(spec.rows)) * 2)
 
     @pytest.fixture
     def executors(self, monkeypatch):
@@ -682,7 +809,8 @@ class TestSemigroupKernel:
     def test_siblings_evaluate_the_shared_subtree_once_at_step_one(self, monkeypatch):
         # example-2.1-exp is <h, -h> with h exactly even: at depth 1 the
         # quotient keeps h alone, mirrored for -h, and max_iter 1 leaves
-        # step 1 alone, so each band evaluates h once, not once per word
+        # step 1 alone, so each band evaluates h once, not once per word;
+        # the window mirrors, so the bands cover the top 16 rows
         fx = FIXTURES["example-2.1-exp"]
         h = fx.presentation.generator(1)
         calls = []
@@ -696,7 +824,7 @@ class TestSemigroupKernel:
         monkeypatch.setattr(Sum, "_eval", spy)
         spec = replace(fx.window, cols=32, rows=32, max_iter=1, word_depth=1)
         classify_semigroup(fx.presentation, spec, workers=1)
-        assert calls == [8 * 32] * 4  # 4 bands of 8 rows
+        assert calls == [4 * 32] * 4  # 4 bands of 4 rows
 
     def test_powers_ride_their_roots_orbit(self, monkeypatch):
         # example-2.1-exp iterates h, h o h and h o h o h at depths 1-3, and
