@@ -384,6 +384,36 @@ def is_exactly_even(expr: Expr) -> bool:
     return all(is_exactly_even(c) for c in children(expr))
 
 
+def is_exactly_real(expr: Expr) -> bool:
+    """Structural proof that eval_array(expr, conj(z)) is the conjugate of
+    eval_array(expr, z), values and bad mask both, for every array z, but
+    for the sign of zero components.
+
+    The proof accepts a tree when every Const value and every AffineExpr
+    coefficient has imaginary part exactly 0.  Round-to-nearest is
+    symmetric under sign flips, and conjugation flips the sign of every
+    imaginary part, so +, - and x of conjugates give the conjugate's bits:
+    the real part of a product takes the same products, its imaginary
+    part their negations.  So do sums, products, powers, Negate,
+    _capped's hypot, which reads magnitudes, and the guards' masks
+    u.real > 345 and |u.imag| > 345.  numpy's complex exp, cos and sin
+    call the C library, and C11 Annex G.6 states cexp(conj z) =
+    conj(cexp z) and the same for ccosh and csinh, through which it
+    defines ccos and csin.  A Compose sees its inner child's bits.
+
+    Where a real constant meets a zero imaginary part, the two results
+    may differ in the sign of that zero.  Every later operation keeps
+    such a difference inside zero components, and magnitudes do not see
+    it, so the grid kernel's tests give the conjugate cell the same
+    status and escape step.
+    """
+    if isinstance(expr, Const):
+        return complex(expr.value).imag == 0
+    if isinstance(expr, AffineExpr):
+        return complex(expr.a).imag == 0 and complex(expr.b).imag == 0
+    return all(is_exactly_real(c) for c in children(expr))
+
+
 # ---------------------------------------------------------------------------
 # composition
 

@@ -28,7 +28,7 @@ iterated as one map: a cell escapes if every word escapes it and is
 bounded if some word bounds it; a map is one generator at depth 1.  The
 grid is cut into 4 x workers row bands, run in this thread for one
 worker and on one thread pool otherwise, and each band runs the words
-over its rows, vectorised over the live cells only.  Four shortcuts keep
+over its rows, vectorised over the live cells only.  Five shortcuts keep
 every bit.  The first: a cell that some word has bounded ends up bounded
 whatever the other words do, so the words after it skip that cell.
 
@@ -86,7 +86,25 @@ flipped cell holds -z0 but for the sign of a zero; evaluation carries such
 a sign into zero parts only, and every test reads magnitudes.  A root that
 is not mirrored, as in classify_map, <h> alone or <-h> alone, settles z0
 at step 1 when z1 is near z0 and -z0 when z1 is near -z0, not both, so
-there every row is classified.
+there N fills in no cell.
+
+The fifth is the reflection C(z) = conj(z), an isometry though not
+holomorphic.  When every generator has real coefficients, C f C = f, so
+C S C = S and the escaping, Julia and Fatou sets are symmetric about the
+real axis (Poon 1998, Bull. Austral. Math. Soc. 58).  The finite test
+keeps this symmetry when every generator passes is_exactly_real, which
+proves that each word gives the conjugate's bits at conj(z0) but for the
+sign of zero components, and y[::-1] == -y, so that the cell flipped in
+rows from z0's holds conj(z0).  Every test reads a magnitude: |z0|, |z|,
+|z - ref| and, for a mirrored root, |z + z0|, all of which conjugation
+keeps.  So the bands cover rows [0, ceil(rows / 2)) and the other rows are
+that block flipped in rows.  This needs no mirrored root, so it holds for
+classify_map of a real map too.  When N applies as well, N C(z) = -conj(z)
+flips the columns, and the bands cover the quarter of the grid in rows
+[0, ceil(rows / 2)) and columns [0, ceil(cols / 2)): that block beside
+its column flip gives the top rows, and those flipped in rows give the
+rest.  An odd middle row or column is its own image and is computed in
+full.
 
 Transport by an affine phi gives each target cell the source cell that
 holds phi^{-1} of its center, found by GridSpec.cell_index, the inverse
@@ -120,6 +138,7 @@ from .expr import (
     format_expr,
     is_class_b,
     is_exactly_even,
+    is_exactly_real,
 )
 from .words import MAX_WORD_LENGTH
 
@@ -246,12 +265,12 @@ class ClassificationGrid:
 # kernel
 
 
-def _classify_band(roots, spec: GridSpec, row0: int, row1: int):
-    """Status and escape_iter over rows [row0, row1) from the root words of
-    iterated_words, as (tree, mirrored, powers) triples.  Each root's map
-    is iterated once over the cells that no word has bounded, and each
-    power m in ``powers`` is tested at the orbit indices j = m * k as the
-    word r^m's step k, k = 1 .. max_iter.  Every power holds the same
+def _classify_band(roots, spec: GridSpec, cols: int, row0: int, row1: int):
+    """Status and escape_iter over rows [row0, row1) and columns [0, cols)
+    from the root words of iterated_words, as (tree, mirrored, powers)
+    triples.  Each root's map is iterated once over the cells that no word
+    has bounded, and each power m in ``powers`` is tested at the orbit
+    indices j = m * k as the word r^m's step k, k = 1 .. max_iter.  Every power holds the same
     state from its first test on: its reference, its live cells and its
     next checkpoint.  At an index j inside r^m's step k = ceil(j / m), a
     bad bit ends the power on its cell at step k; at j = m * k the power
@@ -260,7 +279,7 @@ def _classify_band(roots, spec: GridSpec, row0: int, row1: int):
     on the orbit while some power is live on it and none has bounded it.
     One status array records each cell as it is decided, bounded after
     any undecided, since a bounded cell leaves every later orbit."""
-    z0 = spec.cell_centers(row0, row1).ravel()
+    z0 = spec.cell_centers(row0, row1)[:, :cols].ravel()
     immediate = np.abs(z0) > spec.escape_radius
     esc = np.where(immediate, 0, -1).astype(np.int32)  # latest escape so far
     status = np.full(z0.size, STATUS_ESCAPING, dtype=np.uint8)
@@ -312,7 +331,7 @@ def _classify_band(roots, spec: GridSpec, row0: int, row1: int):
                     st[0], st[1] = st[0].take(rest), st[1].take(rest)
 
     esc[status != STATUS_ESCAPING] = -1
-    return status.reshape(-1, spec.cols), esc.reshape(-1, spec.cols)
+    return status.reshape(-1, cols), esc.reshape(-1, cols)
 
 
 def resolve_workers(workers: int | None = None) -> int:
@@ -401,27 +420,34 @@ def _classify(gens, word_depth: int, spec: GridSpec, workers: int):
     letters, over 4 x workers row bands: in this thread for one worker or
     fewer than two rows a worker, else on one pool of ``workers`` threads,
     which run at once because numpy releases the GIL inside its loops.
-    When N(z) = -z maps the grid onto itself cell for cell (the fourth
-    shortcut of the module docstring), the bands cover the top
-    ceil(rows / 2) rows and the rest is that block flipped in both axes."""
+    When N(z) = -z or C(z) = conj(z) maps the grid onto itself cell for
+    cell (the fourth and fifth shortcuts of the module docstring), the
+    bands cover the top ceil(rows / 2) rows, and when both do, the left
+    ceil(cols / 2) columns of those; the rest is filled by flipping."""
     roots = [word for word in iterated_words(gens, word_depth).values() if word[2]]
     x, y = spec._axes()
+    y_mirrors = np.array_equal(y[::-1], -y)
     mirror = (all(map(is_exactly_even, gens)) and all(word[1] for word in roots)
-              and np.array_equal(x[::-1], -x) and np.array_equal(y[::-1], -y))
-    rows = -(-spec.rows // 2) if mirror else spec.rows
+              and np.array_equal(x[::-1], -x) and y_mirrors)
+    real = all(map(is_exactly_real, gens)) and y_mirrors
+    rows = -(-spec.rows // 2) if mirror or real else spec.rows
+    cols = -(-spec.cols // 2) if mirror and real else spec.cols
     workers = resolve_workers(workers)
     bounds = np.unique(np.linspace(0, rows, 4 * workers + 1).astype(int)).tolist()
-    band = partial(_classify_band, roots, spec)
+    band = partial(_classify_band, roots, spec, cols)
     if workers == 1 or rows < 2 * workers:
         parts = list(map(band, bounds[:-1], bounds[1:]))
     else:
         with ThreadPoolExecutor(workers) as pool:
             parts = list(pool.map(band, bounds[:-1], bounds[1:]))
     status, esc = map(np.vstack, zip(*parts))
-    if mirror:
-        # an odd middle row is its own mirror image, computed in full
-        n = spec.rows - rows
-        status, esc = (np.vstack([a, a[:n][::-1, ::-1]]) for a in (status, esc))
+    # an odd middle row or column is its own mirror image, computed in full
+    n, m = spec.rows - rows, spec.cols - cols
+    if m:  # z -> -conj(z) flips the columns
+        status, esc = (np.hstack([a, a[:, :m][:, ::-1]]) for a in (status, esc))
+    if n:  # conj flips the rows alone, -z both axes
+        flip = np.s_[::-1] if real else np.s_[::-1, ::-1]
+        status, esc = (np.vstack([a, a[:n][flip]]) for a in (status, esc))
     return status, esc
 
 

@@ -36,11 +36,14 @@ from semidyn.expr import (
     eval_at,
     format_complex,
     format_expr,
+    is_exactly_real,
     is_transcendental,
     numerically_equal,
     parse_complex,
     parse_expr,
 )
+from semidyn.commutator import conjugate_semigroup
+from semidyn.fixtures import FIXTURES
 
 Z = Identity()
 F_EXP_SQ = Sum((Exp(Power(Z, 2)), Const(0.2)))
@@ -437,6 +440,67 @@ class TestTranscendentalFlag:
     def test_negative(self):
         assert not is_transcendental(Power(Z, 5))
         assert not is_transcendental(AffineExpr(2, 3))
+
+
+NEGATION = AffineMap(-1, 0)
+FIXTURE_GENERATORS = [g for fx in FIXTURES.values() for g in fx.presentation.generators]
+
+
+def conjugation_points():
+    """The cell centres of the fixtures' 512 x 512 window, 10^6 Gaussian
+    points at each of the scales 0.5, 3, 30 and 200 (exp, cos and sin
+    overflow at the larger ones), and arrays of every length from 1 to 17,
+    which take the SIMD loops' remainder paths."""
+    rng = np.random.default_rng(25)
+    yield FIXTURES["example-2.1-exp"].window.cell_centers().ravel()
+    for scale in (0.5, 3.0, 30.0, 200.0):
+        yield (rng.standard_normal(10**6) + 1j * rng.standard_normal(10**6)) * scale
+    for n in range(1, 18):
+        yield (rng.standard_normal(n) + 1j * rng.standard_normal(n)) * 3.0
+
+
+class TestExactlyReal:
+    """is_exactly_real proves that a tree commutes with conjugation, so that
+    the grid kernel may fill the rows of a grid by their mirror images."""
+
+    ACCEPTED = FIXTURE_GENERATORS + [
+        g for fx in FIXTURES.values()
+        for g in conjugate_semigroup(fx.presentation, NEGATION).generators
+    ] + [Z, Const(-2.5), AffineExpr(0.5, -1), Cos(Product((Const(0.3), Sin(Z)))),
+         Compose(Exp(Z), AffineExpr(2, 0.25))]
+    REJECTED = [Const(3 + 1j), AffineExpr(1j, 0), AffineExpr(1, 0.5j),
+                AffineExpr(2 - 1e-300j, 0), Sum((Exp(Z), Const(1j))),
+                Compose(Cos(Z), AffineExpr(1, 1j)), Const(complex(0, math.nan))]
+
+    @pytest.mark.parametrize("e", ACCEPTED, ids=format_expr)
+    def test_accepted_trees_commute_with_conjugation(self, e):
+        # equal values but for the sign of zero components, and equal masks
+        assert is_exactly_real(e)
+        rng = np.random.default_rng(0)
+        z = np.concatenate([
+            (rng.standard_normal(4000) + 1j * rng.standard_normal(4000)) * scale
+            for scale in (0.5, 3.0, 20.0, 400.0, 1e80)
+        ])
+        (v, bad), (vc, badc) = eval_array(e, z), eval_array(e, np.conj(z))
+        assert np.array_equal(bad, badc)
+        assert np.array_equal(vc[~bad], np.conj(v[~bad]))
+
+    @pytest.mark.parametrize("e", REJECTED, ids=format_expr)
+    def test_non_real_coefficients_rejected(self, e):
+        assert not is_exactly_real(e)
+
+    @pytest.mark.parametrize("fn", [np.exp, np.cos, np.sin], ids=lambda fn: fn.__name__)
+    def test_numpy_commutes_with_conjugation_bit_for_bit(self, fn):
+        # the premise of is_exactly_real for the library calls, in the
+        # in-place form that Exp, Cos and Sin use: a numpy or libm build
+        # without it fails here rather than changing grids silently
+        with np.errstate(over="ignore", invalid="ignore"):
+            for u in conjugation_points():
+                a = np.conj(u)
+                fn(a, out=a)
+                b = u.copy()
+                fn(b, out=b)
+                assert a.tobytes() == np.conj(b).tobytes(), u.size
 
 
 # text from the notation's own vocabulary: node names, punctuation, z, an

@@ -16,7 +16,6 @@ from semidyn.commutator import SemigroupPresentation, build_commutator_table
 from semidyn.expr import (
     AffineExpr,
     AffineMap,
-    Compose,
     Cos,
     Exp,
     Identity,
@@ -307,19 +306,20 @@ class TestClassifySemigroup:
 
 
 def per_word_reference(S, spec):
-    """classify_semigroup as a loop over the words: classify_map of each
-    word's composed tree, combined by AND (escaping), OR (bounded) and max
-    (escape_iter).  Each tree runs after an explicit identity, so that no
-    word, not even a negated generator alone, is evaluated as a sign class."""
+    """classify_semigroup as a loop over the words: one band over the whole
+    window for each word's composed tree, as an unmirrored root with no
+    powers, combined by AND (escaping), OR (bounded) and max (escape_iter).
+    No word is evaluated as a sign class or on another's orbit, and no cell
+    is filled in by a symmetry of the grid."""
     grids = []
     for w in enumerate_words(len(S), spec.word_depth):
         expr = S.generator(w[-1])
         for i in reversed(w[:-1]):
             expr = compose(S.generator(i), expr)
-        grids.append(classify_map(Compose(expr, Z), spec))
-    escaping_all = np.logical_and.reduce([g.status == STATUS_ESCAPING for g in grids])
-    bounded_any = np.logical_or.reduce([g.status == STATUS_BOUNDED for g in grids])
-    esc_iter = np.maximum.reduce([g.escape_iter for g in grids])
+        grids.append(grid._classify_band([(expr, False, (1,))], spec, spec.cols, 0, spec.rows))
+    escaping_all = np.logical_and.reduce([status == STATUS_ESCAPING for status, _ in grids])
+    bounded_any = np.logical_or.reduce([status == STATUS_BOUNDED for status, _ in grids])
+    esc_iter = np.maximum.reduce([esc for _, esc in grids])
     status = np.zeros((spec.rows, spec.cols), dtype=np.uint8)
     status[bounded_any] = STATUS_BOUNDED
     status[escaping_all] = STATUS_ESCAPING
@@ -329,14 +329,16 @@ def per_word_reference(S, spec):
 # eval_array elements of classify_semigroup on example-2.1-cos at 64 x 64;
 # 145964 when each sibling word evaluated its own generator at step 1,
 # 140060 when each power word iterated its own tree, and 135172 when
-# sibling words took their step-1 values from a shared suffix
-KERNEL_ELEMENTS = 141076
+# sibling words took their step-1 values from a shared suffix, and 141076
+# before the kernel classified the top half of the rows of a real map alone
+KERNEL_ELEMENTS = 70538
 
 # elements h is evaluated on by classify_semigroup on example-2.1-exp at
 # 64 x 64, depths 1-3; 13528, 27552 and 41868 when h, h o h and h o h o h
-# each iterated their own tree, and 13528, 18120 and 22176 when the kernel
-# classified every row, not the top half alone
-H_ELEMENTS = [6764, 9060, 11088]
+# each iterated their own tree, 13528, 18120 and 22176 when the kernel
+# classified every row, not the top half alone, and 6764, 9060 and 11088
+# before it classified the left half of the top half alone
+H_ELEMENTS = [3382, 4530, 5544]
 
 EXP_H = FIXTURES["example-2.1-exp"].presentation.generator(1)
 THREE = SemigroupPresentation((Cos(Z), Sin(Z), Negate(Cos(Z))), label="three")
@@ -368,6 +370,39 @@ MIRROR_WINDOWS = {
     "odd": (GridSpec(width=7.875, height=7.875, cols=63, rows=63, max_iter=40,
                      escape_radius=3.0), (21, 38)),
 }
+# 0.3 e^{z^2} is real and exactly even, and 0.3 e^z real but not even;
+# each has an attracting fixed point near 0.35, so that on these windows
+# bounded cells lie next to escaping ones
+REAL_H = Product((Const(0.3), Exp(Power(Z, 2))))
+REAL_PAIR = SemigroupPresentation((REAL_H, Negate(REAL_H)), label="real-pair")
+REAL_ROOT = SemigroupPresentation((Product((Const(0.3), Exp(Z))),), label="real-root")
+
+
+def window(rows, cols, center=0j, word_depth=2):
+    """A window of cell size 1/8 at ``center``: its cell centres mirror in
+    both axes bit for bit when the centre is 0, and in rows alone when it is
+    elsewhere on the real axis."""
+    return GridSpec(center=center, width=cols / 8, height=rows / 8, cols=cols, rows=rows,
+                    max_iter=40, escape_radius=3.0, word_depth=word_depth)
+
+
+def half(n):
+    return -(-n // 2)
+
+
+# the block of rows [0, r) and columns [0, c) that the kernel classifies on
+# the cases where a symmetry fills in the rest of the grid: C(z) = conj(z)
+# alone flips the rows of real generators on a window centred on the real
+# axis, N(z) = -z alone flips both axes of <h, -h> with h exactly even on a
+# window centred at 0, and both together leave a quarter
+SYMMETRY_BLOCKS = {
+    **{f"mirrored-window-{parity}-depth{d}": (half(spec.rows), spec.cols)
+       for parity, (spec, _) in MIRROR_WINDOWS.items() for d in (1, 2, 3)},
+    **{f"real-root-{r}x64": (half(r), 64) for r in (63, 64)},
+    **{f"real-pair-off-centre-{r}x64": (half(r), 64) for r in (63, 64)},
+    **{f"real-pair-{r}x{c}": (half(r), half(c)) for r in (63, 64) for c in (63, 64)},
+}
+
 KERNEL_CASES = {
     **{
         f"{name}-depth{d}": (fx.presentation,
@@ -449,6 +484,15 @@ KERNEL_CASES = {
         for parity, (spec, cell) in sorted(MIRROR_WINDOWS.items())
         for d in (1, 2, 3)
     },
+    # a real map alone on windows centred at 0.75 on the real axis, with
+    # an odd and an even row count: C fixes the grid, N does not
+    **{f"real-root-{r}x64": (REAL_ROOT, window(r, 64, 0.75, word_depth=1)) for r in (63, 64)},
+    # a real, exactly even pair off the imaginary axis: C fixes the grid,
+    # N(z) = -z maps the window elsewhere
+    **{f"real-pair-off-centre-{r}x64": (REAL_PAIR, window(r, 64, 0.75)) for r in (63, 64)},
+    # the same pair centred at 0, with odd and even rows and columns: C and
+    # N both fix the grid, which the kernel assembles from a quarter
+    **{f"real-pair-{r}x{c}": (REAL_PAIR, window(r, c)) for r in (63, 64) for c in (63, 64)},
 }
 
 
@@ -457,28 +501,43 @@ def trie_order(words):
 
 
 COEFFS = st.sampled_from([0.1, 0.5, -0.4 + 0.3j, 1.0, 2.0, 1j, 3.0])
-# maps of a few nodes, under which some cells of a small window escape,
-# overflow, settle on a cycle or stay undecided within a few steps
-SMALL_MAPS = st.recursive(
-    st.one_of(st.sampled_from([Z, Power(Z, 2)]), st.builds(AffineExpr, COEFFS, COEFFS)),
-    lambda inner: st.one_of(
-        st.builds(Exp, inner),
-        st.builds(Cos, inner),
-        st.builds(Sin, inner),
-        st.builds(Power, inner, st.just(2)),
-        st.builds(lambda a, t: Product((Const(a), t)), COEFFS, inner),
-        st.builds(lambda t, b: Sum((t, Const(b))), inner, COEFFS),
-        st.builds(compose, inner, inner),
-    ),
-    max_leaves=3,
-)
-# exactly even, so the kernel iterates one word per sign class
-EVEN_PAIRS = SMALL_MAPS.map(lambda f: compose(f, Power(Z, 2))).map(lambda g: [g, Negate(g)])
-RANDOM_GENERATORS = st.one_of(
-    st.lists(SMALL_MAPS, min_size=1, max_size=3),
-    SMALL_MAPS.map(lambda g: [g, Negate(g)]),
-    EVEN_PAIRS,
-)
+REAL_COEFFS = st.sampled_from([0.1, 0.5, -0.4, 1.0, 2.0, -1.0, 3.0])
+
+
+def small_maps(coeffs):
+    """Maps of a few nodes with coefficients from ``coeffs``, under which
+    some cells of a small window escape, overflow, settle on a cycle or stay
+    undecided within a few steps."""
+    return st.recursive(
+        st.one_of(st.sampled_from([Z, Power(Z, 2)]), st.builds(AffineExpr, coeffs, coeffs)),
+        lambda inner: st.one_of(
+            st.builds(Exp, inner),
+            st.builds(Cos, inner),
+            st.builds(Sin, inner),
+            st.builds(Power, inner, st.just(2)),
+            st.builds(lambda a, t: Product((Const(a), t)), coeffs, inner),
+            st.builds(lambda t, b: Sum((t, Const(b))), inner, coeffs),
+            st.builds(compose, inner, inner),
+        ),
+        max_leaves=3,
+    )
+
+
+def even_pairs(maps):
+    """<g, -g> with g = f(z^2) exactly even, so that the kernel iterates one
+    word per sign class."""
+    return maps.map(lambda f: compose(f, Power(Z, 2))).map(lambda g: [g, Negate(g)])
+
+
+def generator_sets(maps):
+    """Free generators, sign pairs and exactly even pairs."""
+    return st.one_of(st.lists(maps, min_size=1, max_size=3),
+                     maps.map(lambda g: [g, Negate(g)]), even_pairs(maps))
+
+
+SMALL_MAPS = small_maps(COEFFS)
+EVEN_PAIRS = even_pairs(SMALL_MAPS)
+RANDOM_GENERATORS = generator_sets(SMALL_MAPS)
 
 
 def small_windows(center, width):
@@ -500,6 +559,15 @@ def centred_windows(draw):
     return GridSpec(width=cols * size, height=rows * size, cols=cols, rows=rows,
                     escape_radius=draw(st.floats(2.0, 8.0)),
                     word_depth=draw(st.integers(1, 3)), max_iter=draw(st.integers(1, 6)))
+
+
+@st.composite
+def real_axis_windows(draw):
+    """centred_windows moved along the real axis by a whole number of cells,
+    0 included: C(z) = conj(z) maps the centres of their rows onto each
+    other bit for bit, and N(z) = -z maps their cells onto cells at 0 alone."""
+    spec = draw(centred_windows())
+    return replace(spec, center=draw(st.integers(-4, 4)) * spec.width / spec.cols)
 
 
 @st.composite
@@ -528,10 +596,11 @@ def gaussian_bumps(draw):
 @st.composite
 def centred_cases(draw):
     """Generators on a centred window: a random exactly even pair <g, -g>,
-    whose grid the kernel fills from its top half, or a pair from
-    mirrored_pairs, or one of its generators alone.  h alone settles -z0 at
-    step 1 and -h alone z0, and neither root is mirrored, so their grids
-    need not be symmetric and the kernel must classify every row."""
+    whose grid the kernel fills from its top half, or from a quarter when g
+    has real coefficients, or a pair from mirrored_pairs, or one of its
+    generators alone.  h alone settles -z0 at step 1 and -h alone z0, and
+    neither root is mirrored, so their grids need not be symmetric and the
+    kernel must classify every row."""
     spec = draw(centred_windows())
     if draw(st.booleans()):
         return draw(EVEN_PAIRS), spec
@@ -639,8 +708,8 @@ class TestSemigroupKernel:
             assert (esc == 0).any() and (esc > 0).any()
         if case.startswith("mirrored-step-one"):
             assert status[MIRROR_CELL] == STATUS_BOUNDED
-        if case.startswith("mirrored-window"):
-            assert (status == STATUS_ESCAPING).any() and (status != STATUS_ESCAPING).any()
+        if case in SYMMETRY_BLOCKS:
+            assert (status == STATUS_ESCAPING).any() and (status == STATUS_BOUNDED).any()
         if case in ("powers-past-the-root-budget", "power-checkpoints"):
             # the powers of h decide cells otherwise than h alone
             assert (classify_map(S.generator(1), spec).status != status).any()
@@ -684,26 +753,59 @@ class TestSemigroupKernel:
         # on roots that are not mirrored
         self.assert_matches_per_word_reference(*case, workers)
 
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(generator_sets(small_maps(REAL_COEFFS)), real_axis_windows(), st.integers(1, 2))
+    def test_real_generators_match_per_word_reference(self, gens, spec, workers):
+        # the row flip fires on every example, and the quarter on exactly
+        # even pairs on windows centred at 0
+        self.assert_matches_per_word_reference(gens, spec, workers)
+
     @pytest.fixture
     def band_rows(self, monkeypatch):
+        # (row, number of columns) for each row a band classifies
         rows = []
         real = grid._classify_band
 
-        def spy(roots, spec, row0, row1):
-            rows.extend(range(row0, row1))
-            return real(roots, spec, row0, row1)
+        def spy(roots, spec, cols, row0, row1):
+            rows.extend((row, cols) for row in range(row0, row1))
+            return real(roots, spec, cols, row0, row1)
 
         monkeypatch.setattr(grid, "_classify_band", spy)
         return rows
 
-    @pytest.mark.parametrize("case", [c for c in sorted(KERNEL_CASES)
-                                      if c.startswith("mirrored-window")])
-    def test_mirrored_window_classifies_the_top_half(self, band_rows, case):
+    def assert_classifies_its_block(self, band_rows, case):
         S, spec = KERNEL_CASES[case]
+        rows, cols = SYMMETRY_BLOCKS[case]
         for workers in (1, 2, 3, 4):
             band_rows.clear()
             classify_semigroup(S, spec, workers=workers)
-            assert sorted(band_rows) == list(range(-(-spec.rows // 2))), workers
+            assert sorted(band_rows) == [(row, cols) for row in range(rows)], workers
+
+    @pytest.mark.parametrize("case", [c for c in sorted(SYMMETRY_BLOCKS)
+                                      if c.startswith("mirrored-window")])
+    def test_mirrored_window_classifies_the_top_half(self, band_rows, case):
+        # the constants are not real, so N alone fires, on every column
+        self.assert_classifies_its_block(band_rows, case)
+
+    @pytest.mark.parametrize("case", [c for c in sorted(SYMMETRY_BLOCKS)
+                                      if c.startswith("real-")])
+    def test_real_generators_classify_their_block(self, band_rows, case):
+        self.assert_classifies_its_block(band_rows, case)
+
+    @pytest.mark.parametrize("rows", [63, 64])
+    def test_non_real_map_classifies_every_row(self, band_rows, rows):
+        # 0.3i + 0.3 e^z has a non-real coefficient, and its grid is not its
+        # own row flip, on a window whose centres mirror in both axes
+        f = Sum((Product((Const(0.3), Exp(Z))), Const(0.3j)))
+        S, spec = SemigroupPresentation((f,), label="non-real"), window(rows, 64, word_depth=1)
+        status, esc = per_word_reference(S, spec)
+        assert not np.array_equal(status, status[::-1])
+        for workers in (1, 2, 3, 4):
+            band_rows.clear()
+            g = classify_map(f, spec, workers=workers)
+            assert np.array_equal(g.status, status), workers
+            assert np.array_equal(g.escape_iter, esc), workers
+            assert sorted(band_rows) == [(row, spec.cols) for row in range(rows)], workers
 
     @pytest.mark.parametrize("parity", sorted(MIRROR_WINDOWS))
     @pytest.mark.parametrize("negated", [False, True])
@@ -722,7 +824,7 @@ class TestSemigroupKernel:
                       classify_map(f, spec, workers=workers)):
                 assert np.array_equal(g.status, status), workers
                 assert np.array_equal(g.escape_iter, esc), workers
-        assert sorted(band_rows) == sorted(list(range(spec.rows)) * 8)
+        assert sorted(band_rows) == sorted([(row, spec.cols) for row in range(spec.rows)] * 8)
 
     def test_unmirrored_window_classifies_every_row(self, band_rows):
         # centred at 0, but with cell size 2/15 some centres are 1 ulp off
@@ -737,7 +839,7 @@ class TestSemigroupKernel:
             g = classify_semigroup(S, spec, workers=workers)
             assert np.array_equal(g.status, status), workers
             assert np.array_equal(g.escape_iter, esc), workers
-        assert sorted(band_rows) == sorted(list(range(spec.rows)) * 2)
+        assert sorted(band_rows) == sorted([(row, spec.cols) for row in range(spec.rows)] * 2)
 
     @pytest.fixture
     def executors(self, monkeypatch):
@@ -810,7 +912,8 @@ class TestSemigroupKernel:
         # example-2.1-exp is <h, -h> with h exactly even: at depth 1 the
         # quotient keeps h alone, mirrored for -h, and max_iter 1 leaves
         # step 1 alone, so each band evaluates h once, not once per word;
-        # the window mirrors, so the bands cover the top 16 rows
+        # the window mirrors and h is real, so the bands cover the top 16
+        # rows and the left 16 columns
         fx = FIXTURES["example-2.1-exp"]
         h = fx.presentation.generator(1)
         calls = []
@@ -824,7 +927,7 @@ class TestSemigroupKernel:
         monkeypatch.setattr(Sum, "_eval", spy)
         spec = replace(fx.window, cols=32, rows=32, max_iter=1, word_depth=1)
         classify_semigroup(fx.presentation, spec, workers=1)
-        assert calls == [4 * 32] * 4  # 4 bands of 4 rows
+        assert calls == [4 * 16] * 4  # 4 bands of 4 rows of 16 columns
 
     def test_powers_ride_their_roots_orbit(self, monkeypatch):
         # example-2.1-exp iterates h, h o h and h o h o h at depths 1-3, and
