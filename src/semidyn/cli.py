@@ -7,9 +7,9 @@ commutator table, 3 failed identity check, 4 word budget exceeded,
 word, 64 usage error (a malformed flag, expression, fixture name, window,
 word or --phi, a config file that is not a JSON object or has a key that
 is not a flag of the subcommand or a value that the flag rejects, a
-negative worker count, a grid under 2x2, a word depth over 32, a window,
-escape radius or threshold that is not finite, or transport without --phi
-on a single generator).
+negative worker count, a grid under 2x2 or over grid.CELL_BUDGET cells, a
+word depth over 32, a window, escape radius or threshold that is not
+finite, or transport without --phi on a single generator).
 
 A --config file is flags in JSON: each key is a flag's dest (max_iter for
 --max-iter), at the top level or inside a top-level "grid" or "plan"
@@ -32,12 +32,13 @@ from dataclasses import replace
 import numpy as np
 
 from .commutator import (
+    CLOSURE_CAP,
+    AffineGroup,
     ClosureOverflowError,
+    CommutatorTable,
     DegenerateSamplesError,
     MissingCommutatorError,
-    NotNearlyRepresentableError,
     SemigroupPresentation,
-    build_commutator_table,
     conjugate_semigroup,
     group_closure,
     is_nearly_abelian,
@@ -85,12 +86,6 @@ class UsageError(ValueError):
     pass
 
 
-def _write_json(path: str, doc: dict) -> None:
-    with open(path, "w") as fh:
-        json.dump(doc, fh, sort_keys=True, indent=2)
-        fh.write("\n")
-
-
 class Run:
     """One invocation's inputs, read from the merged namespace of flags
     and config.  Each piece is built only for the subcommands that declare
@@ -128,14 +123,15 @@ class Run:
         S = SemigroupPresentation(exprs, label="inline", require_transcendental=False)
         return S, None
 
+    def _given(self, *keys: str) -> dict:
+        """The flags among keys that are set, by dest."""
+        return {k: v for k, v in vars(self.args).items() if k in keys and v is not None}
+
     def _plan(self) -> SamplePlan:
-        flags = vars(self.args)
-        keys = ("seed", "tolerance")
-        given = {key: flags[key] for key in keys if flags[key] is not None}
+        given = self._given("seed", "tolerance")
         return replace(self.fx.plan if self.fx else SamplePlan(), **given)
 
     def _grid(self) -> GridSpec:
-        flags = vars(self.args)
         kwargs = {}
         if self.args.window is not None:
             xmin, xmax, ymin, ymax = (float(t) for t in self.args.window.split(","))
@@ -144,9 +140,8 @@ class Run:
             kwargs["height"] = ymax - ymin
         if self.args.cells is not None:
             kwargs["cols"] = kwargs["rows"] = self.args.cells
-        for key in ("max_iter", "escape_radius", "word_depth", "cols", "rows"):
-            if flags.get(key) is not None:
-                kwargs[key] = flags[key]
+        kwargs.update(self._given("max_iter", "escape_radius", "word_depth",
+                                  "cols", "rows"))
         return replace(self.fx.window if self.fx else GridSpec(), **kwargs)
 
     def _words(self) -> list[Word]:
@@ -172,49 +167,66 @@ class Run:
     def path(self, name: str) -> str:
         return os.path.join(self.out, name)
 
-    def meta(self, extra: dict) -> dict:
-        doc = {"seed": self.plan.seed, "tolerance": self.plan.tolerance, **extra}
+    def report(self, name: str, body: dict, unhashed: dict | None = None) -> str:
+        """Write the JSON report `name`: the seed, the tolerance and body,
+        their hash as config_hash, and unhashed.  Returns config_hash."""
+        doc = {"seed": self.plan.seed, "tolerance": self.plan.tolerance, **body}
         blob = json.dumps(doc, sort_keys=True, separators=(",", ":"))
         doc["config_hash"] = hashlib.sha256(blob.encode()).hexdigest()[:16]
-        return doc
+        with open(self.path(name), "w") as fh:
+            json.dump({**doc, **(unhashed or {})}, fh, sort_keys=True, indent=2)
+            fh.write("\n")
+        return doc["config_hash"]
 
 
 # ---------------------------------------------------------------------------
 # subcommands
 
 
-def cmd_commutator(run: Run) -> int:
-    doc = run.meta({"presentation": presentation_to_json_dict(run.S)})
+def _table(run: Run, hint: str = "") -> CommutatorTable | None:
+    """run.S's commutator table, or None after naming its missing pairs on stderr."""
+    near = is_nearly_abelian(run.S, run.plan)
+    if not near.algebraic:
+        print(f"incomplete commutator table: {near.failing_pairs}{hint}",
+              file=sys.stderr)
+    return near.table
+
+
+def _group(table: CommutatorTable) -> AffineGroup | None:
+    """The group the table's maps generate, or None where it does not close:
+    each xi is then fitted and used unchecked against the group."""
     try:
-        table = build_commutator_table(run.S, run.plan)
-    except NotNearlyRepresentableError as exc:
-        doc["failing_pairs"] = [list(p) for p in exc.failing_pairs]
-        _write_json(run.path("commutator_table.json"), doc)
-        print(f"no affine commutator for pairs: {exc.failing_pairs}", file=sys.stderr)
+        return group_closure(table.maps())
+    except ClosureOverflowError:
+        return None
+
+
+def cmd_commutator(run: Run) -> int:
+    near = is_nearly_abelian(run.S, run.plan)
+    pairs = list(near.failing_pairs)
+    results = ({"table": near.table.to_json_dict()} if near.algebraic
+               else {"failing_pairs": [list(p) for p in pairs]})
+    run.report("commutator_table.json",
+               {"presentation": presentation_to_json_dict(run.S)}, results)
+    if not near.algebraic:
+        print(f"no affine commutator for pairs: {pairs}", file=sys.stderr)
         return EXIT_TABLE_INCOMPLETE
-    doc["table"] = table.to_json_dict()
-    _write_json(run.path("commutator_table.json"), doc)
-    print(f"table complete: {len(table.entries)} entries")
+    print(f"table complete: {len(near.table.entries)} entries")
     return EXIT_OK
 
 
 def cmd_verify(run: Run) -> int:
     S, plan = run.S, run.plan
-    f = S.generator(1)
-    g = S.generator(2) if len(S) >= 2 else S.generator(1)
+    f, g = S.generator(1), S.generator(min(2, len(S)))
 
     checks: list[dict] = []
 
-    def record(name: str, holds: bool, residual: float, expected: bool | None = True):
+    def record(name: str, holds: bool, residual: float, expected: bool | None = True,
+               **extra):
         # expected None: informational, either outcome passes
         ok = expected is None or holds == expected
-        checks.append(
-            dict(check=name, holds=holds, expected=expected, ok=ok, residual=residual)
-        )
-
-    def record_error(name: str, exc: Exception):
-        record(name, False, float("nan"))
-        checks[-1]["error"] = str(exc)
+        checks.append(dict(check=name, holds=holds, expected=expected, ok=ok,
+                           residual=residual, **extra))
 
     identities = [("diagonal", 1, "diagonal"), ("inverse", 1, "inverse")] + [
         (which, n, f"identity-{which}(n={n})")
@@ -225,11 +237,11 @@ def cmd_verify(run: Run) -> int:
         try:
             rep = verify_identity(which, f, g, n=n, plan=plan)
         except MissingCommutatorError as exc:
-            record_error("bracket-solve", exc)
+            record("bracket-solve", False, math.nan, error=str(exc))
             break
         except DegenerateSamplesError as exc:
             # no clean sample points for this comparison: it cannot pass
-            record_error(name, exc)
+            record(name, False, math.nan, error=str(exc))
             continue
         record(name, rep.holds, rep.residual)
 
@@ -239,17 +251,12 @@ def cmd_verify(run: Run) -> int:
     if near.algebraic and len(S) >= 2:
         phi = near.table.entry(1, 2)
         conj = conjugate_semigroup(S, phi)
-        near_conj = is_nearly_abelian(conj, plan)
-        same = near.algebraic == near_conj.algebraic
+        same = is_nearly_abelian(conj, plan).algebraic  # as near's, which holds
         record("conjugation-preserves-nearly-abelian", same, 0.0)
-        try:
-            G = group_closure(near.table.maps())
-        except ClosureOverflowError as exc:
-            G, unclosed = None, exc  # xi is fitted and used unchecked, as in normal-form
+        G = _group(near.table)
         try:
             xi = resolve_xi(f, phi, G, plan)
-            record("resolve-xi(f, phi)", True, 0.0)
-            checks[-1]["xi"] = xi.to_json_dict()
+            record("resolve-xi(f, phi)", True, 0.0, xi=xi.to_json_dict())
             if G is not None:
                 exists = left_resolve_exists(f, phi, G, plan)
                 # the remark: the left-sided resolution may or may not exist,
@@ -260,16 +267,16 @@ def cmd_verify(run: Run) -> int:
                 record("left-resolve-exists", exists, 0.0, expected=expect_left)
         except NoXiError as exc:
             # the migration f o phi = xi o f that the rewriting needs fails
-            record_error("xi-resolution", exc)
+            record("xi-resolution", False, math.nan, error=str(exc))
         except DegenerateSamplesError as exc:
-            record_error("resolve-xi(f, phi)", exc)
+            record("resolve-xi(f, phi)", False, math.nan, error=str(exc))
         if G is None:
             # the left-sided search runs over G, which did not close
-            checks.append({"check": "left-resolve-exists", "not_run": str(unclosed),
-                           "ok": True})
+            checks.append({"check": "left-resolve-exists",
+                           "not_run": f"closure exceeded cap {CLOSURE_CAP}", "ok": True})
 
-    doc = run.meta({"presentation": presentation_to_json_dict(S), "checks": checks})
-    _write_json(run.path("verify_report.json"), doc)
+    run.report("verify_report.json",
+               {"presentation": presentation_to_json_dict(S), "checks": checks})
     for c in checks:
         status = "skip" if "not_run" in c else "ok" if c.get("ok") else "FAIL"
         print(f"{status:4} {c.get('check')} residual={c.get('residual')}")
@@ -277,48 +284,40 @@ def cmd_verify(run: Run) -> int:
 
 
 def cmd_render(run: Run) -> int:
-    spec, plan = run.spec, run.plan
+    spec = run.spec
     if run.map is not None:
         grid = classify_map(run.map, spec, workers=run.workers)
     else:
         grid = classify_semigroup(run.S, spec, workers=run.workers)
 
-    meta = run.meta(
-        {
-            "grid": spec.to_json_dict(),
-            "subject": grid.subject,
-            "counts": grid.counts(),
-            "boundary_cells": int(escape_boundary(grid).sum()),
-            "workers": run.workers,
-        },
-    )
-    comment = f"config={meta['config_hash']} seed={plan.seed}"
+    counts = grid.counts()
+    config_hash = run.report("render_meta.json", {
+        "grid": spec.to_json_dict(),
+        "subject": grid.subject,
+        "counts": counts,
+        "boundary_cells": int(escape_boundary(grid).sum()),
+        "workers": run.workers,
+    })
+    comment = f"config={config_hash} seed={run.plan.seed}"
     write_pgm(run.path("classification.pgm"), status_bytes(grid), comment)
     write_pgm(run.path("heatmap.pgm"), heatmap_bytes(grid), comment)
-    _write_json(run.path("render_meta.json"), meta)
     if run.args.csv:
         write_csv(run.path("classification.csv"), grid)
-    print(
-        f"rendered {spec.cols}x{spec.rows} {grid.subject}: "
-        + ", ".join(f"{k}={v}" for k, v in grid.counts().items())
-    )
+    print(f"rendered {spec.cols}x{spec.rows} {grid.subject}: "
+          + ", ".join(f"{k}={v}" for k, v in counts.items()))
     return EXIT_OK
 
 
 def cmd_transport(run: Run) -> int:
-    S, spec, workers = run.S, run.spec, run.workers
-    threshold = run.threshold
-    phi = run.phi
+    S, spec, workers, phi = run.S, run.spec, run.workers, run.phi
     if phi is None:
         if len(S) < 2:
             raise UsageError("phi defaults to the commutator of generators 1 and 2, "
                              "and a single generator has none; give --phi")
-        near = is_nearly_abelian(S, run.plan)
-        if not near.algebraic:
-            print(f"incomplete commutator table: {near.failing_pairs}; give --phi",
-                  file=sys.stderr)
+        table = _table(run, "; give --phi")
+        if table is None:
             return EXIT_TABLE_INCOMPLETE
-        phi = near.table.entry(1, 2)
+        phi = table.entry(1, 2)
 
     conj = conjugate_semigroup(S, phi)
     grid_s = classify_semigroup(S, spec, workers=workers)
@@ -326,62 +325,51 @@ def cmd_transport(run: Run) -> int:
 
     rep_i, ratios, vacuous = transport_ratios(grid_s, grid_c, phi, spec)
     fatou_inv = check_fatou_invariance(grid_s, phi)
-    meta = run.meta(
-        {
-            "grid": spec.to_json_dict(),
-            "phi": phi.to_json_dict(),
-            "ratios": ratios,
-            "threshold": threshold,
-            "compared": rep_i.compared,
-            "fatou_invariance": {
-                "ratio": fatou_inv.ratio,
-                "indeterminate": fatou_inv.indeterminate,
-            },
-            "subjects": [grid_s.subject, grid_c.subject],
+    config_hash = run.report("transport_report.json", {
+        "grid": spec.to_json_dict(),
+        "phi": phi.to_json_dict(),
+        "ratios": ratios,
+        "threshold": run.threshold,
+        "compared": rep_i.compared,
+        "fatou_invariance": {
+            "ratio": fatou_inv.ratio,
+            "indeterminate": fatou_inv.indeterminate,
         },
-    )
+        "subjects": [grid_s.subject, grid_c.subject],
+    })
     diff = (rep_i.disagreement * 255).astype("uint8")
-    write_pgm(run.path("transport_diff.pgm"), diff, f"config={meta['config_hash']}")
-    _write_json(run.path("transport_report.json"), meta)
+    write_pgm(run.path("transport_diff.pgm"), diff, f"config={config_hash}")
     for k, v in ratios.items():
         print(f"{k}: {v:.5f}")
         if vacuous[k]:
             print(f"{k}: vacuous (single-class masks)", file=sys.stderr)
-    if any(v < threshold for v in ratios.values()):
-        return EXIT_TRANSPORT_BELOW_THRESHOLD
-    return EXIT_OK
+    below = any(v < run.threshold for v in ratios.values())
+    return EXIT_TRANSPORT_BELOW_THRESHOLD if below else EXIT_OK
 
 
 def cmd_normal_form(run: Run) -> int:
     S, plan = run.S, run.plan
-    near = is_nearly_abelian(S, plan)
-    if not near.algebraic:
-        print(f"incomplete commutator table: {near.failing_pairs}", file=sys.stderr)
+    table = _table(run)
+    if table is None:
         return EXIT_TABLE_INCOMPLETE
-    try:
-        G = group_closure(near.table.maps())
-    except ClosureOverflowError:
-        G = None  # each xi is fitted and used unchecked against the group
+    G = _group(table)
 
     # a failed word gets an error record, and the batch goes on
     results = []
     for w in run.words:
         try:
-            nf = normal_form(w, S, near.table, G, plan)
+            nf = normal_form(w, S, table, G, plan)
         except (NoXiError, VerificationFailedError, DegenerateSamplesError) as exc:
             print(f"word {list(w.letters)}: {exc}", file=sys.stderr)
             results.append({"word": list(w.letters), "error": str(exc)})
         else:
             results.append(normal_form_to_json_dict(w, nf))
 
-    doc = run.meta(
-        {
-            "presentation": presentation_to_json_dict(S),
-            "normal_forms": results,
-            "composition_order": "rightmost letter applied first",
-        }
-    )
-    _write_json(run.path("normal_forms.json"), doc)
+    run.report("normal_forms.json", {
+        "presentation": presentation_to_json_dict(S),
+        "normal_forms": results,
+        "composition_order": "rightmost letter applied first",
+    })
     residuals = [r["residual"] for r in results if "error" not in r]
     failed = len(results) - len(residuals)
     print(f"{len(residuals)} normal forms, max residual "

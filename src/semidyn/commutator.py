@@ -40,10 +40,6 @@ CLOSURE_CAP = 64
 class NoAffineCommutatorError(ValueError):
     """No affine map satisfies f∘g = phi∘g∘f within tolerance."""
 
-    def __init__(self, message: str, residual: float | None = None):
-        super().__init__(message)
-        self.residual = residual
-
 
 class NotNearlyRepresentableError(ValueError):
     """Some generator pairs admit no affine commutator."""
@@ -55,10 +51,6 @@ class NotNearlyRepresentableError(ValueError):
 
 class ClosureOverflowError(RuntimeError):
     """Group closure exceeded CLOSURE_CAP elements."""
-
-    def __init__(self, partial: tuple[AffineMap, ...]):
-        super().__init__(f"closure exceeded cap {CLOSURE_CAP}")
-        self.partial = partial
 
 
 class MissingCommutatorError(ValueError):
@@ -116,9 +108,7 @@ def _fit_affine(u: np.ndarray, w: np.ndarray, plan: SamplePlan) -> CommutatorRes
     max_resid = _relative_error(a * w + b - u, u, w, plan)
     if not max_resid <= plan.tolerance:  # a NaN residual fails too
         raise NoAffineCommutatorError(
-            f"affine fit residual {max_resid:.3e} exceeds tolerance",
-            residual=max_resid,
-        )
+            f"affine fit residual {max_resid:.3e} exceeds tolerance")
     return CommutatorResult(phi, max_resid)
 
 
@@ -271,7 +261,7 @@ def group_closure(seeds: list[AffineMap]) -> AffineGroup:
         if _find(elements, m) is not None:
             return False
         if len(elements) >= CLOSURE_CAP:
-            raise ClosureOverflowError(tuple(elements))
+            raise ClosureOverflowError(f"closure exceeded cap {CLOSURE_CAP}")
         elements.append(m)
         return True
 
@@ -297,7 +287,6 @@ def group_closure(seeds: list[AffineMap]) -> AffineGroup:
 
 @dataclass(frozen=True)
 class IdentityReport:
-    which: str
     holds: bool
     residual: float
 
@@ -349,9 +338,9 @@ def verify_identity(
         raise ValueError(f"unknown identity {which!r}")
     if isinstance(lhs, AffineMap):  # two brackets: compare their coefficients
         resid = affine_distance(lhs, rhs)
-        return IdentityReport(which, resid <= plan.tolerance, resid)
+        return IdentityReport(resid <= plan.tolerance, resid)
     rep = numerically_equal(lhs, rhs, plan)
-    return IdentityReport(which, rep.equal, rep.max_error)
+    return IdentityReport(rep.equal, rep.max_error)
 
 
 # ---------------------------------------------------------------------------

@@ -40,7 +40,7 @@ Identity, where those points become a value, copies its input, and
 with it.
 
 Two trees are compared at sample points, in one way: ``numerically_equal``
-asks ``find_clean_points`` for plan.count seeded points at which both are
+asks ``find_clean_points`` for SAMPLE_COUNT seeded points at which both are
 clean, and ``compare_values`` takes the largest relative error of their
 values there, with an absolute floor.  The commutator module's affine fit
 measures its residual with the same error.
@@ -75,7 +75,7 @@ class DegenerateAffineError(ValueError):
 
 class DegenerateSamplesError(RuntimeError):
     """Too few usable sample values.  Raised by find_clean_points when no
-    disk holds plan.count points at which every expression is clean, and
+    disk holds SAMPLE_COUNT points at which every expression is clean, and
     by commutator._fit_affine when no two of those points' values are well
     separated."""
 
@@ -531,38 +531,37 @@ def affine_distance(m1: AffineMap, m2: AffineMap) -> float:
 # sampled numeric equality
 
 
+# find_clean_points draws SAMPLE_COUNT points from the disk |z| <= SAMPLE_RADIUS,
+# and _relative_error floors a comparison's scale at ABS_FLOOR / tolerance
+SAMPLE_COUNT = 32
+SAMPLE_RADIUS = 2.0
+ABS_FLOOR = 1e-12
+
+
 @dataclass(frozen=True)
 class SamplePlan:
-    """Seeded sample points in the disk |z| <= radius, standing in for pointwise
-    equality of entire functions (agreeing on a disk, they agree everywhere)."""
+    """Seeded sample points in the disk |z| <= SAMPLE_RADIUS, standing in for
+    pointwise equality of entire functions (agreeing on a disk, they agree
+    everywhere), and the relative tolerance of a comparison there."""
 
     seed: int = 0
-    count: int = 32
-    radius: float = 2.0
     tolerance: float = 1e-9
-    abs_floor: float = 1e-12
 
     def __post_init__(self):
         # a caller can pass any value for each field, and True is a bool,
         # an int subclass
         if type(self.seed) is not int or self.seed < 0:
             raise ValueError(f"sample seed must be an integer >= 0, got {self.seed!r}")
-        if type(self.count) is not int or self.count < 8:
-            raise ValueError(f"sample count must be an integer >= 8, got {self.count!r}")
-        if not 0 < self.radius < math.inf:  # rejects NaN too
-            raise ValueError(f"sample radius must be finite and > 0, got {self.radius!r}")
         # the relative error compare_values measures never exceeds 2, so a
         # tolerance of 1 or more passes nearly every comparison
         if not 0 < self.tolerance < 1:
             raise ValueError(f"tolerance must be in (0, 1), got {self.tolerance!r}")
-        if not 0 < self.abs_floor < math.inf:
-            raise ValueError(f"abs_floor must be finite and > 0, got {self.abs_floor!r}")
 
 
 def find_clean_points(
     exprs: list[Expr], plan: SamplePlan
 ) -> tuple[np.ndarray, list[np.ndarray]]:
-    """The first plan.count points of a seeded search at which every
+    """The first SAMPLE_COUNT points of a seeded search at which every
     expression evaluates cleanly, and each one's values there.  Entire
     functions agreeing on an open set agree everywhere, so any clean
     sub-disk will do.  Stage 1 draws batches from the plan's disk about 0
@@ -573,7 +572,7 @@ def find_clean_points(
     are those at the chosen points alone, and reordering the expressions
     gives the same points (or the same error) and reorders the values
     alone, bit for bit."""
-    n = plan.count
+    n = SAMPLE_COUNT
     rng = np.random.default_rng(plan.seed)
 
     def draw(center: complex, radius: float, m: int) -> np.ndarray:
@@ -593,12 +592,12 @@ def find_clean_points(
         return cols
 
     def stage1():
-        yield draw(0j, plan.radius, 4 * n)
-        side = np.linspace(-plan.radius, plan.radius, 48)
+        yield draw(0j, SAMPLE_RADIUS, 4 * n)
+        side = np.linspace(-SAMPLE_RADIUS, SAMPLE_RADIUS, 48)
         lattice = (side[:, None] + 1j * side[None, :]).ravel()
-        yield lattice[np.abs(lattice) <= plan.radius]
-        yield draw(0j, plan.radius, 16 * n)
-        yield draw(0j, plan.radius, 64 * n)
+        yield lattice[np.abs(lattice) <= SAMPLE_RADIUS]
+        yield draw(0j, SAMPLE_RADIUS, 16 * n)
+        yield draw(0j, SAMPLE_RADIUS, 64 * n)
 
     found = [np.empty(0, dtype=np.complex128)] * (len(exprs) + 1)
     for batch in stage1():
@@ -608,7 +607,7 @@ def find_clean_points(
 
     for center in found[0][:8]:  # stage 2
         for shrink in (8.0, 32.0, 128.0, 512.0):
-            pts, *values = clean(draw(complex(center), plan.radius / shrink, 4 * n))
+            pts, *values = clean(draw(complex(center), SAMPLE_RADIUS / shrink, 4 * n))
             if len(pts) >= n:
                 return pts[:n], [v[:n] for v in values]
     raise DegenerateSamplesError(
@@ -620,9 +619,9 @@ def _relative_error(
     diff: np.ndarray, x: np.ndarray, y: np.ndarray, plan: SamplePlan
 ) -> float:
     """The largest |diff| relative to max(|x|, |y|), that scale floored at
-    abs_floor / tolerance; NaN where some term is."""
+    ABS_FLOOR / tolerance; NaN where some term is."""
     scale = np.maximum(np.abs(x), np.abs(y))
-    scale = np.maximum(scale, plan.abs_floor / plan.tolerance)
+    scale = np.maximum(scale, ABS_FLOOR / plan.tolerance)
     return float((np.abs(diff) / scale).max())
 
 

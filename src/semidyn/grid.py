@@ -154,6 +154,9 @@ STATUS_NAMES = {
 
 CYCLE_TOLERANCE = 1e-6
 WORD_BUDGET = 4096
+# the most cells a grid may have, so that a larger one fails here and not in
+# an allocation mid-run; a 2048^2 render of example-2.1-cos peaks at 159 MiB
+CELL_BUDGET = 4096 * 4096
 
 
 class WordBudgetExceededError(RuntimeError):
@@ -178,6 +181,8 @@ class GridSpec:
     def __post_init__(self):
         if self.cols < 2 or self.rows < 2:
             raise ValueError("grid must be at least 2x2")
+        if self.cols * self.rows > CELL_BUDGET:
+            raise ValueError(f"{self.cols}x{self.rows} cells exceed the budget of {CELL_BUDGET}")
         center = complex(self.center)
         if not all(map(math.isfinite, (center.real, center.imag, self.width,
                                        self.height, self.escape_radius))):
@@ -642,11 +647,10 @@ def status_bytes(grid: ClassificationGrid) -> np.ndarray:
 
 def heatmap_bytes(grid: ClassificationGrid) -> np.ndarray:
     """Escape iteration scaled to 0-254; non-escaping cells are 255."""
-    out = np.full(grid.status.shape, 255, dtype=np.uint8)
-    esc = grid.escape_iter >= 0
-    scaled = np.round(grid.escape_iter * 254.0 / grid.spec.max_iter)
-    out[esc] = np.clip(scaled[esc], 0, 254).astype(np.uint8)
-    return out
+    max_iter = grid.spec.max_iter
+    table = np.full(max_iter + 2, 255, dtype=np.uint8)
+    table[1:] = np.clip(np.round(np.arange(max_iter + 1) * 254.0 / max_iter), 0, 254)
+    return table[grid.escape_iter + 1]
 
 
 def write_pgm(path: str, data: np.ndarray, comment: str | None = None) -> None:

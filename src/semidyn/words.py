@@ -48,10 +48,6 @@ class NoXiError(ValueError):
 class VerificationFailedError(ValueError):
     """Normal form does not reproduce the original word numerically."""
 
-    def __init__(self, message: str, residual: float):
-        super().__init__(message)
-        self.residual = residual
-
 
 @dataclass(frozen=True)
 class Word:
@@ -177,9 +173,7 @@ def normal_form(
             rhs = compose(rhs, compose_power(S.generator(i), t))
     rep = numerically_equal(word_expr(w, S), rhs, plan)
     if not rep.equal:
-        raise VerificationFailedError(
-            f"normal form residual {rep.max_error:.3e}", rep.max_error
-        )
+        raise VerificationFailedError(f"normal form residual {rep.max_error:.3e}")
 
     in_table = any(
         affine_distance(prefix, m) < plan.tolerance for m in table.maps()

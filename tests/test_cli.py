@@ -405,6 +405,8 @@ class TestExitCodeContract:
               "--max-len", "99"], EXIT_USAGE),
         ({}, ["normal-form", "--fixture", "example-2.1-cos", "--word", "1",
               "--random", "-2"], EXIT_USAGE),
+        # a grid too large for memory once ended in numpy's allocation error
+        ({}, ["render", "--map", "exp(z)", "--cells", "100000"], EXIT_USAGE),
     ]
 
     @pytest.mark.parametrize("env,argv,code", CASES)

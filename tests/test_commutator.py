@@ -298,7 +298,7 @@ class TestGroupClosure:
     def test_doubling_overflows(self):
         with pytest.raises(ClosureOverflowError) as exc:
             group_closure([AffineMap(2, 0)])
-        assert len(exc.value.partial) <= 64
+        assert str(exc.value) == "closure exceeded cap 64"
 
     def test_rotation_order_four(self):
         G = group_closure([AffineMap(1j, 0)])

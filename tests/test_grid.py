@@ -36,6 +36,7 @@ import semidyn.grid as grid
 from semidyn.cli import main
 from semidyn.fixtures import FIXTURES
 from semidyn.grid import (
+    CELL_BUDGET,
     STATUS_BOUNDED,
     STATUS_ESCAPING,
     STATUS_UNDECIDED,
@@ -86,6 +87,16 @@ class TestGridSpec:
             GridSpec(escape_radius=0.5)
         with pytest.raises(ValueError):
             GridSpec(max_iter=0)
+
+    def test_cell_budget(self):
+        # criterion 7's 1024^2 grid and the fixtures' 512^2 fit; a grid too
+        # large for memory once ended in numpy's allocation error, mid-run
+        assert 512 * 512 < 1024 * 1024 <= CELL_BUDGET
+        GridSpec(cols=4096, rows=CELL_BUDGET // 4096)
+        with pytest.raises(ValueError, match=f"exceed the budget of {CELL_BUDGET}"):
+            GridSpec(cols=4097, rows=CELL_BUDGET // 4096)
+        with pytest.raises(ValueError):
+            GridSpec(cols=100000, rows=100000)
 
     @pytest.mark.parametrize("side", ["width", "height"])
     @pytest.mark.parametrize("value", [0.0, -1.0])
@@ -1270,6 +1281,20 @@ class TestArtifacts:
         esc = g.status == STATUS_ESCAPING
         assert (hm[esc] <= 254).all()
         assert (hm[~esc] == 255).all()
+
+    @pytest.mark.parametrize("max_iter", [1, 7, 100, 254, 255, 1000])
+    def test_heatmap_is_the_scaled_escape_iteration(self, max_iter):
+        # every escape_iter from -1 to max_iter, in a grid of 2 rows
+        esc = np.arange(-1, max_iter + 1 + (max_iter % 2), dtype=np.int32)
+        esc = np.minimum(esc, max_iter).reshape(2, -1)
+        g = ClassificationGrid(GridSpec(cols=esc.shape[1], rows=2, max_iter=max_iter),
+                               np.where(esc >= 0, STATUS_ESCAPING, 0).astype(np.uint8),
+                               esc, "synthetic")
+        scaled = np.round(esc * 254.0 / max_iter)
+        expected = np.where(esc >= 0, np.clip(scaled, 0, 254), 255).astype(np.uint8)
+        hm = heatmap_bytes(g)
+        assert hm.dtype == np.uint8 and hm.shape == esc.shape
+        assert hm.tobytes() == expected.tobytes()
 
     def test_csv(self, tmp_path):
         g = classify_map(Cos(Z), small_spec(cols=4, rows=4))
