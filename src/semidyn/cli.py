@@ -251,7 +251,7 @@ def cmd_verify(run: Run) -> int:
     if near.algebraic and len(S) >= 2:
         phi = near.table.entry(1, 2)
         conj = conjugate_semigroup(S, phi)
-        same = is_nearly_abelian(conj, plan).algebraic  # as near's, which holds
+        same = is_nearly_abelian(conj, plan).algebraic  # near.algebraic holds here
         record("conjugation-preserves-nearly-abelian", same, 0.0)
         G = _group(near.table)
         try:

@@ -182,7 +182,7 @@ class GridSpec:
         if self.cols < 2 or self.rows < 2:
             raise ValueError("grid must be at least 2x2")
         if self.cols * self.rows > CELL_BUDGET:
-            raise ValueError(f"{self.cols}x{self.rows} cells exceed the budget of {CELL_BUDGET}")
+            raise ValueError(f"grid over the budget of {CELL_BUDGET} cells")
         center = complex(self.center)
         if not all(map(math.isfinite, (center.real, center.imag, self.width,
                                        self.height, self.escape_radius))):

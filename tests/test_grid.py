@@ -93,7 +93,7 @@ class TestGridSpec:
         # large for memory once ended in numpy's allocation error, mid-run
         assert 512 * 512 < 1024 * 1024 <= CELL_BUDGET
         GridSpec(cols=4096, rows=CELL_BUDGET // 4096)
-        with pytest.raises(ValueError, match=f"exceed the budget of {CELL_BUDGET}"):
+        with pytest.raises(ValueError, match=f"over the budget of {CELL_BUDGET} cells"):
             GridSpec(cols=4097, rows=CELL_BUDGET // 4096)
         with pytest.raises(ValueError):
             GridSpec(cols=100000, rows=100000)
