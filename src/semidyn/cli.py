@@ -7,9 +7,10 @@ commutator table, 3 failed identity check, 4 word budget exceeded,
 word, 64 usage error (a malformed flag, expression, fixture name, window,
 word or --phi, a config file that is not a JSON object or has a key that
 is not a flag of the subcommand or a value that the flag rejects, a
-negative worker count, a grid under 2x2 or over grid.CELL_BUDGET cells, a
-word depth over 32, a window, escape radius or threshold that is not
-finite, or transport without --phi on a single generator).
+worker count that is negative or over grid.WORKER_CAP, a grid under 2x2 or
+over grid.CELL_BUDGET cells, a word depth over 32, a window, escape radius
+or threshold that is not finite, or transport without --phi on a single
+generator).
 
 A --config file is flags in JSON: each key is a flag's dest (max_iter for
 --max-iter), at the top level or inside a top-level "grid" or "plan"

@@ -93,13 +93,14 @@ class Expr:
 
     A node class sets ``name``, its prefix-notation name; declares its
     children and parameters as dataclass fields typed Expr,
-    tuple[Expr, ...], complex or int; and implements ``_eval(rec, w,
-    bad)``, its values at the points w, where ``rec(child, w)``
-    evaluates a child and points an op cannot take are set in ``bad``;
-    a node whose values can exceed the ceiling returns them ``_capped``.
-    ``_eval`` must not write into w, and returns an array that it owns:
-    the parent may overwrite it.  The array a child returns is the
-    node's to overwrite in turn.
+    tuple[Expr, ...], complex or int; and implements ``_eval(w, bad)``,
+    its values at the points w, setting in ``bad`` the points an op
+    cannot take.  It evaluates a child with ``child._eval(v, bad)`` into
+    the same mask (a compacting Compose gives its outer child a mask of
+    its own), and a node whose values can exceed the ceiling returns them
+    ``_capped``.  ``_eval`` must not write into w, and returns an array
+    that it owns: the parent may overwrite it.  The array a child returns
+    is the node's to overwrite in turn.
     """
 
     __slots__ = ()
@@ -135,7 +136,7 @@ def _guarded(fn, u: np.ndarray, over: np.ndarray, bad: np.ndarray) -> np.ndarray
 class Identity(Expr):
     name = "z"
 
-    def _eval(self, rec, w, bad):
+    def _eval(self, w, bad):
         return _capped(w.astype(np.complex128, copy=True), bad)
 
 
@@ -144,7 +145,7 @@ class Const(Expr):
     value: complex
     name = "const"
 
-    def _eval(self, rec, w, bad):
+    def _eval(self, w, bad):
         value = complex(self.value)
         if not abs(value) <= OVERFLOW_CEILING:
             bad[...] = True
@@ -158,7 +159,7 @@ class AffineExpr(Expr):
     b: complex
     name = "affine"
 
-    def _eval(self, rec, w, bad):
+    def _eval(self, w, bad):
         v = self.a * w
         v += self.b
         return _capped(v, bad)
@@ -174,8 +175,8 @@ class Power(Expr):
         if self.k < 1:
             raise ValueError("power exponent must be >= 1")
 
-    def _eval(self, rec, w, bad):
-        b = rec(self.base, w)
+    def _eval(self, w, bad):
+        b = self.base._eval(w, bad)
         v = b * b if self.k > 1 else b
         for _ in range(self.k - 2):
             v = v * b  # not *=: see the module docstring
@@ -187,8 +188,8 @@ class Exp(Expr):
     inner: Expr
     name = "exp"
 
-    def _eval(self, rec, w, bad):
-        u = rec(self.inner, w)
+    def _eval(self, w, bad):
+        u = self.inner._eval(w, bad)
         return _guarded(np.exp, u, u.real > 345.0, bad)  # exp(345) ~ 1e149
 
 
@@ -197,8 +198,8 @@ class Cos(Expr):
     inner: Expr
     name = "cos"
 
-    def _eval(self, rec, w, bad):
-        u = rec(self.inner, w)
+    def _eval(self, w, bad):
+        u = self.inner._eval(w, bad)
         return _guarded(np.cos, u, np.abs(u.imag) > 345.0, bad)
 
 
@@ -207,8 +208,8 @@ class Sin(Expr):
     inner: Expr
     name = "sin"
 
-    def _eval(self, rec, w, bad):
-        u = rec(self.inner, w)
+    def _eval(self, w, bad):
+        u = self.inner._eval(w, bad)
         return _guarded(np.sin, u, np.abs(u.imag) > 345.0, bad)
 
 
@@ -221,10 +222,10 @@ class Sum(Expr):
         if len(self.terms) < 2:
             raise ValueError("sum needs at least two terms")
 
-    def _eval(self, rec, w, bad):
-        v = rec(self.terms[0], w)
+    def _eval(self, w, bad):
+        v = self.terms[0]._eval(w, bad)
         for t in self.terms[1:]:
-            v += rec(t, w)
+            v += t._eval(w, bad)
         return _capped(v, bad)
 
 
@@ -237,10 +238,10 @@ class Product(Expr):
         if len(self.factors) < 2:
             raise ValueError("product needs at least two factors")
 
-    def _eval(self, rec, w, bad):
-        v = rec(self.factors[0], w)
+    def _eval(self, w, bad):
+        v = self.factors[0]._eval(w, bad)
         for f in self.factors[1:]:
-            v = v * rec(f, w)  # not *=: see the module docstring
+            v = v * f._eval(w, bad)  # not *=: see the module docstring
         return _capped(v, bad)
 
 
@@ -249,8 +250,8 @@ class Negate(Expr):
     inner: Expr
     name = "neg"
 
-    def _eval(self, rec, w, bad):
-        u = rec(self.inner, w)
+    def _eval(self, w, bad):
+        u = self.inner._eval(w, bad)
         return np.negative(u, out=u)
 
 
@@ -260,20 +261,20 @@ class Compose(Expr):
     inner: Expr
     name = "compose"
 
-    def _eval(self, rec, w, bad):
-        u = rec(self.inner, w)
+    def _eval(self, w, bad):
+        u = self.inner._eval(w, bad)
         # the outer child could only set bits already set, and values at
         # bad points are unspecified, so once half the points are bad it
         # runs at the clean ones alone
         nbad = np.count_nonzero(bad)
         if nbad * 2 < bad.size:
-            return rec(self.outer, u)
+            return self.outer._eval(u, bad)
         if nbad == bad.size:
             return u
         clean = ~bad
-        sub = _Rec(np.zeros(bad.size - nbad, dtype=bool))
-        u[clean] = sub(self.outer, u[clean])
-        bad[clean] = sub.bad
+        sub = np.zeros(bad.size - nbad, dtype=bool)
+        u[clean] = self.outer._eval(u[clean], sub)
+        bad[clean] = sub
         return u
 
 
@@ -455,25 +456,9 @@ def eval_array(expr: Expr, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     records those elements.
     """
     z = np.asarray(z, dtype=np.complex128)
-    rec = _Rec(np.zeros(z.shape, dtype=bool))
+    bad = np.zeros(z.shape, dtype=bool)
     with np.errstate(over="ignore", invalid="ignore"):
-        return rec(expr, z), rec.bad
-
-
-class _Rec:
-    """The ``rec`` that evaluates a tree's nodes into one bad mask: the
-    whole tree's in eval_array, a Compose's outer child's at its clean
-    points alone.  A class rather than a closure, because a closure that
-    passes itself on refers to itself, and the cycle would keep the arrays
-    of each call alive until the cyclic GC runs."""
-
-    __slots__ = ("bad",)
-
-    def __init__(self, bad):
-        self.bad = bad
-
-    def __call__(self, e: Expr, w: np.ndarray) -> np.ndarray:
-        return e._eval(self, w, self.bad)
+        return expr._eval(z, bad), bad
 
 
 def eval_at(expr: Expr, z: complex) -> complex:

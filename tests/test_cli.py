@@ -407,6 +407,9 @@ class TestExitCodeContract:
               "--random", "-2"], EXIT_USAGE),
         # a grid too large for memory once ended in numpy's allocation error
         ({}, ["render", "--map", "exp(z)", "--cells", "100000"], EXIT_USAGE),
+        # a worker count over grid.WORKER_CAP once asked for that many
+        # bands and threads
+        ({}, ["render", "--map", "exp(z)", "--workers", str(10**12)], EXIT_USAGE),
     ]
 
     @pytest.mark.parametrize("env,argv,code", CASES)

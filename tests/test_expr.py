@@ -262,9 +262,9 @@ class TestCompose:
         calls = []
         real = Cos._eval
 
-        def spy(self, rec, w, bad):
+        def spy(self, w, bad):
             calls.append(w.size)
-            return real(self, rec, w, bad)
+            return real(self, w, bad)
 
         monkeypatch.setattr(Cos, "_eval", spy)
         return calls

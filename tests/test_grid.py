@@ -39,6 +39,7 @@ from semidyn.grid import (
     CELL_BUDGET,
     STATUS_BOUNDED,
     STATUS_ESCAPING,
+    STATUS_NAMES,
     STATUS_UNDECIDED,
     ClassificationGrid,
     GridSpec,
@@ -930,10 +931,10 @@ class TestSemigroupKernel:
         calls = []
         real = Sum._eval
 
-        def spy(self, rec, w, bad):
+        def spy(self, w, bad):
             if self is h:
                 calls.append(w.size)
-            return real(self, rec, w, bad)
+            return real(self, w, bad)
 
         monkeypatch.setattr(Sum, "_eval", spy)
         spec = replace(fx.window, cols=32, rows=32, max_iter=1, word_depth=1)
@@ -948,10 +949,10 @@ class TestSemigroupKernel:
         sizes = []
         real = Sum._eval
 
-        def spy(self, rec, w, bad):
+        def spy(self, w, bad):
             if self is h:
                 sizes.append(w.size)
-            return real(self, rec, w, bad)
+            return real(self, w, bad)
 
         monkeypatch.setattr(Sum, "_eval", spy)
         counts = []
@@ -1303,7 +1304,15 @@ class TestArtifacts:
         lines = path.read_text().strip().splitlines()
         assert lines[0] == "row,col,re,im,status,first_escape_iter"
         assert len(lines) == 17
-        assert lines[1].startswith("0,0,")
+        centers = g.spec.cell_centers()
+        for i, line in enumerate(lines[1:]):
+            r, c, re, im, status, first = line.split(",")
+            assert (int(r), int(c)) == divmod(i, 4)
+            # plain numbers, read back exactly: numpy 2's repr once wrote
+            # np.float64(...)
+            assert complex(float(re), float(im)) == centers[int(r), int(c)]
+            assert status == STATUS_NAMES[g.status[int(r), int(c)]]
+            assert int(first) == g.escape_iter[int(r), int(c)]
 
 
 class TestEremenkoWitness:
