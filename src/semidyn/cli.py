@@ -9,8 +9,9 @@ word or --phi, a config file that is not a JSON object or has a key that
 is not a flag of the subcommand or a value that the flag rejects, a
 worker count that is negative or over grid.WORKER_CAP, a grid under 2x2 or
 over grid.CELL_BUDGET cells, a word depth over 32, a window, escape radius
-or threshold that is not finite, or transport without --phi on a single
-generator).
+or threshold that is not finite, a --random count over RANDOM_CAP,
+transport without --phi on a single generator, or an --out directory where
+a report or raster cannot be written).
 
 A --config file is flags in JSON: each key is a flag's dest (max_iter for
 --max-iter), at the top level or inside a top-level "grid" or "plan"
@@ -46,11 +47,10 @@ from .commutator import (
     presentation_to_json_dict,
     verify_identity,
 )
-from .expr import AffineMap, ExprParseError, SamplePlan, parse_complex, parse_expr
+from .expr import AffineMap, SamplePlan, parse_complex, parse_expr
 from .fixtures import Fixture, get_fixture
 from .grid import (
     GridSpec,
-    SpecMismatchError,
     WordBudgetExceededError,
     check_fatou_invariance,
     classify_map,
@@ -81,6 +81,8 @@ EXIT_WORD_BUDGET = 4
 EXIT_TRANSPORT_BELOW_THRESHOLD = 5
 EXIT_NORMAL_FORM_FAILED = 6
 EXIT_USAGE = 64
+# the most words --random draws; 65536 cos words of up to 6 letters take 12 s
+RANDOM_CAP = 65536
 
 
 class UsageError(ValueError):
@@ -113,6 +115,9 @@ class Run:
             raise UsageError(f"threshold {self.threshold!r} is not finite")
         self.out = "." if args.out is None else args.out
         os.makedirs(self.out, exist_ok=True)
+        if "phi" in flags and self.phi is None and len(self.S) < 2:
+            raise UsageError("phi defaults to the commutator of generators 1 and 2, "
+                             "and a single generator has none; give --phi")
 
     def _presentation(self) -> tuple[SemigroupPresentation, Fixture | None]:
         if self.args.fixture:
@@ -151,11 +156,14 @@ class Run:
         max_len = 6 if self.args.max_len is None else self.args.max_len
         if not 1 <= max_len <= MAX_WORD_LENGTH:
             raise UsageError(f"--max-len must be 1..{MAX_WORD_LENGTH}, got {max_len}")
-        if self.args.random is not None and self.args.random < 0:
-            raise UsageError(f"--random must be >= 0, got {self.args.random}")
-        if self.args.random:
+        count = self.args.random or 0
+        if count < 0:
+            raise UsageError(f"--random must be >= 0, got {count}")
+        if count > RANDOM_CAP:
+            raise UsageError(f"--random must be at most {RANDOM_CAP}, got {count}")
+        if count:
             rng = np.random.default_rng(self.plan.seed)
-            for _ in range(self.args.random):
+            for _ in range(count):
                 length = int(rng.integers(1, max_len + 1))
                 letters = rng.integers(1, len(self.S) + 1, length)
                 words.append(Word(tuple(int(x) for x in letters)))
@@ -312,9 +320,6 @@ def cmd_render(run: Run) -> int:
 def cmd_transport(run: Run) -> int:
     S, spec, workers, phi = run.S, run.spec, run.workers, run.phi
     if phi is None:
-        if len(S) < 2:
-            raise UsageError("phi defaults to the commutator of generators 1 and 2, "
-                             "and a single generator has none; give --phi")
         table = _table(run, "; give --phi")
         if table is None:
             return EXIT_TABLE_INCOMPLETE
@@ -527,10 +532,10 @@ def main(argv: list[str] | None = None) -> int:
         return _fail(exc, EXIT_USAGE)
     try:
         return args.func(run)
-    except (UsageError, ExprParseError, SpecMismatchError) as exc:
-        return _fail(exc, EXIT_USAGE)
     except WordBudgetExceededError as exc:
         return _fail(exc, EXIT_WORD_BUDGET)
+    except OSError as exc:  # a report or raster that cannot be written
+        return _fail(exc, EXIT_USAGE)
 
 
 if __name__ == "__main__":

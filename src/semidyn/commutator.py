@@ -141,21 +141,20 @@ class SemigroupPresentation:
 @dataclass(frozen=True)
 class CommutatorTable:
     size: int
-    entries: dict[tuple[int, int], AffineMap]
-    residuals: dict[tuple[int, int], float]
+    entries: dict[tuple[int, int], CommutatorResult]
 
     def entry(self, i: int, j: int) -> AffineMap:
-        return self.entries[(i, j)]
+        return self.entries[(i, j)].map
 
     def maps(self) -> list[AffineMap]:
-        return list(self.entries.values())
+        return [r.map for r in self.entries.values()]
 
     def to_json_dict(self) -> dict:
         return {
             "size": self.size,
             "entries": [
-                {"i": i, "j": j, **m.to_json_dict(), "residual": self.residuals[(i, j)]}
-                for (i, j), m in sorted(self.entries.items())
+                {"i": i, "j": j, **r.map.to_json_dict(), "residual": r.residual}
+                for (i, j), r in sorted(self.entries.items())
             ],
         }
 
@@ -203,11 +202,7 @@ def build_commutator_table(
     failing = [key for key in order if key not in solved]
     if failing:
         raise NotNearlyRepresentableError(failing)
-    return CommutatorTable(
-        n,
-        {key: solved[key].map for key in order},
-        {key: solved[key].residual for key in order},
-    )
+    return CommutatorTable(n, {key: solved[key] for key in order})
 
 
 @dataclass(frozen=True)

@@ -52,7 +52,7 @@ import cmath
 import math
 import re as _re
 from dataclasses import dataclass, fields
-from typing import Iterator, Mapping, get_type_hints
+from typing import Iterator, get_type_hints
 
 import numpy as np
 
@@ -667,12 +667,11 @@ def complex_to_json(c: complex) -> str:
 _TOKEN_RE = _re.compile(r"[(),]|[^\s(),]+")
 
 
-def parse_expr(text: str, env: Mapping[str, Expr] | None = None) -> Expr:
+def parse_expr(text: str) -> Expr:
     """Parse the prefix notation, e.g. ``add(exp(pow(z,2)), const(0.2+0i))``.
 
-    ``env`` resolves bare names like ``f1`` to previously defined trees;
-    such a name counts as one level of nesting.  Malformed text, and text
-    nested deeper than MAX_EXPR_DEPTH, raises ExprParseError.
+    Malformed text, and text nested deeper than MAX_EXPR_DEPTH, raises
+    ExprParseError.
     """
     tokens = _TOKEN_RE.findall(text)
     pos = 0
@@ -728,8 +727,6 @@ def parse_expr(text: str, env: Mapping[str, Expr] | None = None) -> Expr:
                 return cls(*values)
             except ValueError as exc:
                 raise ExprParseError(f"{tok}: {exc}") from None
-        if env is not None and tok in env:
-            return env[tok]
         raise ExprParseError(f"unknown name {tok!r}")
 
     result = node(1)

@@ -25,9 +25,13 @@ from semidyn.cli import (
     EXIT_USAGE,
     EXIT_VERIFY_FAILED,
     EXIT_WORD_BUDGET,
+    RANDOM_CAP,
+    Run,
+    UsageError,
     _join_dash_values,
     build_parser,
     main,
+    parse_args,
 )
 from semidyn.expr import MAX_EXPR_DEPTH, AffineExpr, children
 
@@ -410,6 +414,13 @@ class TestExitCodeContract:
         # a worker count over grid.WORKER_CAP once asked for that many
         # bands and threads
         ({}, ["render", "--map", "exp(z)", "--workers", str(10**12)], EXIT_USAGE),
+        # every centre escapes at step 0: the heatmap once built a table of
+        # max_iter + 2 entries, 931 GiB here
+        ({}, ["render", "--map", "exp(z)", "--window", "-4,4,-4,4", "--cells", "2",
+              "--escape-radius", "1.5", "--max-iter", str(10**12)], EXIT_OK),
+        # an unbounded count once drew words until memory ran out
+        ({}, ["normal-form", "--fixture", "example-2.1-cos", "--random",
+              str(RANDOM_CAP + 1)], EXIT_USAGE),
     ]
 
     @pytest.mark.parametrize("env,argv,code", CASES)
@@ -419,6 +430,17 @@ class TestExitCodeContract:
         argv = [a.format(tmp=tmp_path) for a in argv]
         assert run(*argv, "--out", str(tmp_path)) == code
         assert "Traceback" not in capsys.readouterr().err
+
+    def test_unwritable_report_is_usage_error(self, tmp_path, capsys):
+        (tmp_path / "render_meta.json").mkdir()
+        assert run("render", "--map", "exp(z)", "--cells", "4",
+                   "--out", str(tmp_path)) == EXIT_USAGE
+        assert capsys.readouterr().err.startswith("semidyn: ")
+
+    def test_transport_without_phi_on_one_generator_fails_in_run(self, tmp_path):
+        args = parse_args(["transport", "--generators", "exp(z)", "--out", str(tmp_path)])
+        with pytest.raises(UsageError, match="give --phi"):
+            Run(args)
 
     # sample plan values from the config: a NaN abs_floor passed every
     # commutator fit, an infinite radius failed the cos pair's, and a

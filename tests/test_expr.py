@@ -559,11 +559,6 @@ class TestSerialization:
         t = parse_expr("add(exp(pow(z,2)), const(0.2+0i))")
         assert eval_at(t, 0) == eval_at(F_EXP_SQ, 0)
 
-    def test_named_references(self):
-        env = {"f1": F_EXP_SQ}
-        t = parse_expr("neg(f1)", env)
-        assert eval_at(t, 0) == -eval_at(F_EXP_SQ, 0)
-
     def test_affine_literal(self):
         t = parse_expr("affine(-1+0i, 0+0i)")
         assert t == AffineExpr(-1 + 0j, 0j)
