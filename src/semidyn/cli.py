@@ -5,13 +5,15 @@ Exit codes are a stable scripting contract: 0 success, 2 incomplete
 commutator table, 3 failed identity check, 4 word budget exceeded,
 5 transport agreement below threshold, 6 normal-form failure of some
 word, 64 usage error (a malformed flag, expression, fixture name, window,
-word or --phi, a config file that is not a JSON object or has a key that
-is not a flag of the subcommand or a value that the flag rejects, a
-worker count that is negative or over grid.WORKER_CAP, a grid under 2x2 or
-over grid.CELL_BUDGET cells, a word depth over 32, a window, escape radius
-or threshold that is not finite, a --random count over RANDOM_CAP,
-transport without --phi on a single generator, or an --out directory where
-a report or raster cannot be written).
+word or --phi, two of --fixture, --generators and --map, an empty
+--fixture, --map or --phi, --word-depth with --map, a config file that
+is not a JSON object or has a key that is not a flag of the subcommand
+or a value that the flag rejects, a worker count that is negative or
+over grid.WORKER_CAP, a grid under 2x2 or over grid.CELL_BUDGET cells, a
+word depth over 32, a window, escape radius or threshold that is not
+finite, a --random count over RANDOM_CAP, transport without --phi on a
+single generator, or an --out directory where a report or raster cannot
+be written).
 
 A --config file is flags in JSON: each key is a flag's dest (max_iter for
 --max-iter), at the top level or inside a top-level "grid" or "plan"
@@ -93,18 +95,26 @@ class Run:
     """One invocation's inputs, read from the merged namespace of flags
     and config.  Each piece is built only for the subcommands that declare
     its flag, and all of it before any work starts, so malformed input
-    raises ValueError, KeyError or OSError here."""
+    raises ValueError or OSError here; a flag is given when not None."""
 
     def __init__(self, args: argparse.Namespace):
         self.args = args
         flags = vars(args)
-        self.map = parse_expr(args.map) if flags.get("map") else None
+        sources = [k for k in ("map", "fixture", "generators") if flags.get(k) is not None]
+        if not sources:
+            raise UsageError("need --fixture or --generators (render: or --map)")
+        if len(sources) > 1:
+            raise UsageError(f"--{sources[0]} and --{sources[1]} each name the semigroup; "
+                             "give one")
+        self.map = parse_expr(args.map) if sources == ["map"] else None
+        if self.map is not None and args.word_depth is not None:
+            raise UsageError("--word-depth takes a semigroup; --map iterates one map")
         self.S, self.fx = (None, None) if self.map is not None else self._presentation()
         self.plan = self._plan()
         self.spec = self._grid() if "window" in flags else None
         self.workers = resolve_workers(args.workers) if "workers" in flags else None
         self.phi = None
-        if phi := flags.get("phi"):
+        if (phi := flags.get("phi")) is not None:
             if phi.count(";") != 1:
                 raise UsageError(f"--phi takes 'a;b', got {phi!r}")
             a, b = phi.split(";")
@@ -120,11 +130,9 @@ class Run:
                              "and a single generator has none; give --phi")
 
     def _presentation(self) -> tuple[SemigroupPresentation, Fixture | None]:
-        if self.args.fixture:
+        if self.args.fixture is not None:
             fx = get_fixture(self.args.fixture)
             return fx.presentation, fx
-        if not self.args.generators:
-            raise UsageError("need --fixture or --generators (render: or --map)")
         exprs = tuple(parse_expr(t) for t in self.args.generators)
         S = SemigroupPresentation(exprs, label="inline", require_transcendental=False)
         return S, None
@@ -528,7 +536,7 @@ def main(argv: list[str] | None = None) -> int:
         run = Run(args)
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else 0
-    except (ValueError, KeyError, OSError) as exc:
+    except (ValueError, OSError) as exc:
         return _fail(exc, EXIT_USAGE)
     try:
         return args.func(run)

@@ -106,9 +106,6 @@ class Expr:
     __slots__ = ()
     name: str
 
-    def __call__(self, z: complex) -> complex:
-        return eval_at(self, z)
-
 
 def _capped(v: np.ndarray, bad: np.ndarray) -> np.ndarray:
     """v, its elements over the ceiling (or not finite) marked bad and

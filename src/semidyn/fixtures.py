@@ -9,7 +9,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .commutator import SemigroupPresentation
-from .expr import Const, Cos, Exp, Identity, Negate, Power, SamplePlan, Sum
+from .expr import Const, Cos, Exp, Expr, Identity, Negate, Power, SamplePlan, Sum
 from .grid import GridSpec
 
 
@@ -21,51 +21,28 @@ class Fixture:
     plan: SamplePlan
 
 
-def build_fixtures() -> dict[str, Fixture]:
-    f_exp = Sum((Exp(Power(Identity(), 2)), Const(0.2)))
-    f_cos = Cos(Identity())
+def _fixture(name: str, generators: tuple[Expr, ...], seed: int) -> Fixture:
+    """The fixture `name`, rendered on 512x512 cells over [-4, 4]^2."""
     window = GridSpec(center=0j, width=8.0, height=8.0, cols=512, rows=512)
-    fixtures = {
-        "example-2.1-exp": Fixture(
-            name="example-2.1-exp",
-            presentation=SemigroupPresentation(
-                (f_exp, Negate(f_exp)), label="example-2.1-exp"
-            ),
-            window=window,
-            plan=SamplePlan(seed=21),
-        ),
-        "example-2.1-cos": Fixture(
-            name="example-2.1-cos",
-            presentation=SemigroupPresentation(
-                (f_cos, Negate(f_cos)), label="example-2.1-cos"
-            ),
-            window=window,
-            plan=SamplePlan(seed=22),
-        ),
-        "derived-exp-shift": Fixture(
-            name="derived-exp-shift",
-            presentation=SemigroupPresentation(
-                (Exp(Identity()), Sum((Exp(Identity()), Const(1.0)))),
-                label="derived-exp-shift",
-            ),
-            window=window,
-            plan=SamplePlan(seed=23),
-        ),
-    }
-    return fixtures
+    return Fixture(name, SemigroupPresentation(generators, label=name), window,
+                   SamplePlan(seed=seed))
 
 
-FIXTURES = build_fixtures()
+_f_exp = Sum((Exp(Power(Identity(), 2)), Const(0.2)))
+_f_cos = Cos(Identity())
+FIXTURES = {fx.name: fx for fx in (
+    _fixture("example-2.1-exp", (_f_exp, Negate(_f_exp)), seed=21),
+    _fixture("example-2.1-cos", (_f_cos, Negate(_f_cos)), seed=22),
+    _fixture("derived-exp-shift", (Exp(Identity()), Sum((Exp(Identity()), Const(1.0)))),
+             seed=23),
+)}
 
-# the two fixtures taken verbatim from the worked examples; these are the
+# the first two, taken verbatim from the worked examples; these are the
 # ones with the involution commutator and a two-element commutator group
-INVOLUTION_FIXTURES = ("example-2.1-exp", "example-2.1-cos")
+INVOLUTION_FIXTURES = tuple(FIXTURES)[:2]
 
 
 def get_fixture(name: str) -> Fixture:
-    try:
-        return FIXTURES[name]
-    except KeyError:
-        raise KeyError(
-            f"unknown fixture {name!r}; available: {sorted(FIXTURES)}"
-        ) from None
+    if name not in FIXTURES:
+        raise ValueError(f"unknown fixture {name!r}; available: {sorted(FIXTURES)}")
+    return FIXTURES[name]

@@ -220,10 +220,11 @@ class GridSpec:
         whether it lies in the window: the inverse of cell_centers.  Points
         outside the window, infinite or NaN get row and col -1."""
         xmin, ymax, dx, dy = self._geometry()
-        col = z.real - xmin
-        col /= dx
-        row = ymax - z.imag
-        row /= dy
+        with np.errstate(over="ignore"):  # far points: inf, hence invalid
+            col = z.real - xmin
+            col /= dx
+            row = ymax - z.imag
+            row /= dy
         np.floor(col, out=col)
         np.floor(row, out=row)
         valid = (col >= 0) & (col < self.cols) & (row >= 0) & (row < self.rows)

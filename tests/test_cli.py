@@ -421,6 +421,27 @@ class TestExitCodeContract:
         # an unbounded count once drew words until memory ran out
         ({}, ["normal-form", "--fixture", "example-2.1-cos", "--random",
               str(RANDOM_CAP + 1)], EXIT_USAGE),
+        # two sources of the semigroup, flags or config keys, once kept one
+        # of them silently; an empty --fixture, --map or --phi once read as
+        # no flag at all
+        ({}, ["commutator", "--fixture", "example-2.1-cos", "--generators", "exp(z)",
+              "pow(z,2)"], EXIT_USAGE),
+        ({}, ["render", "--map", "exp(z)", "--fixture", "example-2.1-cos", "--cells", "8"],
+         EXIT_USAGE),
+        ({}, ["render", "--map", "exp(z)", "--generators", "cos(z)", "--cells", "8"],
+         EXIT_USAGE),
+        ({}, ["render", "--fixture", "", "--generators", "exp(z)", "--cells", "4"],
+         EXIT_USAGE),
+        ({}, ["render", "--map", "", "--fixture", "example-2.1-cos", "--cells", "4"],
+         EXIT_USAGE),
+        ({}, ["transport", "--generators", "exp(z)", "neg(exp(z))", "--phi", "",
+              "--cells", "4"], EXIT_USAGE),
+        ({"fixture.json": {"fixture": "example-2.1-cos"}},
+         ["commutator", "--generators", "exp(z)", "pow(z,2)", "--config",
+          "{tmp}/fixture.json"], EXIT_USAGE),
+        # --map iterates one map, whatever word depth is asked for
+        ({}, ["render", "--map", "exp(z)", "--word-depth", "3", "--cells", "8"],
+         EXIT_USAGE),
     ]
 
     @pytest.mark.parametrize("env,argv,code", CASES)
@@ -430,6 +451,31 @@ class TestExitCodeContract:
         argv = [a.format(tmp=tmp_path) for a in argv]
         assert run(*argv, "--out", str(tmp_path)) == code
         assert "Traceback" not in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv,message", [
+        (["commutator", "--fixture", "example-2.1-cos", "--generators", "exp(z)"],
+         "--fixture and --generators each name the semigroup; give one"),
+        (["render", "--map", "exp(z)", "--fixture", "example-2.1-cos"],
+         "--map and --fixture each name the semigroup; give one"),
+        (["render", "--map", "exp(z)", "--generators", "cos(z)"],
+         "--map and --generators each name the semigroup; give one"),
+        (["render", "--fixture", ""], "unknown fixture ''"),
+        # the whole line, without the quotes a KeyError once added
+        (["render", "--fixture", "nope"],
+         f"semidyn: unknown fixture 'nope'; available: {sorted(semidyn.FIXTURES)}\n"),
+        (["render", "--map", "", "--cells", "4"], "unexpected end of input"),
+        (["transport", "--generators", "exp(z)", "neg(exp(z))", "--phi", ""],
+         "--phi takes 'a;b', got ''"),
+        (["render", "--map", "exp(z)", "--word-depth", "3"],
+         "--word-depth takes a semigroup; --map iterates one map"),
+    ])
+    def test_usage_error_names_the_conflict_or_value(self, tmp_path, capsys, argv,
+                                                     message):
+        out = tmp_path / "out"
+        assert run(*argv, "--out", str(out)) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert message in err and err.count("\n") == 1
+        assert not out.exists()
 
     def test_unwritable_report_is_usage_error(self, tmp_path, capsys):
         (tmp_path / "render_meta.json").mkdir()
@@ -528,6 +574,12 @@ class TestConfigFile:
         grid = json.loads((tmp_path / "render_meta.json").read_text())["grid"]
         assert (grid["cols"], grid["rows"]) == (4, 8)
 
+    def test_switch_from_config(self, tmp_path):
+        (tmp_path / "cfg.json").write_text(json.dumps({"csv": True}))
+        assert run("render", "--map", "cos(z)", "--cells", "4", "--config",
+                   str(tmp_path / "cfg.json"), "--out", str(tmp_path)) == EXIT_OK
+        assert (tmp_path / "classification.csv").exists()
+
     # before config entries were parsed as flags, the first four exited 0
     # or with a message naming neither the key nor the flag
     @pytest.mark.parametrize("config,named", [
@@ -543,6 +595,7 @@ class TestConfigFile:
         ({"grid": {"plan": {"seed": 3}}}, "'plan'"),
         ({"seed": None}, "--seed"),
         ({"plan": {"count": 16}}, "'count'"),
+        ([1, 2], "is not a JSON object"),
     ])
     def test_rejected_config_names_the_key(self, tmp_path, capsys, config, named):
         (tmp_path / "cfg.json").write_text(json.dumps(config))

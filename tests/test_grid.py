@@ -130,12 +130,17 @@ class TestGridSpec:
         inf, nan = math.inf, math.nan
         points = np.array([4e301 + 0j, -4e301j, 1e300 + 1e300j, complex(inf, 0),
                            complex(0, -inf), complex(nan, 0), complex(0, nan), 1 + 1j])
+        # cells half a unit wide: the offset of a finite point over the
+        # cell width overflows
+        narrow = small_spec(cols=16, rows=16)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             row, col, valid = spec.cell_index(points)
+            far = narrow.cell_index(np.array([1.7e308 + 0j]))
         assert valid.tolist() == [False] * 7 + [True]
         assert (row[:-1] == -1).all() and (col[:-1] == -1).all()
         assert (row[-1], col[-1]) == cell_index_of(spec, points[-1]) == (1, 2)
+        assert [a.tolist() for a in far] == [[-1], [-1], [False]]
 
 
 class TestClassifyMap:
@@ -1119,6 +1124,10 @@ class TestClassBJuliaMask:
         "exp(add(z, neg(z)))",  # may cancel to a constant
         "mul(const(0+0i), exp(z))",
         "mul(z, exp(z))",
+        "compose(exp(z), add(z, exp(z)))",  # an inner map of unknown growth
+        "compose(exp(z), const(1+0i))",  # constant
+        "mul(z, exp(add(z, neg(z))))",  # a factor that may cancel to a constant
+        "add(const(1+0i), const(2+0i))",  # constant
     ])
     def test_not_recognised(self, text):
         assert not is_class_b(parse_expr(text))

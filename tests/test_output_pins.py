@@ -43,6 +43,8 @@ CASES = {
     "commutator-no-table": ("commutator", *NO_TABLE),
     "transport-no-table": ("transport", *NO_TABLE),
     "normal-form-no-table": ("normal-form", *NO_TABLE, "--word", "1,2"),
+    "render-unknown-fixture": ("render", "--fixture", "nope"),
+    "commutator-two-sources": ("commutator", "--fixture", "example-2.1-cos", *NO_TABLE),
 }
 
 

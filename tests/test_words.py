@@ -7,6 +7,9 @@ import numpy as np
 import pytest
 
 from semidyn.commutator import (
+    AffineGroup,
+    CommutatorResult,
+    CommutatorTable,
     NoAffineCommutatorError,
     SemigroupPresentation,
     build_commutator_table,
@@ -29,6 +32,7 @@ from semidyn.cli import EXIT_OK, main as cli_main
 from semidyn.fixtures import FIXTURES, INVOLUTION_FIXTURES
 from semidyn.words import (
     NoXiError,
+    VerificationFailedError,
     Word,
     left_resolve_exists,
     normal_form,
@@ -148,6 +152,12 @@ class TestLeftResolve:
         fx, table, G = fixture_machinery("example-2.1-exp")
         assert left_resolve_exists(fx.presentation.generator(1), IDENT, G, fx.plan)
 
+    def test_element_without_clean_points_is_skipped(self):
+        # f(z + 1000) = e^{(z+1000)^2} + 0.2 overflows at every sample point
+        fx = FIXTURES["example-2.1-exp"]
+        G = AffineGroup((AffineMap(1, 1000), IDENT))
+        assert left_resolve_exists(fx.presentation.generator(1), IDENT, G, fx.plan)
+
 
 class TestNormalForm:
     def test_single_letter(self):
@@ -194,6 +204,14 @@ class TestNormalForm:
             w = Word(tuple(int(x) for x in rng.integers(1, 3, length)))
             nf = normal_form(w, fx.presentation, table, G, fx.plan)
             assert nf.residual < 1e-9
+
+    def test_wrong_table_entry_fails_verification(self):
+        # f2∘f1 = -cos(cos z) rewritten with phi = 2z is 2 cos(cos z)
+        fx, table, _ = fixture_machinery("example-2.1-cos")
+        entries = {**table.entries, (2, 1): CommutatorResult(AffineMap(2, 0), 0.0)}
+        wrong = CommutatorTable(table.size, entries)
+        with pytest.raises(VerificationFailedError, match="residual 1.500e"):
+            normal_form(Word((2, 1)), fx.presentation, wrong, None, fx.plan)
 
     def test_json_shape(self):
         fx, table, G = fixture_machinery("example-2.1-exp")
