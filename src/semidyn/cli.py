@@ -36,7 +36,6 @@ from dataclasses import replace
 import numpy as np
 
 from .commutator import (
-    CLOSURE_CAP,
     AffineGroup,
     ClosureOverflowError,
     CommutatorTable,
@@ -209,13 +208,14 @@ def _table(run: Run, hint: str = "") -> CommutatorTable | None:
     return near.table
 
 
-def _group(table: CommutatorTable) -> AffineGroup | None:
-    """The group the table's maps generate, or None where it does not close:
-    each xi is then fitted and used unchecked against the group."""
+def _group(table: CommutatorTable) -> tuple[AffineGroup | None, str]:
+    """The group the table's maps generate and "", or None where it does
+    not close and why: each xi is then fitted and used unchecked against
+    the group."""
     try:
-        return group_closure(table.maps())
-    except ClosureOverflowError:
-        return None
+        return group_closure(table.maps()), ""
+    except ClosureOverflowError as exc:
+        return None, str(exc)
 
 
 def cmd_commutator(run: Run) -> int:
@@ -270,7 +270,7 @@ def cmd_verify(run: Run) -> int:
         conj = conjugate_semigroup(S, phi)
         same = is_nearly_abelian(conj, plan).algebraic  # near.algebraic holds here
         record("conjugation-preserves-nearly-abelian", same, 0.0)
-        G = _group(near.table)
+        G, not_closed = _group(near.table)
         try:
             xi = resolve_xi(f, phi, G, plan)
             record("resolve-xi(f, phi)", True, 0.0, xi=xi.to_json_dict())
@@ -290,7 +290,7 @@ def cmd_verify(run: Run) -> int:
         if G is None:
             # the left-sided search runs over G, which did not close
             checks.append({"check": "left-resolve-exists",
-                           "not_run": f"closure exceeded cap {CLOSURE_CAP}", "ok": True})
+                           "not_run": not_closed, "ok": True})
 
     run.report("verify_report.json",
                {"presentation": presentation_to_json_dict(S), "checks": checks})
@@ -366,7 +366,7 @@ def cmd_normal_form(run: Run) -> int:
     table = _table(run)
     if table is None:
         return EXIT_TABLE_INCOMPLETE
-    G = _group(table)
+    G, _ = _group(table)
 
     # a failed word gets an error record, and the batch goes on
     results = []

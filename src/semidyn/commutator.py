@@ -50,7 +50,8 @@ class NotNearlyRepresentableError(ValueError):
 
 
 class ClosureOverflowError(RuntimeError):
-    """Group closure exceeded CLOSURE_CAP elements."""
+    """Group closure exceeded CLOSURE_CAP elements, or reached an inverse
+    or product that is not an invertible affine map."""
 
 
 class MissingCommutatorError(ValueError):
@@ -249,7 +250,8 @@ class AffineGroup:
 def group_closure(seeds: list[AffineMap]) -> AffineGroup:
     """Breadth-first closure of the seeds under composition and inverse,
     deduplicated as AffineGroup.find looks up; ClosureOverflowError past
-    CLOSURE_CAP elements."""
+    CLOSURE_CAP elements, or where an inverse or product overflows out of
+    the invertible affine maps."""
     elements: list[AffineMap] = [IDENTITY_MAP]
 
     def add(m: AffineMap) -> bool:
@@ -267,9 +269,14 @@ def group_closure(seeds: list[AffineMap]) -> AffineGroup:
     while frontier:
         next_frontier = []
         for m in frontier:
-            for candidate in [affine_inverse(m)] + [
-                affine_compose(m, e) for e in list(elements)
-            ] + [affine_compose(e, m) for e in list(elements)]:
+            try:
+                candidates = [affine_inverse(m)] + [
+                    affine_compose(m, e) for e in elements
+                ] + [affine_compose(e, m) for e in elements]
+            except DegenerateAffineError as exc:
+                raise ClosureOverflowError(
+                    f"closure left the invertible affine maps: {exc}") from exc
+            for candidate in candidates:
                 if add(candidate):
                     next_frontier.append(candidate)
         frontier = next_frontier

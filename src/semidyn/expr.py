@@ -547,13 +547,16 @@ def find_clean_points(
     expression evaluates cleanly, and each one's values there.  Entire
     functions agreeing on an open set agree everywhere, so any clean
     sub-disk will do.  Stage 1 draws batches from the plan's disk about 0
-    (4n seeded points, a lattice, 16n and 64n more), stage 2 zooms onto the
-    clean points found; if neither finds enough, DegenerateSamplesError.
-    Each point is evaluated at most once per expression, and expression k
-    only where 1..k-1 are clean.  Evaluation is elementwise, so the values
-    are those at the chosen points alone, and reordering the expressions
-    gives the same points (or the same error) and reorders the values
-    alone, bit for bit."""
+    (4n seeded points, a lattice, 16n and 64n more) until they hold n
+    clean points.  Failing that, stage 2 draws 4n points from each of up
+    to 32 zoom disks, shrinks 8, 32, 128 and 512 about each of the first
+    8 clean points found, and evaluates all of them at once; the first
+    disk in draw order that holds n clean points wins.  If none does,
+    DegenerateSamplesError.  Each point is evaluated at most once per
+    expression, and expression k only where 1..k-1 are clean.  Evaluation
+    is elementwise, so the values are those at the chosen points alone,
+    and reordering the expressions gives the same points (or the same
+    error) and reorders the values alone, bit for bit."""
     n = SAMPLE_COUNT
     rng = np.random.default_rng(plan.seed)
 
@@ -562,12 +565,14 @@ def find_clean_points(
         theta = 2 * np.pi * rng.random(m)
         return center + r * np.exp(1j * theta)
 
-    def clean(pts: np.ndarray) -> list[np.ndarray]:
-        """[the points clean for every expression, each one's values there]"""
-        cols = [pts]
+    def clean(pts: np.ndarray, *carried: np.ndarray) -> list[np.ndarray]:
+        """[the points clean for every expression, each array carried along
+        with pts at those points, each expression's values there]"""
+        cols = [pts, *carried]
+        width = len(cols) + len(exprs)
         for e in exprs:
             if not len(cols[0]):
-                return [cols[0]] * (len(exprs) + 1)
+                return cols + [cols[0]] * (width - len(cols))
             v, bad = eval_array(e, cols[0])
             ok = ~bad
             cols = [c[ok] for c in cols + [v]]
@@ -587,11 +592,16 @@ def find_clean_points(
         if len(found[0]) >= n:
             return found[0][:n], [v[:n] for v in found[1:]]
 
-    for center in found[0][:8]:  # stage 2
-        for shrink in (8.0, 32.0, 128.0, 512.0):
-            pts, *values = clean(draw(complex(center), SAMPLE_RADIUS / shrink, 4 * n))
-            if len(pts) >= n:
-                return pts[:n], [v[:n] for v in values]
+    disks = [draw(complex(center), SAMPLE_RADIUS / shrink, 4 * n)  # stage 2
+             for center in found[0][:8] for shrink in (8.0, 32.0, 128.0, 512.0)]
+    if disks:
+        pts = np.concatenate(disks)
+        pts, index, *values = clean(pts, np.arange(len(pts)))
+        disk = index // (4 * n)
+        full = np.flatnonzero(np.bincount(disk, minlength=len(disks)) >= n)
+        if len(full):
+            first = np.flatnonzero(disk == full[0])[:n]
+            return pts[first], [v[first] for v in values]
     raise DegenerateSamplesError(
         f"no disk with {n} clean samples found for {len(exprs)} expression(s)"
     )

@@ -7,9 +7,10 @@ nonnegative exponents; it is produced by bubble-sorting the letters, each
 adjacent swap inserting the pair's commutator, which is then migrated to
 the far left one generator at a time.  Since f_k ∘ phi = xi ∘ f_k, each
 migration depends only on the pair (k, phi), so normal_form resolves each
-pair once per word.  xi is fitted from sampled values, so the commutator
-group need not be finite; when group_closure closes it, xi is snapped to
-its element of the group.
+pair once per word.  The identity migrates to itself across every
+generator, so a migration that reaches it stops there.  xi is fitted
+from sampled values, so the commutator group need not be finite; when
+group_closure closes it, xi is snapped to its element of the group.
 """
 
 from __future__ import annotations
@@ -138,8 +139,11 @@ def normal_form(
     the far left across each generator it passes, then absorbed into the
     prefix.  Each migration f_k ∘ phi = xi ∘ f_k is resolved by resolve_xi
     once per (k, phi), keyed by k and phi's exact coefficients, and
-    reused for the rest of the word.  Letters are permuted, never created
-    or destroyed, so the exponents always sum to the word length.
+    reused for the rest of the word.  resolve_xi gives IDENTITY_MAP itself
+    for any phi within tolerance of the identity, and that object
+    migrates to itself, so the migration stops once phi is it; the prefix
+    still absorbs it.  Letters are permuted, never created or destroyed,
+    so the exponents always sum to the word length.
     The result is verified by evaluating the whole word.
     """
     w.validate(S)
@@ -158,6 +162,8 @@ def normal_form(
                 letters[idx], letters[idx + 1] = j, i
                 # migrate phi left across letters[0..idx-1]
                 for k in range(idx - 1, -1, -1):
+                    if phi is IDENTITY_MAP:
+                        break
                     key = (letters[k], phi.a, phi.b)
                     if key not in xi_of:
                         xi_of[key] = resolve_xi(S.generator(letters[k]), phi, G, plan)

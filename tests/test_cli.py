@@ -442,6 +442,13 @@ class TestExitCodeContract:
         # --map iterates one map, whatever word depth is asked for
         ({}, ["render", "--map", "exp(z)", "--word-depth", "3", "--cells", "8"],
          EXIT_USAGE),
+        # phi12 = (e^-200, 200) is a valid fit, but a product in the closure
+        # of the table overflows: the group once raised out of the run
+        # instead of not closing
+        ({}, ["normal-form", "--generators", "affine(1+0i, 200+0i)", "exp(z)",
+              "--word", "2,1"], EXIT_OK),
+        ({}, ["verify", "--generators", "affine(1+0i, 200+0i)", "exp(z)"],
+         EXIT_VERIFY_FAILED),
     ]
 
     @pytest.mark.parametrize("env,argv,code", CASES)

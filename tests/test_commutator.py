@@ -1,3 +1,4 @@
+import contextlib
 import hashlib
 import json
 import math
@@ -24,6 +25,8 @@ from semidyn.commutator import (
     verify_identity,
 )
 from semidyn.expr import (
+    SAMPLE_COUNT,
+    SAMPLE_RADIUS,
     AffineMap,
     Cos,
     Exp,
@@ -83,13 +86,16 @@ class TestFindCleanPoints:
                 h.update(v.tobytes())
         assert h.hexdigest() == self.PINNED_SHA256
 
-    # exp words: 2 finds its points in the first batch, 9 and 13 need more
-    # batches, 14 and 32 never find enough.  Words of two or more letters
-    # give distinct tree objects, which the spy tells apart.  The element
-    # counts per expression were 1844, 1844, 10012, 11164 and 8604 for
-    # both trees at 3ea6d88, which evaluated the whole pool at every check.
+    # exp words: 2 finds its points in the first batch, 9 needs more
+    # batches, 13 finds them in stage 2, 14 and 32 never find enough.  Words
+    # of two or more letters give distinct tree objects, which the spy tells
+    # apart.  The element counts per expression were 1844, 1844, 10012,
+    # 11164 and 8604 for both trees at 3ea6d88, which evaluated the whole
+    # pool at every check.  13's were [5812, 178] while stage 2 evaluated
+    # one disk at a time and stopped at the winner, its 11th disk; it now
+    # evaluates all 32 disks at once, 4096 points.
     @pytest.mark.parametrize("length,elements", [
-        (2, [128, 125]), (9, [1844, 169]), (13, [5812, 178]), (14, [6964, 99]),
+        (2, [128, 125]), (9, [1844, 169]), (13, [8500, 645]), (14, [6964, 99]),
         (32, [4404, 0]),
     ])
     def test_each_point_evaluated_once_per_expression(self, monkeypatch, length,
@@ -121,6 +127,29 @@ class TestFindCleanPoints:
             for e, v in zip(exprs, values):
                 assert v.tobytes() == real(e, pts)[0].tobytes()
 
+    # stage 1 evaluates expression 0 once per batch, 4 batches, so stage 2
+    # begins at its 5th call; 13 and 14 reach it, 32 finds no clean centre
+    # to zoom onto
+    @pytest.mark.parametrize("length,stage_2_calls", [(13, [0, 1]), (14, [0, 1]),
+                                                      (32, [])])
+    def test_stage_2_evaluates_each_expression_once(self, monkeypatch, length,
+                                                    stage_2_calls):
+        calls = []
+        real = semidyn.expr.eval_array
+
+        def spy(e, z):
+            calls.append(e)
+            return real(e, z)
+
+        monkeypatch.setattr(semidyn.expr, "eval_array", spy)
+        fx, exprs = list(seeded_word_pairs())[32 + length - 1]
+        with contextlib.suppress(DegenerateSamplesError):
+            find_clean_points(exprs, fx.plan)
+        order = [next(k for k, e in enumerate(exprs) if e is f) for f in calls]
+        starts = [i for i, k in enumerate(order) if k == 0]
+        stage_2 = order[starts[4]:] if len(starts) > 4 else []
+        assert stage_2 == stage_2_calls
+
     @pytest.mark.parametrize("length", [14, 20, 32])
     def test_long_exp_words_stay_degenerate(self, tmp_path, length):
         fx = FIXTURES["example-2.1-exp"]
@@ -133,6 +162,100 @@ class TestFindCleanPoints:
         text = ",".join(map(str, w.letters))
         assert cli_main(["normal-form", "--fixture", fx.name, "--word", text,
                          "--out", str(tmp_path)]) == EXIT_NORMAL_FORM_FAILED
+
+
+def one_disk_at_a_time(exprs, plan, zoomed=None):
+    """find_clean_points as it was while stage 2 made one clean() call per
+    zoom disk, kept as the reference of the batched search; appends True
+    to zoomed where it reaches stage 2."""
+    n = SAMPLE_COUNT
+    rng = np.random.default_rng(plan.seed)
+
+    def draw(center, radius, m):
+        r = radius * np.sqrt(rng.random(m))
+        theta = 2 * np.pi * rng.random(m)
+        return center + r * np.exp(1j * theta)
+
+    def clean(pts):
+        cols = [pts]
+        for e in exprs:
+            if not len(cols[0]):
+                return [cols[0]] * (len(exprs) + 1)
+            v, bad = eval_array(e, cols[0])
+            ok = ~bad
+            cols = [c[ok] for c in cols + [v]]
+        return cols
+
+    def stage1():
+        yield draw(0j, SAMPLE_RADIUS, 4 * n)
+        side = np.linspace(-SAMPLE_RADIUS, SAMPLE_RADIUS, 48)
+        lattice = (side[:, None] + 1j * side[None, :]).ravel()
+        yield lattice[np.abs(lattice) <= SAMPLE_RADIUS]
+        yield draw(0j, SAMPLE_RADIUS, 16 * n)
+        yield draw(0j, SAMPLE_RADIUS, 64 * n)
+
+    found = [np.empty(0, dtype=np.complex128)] * (len(exprs) + 1)
+    for batch in stage1():
+        found = [np.concatenate(pair) for pair in zip(found, clean(batch))]
+        if len(found[0]) >= n:
+            return found[0][:n], [v[:n] for v in found[1:]]
+
+    if zoomed is not None:
+        zoomed.append(True)
+    for center in found[0][:8]:  # stage 2
+        for shrink in (8.0, 32.0, 128.0, 512.0):
+            pts, *values = clean(draw(complex(center), SAMPLE_RADIUS / shrink, 4 * n))
+            if len(pts) >= n:
+                return pts[:n], [v[:n] for v in values]
+    raise DegenerateSamplesError(
+        f"no disk with {n} clean samples found for {len(exprs)} expression(s)"
+    )
+
+
+def search_outcome(search, exprs, plan, **kwargs):
+    """The bytes of the points and of each expression's values a search
+    finds, or the message of its DegenerateSamplesError."""
+    try:
+        pts, values = search(exprs, plan, **kwargs)
+    except DegenerateSamplesError as exc:
+        return str(exc)
+    return [pts.tobytes(), *(v.tobytes() for v in values)]
+
+
+def long_exp_word_pairs():
+    """Seeded 13..16-letter example-2.1-exp words, each as the pair [word,
+    reversed word]; every one misses in stage 1.  13 letters find their
+    points in stage 2, 14 and more find none."""
+    fx = FIXTURES["example-2.1-exp"]
+    rng = np.random.default_rng(13)
+    for length in range(13, 17):
+        for _ in range(6):
+            letters = tuple(int(x) for x in rng.integers(1, 3, length))
+            yield fx, [word_expr(Word(letters), fx.presentation),
+                       word_expr(Word(letters[::-1]), fx.presentation)]
+
+
+class TestBatchedStage2:
+    """The batched stage 2 of find_clean_points against the search that
+    evaluated one zoom disk at a time: the same points, values or error,
+    bit for bit."""
+
+    def test_seeded_word_pairs_match(self):
+        for fx, exprs in seeded_word_pairs():
+            for trees in (exprs, exprs[:1]):
+                assert (search_outcome(find_clean_points, trees, fx.plan)
+                        == search_outcome(one_disk_at_a_time, trees, fx.plan))
+
+    def test_long_exp_words_match(self):
+        outcomes = []
+        for fx, exprs in long_exp_word_pairs():
+            zoomed = []
+            want = search_outcome(one_disk_at_a_time, exprs, fx.plan, zoomed=zoomed)
+            assert zoomed == [True]
+            assert search_outcome(find_clean_points, exprs, fx.plan) == want
+            outcomes.append(isinstance(want, str))
+        # both ends of stage 2: a disk wins, and none does
+        assert set(outcomes) == {False, True}
 
 
 class TestFindAffineCommutator:
@@ -299,6 +422,12 @@ class TestGroupClosure:
         with pytest.raises(ClosureOverflowError) as exc:
             group_closure([AffineMap(2, 0)])
         assert str(exc.value) == "closure exceeded cap 64"
+
+    def test_product_leaving_the_affine_maps_overflows(self):
+        # the powers of 1e30 pass 1e308 long before the cap: a product's
+        # coefficient a becomes infinite
+        with pytest.raises(ClosureOverflowError, match="invertible affine maps"):
+            group_closure([AffineMap(1e30, 1.0)])
 
     def test_rotation_order_four(self):
         G = group_closure([AffineMap(1j, 0)])

@@ -45,6 +45,9 @@ CASES = {
     "normal-form-no-table": ("normal-form", *NO_TABLE, "--word", "1,2"),
     "render-unknown-fixture": ("render", "--fixture", "nope"),
     "commutator-two-sources": ("commutator", "--fixture", "example-2.1-cos", *NO_TABLE),
+    # exits 0 only once stage 2 of the clean-point search zooms in
+    "normal-form-stage-2": ("normal-form", "--fixture", "example-2.1-exp",
+                            "--word", "1,2,1,2,1,2,1,2,1,2,1,2,1"),
 }
 
 

@@ -9,6 +9,7 @@ import pytest
 from semidyn.commutator import (
     AffineGroup,
     CommutatorResult,
+    ClosureOverflowError,
     CommutatorTable,
     NoAffineCommutatorError,
     SemigroupPresentation,
@@ -16,14 +17,19 @@ from semidyn.commutator import (
     group_closure,
 )
 from semidyn.expr import (
+    IDENTITY_MAP,
     AffineMap,
     Cos,
+    DegenerateSamplesError,
     EvalOverflow,
     Exp,
     Identity,
     SamplePlan,
     Sin,
+    affine_compose,
     affine_distance,
+    compose,
+    compose_power,
     eval_at,
     numerically_equal,
 )
@@ -31,7 +37,9 @@ import semidyn.words
 from semidyn.cli import EXIT_OK, main as cli_main
 from semidyn.fixtures import FIXTURES, INVOLUTION_FIXTURES
 from semidyn.words import (
+    MAX_WORD_LENGTH,
     NoXiError,
+    NormalForm,
     VerificationFailedError,
     Word,
     left_resolve_exists,
@@ -280,3 +288,95 @@ class TestMigrationMemo:
         doc = json.loads((tmp_path / "normal_forms.json").read_text())
         assert len(doc["normal_forms"]) == 20
         assert 0 < len(calls) <= 20 * self.call_bound("example-2.1-cos")
+
+
+def migrating_every_step(w, S, table, G, plan):
+    """normal_form as it was while every migration ran to the far left,
+    also once phi was the identity, kept as the reference of the loop that
+    stops there."""
+    w.validate(S)
+    xi_of = {}
+    letters = list(w.letters)
+    prefix = IDENTITY_MAP
+
+    changed = True
+    while changed:
+        changed = False
+        for idx in range(len(letters) - 1):
+            i, j = letters[idx], letters[idx + 1]
+            if i > j:
+                phi = table.entry(i, j)
+                letters[idx], letters[idx + 1] = j, i
+                for k in range(idx - 1, -1, -1):
+                    key = (letters[k], phi.a, phi.b)
+                    if key not in xi_of:
+                        xi_of[key] = resolve_xi(S.generator(letters[k]), phi, G, plan)
+                    phi = xi_of[key]
+                prefix = affine_compose(prefix, phi)
+                changed = True
+
+    exponents = tuple(letters.count(i) for i in range(1, len(S) + 1))
+
+    rhs = prefix.as_expr()
+    for i, t in enumerate(exponents, start=1):
+        if t > 0:
+            rhs = compose(rhs, compose_power(S.generator(i), t))
+    rep = numerically_equal(word_expr(w, S), rhs, plan)
+    if not rep.equal:
+        raise VerificationFailedError(f"normal form residual {rep.max_error:.3e}")
+
+    in_table = any(
+        affine_distance(prefix, m) < plan.tolerance for m in table.maps()
+    )
+    return NormalForm(prefix, exponents, in_table, rep.max_error)
+
+
+def seeded_fixture_words():
+    """Each fixture's seeded word of each length 1..32, with its table and
+    its group, None where the group does not close."""
+    rng = np.random.default_rng(30)
+    for name in FIXTURES:
+        fx = FIXTURES[name]
+        table = build_commutator_table(fx.presentation, fx.plan)
+        try:
+            G = group_closure(table.maps())
+        except ClosureOverflowError:
+            G = None
+        for length in range(1, MAX_WORD_LENGTH + 1):
+            letters = tuple(int(x) for x in rng.integers(1, 3, length))
+            yield fx, Word(letters), table, G
+
+
+def rewrite_outcome(rewrite, fx, w, table, G):
+    """The normal form a rewrite gives and its JSON text, which tells
+    signed zeros apart, or its error's type and message."""
+    try:
+        nf = rewrite(w, fx.presentation, table, G, fx.plan)
+    except (NoXiError, VerificationFailedError, DegenerateSamplesError) as exc:
+        return type(exc), str(exc)
+    return nf, json.dumps(normal_form_to_json_dict(w, nf))
+
+
+class TestIdentityStopsMigrating:
+    def test_matches_migrating_every_step(self):
+        unclosed = 0
+        for fx, w, table, G in seeded_fixture_words():
+            unclosed += G is None
+            assert (rewrite_outcome(normal_form, fx, w, table, G)
+                    == rewrite_outcome(migrating_every_step, fx, w, table, G))
+        assert unclosed == MAX_WORD_LENGTH  # derived-exp-shift
+
+    def test_identity_never_migrates(self, monkeypatch):
+        phis = []
+        real = semidyn.words.resolve_xi
+
+        def spy(f, phi, G, plan):
+            phis.append(phi)
+            return real(f, phi, G, plan)
+
+        monkeypatch.setattr(semidyn.words, "resolve_xi", spy)
+        for fx, w, table, G in seeded_fixture_words():
+            rewrite_outcome(normal_form, fx, w, table, G)
+        assert phis
+        assert not any(phi is IDENTITY_MAP for phi in phis)
+
