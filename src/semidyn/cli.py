@@ -158,8 +158,14 @@ class Run:
         return replace(self.fx.window if self.fx else GridSpec(), **kwargs)
 
     def _words(self) -> list[Word]:
-        words = [Word(tuple(int(t) for t in text.split(",")))
-                 for text in self.args.words or []]
+        words = []
+        for text in self.args.words or []:
+            try:
+                letters = tuple(int(t) for t in text.split(","))
+            except ValueError:
+                raise UsageError(f"--word takes generator numbers separated by commas, "
+                                 f"got {text!r}") from None
+            words.append(Word(letters))
         max_len = 6 if self.args.max_len is None else self.args.max_len
         if not 1 <= max_len <= MAX_WORD_LENGTH:
             raise UsageError(f"--max-len must be 1..{MAX_WORD_LENGTH}, got {max_len}")
@@ -302,14 +308,16 @@ def cmd_verify(run: Run) -> int:
 
 def cmd_render(run: Run) -> int:
     spec = run.spec
+    record = spec.to_json_dict()
     if run.map is not None:
         grid = classify_map(run.map, spec, workers=run.workers)
+        del record["word_depth"]  # the one map is iterated, not words of it
     else:
         grid = classify_semigroup(run.S, spec, workers=run.workers)
 
     counts = grid.counts()
     config_hash = run.report("render_meta.json", {
-        "grid": spec.to_json_dict(),
+        "grid": record,
         "subject": grid.subject,
         "counts": counts,
         "boundary_cells": int(escape_boundary(grid).sum()),

@@ -17,12 +17,15 @@ its outer child's values.
 Evaluation is elementwise: an element's value and bad bit depend on that
 element alone, bit for bit, whatever the array's length.  The clean-point
 search and the grid kernel rely on it when they evaluate a subset of
-points, and so does Compose: once its inner child leaves at least half the
-points bad, it evaluates its outer child at the clean points alone and
-writes those values and bad bits back into the inner child's array, and
-when every point is bad it skips the outer child.  numpy's in-place complex
-multiply rounds one-element arrays differently from every other length, so
-Power and Product multiply out of place.
+points, and so does Compose.  A Compose evaluates the chain of Compose
+nodes under it as one sequence of maps, in the order they apply: once at
+least half the points still live are bad, the later maps run at the clean
+ones alone, the live set shrinking again wherever half of it has gone bad,
+and their values and bad bits are written back into the first map's array
+at the end; once every live point is bad, the rest of the chain is
+skipped.  numpy's in-place complex multiply rounds one-element arrays
+differently from every other length, so Power and Product multiply out of
+place.
 
 ``eval_at`` is ``eval_array`` on a one-element array, raising EvalOverflow
 where that element is bad.  Negate is exact and sets no bad bit, so
@@ -33,8 +36,8 @@ its negation, rest on this.
 Evaluation works in place.  Each node's ``_eval`` returns a fresh array
 that no other node holds, and its parent may overwrite it: Exp, Cos, Sin
 and Negate write their result into their child's array, Sum accumulates
-into its first child's, and a compacting Compose writes into its inner
-child's.  No node writes into the points it is evaluated at, so only
+into its first child's, and a compacting Compose writes into its first
+map's.  No node writes into the points it is evaluated at, so only
 Identity, where those points become a value, copies its input, and
 ``eval_array`` never alters the caller's array nor returns memory shared
 with it.
@@ -61,7 +64,9 @@ OVERFLOW_CEILING = 1e150
 # is 2).  The deepest recursions over a tree, printing it or walking a
 # sum, take up to 4 frames a level, and words of up to 32 letters compose
 # a tree 31 levels deeper, so 128 keeps them well inside Python's default
-# recursion limit of 1000.
+# recursion limit of 1000.  Evaluation takes one frame a level but none
+# for a Compose under a Compose: a chain is evaluated as a loop over its
+# maps.
 MAX_EXPR_DEPTH = 128
 
 
@@ -96,10 +101,10 @@ class Expr:
     tuple[Expr, ...], complex or int; and implements ``_eval(w, bad)``,
     its values at the points w, setting in ``bad`` the points an op
     cannot take.  It evaluates a child with ``child._eval(v, bad)`` into
-    the same mask (a compacting Compose gives its outer child a mask of
-    its own), and a node whose values can exceed the ceiling returns them
-    ``_capped``.  ``_eval`` must not write into w, and returns an array
-    that it owns: the parent may overwrite it.  The array a child returns
+    the same mask (a compacting Compose gives the later maps of its chain
+    a mask of their own), and a node whose values can exceed the ceiling
+    returns them ``_capped``.  ``_eval`` must not write into w, and
+    returns an array that it owns: the parent may overwrite it.  The array a child returns
     is the node's to overwrite in turn.
     """
 
@@ -259,19 +264,35 @@ class Compose(Expr):
     name = "compose"
 
     def _eval(self, w, bad):
-        u = self.inner._eval(w, bad)
-        # the outer child could only set bits already set, and values at
-        # bad points are unspecified, so once half the points are bad it
-        # runs at the clean ones alone
-        nbad = np.count_nonzero(bad)
-        if nbad * 2 < bad.size:
-            return self.outer._eval(u, bad)
-        if nbad == bad.size:
-            return u
-        clean = ~bad
-        sub = np.zeros(bad.size - nbad, dtype=bool)
-        u[clean] = self.outer._eval(u[clean], sub)
-        bad[clean] = sub
+        # the maps of the chain of Compose nodes under this one, in the
+        # order they apply, gathered in a loop rather than one call a level
+        maps, stack = [], [self]
+        while stack:
+            e = stack.pop()
+            if type(e) is Compose:
+                stack += e.outer, e.inner
+            else:
+                maps.append(e)
+        u = maps[0]._eval(w, bad)
+        # a later map could only set bits already set, and values at bad
+        # points are unspecified, so once half the live points are bad the
+        # rest of the chain runs at the clean ones alone (v at the indices
+        # at of u, with its own mask), and stops when none is left
+        v, live_bad, at = u, bad, None
+        for m in maps[1:]:
+            nbad = np.count_nonzero(live_bad)
+            if nbad * 2 >= live_bad.size:
+                if nbad == live_bad.size:
+                    break
+                keep = np.nonzero(~live_bad)
+                at = keep if at is None else tuple(i[keep] for i in at)
+                v, live_bad = v[keep], np.zeros(live_bad.size - nbad, dtype=bool)
+            v = m._eval(v, live_bad)
+        if at is None:
+            return v
+        u[at] = v
+        bad[...] = True  # every point off the live set was bad when it left
+        bad[at] = live_bad
         return u
 
 
@@ -446,11 +467,11 @@ def eval_array(expr: Expr, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Vectorised evaluation.
 
     Returns (values, bad) where bad marks elements at which some
-    intermediate overflowed; values are unspecified there.  A Compose
-    whose inner child leaves at least half the points bad evaluates its
-    outer child at the clean points alone, and none when every point is
-    bad.  numpy's overflow and invalid warnings are silenced: the mask
-    records those elements.
+    intermediate overflowed; values are unspecified there.  A chain of
+    Compose nodes runs its later maps at the clean points alone once at
+    least half its live points are bad, and stops when none is left.
+    numpy's overflow and invalid warnings are silenced: the mask records
+    those elements.
     """
     z = np.asarray(z, dtype=np.complex128)
     bad = np.zeros(z.shape, dtype=bool)
@@ -548,9 +569,13 @@ def find_clean_points(
     functions agreeing on an open set agree everywhere, so any clean
     sub-disk will do.  Stage 1 draws batches from the plan's disk about 0
     (4n seeded points, a lattice, 16n and 64n more) until they hold n
-    clean points.  Failing that, stage 2 draws 4n points from each of up
-    to 32 zoom disks, shrinks 8, 32, 128 and 512 about each of the first
-    8 clean points found, and evaluates all of them at once; the first
+    clean points, the first n in draw order winning.  It evaluates batch
+    1 alone; where the clean rate seen so far (clean points over points
+    evaluated) predicts that the next batch leaves it short of n, it draws
+    that batch and every later one and evaluates them in one call.
+    Failing that, stage 2 draws 4n points from each of up to 32 zoom
+    disks, shrinks 8, 32, 128 and 512 about each of the first 8 clean
+    points found, and evaluates all of them at once; the first
     disk in draw order that holds n clean points wins.  If none does,
     DegenerateSamplesError.  Each point is evaluated at most once per
     expression, and expression k only where 1..k-1 are clean.  Evaluation
@@ -587,7 +612,14 @@ def find_clean_points(
         yield draw(0j, SAMPLE_RADIUS, 64 * n)
 
     found = [np.empty(0, dtype=np.complex128)] * (len(exprs) + 1)
-    for batch in stage1():
+    batches, drawn = stage1(), 0
+    for batch in batches:
+        # at the clean rate seen so far this batch leaves the search short,
+        # so it and every later batch are drawn and evaluated at once (never
+        # batch 1: nothing is drawn before it)
+        if len(found[0]) * len(batch) < (n - len(found[0])) * drawn:
+            batch = np.concatenate([batch, *batches])
+        drawn += len(batch)
         found = [np.concatenate(pair) for pair in zip(found, clean(batch))]
         if len(found[0]) >= n:
             return found[0][:n], [v[:n] for v in found[1:]]

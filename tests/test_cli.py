@@ -127,6 +127,7 @@ class TestRenderCommand:
         assert (out / "heatmap.pgm").exists()
         meta = json.loads((out / "render_meta.json").read_text())
         assert meta["grid"]["cols"] == 32
+        assert "word_depth" not in meta["grid"]  # one map, no words of it
         assert meta["counts"]["escaping"] > 0
 
     def test_semigroup_depth_one_equals_map(self, tmp_path):
@@ -475,6 +476,9 @@ class TestExitCodeContract:
          "--phi takes 'a;b', got ''"),
         (["render", "--map", "exp(z)", "--word-depth", "3"],
          "--word-depth takes a semigroup; --map iterates one map"),
+        *((["normal-form", "--fixture", "example-2.1-cos", "--word", text],
+          f"--word takes generator numbers separated by commas, got {text!r}")
+          for text in ("1,,2", "1.5", "")),
     ])
     def test_usage_error_names_the_conflict_or_value(self, tmp_path, capsys, argv,
                                                      message):

@@ -2,9 +2,12 @@ import contextlib
 import hashlib
 import json
 import math
+import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import semidyn.commutator
 import semidyn.expr
@@ -29,6 +32,7 @@ from semidyn.expr import (
     SAMPLE_RADIUS,
     AffineMap,
     Cos,
+    EquivalenceReport,
     Exp,
     Identity,
     Negate,
@@ -41,7 +45,9 @@ from semidyn.expr import (
     numerically_equal,
 )
 from semidyn.fixtures import FIXTURES, INVOLUTION_FIXTURES
-from semidyn.words import Word, normal_form, word_expr
+import semidyn.words
+from semidyn.words import NoXiError, Word, normal_form, word_expr
+from test_expr import TREES
 
 Z = Identity()
 IDENT = AffineMap(1, 0)
@@ -52,6 +58,10 @@ def paper_pairs():
     for name in INVOLUTION_FIXTURES:
         S = FIXTURES[name].presentation
         yield name, S.generator(1), S.generator(2)
+
+
+# where each fixture's words start in seeded_word_pairs()
+FIXTURE_OFFSET = {"example-2.1-cos": 0, "example-2.1-exp": 32}
 
 
 def seeded_word_pairs():
@@ -127,28 +137,43 @@ class TestFindCleanPoints:
             for e, v in zip(exprs, values):
                 assert v.tobytes() == real(e, pts)[0].tobytes()
 
-    # stage 1 evaluates expression 0 once per batch, 4 batches, so stage 2
-    # begins at its 5th call; 13 and 14 reach it, 32 finds no clean centre
-    # to zoom onto
+    # stage 2's calls are those at points outside stage 1's draws, which
+    # the plan's seed rebuilds; 13 and 14 reach it, 32 finds no clean
+    # centre to zoom onto
     @pytest.mark.parametrize("length,stage_2_calls", [(13, [0, 1]), (14, [0, 1]),
                                                       (32, [])])
     def test_stage_2_evaluates_each_expression_once(self, monkeypatch, length,
                                                     stage_2_calls):
-        calls = []
-        real = semidyn.expr.eval_array
-
-        def spy(e, z):
-            calls.append(e)
-            return real(e, z)
-
-        monkeypatch.setattr(semidyn.expr, "eval_array", spy)
         fx, exprs = list(seeded_word_pairs())[32 + length - 1]
+        calls = spy_eval_array(monkeypatch, semidyn.expr, exprs)
         with contextlib.suppress(DegenerateSamplesError):
             find_clean_points(exprs, fx.plan)
-        order = [next(k for k, e in enumerate(exprs) if e is f) for f in calls]
-        starts = [i for i, k in enumerate(order) if k == 0]
-        stage_2 = order[starts[4]:] if len(starts) > 4 else []
-        assert stage_2 == stage_2_calls
+        first = stage_1_points(fx.plan)
+        assert [k for k, z in calls if first.isdisjoint(z.tolist())] == stage_2_calls
+
+    # the sizes of stage 1's calls of expression 0, for the search and for
+    # the search that evaluated one batch at a time (batches of 128, 1716,
+    # 512 and 2048 points): a word whose first batch holds too few clean
+    # points takes the other three in one call, and exp-9, whose first
+    # batch predicts enough from the lattice, does not
+    @pytest.mark.parametrize("name,length,sizes,parent_sizes", [
+        ("example-2.1-cos", 32, [128], [128]), ("example-2.1-exp", 2, [128], [128]),
+        ("example-2.1-exp", 9, [128, 1716], [128, 1716]),
+        *(("example-2.1-exp", length, [128, 1716 + 512 + 2048], [128, 1716, 512, 2048])
+          for length in (12, 13, 14, 32)),
+    ])
+    def test_stage_1_calls(self, monkeypatch, name, length, sizes, parent_sizes):
+        fx, exprs = list(seeded_word_pairs())[FIXTURE_OFFSET[name] + length - 1]
+        first = stage_1_points(fx.plan)
+        for module, search, want in ((semidyn.expr, find_clean_points, sizes),
+                                     (sys.modules[__name__], batch_at_a_time,
+                                      parent_sizes)):
+            with monkeypatch.context() as m:
+                seen = spy_eval_array(m, module, exprs)
+                with contextlib.suppress(DegenerateSamplesError):
+                    search(exprs, fx.plan)
+            assert [len(z) for k, z in seen
+                    if k == 0 and first.issuperset(z.tolist())] == want
 
     @pytest.mark.parametrize("length", [14, 20, 32])
     def test_long_exp_words_stay_degenerate(self, tmp_path, length):
@@ -164,39 +189,99 @@ class TestFindCleanPoints:
                          "--out", str(tmp_path)]) == EXIT_NORMAL_FORM_FAILED
 
 
+def draw(rng, center, radius, m):
+    """m seeded points in the disk about center, as the search draws them."""
+    r = radius * np.sqrt(rng.random(m))
+    theta = 2 * np.pi * rng.random(m)
+    return center + r * np.exp(1j * theta)
+
+
+def stage_1_batches(rng):
+    """Stage 1's four batches, in the order the search draws them."""
+    n = SAMPLE_COUNT
+    yield draw(rng, 0j, SAMPLE_RADIUS, 4 * n)
+    side = np.linspace(-SAMPLE_RADIUS, SAMPLE_RADIUS, 48)
+    lattice = (side[:, None] + 1j * side[None, :]).ravel()
+    yield lattice[np.abs(lattice) <= SAMPLE_RADIUS]
+    yield draw(rng, 0j, SAMPLE_RADIUS, 16 * n)
+    yield draw(rng, 0j, SAMPLE_RADIUS, 64 * n)
+
+
+def stage_1_points(plan):
+    """Every point stage 1 draws under plan, as a set."""
+    rng = np.random.default_rng(plan.seed)
+    return set(np.concatenate(list(stage_1_batches(rng))).tolist())
+
+
+def spy_eval_array(monkeypatch, module, exprs):
+    """Replaces module.eval_array with a spy; returns the list of (k, a copy
+    of the points) it appends to at each call, k the index of the
+    expression in exprs."""
+    calls = []
+    real = module.eval_array
+
+    def spy(e, z):
+        calls.append((next(k for k, f in enumerate(exprs) if f is e), z.copy()))
+        return real(e, z)
+
+    monkeypatch.setattr(module, "eval_array", spy)
+    return calls
+
+
+def clean_columns(exprs, pts, *carried):
+    """[the points clean for every expression, each array carried along
+    with pts at those points, each expression's values there], evaluating
+    expression k only where 1..k-1 are clean."""
+    cols = [pts, *carried]
+    width = len(cols) + len(exprs)
+    for e in exprs:
+        if not len(cols[0]):
+            return cols + [cols[0]] * (width - len(cols))
+        v, bad = eval_array(e, cols[0])
+        ok = ~bad
+        cols = [c[ok] for c in cols + [v]]
+    return cols
+
+
+def batch_at_a_time(exprs, plan, zoomed=None):
+    """find_clean_points as it was while stage 1 made one clean() call per
+    batch, kept as the reference of the search that takes the batches it
+    will need in one call; appends True to zoomed where it reaches stage
+    2."""
+    n = SAMPLE_COUNT
+    rng = np.random.default_rng(plan.seed)
+    found = [np.empty(0, dtype=np.complex128)] * (len(exprs) + 1)
+    for batch in stage_1_batches(rng):
+        found = [np.concatenate(pair) for pair in zip(found, clean_columns(exprs, batch))]
+        if len(found[0]) >= n:
+            return found[0][:n], [v[:n] for v in found[1:]]
+
+    if zoomed is not None:
+        zoomed.append(True)
+    disks = [draw(rng, complex(center), SAMPLE_RADIUS / shrink, 4 * n)  # stage 2
+             for center in found[0][:8] for shrink in (8.0, 32.0, 128.0, 512.0)]
+    if disks:
+        pts = np.concatenate(disks)
+        pts, index, *values = clean_columns(exprs, pts, np.arange(len(pts)))
+        disk = index // (4 * n)
+        full = np.flatnonzero(np.bincount(disk, minlength=len(disks)) >= n)
+        if len(full):
+            first = np.flatnonzero(disk == full[0])[:n]
+            return pts[first], [v[first] for v in values]
+    raise DegenerateSamplesError(
+        f"no disk with {n} clean samples found for {len(exprs)} expression(s)"
+    )
+
+
 def one_disk_at_a_time(exprs, plan, zoomed=None):
     """find_clean_points as it was while stage 2 made one clean() call per
     zoom disk, kept as the reference of the batched search; appends True
     to zoomed where it reaches stage 2."""
     n = SAMPLE_COUNT
     rng = np.random.default_rng(plan.seed)
-
-    def draw(center, radius, m):
-        r = radius * np.sqrt(rng.random(m))
-        theta = 2 * np.pi * rng.random(m)
-        return center + r * np.exp(1j * theta)
-
-    def clean(pts):
-        cols = [pts]
-        for e in exprs:
-            if not len(cols[0]):
-                return [cols[0]] * (len(exprs) + 1)
-            v, bad = eval_array(e, cols[0])
-            ok = ~bad
-            cols = [c[ok] for c in cols + [v]]
-        return cols
-
-    def stage1():
-        yield draw(0j, SAMPLE_RADIUS, 4 * n)
-        side = np.linspace(-SAMPLE_RADIUS, SAMPLE_RADIUS, 48)
-        lattice = (side[:, None] + 1j * side[None, :]).ravel()
-        yield lattice[np.abs(lattice) <= SAMPLE_RADIUS]
-        yield draw(0j, SAMPLE_RADIUS, 16 * n)
-        yield draw(0j, SAMPLE_RADIUS, 64 * n)
-
     found = [np.empty(0, dtype=np.complex128)] * (len(exprs) + 1)
-    for batch in stage1():
-        found = [np.concatenate(pair) for pair in zip(found, clean(batch))]
+    for batch in stage_1_batches(rng):
+        found = [np.concatenate(pair) for pair in zip(found, clean_columns(exprs, batch))]
         if len(found[0]) >= n:
             return found[0][:n], [v[:n] for v in found[1:]]
 
@@ -204,7 +289,8 @@ def one_disk_at_a_time(exprs, plan, zoomed=None):
         zoomed.append(True)
     for center in found[0][:8]:  # stage 2
         for shrink in (8.0, 32.0, 128.0, 512.0):
-            pts, *values = clean(draw(complex(center), SAMPLE_RADIUS / shrink, 4 * n))
+            pts, *values = clean_columns(
+                exprs, draw(rng, complex(center), SAMPLE_RADIUS / shrink, 4 * n))
             if len(pts) >= n:
                 return pts[:n], [v[:n] for v in values]
     raise DegenerateSamplesError(
@@ -256,6 +342,61 @@ class TestBatchedStage2:
             outcomes.append(isinstance(want, str))
         # both ends of stage 2: a disk wins, and none does
         assert set(outcomes) == {False, True}
+
+
+def normal_form_pairs():
+    """Each fixture's seeded word of each length 1..32, as the pair [word,
+    right-hand side of its normal form] that normal_form checks; words
+    whose rewriting fails before the check give none."""
+    rng = np.random.default_rng(31)
+    pairs = []
+
+    def capture(f, g, plan):
+        pairs.append((plan, [f, g]))
+        return EquivalenceReport(True, 0.0)
+
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(semidyn.words, "numerically_equal", capture)
+        for fx in FIXTURES.values():
+            table = build_commutator_table(fx.presentation, fx.plan)
+            try:
+                G = group_closure(table.maps())
+            except ClosureOverflowError:
+                G = None
+            for length in range(1, 33):
+                w = Word(tuple(int(x) for x in rng.integers(1, 3, length)))
+                with contextlib.suppress(NoXiError):
+                    normal_form(w, fx.presentation, table, G, fx.plan)
+    return pairs
+
+
+class TestBatchedStage1:
+    """Stage 1 of find_clean_points, which takes the batches the clean rate
+    shows it will need in one call, against the search that evaluated one
+    batch at a time: the same points, values or error, bit for bit."""
+
+    def test_seeded_word_pairs_match(self):
+        for fx, exprs in seeded_word_pairs():
+            for trees in (exprs, exprs[:1]):
+                assert (search_outcome(find_clean_points, trees, fx.plan)
+                        == search_outcome(batch_at_a_time, trees, fx.plan))
+
+    def test_normal_form_pairs_match(self):
+        pairs = normal_form_pairs()
+        assert {plan for plan, _ in pairs} == {fx.plan for fx in FIXTURES.values()}
+        outcomes = set()
+        for plan, exprs in pairs:
+            want = search_outcome(batch_at_a_time, exprs, plan)
+            assert search_outcome(find_clean_points, exprs, plan) == want
+            outcomes.add(isinstance(want, str))
+        assert outcomes == {False, True}
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(TREES, min_size=1, max_size=2), st.integers(0, 2**32 - 1))
+    def test_trees_match(self, trees, seed):
+        plan = SamplePlan(seed=seed)
+        assert (search_outcome(find_clean_points, trees, plan)
+                == search_outcome(batch_at_a_time, trees, plan))
 
 
 class TestFindAffineCommutator:

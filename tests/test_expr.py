@@ -44,6 +44,7 @@ from semidyn.expr import (
 )
 from semidyn.commutator import conjugate_semigroup
 from semidyn.fixtures import FIXTURES
+from semidyn.words import Word, word_expr
 
 Z = Identity()
 F_EXP_SQ = Sum((Exp(Power(Z, 2)), Const(0.2)))
@@ -319,6 +320,59 @@ class TestCompose:
         vals, bad = eval_array(chain, pts)
         assert np.array_equal(bad, want_bad)
         assert vals[~bad].tobytes() == want[~bad].tobytes()
+
+    # conjugate letters phi o g o phi^-1 of each fixture generator g, each
+    # itself a chain of three maps
+    CONJUGATE_LETTERS = [
+        g for fx in FIXTURES.values() for phi in (AffineMap(-1, 0), AffineMap(0.5, 1j))
+        for g in conjugate_semigroup(fx.presentation, phi).generators
+    ]
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.one_of(TREES, st.sampled_from([F_EXP_SQ, Negate(F_EXP_SQ), Exp(Z),
+                                                      *CONJUGATE_LETTERS])),
+                    min_size=2, max_size=12),
+           st.sampled_from(["left", "right", "mixed"]), st.data(),
+           st.integers(0, 2**32 - 1), st.sampled_from([1.0, 3.0, 20.0, 400.0]))
+    def test_nested_chain_is_map_by_map(self, maps, shape, data, seed, radius):
+        # however the Compose nodes nest, a chain evaluates its maps in the
+        # order they apply; clean values and masks stay those of one map
+        # at a time
+        def chain(i, j):  # maps[i:j], maps[i] applied first
+            if j - i == 1:
+                return maps[i]
+            k = {"left": j - 1, "right": i + 1}.get(shape)
+            if k is None:
+                k = data.draw(st.integers(i + 1, j - 1))
+            return Compose(chain(k, j), chain(i, k))
+
+        rng = np.random.default_rng(seed)
+        pts = radius * (rng.standard_normal(64) + 1j * rng.standard_normal(64))
+        want, want_bad = pts, np.zeros(64, dtype=bool)
+        for m in maps:
+            want, b = eval_array(m, want)
+            want_bad |= b
+        vals, bad = eval_array(chain(0, len(maps)), pts)
+        assert np.array_equal(bad, want_bad)
+        assert vals[~bad].tobytes() == want[~bad].tobytes()
+
+    @pytest.mark.parametrize("name", ["example-2.1-exp", "example-2.1-cos"])
+    def test_long_word_is_one_compose_call(self, monkeypatch, name):
+        # a 32-letter word is a chain of 31 Compose nodes over generators
+        # that hold none, and evaluates in one Compose._eval call
+        S = FIXTURES[name].presentation
+        word = word_expr(Word((1, 2, 2, 1) * 8), S)
+        calls = []
+        real = Compose._eval
+
+        def spy(self, w, bad):
+            calls.append(self)
+            return real(self, w, bad)
+
+        monkeypatch.setattr(Compose, "_eval", spy)
+        for _ in range(3):
+            eval_array(word, POINTS)
+        assert calls == [word] * 3
 
     @settings(max_examples=300, deadline=None)
     @given(TREES, TREES, st.integers(0, 2**32 - 1), st.sampled_from([1.0, 20.0, 400.0, 1e50]))

@@ -48,6 +48,13 @@ CASES = {
     # exits 0 only once stage 2 of the clean-point search zooms in
     "normal-form-stage-2": ("normal-form", "--fixture", "example-2.1-exp",
                             "--word", "1,2,1,2,1,2,1,2,1,2,1,2,1"),
+    # the 12-letter word finds its points in stage 1 only after batch 1 is
+    # nearly empty and the rest are taken at once; the 20-letter word finds
+    # no disk
+    "normal-form-long": ("normal-form", "--fixture", "example-2.1-exp",
+                         "--word", "1,2,1,1,2,2,1,2,1,1,2,2",
+                         "--word", "2,1,1,2,1,2,2,1,1,2,1,2,2,1,2,1,1,2,2,1"),
+    "render-map": ("render", "--map", "exp(z)", "--cells", "8", "--workers", "1"),
 }
 
 
