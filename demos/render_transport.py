@@ -11,6 +11,7 @@ import os
 from semidyn import (
     FIXTURES,
     AffineMap,
+    Transport,
     classify_semigroup,
     compare_classifications,
     conjugate_semigroup,
@@ -25,7 +26,8 @@ spec = fx.window
 
 grid = classify_semigroup(fx.presentation, spec)
 conj_grid = classify_semigroup(conjugate_semigroup(fx.presentation, phi), spec)
-rep = compare_classifications(map_classification(grid, phi, spec), conj_grid)
+plan = Transport(spec, phi, spec)
+rep = compare_classifications(map_classification(grid, plan), conj_grid)
 
 os.makedirs("demo_out", exist_ok=True)
 write_pgm("demo_out/original.pgm", status_bytes(grid))

@@ -53,7 +53,6 @@ from .fixtures import Fixture, get_fixture
 from .grid import (
     GridSpec,
     WordBudgetExceededError,
-    check_fatou_invariance,
     classify_map,
     classify_semigroup,
     escape_boundary,
@@ -345,8 +344,7 @@ def cmd_transport(run: Run) -> int:
     grid_s = classify_semigroup(S, spec, workers=workers)
     grid_c = classify_semigroup(conj, spec, workers=workers)
 
-    rep_i, ratios, vacuous = transport_ratios(grid_s, grid_c, phi, spec)
-    fatou_inv = check_fatou_invariance(grid_s, phi)
+    (rep_i, fatou_inv), ratios, vacuous = transport_ratios(grid_s, grid_c, phi, spec)
     config_hash = run.report("transport_report.json", {
         "grid": spec.to_json_dict(),
         "phi": phi.to_json_dict(),
@@ -365,6 +363,8 @@ def cmd_transport(run: Run) -> int:
         print(f"{k}: {v:.5f}")
         if vacuous[k]:
             print(f"{k}: vacuous (single-class masks)", file=sys.stderr)
+    if fatou_inv.indeterminate:
+        print("fatou_invariance: indeterminate (no Fatou cells compared)", file=sys.stderr)
     below = any(v < run.threshold for v in ratios.values())
     return EXIT_TRANSPORT_BELOW_THRESHOLD if below else EXIT_OK
 

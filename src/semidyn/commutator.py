@@ -216,7 +216,8 @@ class NearAbelianReport:
 def is_nearly_abelian(S: SemigroupPresentation, plan: SamplePlan) -> NearAbelianReport:
     """Algebraic half of the nearly-abelian check: every generator pair
     admits an affine commutator.  Fatou-set invariance of those maps is a
-    grid-level question, reported separately by the dynamics module.
+    grid-level question: ``transport`` reports it as ``fatou_invariance``
+    (grid.check_fatou_invariance).
     Pre-compactness of the commutator family has no finite certificate:
     it is assumed, never verified."""
     try:

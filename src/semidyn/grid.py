@@ -106,10 +106,13 @@ its column flip gives the top rows, and those flipped in rows give the
 rest.  An odd middle row or column is its own image and is computed in
 full.
 
-Transport by an affine phi gives each target cell the source cell that
-holds phi^{-1} of its center, found by GridSpec.cell_index, the inverse
-of cell_centers.  A target cell whose preimage leaves the source window
-becomes undecided in a transported grid and False in a transported mask.
+Transport by an affine phi is one plan a run, a Transport: each target
+cell's source cell, the one holding phi^{-1} of its center, found by one
+GridSpec.cell_index call (the inverse of cell_centers).  A grid or a mask
+moves by a gather through it; a target cell whose preimage leaves the
+source window becomes undecided in a grid and False in a mask.  Where the
+preimage lies in the window, F is the complement of J, so the Fatou ratio
+and the Fatou-invariance check read the one gathered Julia mask.
 """
 
 from __future__ import annotations
@@ -522,41 +525,55 @@ def fatou_mask(grid: ClassificationGrid) -> np.ndarray:
     return ~extract_julia_boundary(grid)
 
 
-def map_classification(
-    grid: ClassificationGrid, phi: AffineMap, target: GridSpec
-) -> ClassificationGrid:
-    """Transport a classification by an affine map: target cell takes the
-    status of the source cell containing phi^{-1}(center); cells mapping
-    outside the source window become undecided."""
-    row, col, valid = grid.spec.cell_index(affine_inverse(phi)(target.cell_centers()))
-    status = np.zeros((target.rows, target.cols), dtype=np.uint8)
-    esc = np.full((target.rows, target.cols), -1, dtype=np.int32)
-    rr, cc = row[valid], col[valid]
-    status[valid] = grid.status[rr, cc]
-    esc[valid] = grid.escape_iter[rr, cc]
-    subject = f"transported({grid.subject}; a={phi.a!r}, b={phi.b!r})"
+class Transport:
+    """The preimage index of an affine phi from a source to a target grid:
+    ``valid`` marks the target cells whose phi^{-1}(center) lies in the
+    source window, and ``index`` holds the source cell of each, flat."""
+
+    def __init__(self, source: GridSpec, phi: AffineMap, target: GridSpec):
+        row, col, self.valid = source.cell_index(affine_inverse(phi)(target.cell_centers()))
+        self.index = row[self.valid] * source.cols + col[self.valid]
+        self.source, self.phi, self.target = source, phi, target
+
+    def gather(self, values: np.ndarray, fill) -> np.ndarray:
+        """Per-cell values of the source grid moved to the target grid, with
+        ``fill`` where the preimage leaves the source window."""
+        if values.shape != (self.source.rows, self.source.cols):
+            raise SpecMismatchError("values do not cover the source grid")
+        out = np.full(self.valid.shape, fill, dtype=values.dtype)
+        out[self.valid] = values.ravel().take(self.index)
+        return out
+
+
+def map_classification(grid: ClassificationGrid, plan: Transport) -> ClassificationGrid:
+    """Transport a classification through a plan from its spec: a target
+    cell takes the status of the source cell containing phi^{-1}(center);
+    cells mapping outside the source window become undecided."""
+    if grid.spec != plan.source:
+        raise SpecMismatchError("grid is not on the plan's source spec")
+    status = plan.gather(grid.status, STATUS_UNDECIDED)
+    esc = plan.gather(grid.escape_iter, -1)
+    subject = f"transported({grid.subject}; a={plan.phi.a!r}, b={plan.phi.b!r})"
     # affine conjugation preserves class B
-    return ClassificationGrid(target, status, esc, subject, grid.class_b)
+    return ClassificationGrid(plan.target, status, esc, subject, grid.class_b)
 
 
-def map_mask(
-    mask: np.ndarray, source: GridSpec, phi: AffineMap, target: GridSpec
-) -> tuple[np.ndarray, np.ndarray]:
-    """Transport a boolean cell mask; returns (mask, valid)."""
-    row, col, valid = source.cell_index(affine_inverse(phi)(target.cell_centers()))
-    out = np.zeros((target.rows, target.cols), dtype=bool)
-    out[valid] = mask[row[valid], col[valid]]
-    return out, valid
+def map_mask(mask: np.ndarray, plan: Transport) -> np.ndarray:
+    """Transport a boolean cell mask; False off ``plan.valid``."""
+    return plan.gather(mask, False)
 
 
 @dataclass(frozen=True)
 class ComparisonReport:
-    ratio: float
+    ratio: float  # 0.0 and indeterminate when no cell is compared
     compared: int
     disagreement: np.ndarray
-    indeterminate: bool
-    # both grids are single-class over the compared cells
+    # both sides are single-class over the cells read
     vacuous: bool
+
+    @property
+    def indeterminate(self) -> bool:
+        return self.compared == 0
 
 
 def compare_classifications(
@@ -572,11 +589,11 @@ def compare_classifications(
     mask = (ga.status != STATUS_UNDECIDED) & (gb.status != STATUS_UNDECIDED) & ~band
     compared = int(mask.sum())
     if compared == 0:
-        return ComparisonReport(0.0, 0, np.zeros_like(mask), True, True)
+        return ComparisonReport(0.0, 0, np.zeros_like(mask), True)
     disagree = mask & (ga.status != gb.status)
     ratio = 1.0 - disagree.sum() / compared
     vacuous = _single_class(ga.status[mask], gb.status[mask])
-    return ComparisonReport(float(ratio), compared, disagree, False, vacuous)
+    return ComparisonReport(float(ratio), compared, disagree, vacuous)
 
 
 def _single_class(a: np.ndarray, b: np.ndarray) -> bool:
@@ -591,20 +608,23 @@ def transport_ratios(
     grid_c: ClassificationGrid,
     phi: AffineMap,
     spec: GridSpec,
-) -> tuple[ComparisonReport, dict[str, float], dict[str, bool]]:
+) -> tuple[tuple[ComparisonReport, ComparisonReport], dict[str, float], dict[str, bool]]:
     """Agreement of the I/J/F approximations of grid_s, transported by
-    phi, with those of grid_c on spec.
+    phi through one plan, with those of grid_c; all three grids on spec.
 
-    Returns the escaping-set comparison, the ratios keyed "escaping",
-    "julia" and "fatou", and for each whether it is vacuous: computed
-    between two single-class masks, so it passes without evidence.  The
-    Julia ratio is over every cell, the Fatou ratio over the cells whose
-    preimage lies in the source window.  There the Fatou masks are the
-    complements of the Julia masks, so both ratios come from one Julia
-    gather."""
-    rep = compare_classifications(map_classification(grid_s, phi, spec), grid_c)
-    jb_s, valid = map_mask(extract_julia_boundary(grid_s), grid_s.spec, phi, spec)
+    Returns the escaping-set comparison with grid_s's Fatou-invariance
+    check, the ratios keyed "escaping", "julia" and "fatou", and for each
+    whether it is vacuous: computed between two single-class masks, so it
+    passes without evidence.  The Julia ratio is over every cell, the
+    Fatou ratio over the cells whose preimage lies in the window, where
+    the Fatou masks are the complements of the Julia masks, so both ratios
+    and the invariance check come from one Julia gather."""
+    plan = Transport(grid_s.spec, phi, spec)
+    rep = compare_classifications(map_classification(grid_s, plan), grid_c)
+    julia_s = extract_julia_boundary(grid_s)
+    jb_s = map_mask(julia_s, plan)
     jb_c = extract_julia_boundary(grid_c)
+    valid = plan.valid
     agree = jb_s == jb_c
     ratios = {
         "escaping": rep.ratio,
@@ -616,30 +636,26 @@ def transport_ratios(
         "julia": _single_class(jb_s, jb_c),
         "fatou": _single_class(jb_s[valid], jb_c[valid]),
     }
-    return rep, ratios, vacuous
-
-
-@dataclass(frozen=True)
-class FatouInvarianceReport:
-    ratio: float
-    compared: int
-    indeterminate: bool
+    return (rep, check_fatou_invariance(julia_s, jb_s, plan)), ratios, vacuous
 
 
 def check_fatou_invariance(
-    grid: ClassificationGrid, phi: AffineMap
-) -> FatouInvarianceReport:
-    """Grid-level check that phi maps the Fatou approximation onto itself,
-    over the Fatou cells; indeterminate when there are none (e.g. every
-    cell of a class-B grid escapes, so F is empty)."""
-    fat = fatou_mask(grid)
-    moved, valid = map_mask(fat, grid.spec, phi, grid.spec)
-    compare = valid & fat
+    julia: np.ndarray, moved: np.ndarray, plan: Transport
+) -> ComparisonReport:
+    """Grid-level check that phi maps the Fatou approximation onto itself:
+    the share of Fatou cells with a preimage in the window whose preimage
+    is Fatou too, from a grid's Julia mask and that mask ``moved`` through
+    ``plan``, from its window onto itself; F is the complement of J there.
+    Indeterminate when no cell is compared (e.g. every cell of a class-B
+    grid escapes, so F is empty)."""
+    if plan.source != plan.target:
+        raise SpecMismatchError("Fatou invariance needs a plan from a window onto itself")
+    valid = plan.valid
+    compare = valid & ~julia
     n = int(compare.sum())
-    if n == 0:
-        return FatouInvarianceReport(0.0, 0, True)
-    agree = (moved == fat) & compare
-    return FatouInvarianceReport(float(agree.sum() / n), n, False)
+    ratio = float((compare & ~moved).sum() / n) if n else 0.0
+    vacuous = _single_class(julia[valid], moved[valid])
+    return ComparisonReport(ratio, n, compare & moved, vacuous)
 
 
 # ---------------------------------------------------------------------------

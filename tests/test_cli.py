@@ -207,6 +207,20 @@ class TestTransportCommand:
         doc = json.loads((tmp_path / "transport_report.json").read_text())
         assert doc["fatou_invariance"]["indeterminate"] is True
 
+    # on the two exp fixtures every cell escapes and the generators are in
+    # class B, so the Fatou mask is empty and the invariance check compares
+    # no cell; the cos fixture has Fatou cells
+    @pytest.mark.parametrize("fixture,flagged", [
+        ("derived-exp-shift", True), ("example-2.1-exp", True), ("example-2.1-cos", False),
+    ])
+    def test_indeterminate_fatou_invariance_flagged(self, tmp_path, capsys, fixture, flagged):
+        assert run("transport", "--fixture", fixture, "--cells", "64",
+                   "--out", str(tmp_path)) == EXIT_OK
+        line = "fatou_invariance: indeterminate (no Fatou cells compared)"
+        assert (line in capsys.readouterr().err.splitlines()) is flagged
+        doc = json.loads((tmp_path / "transport_report.json").read_text())
+        assert doc["fatou_invariance"]["indeterminate"] is flagged
+
     @pytest.mark.parametrize("fixture,vacuous", [
         # every cell escapes: I and J are all-True and F all-False on both sides
         ("example-2.1-exp", ["escaping", "julia", "fatou"]),

@@ -25,6 +25,7 @@ from semidyn.expr import (
     Sum,
     Const,
     Product,
+    affine_inverse,
     compose,
     eval_array,
     format_expr,
@@ -44,6 +45,7 @@ from semidyn.grid import (
     ClassificationGrid,
     GridSpec,
     SpecMismatchError,
+    Transport,
     WordBudgetExceededError,
     check_fatou_invariance,
     classify_map,
@@ -56,6 +58,7 @@ from semidyn.grid import (
     heatmap_bytes,
     iterated_words,
     map_classification,
+    map_mask,
     resolve_workers,
     status_bytes,
     transport_ratios,
@@ -1160,12 +1163,13 @@ class TestClassBJuliaMask:
         assert classify_semigroup(mixed, spec).class_b
         alone = SemigroupPresentation((fatou,), label="fatou")
         assert not classify_semigroup(alone, spec).class_b
-        moved = map_classification(classify_map(Exp(Z), spec), AffineMap(-1, 0), spec)
+        moved = map_classification(classify_map(Exp(Z), spec),
+                                   Transport(spec, AffineMap(-1, 0), spec))
         assert moved.class_b
 
     def test_compare_all_escaping_class_b_is_not_vacuous(self):
         g = classify_map(Exp(Z), small_spec())
-        moved = map_classification(g, AffineMap(-1, 0), g.spec)
+        moved = map_classification(g, Transport(g.spec, AffineMap(-1, 0), g.spec))
         rep = compare_classifications(moved, g)
         assert not rep.indeterminate
         assert rep.compared == g.status.size and rep.ratio == 1.0
@@ -1174,13 +1178,13 @@ class TestClassBJuliaMask:
 class TestTransport:
     def test_identity_transport(self):
         g = classify_map(Cos(Z), small_spec())
-        moved = map_classification(g, AffineMap(1, 0), g.spec)
+        moved = map_classification(g, Transport(g.spec, AffineMap(1, 0), g.spec))
         assert np.array_equal(moved.status, g.status)
         assert np.array_equal(moved.escape_iter, g.escape_iter)
 
     def test_mirror_transport_on_symmetric_raster(self):
         g = classify_map(Cos(Z), small_spec())
-        moved = map_classification(g, AffineMap(-1, 0), g.spec)
+        moved = map_classification(g, Transport(g.spec, AffineMap(-1, 0), g.spec))
         assert np.array_equal(moved.status, g.status[::-1, ::-1])
 
     def test_scaling_transport_against_direct_oracle(self):
@@ -1188,7 +1192,7 @@ class TestTransport:
         status = rng.integers(0, 3, size=(16, 16)).astype(np.uint8)
         g = synthetic_grid(status)
         phi = AffineMap(2, 0)
-        moved = map_classification(g, phi, g.spec)
+        moved = map_classification(g, Transport(g.spec, phi, g.spec))
         inv_centers = g.spec.cell_centers() / 2  # phi^{-1}(w) = w / 2
         for r in range(16):
             for c in range(16):
@@ -1200,7 +1204,7 @@ class TestTransport:
 
     def test_out_of_window_is_undecided(self):
         g = classify_map(Cos(Z), small_spec())
-        moved = map_classification(g, AffineMap(1, 1000 + 0j), g.spec)
+        moved = map_classification(g, Transport(g.spec, AffineMap(1, 1000 + 0j), g.spec))
         assert (moved.status == STATUS_UNDECIDED).all()
 
     def test_far_shift_fatou_ratio_has_no_cells(self):
@@ -1222,7 +1226,8 @@ class TestCompare:
     def test_map_unmap_round_trip(self):
         g = classify_map(Cos(Z), small_spec())
         phi = AffineMap(-1, 0)
-        back = map_classification(map_classification(g, phi, g.spec), phi, g.spec)
+        plan = Transport(g.spec, phi, g.spec)
+        back = map_classification(map_classification(g, plan), plan)
         rep = compare_classifications(g, back)
         assert rep.ratio == 1.0
 
@@ -1236,7 +1241,7 @@ class TestCompare:
         spec = small_spec(cols=128, rows=128)
         g = classify_map(fx.presentation.generator(1), spec)
         gc = classify_map(conj.generator(1), spec)
-        moved = map_classification(g, phi, spec)
+        moved = map_classification(g, Transport(g.spec, phi, spec))
         rep = compare_classifications(moved, gc)
         assert rep.ratio >= 0.99
 
@@ -1253,18 +1258,160 @@ class TestFatouInvariance:
         fx = FIXTURES["example-2.1-cos"]
         return classify_semigroup(fx.presentation, small_spec(word_depth=1, **kw))
 
+    @staticmethod
+    def invariance(g, phi):
+        plan = Transport(g.spec, phi, g.spec)
+        julia = extract_julia_boundary(g)
+        return check_fatou_invariance(julia, map_mask(julia, plan), plan)
+
     def test_identity(self):
-        rep = check_fatou_invariance(self.cos_grid(), AffineMap(1, 0))
+        rep = self.invariance(self.cos_grid(), AffineMap(1, 0))
         assert rep.ratio == 1.0
 
     def test_negation_on_symmetric_window(self):
-        rep = check_fatou_invariance(self.cos_grid(cols=128, rows=128), AffineMap(-1, 0))
+        rep = self.invariance(self.cos_grid(cols=128, rows=128), AffineMap(-1, 0))
         assert rep.ratio >= 0.99
 
     def test_far_shift_is_indeterminate(self):
-        rep = check_fatou_invariance(self.cos_grid(), AffineMap(1, 1000 + 0j))
+        rep = self.invariance(self.cos_grid(), AffineMap(1, 1000 + 0j))
         # no comparable overlap in the window interior
         assert rep.indeterminate and rep.compared == 0
+
+
+# The transport before the one plan, kept as the differential reference:
+# map_classification and map_mask each compute their own preimage index,
+# and check_fatou_invariance derives its own Fatou mask and index.
+def reference_map_classification(g, phi, target):
+    row, col, valid = g.spec.cell_index(affine_inverse(phi)(target.cell_centers()))
+    status = np.zeros((target.rows, target.cols), dtype=np.uint8)
+    esc = np.full((target.rows, target.cols), -1, dtype=np.int32)
+    rr, cc = row[valid], col[valid]
+    status[valid] = g.status[rr, cc]
+    esc[valid] = g.escape_iter[rr, cc]
+    return ClassificationGrid(target, status, esc, "transported", g.class_b)
+
+
+def reference_map_mask(mask, source, phi, target):
+    row, col, valid = source.cell_index(affine_inverse(phi)(target.cell_centers()))
+    out = np.zeros((target.rows, target.cols), dtype=bool)
+    out[valid] = mask[row[valid], col[valid]]
+    return out, valid
+
+
+def reference_transport_ratios(grid_s, grid_c, phi, spec):
+    rep = compare_classifications(reference_map_classification(grid_s, phi, spec), grid_c)
+    jb_s, valid = reference_map_mask(extract_julia_boundary(grid_s), grid_s.spec, phi, spec)
+    jb_c = extract_julia_boundary(grid_c)
+    agree = jb_s == jb_c
+    ratios = {
+        "escaping": rep.ratio,
+        "julia": float(agree.mean()),
+        "fatou": float(agree[valid].mean()) if valid.any() else 0.0,
+    }
+    vacuous = {
+        "escaping": rep.vacuous,
+        "julia": grid._single_class(jb_s, jb_c),
+        "fatou": grid._single_class(jb_s[valid], jb_c[valid]),
+    }
+    return rep, ratios, vacuous
+
+
+def reference_check_fatou_invariance(g, phi):
+    """(ratio, compared, indeterminate)"""
+    fat = fatou_mask(g)
+    moved, valid = reference_map_mask(fat, g.spec, phi, g.spec)
+    compare = valid & fat
+    n = int(compare.sum())
+    if n == 0:
+        return 0.0, 0, True
+    agree = (moved == fat) & compare
+    return float(agree.sum() / n), n, False
+
+
+TRANSPORT_PHIS = [
+    AffineMap(-1, 0), AffineMap(1, 0), AffineMap(2, 0), AffineMap(0.5, 0),
+    AffineMap(1 + 0.5j, 0.3), AffineMap(1, 1000), AffineMap(1e-300, 0),
+]
+
+
+@st.composite
+def status_grid(draw, shape):
+    """A synthetic grid whose cells take classes from a drawn subset, so
+    that single-class grids (vacuous and indeterminate verdicts) occur."""
+    classes = draw(st.lists(st.sampled_from([STATUS_UNDECIDED, STATUS_BOUNDED,
+                                             STATUS_ESCAPING]),
+                            min_size=1, max_size=3, unique=True))
+    cells = draw(st.lists(st.sampled_from(classes), min_size=shape[0] * shape[1],
+                          max_size=shape[0] * shape[1]))
+    g = synthetic_grid(np.array(cells, dtype=np.uint8).reshape(shape))
+    return replace(g, class_b=draw(st.booleans()))
+
+
+class TestTransportPlan:
+    """One preimage index a transport: the plan's verdicts against the
+    three-index reference, bit for bit, and the calls one run makes."""
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(st.data(), st.integers(2, 12), st.integers(2, 12), st.sampled_from(TRANSPORT_PHIS))
+    def test_matches_three_index_reference(self, data, rows, cols, phi):
+        grid_s = data.draw(status_grid((rows, cols)))
+        grid_c = data.draw(status_grid((rows, cols)))
+        (rep, fatou), ratios, vacuous = transport_ratios(grid_s, grid_c, phi, grid_s.spec)
+        want, want_ratios, want_vacuous = reference_transport_ratios(
+            grid_s, grid_c, phi, grid_s.spec)
+        assert {k: v.hex() for k, v in ratios.items()} \
+            == {k: v.hex() for k, v in want_ratios.items()}
+        assert vacuous == want_vacuous
+        assert (rep.ratio.hex(), rep.compared, rep.indeterminate, rep.vacuous) \
+            == (want.ratio.hex(), want.compared, want.indeterminate, want.vacuous)
+        assert np.array_equal(rep.disagreement, want.disagreement)
+        ratio, compared, indeterminate = reference_check_fatou_invariance(grid_s, phi)
+        assert (fatou.ratio.hex(), fatou.compared, fatou.indeterminate) \
+            == (ratio.hex(), compared, indeterminate)
+
+    def test_one_index_and_one_source_boundary_a_run(self, tmp_path, monkeypatch):
+        indexes, boundaries, grids = [], [], []
+        cell_index, escape_boundary_of = GridSpec.cell_index, grid.escape_boundary
+
+        def spy_index(self, z):
+            indexes.append(z.shape)
+            return cell_index(self, z)
+
+        def spy_boundary(g):
+            boundaries.append(g)
+            return escape_boundary_of(g)
+
+        def spy_classify(S, spec, workers=1):
+            grids.append(classify_semigroup(S, spec, workers))
+            return grids[-1]
+
+        monkeypatch.setattr(GridSpec, "cell_index", spy_index)
+        monkeypatch.setattr(grid, "escape_boundary", spy_boundary)
+        monkeypatch.setattr("semidyn.cli.classify_semigroup", spy_classify)
+        assert main(["transport", "--fixture", "example-2.1-cos", "--cells", "32",
+                     "--out", str(tmp_path)]) == 0
+        source, conjugate = grids
+        assert indexes == [(32, 32)]
+        assert sum(g is source for g in boundaries) == 1
+        assert sum(g is conjugate for g in boundaries) == 2 and len(boundaries) == 4
+
+    def test_grid_off_the_plan_source_is_refused(self):
+        g = synthetic_grid(np.full((4, 4), STATUS_BOUNDED))
+        plan = Transport(small_spec(cols=4, rows=4), AffineMap(1, 0), g.spec)
+        with pytest.raises(SpecMismatchError):
+            map_classification(g, plan)
+        with pytest.raises(SpecMismatchError):
+            map_mask(np.zeros((5, 4), dtype=bool), plan)
+
+    def test_fatou_invariance_needs_a_window_onto_itself(self):
+        g = synthetic_grid(np.full((4, 4), STATUS_BOUNDED))
+        plan = Transport(g.spec, AffineMap(1, 0), small_spec(cols=4, rows=4))
+        julia = extract_julia_boundary(g)
+        with pytest.raises(SpecMismatchError):
+            check_fatou_invariance(julia, julia, plan)
+        # the conjugate grid on the target spec, the source grid off it
+        with pytest.raises(SpecMismatchError, match="window onto itself"):
+            transport_ratios(g, replace(g, spec=plan.target), AffineMap(1, 0), plan.target)
 
 
 class TestArtifacts:
