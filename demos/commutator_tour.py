@@ -6,9 +6,9 @@ Run:  python demos/commutator_tour.py
 from semidyn import (
     FIXTURES,
     Word,
-    build_commutator_table,
     find_affine_commutator,
     group_closure,
+    is_nearly_abelian,
     normal_form,
 )
 
@@ -20,8 +20,10 @@ for name, fx in FIXTURES.items():
 
 print()
 fx = FIXTURES["example-2.1-exp"]
-table = build_commutator_table(fx.presentation, fx.plan)
+table = is_nearly_abelian(fx.presentation, fx.plan)
 G = group_closure(table.maps())
+print(f"{fx.name} is nearly abelian: {table.algebraic} "
+      f"(unsolved pairs: {list(table.failing_pairs)})")
 print(f"commutator group of {fx.name} has {len(G)} elements")
 
 for letters in [(2, 1), (2, 1, 2), (1, 2, 1, 2)]:

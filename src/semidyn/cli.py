@@ -145,8 +145,11 @@ class Run:
 
     def _grid(self) -> GridSpec:
         kwargs = {}
-        if self.args.window is not None:
-            xmin, xmax, ymin, ymax = (float(t) for t in self.args.window.split(","))
+        if (window := self.args.window) is not None:
+            try:
+                xmin, xmax, ymin, ymax = (float(t) for t in window.split(","))
+            except ValueError:
+                raise UsageError(f"--window takes xmin,xmax,ymin,ymax, got {window!r}") from None
             kwargs["center"] = complex((xmin + xmax) / 2, (ymin + ymax) / 2)
             kwargs["width"] = xmax - xmin
             kwargs["height"] = ymax - ymin
@@ -206,11 +209,10 @@ class Run:
 
 def _table(run: Run, hint: str = "") -> CommutatorTable | None:
     """run.S's commutator table, or None after naming its missing pairs on stderr."""
-    near = is_nearly_abelian(run.S, run.plan)
-    if not near.algebraic:
-        print(f"incomplete commutator table: {near.failing_pairs}{hint}",
-              file=sys.stderr)
-    return near.table
+    table = is_nearly_abelian(run.S, run.plan)
+    if not table.algebraic:
+        print(f"incomplete commutator table: {table.failing_pairs}{hint}", file=sys.stderr)
+    return table if table.algebraic else None
 
 
 def _group(table: CommutatorTable) -> tuple[AffineGroup | None, str]:
@@ -224,16 +226,16 @@ def _group(table: CommutatorTable) -> tuple[AffineGroup | None, str]:
 
 
 def cmd_commutator(run: Run) -> int:
-    near = is_nearly_abelian(run.S, run.plan)
-    pairs = list(near.failing_pairs)
-    results = ({"table": near.table.to_json_dict()} if near.algebraic
+    table = is_nearly_abelian(run.S, run.plan)
+    pairs = list(table.failing_pairs)
+    results = ({"table": table.to_json_dict()} if table.algebraic
                else {"failing_pairs": [list(p) for p in pairs]})
     run.report("commutator_table.json",
                {"presentation": presentation_to_json_dict(run.S)}, results)
-    if not near.algebraic:
+    if not table.algebraic:
         print(f"no affine commutator for pairs: {pairs}", file=sys.stderr)
         return EXIT_TABLE_INCOMPLETE
-    print(f"table complete: {len(near.table.entries)} entries")
+    print(f"table complete: {len(table.entries)} entries")
     return EXIT_OK
 
 
@@ -267,15 +269,15 @@ def cmd_verify(run: Run) -> int:
             continue
         record(name, rep.holds, rep.residual)
 
-    near = is_nearly_abelian(S, plan)
-    record("nearly-abelian(algebraic)", near.algebraic, 0.0)
+    table = is_nearly_abelian(S, plan)
+    record("nearly-abelian(algebraic)", table.algebraic, 0.0)
 
-    if near.algebraic and len(S) >= 2:
-        phi = near.table.entry(1, 2)
+    if table.algebraic and len(S) >= 2:
+        phi = table.entry(1, 2)
         conj = conjugate_semigroup(S, phi)
-        same = is_nearly_abelian(conj, plan).algebraic  # near.algebraic holds here
+        same = is_nearly_abelian(conj, plan).algebraic  # table.algebraic holds here
         record("conjugation-preserves-nearly-abelian", same, 0.0)
-        G, not_closed = _group(near.table)
+        G, not_closed = _group(table)
         try:
             xi = resolve_xi(f, phi, G, plan)
             record("resolve-xi(f, phi)", True, 0.0, xi=xi.to_json_dict())

@@ -5,11 +5,15 @@ here phi is restricted to invertible affine maps z -> a*z + b, which is
 what every worked example needs and what keeps the solve well posed: two
 sample points pin down (a, b) and the remaining samples act as an
 overdetermined max-norm verification.
+
+S's commutators [f_i, f_j] live in one record, its CommutatorTable, which
+lists the pairs left unsolved; S is algebraically nearly abelian when none is.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import product
 
 import numpy as np
 
@@ -39,14 +43,6 @@ CLOSURE_CAP = 64
 
 class NoAffineCommutatorError(ValueError):
     """No affine map satisfies f∘g = phi∘g∘f within tolerance."""
-
-
-class NotNearlyRepresentableError(ValueError):
-    """Some generator pairs admit no affine commutator."""
-
-    def __init__(self, failing_pairs: list[tuple[int, int]]):
-        super().__init__(f"no affine commutator for pairs {failing_pairs}")
-        self.failing_pairs = failing_pairs
 
 
 class ClosureOverflowError(RuntimeError):
@@ -141,8 +137,22 @@ class SemigroupPresentation:
 
 @dataclass(frozen=True)
 class CommutatorTable:
+    """S's affine commutators: ``entries`` maps each solved (i, j) to
+    [f_i, f_j], the diagonal first and then row by row."""
+
     size: int
     entries: dict[tuple[int, int], CommutatorResult]
+
+    @property
+    def failing_pairs(self) -> tuple[tuple[int, int], ...]:
+        """The unsolved (i, j), row by row."""
+        keys = range(1, self.size + 1)
+        return tuple(key for key in product(keys, keys) if key not in self.entries)
+
+    @property
+    def algebraic(self) -> bool:
+        """The algebraic half of the nearly-abelian check: every pair solved."""
+        return not self.failing_pairs
 
     def entry(self, i: int, j: int) -> AffineMap:
         return self.entries[(i, j)].map
@@ -168,25 +178,26 @@ def presentation_to_json_dict(S: SemigroupPresentation) -> dict:
     }
 
 
-def build_commutator_table(
-    S: SemigroupPresentation, plan: SamplePlan
-) -> CommutatorTable:
-    """Every entry (i, j) = [f_i, f_j], as find_affine_commutator solves it.
+def is_nearly_abelian(S: SemigroupPresentation, plan: SamplePlan) -> CommutatorTable:
+    """S's commutator table: each entry (i, j) = [f_i, f_j] that
+    find_affine_commutator solves, the other pairs as its failing_pairs.
+    S passes the algebraic half of the nearly-abelian check when there are
+    none (``algebraic``).  Fatou-set invariance of the maps is a grid-level
+    question, which ``transport`` reports as ``fatou_invariance``; the
+    commutator family's pre-compactness is assumed, never verified.
 
     One clean-point search serves both orders of a pair: at the points
     where f_i∘f_j and f_j∘f_i are clean, (i, j) fits the first's values to
     the second's and (j, i) the reverse, and find_clean_points gives
-    (j, i)'s own search those points and values.  Raises
-    NotNearlyRepresentableError listing the unsolved (i, j) in row order.
+    (j, i)'s own search those points and values.
     """
     n = len(S)
-    same = CommutatorResult(IDENTITY_MAP, 0.0)
-    solved = {(i, i): same for i in range(1, n + 1)}
+    solved: dict[tuple[int, int], CommutatorResult] = {}
     for i in range(1, n + 1):
-        for j in range(i + 1, n + 1):
+        for j in range(i, n + 1):
             f, g = S.generator(i), S.generator(j)
             if f is g or f == g:
-                solved[(i, j)] = solved[(j, i)] = same
+                solved[(i, j)] = solved[(j, i)] = CommutatorResult(IDENTITY_MAP, 0.0)
                 continue
             try:
                 _, (u, w) = find_clean_points([compose(f, g), compose(g, f)], plan)
@@ -197,34 +208,11 @@ def build_commutator_table(
                     solved[key] = _fit_affine(x, y, plan)
                 except (NoAffineCommutatorError, DegenerateSamplesError):
                     pass
-    order = [(i, i) for i in range(1, n + 1)] + [
-        (i, j) for i in range(1, n + 1) for j in range(1, n + 1) if i != j
-    ]
-    failing = [key for key in order if key not in solved]
-    if failing:
-        raise NotNearlyRepresentableError(failing)
+    order = sorted(solved, key=lambda key: (key[0] != key[1], key))  # the diagonal first
     return CommutatorTable(n, {key: solved[key] for key in order})
 
 
-@dataclass(frozen=True)
-class NearAbelianReport:
-    algebraic: bool
-    table: CommutatorTable | None
-    failing_pairs: tuple[tuple[int, int], ...] = ()
-
-
-def is_nearly_abelian(S: SemigroupPresentation, plan: SamplePlan) -> NearAbelianReport:
-    """Algebraic half of the nearly-abelian check: every generator pair
-    admits an affine commutator.  Fatou-set invariance of those maps is a
-    grid-level question: ``transport`` reports it as ``fatou_invariance``
-    (grid.check_fatou_invariance).
-    Pre-compactness of the commutator family has no finite certificate:
-    it is assumed, never verified."""
-    try:
-        table = build_commutator_table(S, plan)
-    except NotNearlyRepresentableError as exc:
-        return NearAbelianReport(False, None, tuple(exc.failing_pairs))
-    return NearAbelianReport(True, table)
+build_commutator_table = is_nearly_abelian
 
 
 # ---------------------------------------------------------------------------

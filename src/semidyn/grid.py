@@ -122,7 +122,7 @@ import math
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass
-from functools import partial
+from functools import cached_property, partial
 from itertools import chain, product as iter_product, repeat
 
 import numpy as np
@@ -271,6 +271,13 @@ class ClassificationGrid:
             name: int((self.status == code).sum())
             for code, name in STATUS_NAMES.items()
         }
+
+    @cached_property
+    def _escape_boundary(self) -> np.ndarray:
+        esc = self.status == STATUS_ESCAPING
+        boundary = _dilate(esc) & _dilate(~esc)
+        boundary.flags.writeable = False
+        return boundary
 
 
 # ---------------------------------------------------------------------------
@@ -502,9 +509,9 @@ def escape_boundary(grid: ClassificationGrid) -> np.ndarray:
     """Cells whose cross-shaped 4-neighbourhood (the cell and the four that
     share a side with it) holds both escaping and non-escaping cells: the
     discrete boundary of I(f); cells beyond the edge count as neither.  Empty
-    where every cell escapes, even when I(f) is dense with empty interior."""
-    esc = grid.status == STATUS_ESCAPING
-    return _dilate(esc) & _dilate(~esc)
+    where every cell escapes, even when I(f) is dense with empty interior.
+    Derived once per grid: each call returns the same read-only array."""
+    return grid._escape_boundary
 
 
 def extract_julia_boundary(grid: ClassificationGrid) -> np.ndarray:
@@ -512,11 +519,9 @@ def extract_julia_boundary(grid: ClassificationGrid) -> np.ndarray:
     Eremenko 1989), plus the escaping cells when ``grid.class_b`` (I(f)
     lies in J(f) for class B, Eremenko-Lyubich 1992).  Escaping means
     leaving the disk within max_iter, so the mask shares that
-    approximation."""
+    approximation.  Outside class B it is escape_boundary's read-only array."""
     mask = escape_boundary(grid)
-    if grid.class_b:
-        mask |= grid.status == STATUS_ESCAPING
-    return mask
+    return mask | (grid.status == STATUS_ESCAPING) if grid.class_b else mask
 
 
 def fatou_mask(grid: ClassificationGrid) -> np.ndarray:

@@ -493,6 +493,9 @@ class TestExitCodeContract:
         *((["normal-form", "--fixture", "example-2.1-cos", "--word", text],
           f"--word takes generator numbers separated by commas, got {text!r}")
           for text in ("1,,2", "1.5", "")),
+        *((["render", "--map", "exp(z)", "--window", text],
+          f"--window takes xmin,xmax,ymin,ymax, got {text!r}")
+          for text in ("a,b,c,d", "1,2,3", "1,2,3,4,5", "")),
     ])
     def test_usage_error_names_the_conflict_or_value(self, tmp_path, capsys, argv,
                                                      message):
@@ -501,6 +504,13 @@ class TestExitCodeContract:
         err = capsys.readouterr().err
         assert message in err and err.count("\n") == 1
         assert not out.exists()
+
+    def test_window_config_key_names_the_flag(self, tmp_path, capsys):
+        (tmp_path / "window.json").write_text(json.dumps({"grid": {"window": "1,2,3"}}))
+        assert run("render", "--map", "exp(z)", "--config", str(tmp_path / "window.json"),
+                   "--out", str(tmp_path / "out")) == EXIT_USAGE
+        assert capsys.readouterr().err == \
+            "semidyn: --window takes xmin,xmax,ymin,ymax, got '1,2,3'\n"
 
     def test_unwritable_report_is_usage_error(self, tmp_path, capsys):
         (tmp_path / "render_meta.json").mkdir()

@@ -1395,6 +1395,22 @@ class TestTransportPlan:
         assert sum(g is source for g in boundaries) == 1
         assert sum(g is conjugate for g in boundaries) == 2 and len(boundaries) == 4
 
+    def test_each_grid_derives_its_boundary_once(self, tmp_path, monkeypatch):
+        # two dilations for each of the three grids' escape boundaries (the
+        # moved source, the source, the conjugate) and one for the band
+        # around them, although the conjugate's boundary is asked for twice
+        dilations = []
+        dilate = grid._dilate
+
+        def spy_dilate(mask):
+            dilations.append(mask.shape)
+            return dilate(mask)
+
+        monkeypatch.setattr(grid, "_dilate", spy_dilate)
+        assert main(["transport", "--fixture", "example-2.1-cos", "--cells", "64",
+                     "--out", str(tmp_path)]) == 0
+        assert dilations == [(64, 64)] * 7
+
     def test_grid_off_the_plan_source_is_refused(self):
         g = synthetic_grid(np.full((4, 4), STATUS_BOUNDED))
         plan = Transport(small_spec(cols=4, rows=4), AffineMap(1, 0), g.spec)

@@ -30,6 +30,7 @@ GRID = ("--fixture", "example-2.1-cos", "--cells", "16", "--workers", "1")
 # clean sample points for the whole word
 WORDS = ("--word", "2,1", "--word", "1,2,2,1,2", "--word", "1,2,1,2,1,2,1,2,1,2,1,2,1,2")
 NO_TABLE = ("--generators", "exp(z)", "pow(z,2)")
+PARTIAL = ("--generators", "cos(z)", "neg(cos(z))", "exp(z)")
 
 CASES = {
     **{f"commutator-{fx}": ("commutator", "--fixture", fx) for fx in FIXTURES},
@@ -55,6 +56,11 @@ CASES = {
                          "--word", "1,2,1,1,2,2,1,2,1,1,2,2",
                          "--word", "2,1,1,2,1,2,2,1,1,2,1,2,2,1,2,1,1,2,2,1"),
     "render-map": ("render", "--map", "exp(z)", "--cells", "8", "--workers", "1"),
+    # the identity checks run, and the nearly-abelian check reads false
+    "verify-no-table": ("verify", *NO_TABLE),
+    # generators 1 and 2 pair up, 3 pairs with neither: a partial table
+    "commutator-partial": ("commutator", *PARTIAL),
+    "normal-form-partial": ("normal-form", *PARTIAL, "--word", "2,1"),
 }
 
 
