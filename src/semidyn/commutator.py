@@ -8,6 +8,7 @@ overdetermined max-norm verification.
 
 S's commutators [f_i, f_j] live in one record, its CommutatorTable, which
 lists the pairs left unsolved; S is algebraically nearly abelian when none is.
+verify's identity checks read [f, g] and [g, f] from it.
 """
 
 from __future__ import annotations
@@ -282,20 +283,25 @@ class IdentityReport:
     residual: float
 
 
-def _bracket(f: Expr, g: Expr, plan: SamplePlan) -> AffineMap:
+def _bracket(f: Expr, g: Expr, plan: SamplePlan, entry: CommutatorResult | None) -> AffineMap:
+    """[f, g]: its table entry, or where the table lacks it (None) solved here."""
+    if entry is not None:
+        return entry.map
     try:
         return find_affine_commutator(f, g, plan).map
     except (NoAffineCommutatorError, DegenerateSamplesError) as exc:
         raise MissingCommutatorError(f"bracket could not be solved: {exc}") from exc
 
 
-def verify_identity(
-    which: str | int,
-    f: Expr,
-    g: Expr,
-    n: int = 1,
-    plan: SamplePlan = SamplePlan(),
-) -> IdentityReport:
+def verify_identity(which: str | int, f: Expr, g: Expr, n: int = 1,
+                    plan: SamplePlan = SamplePlan()) -> IdentityReport:
+    """check_identity with no table: [f, g] and [g, f] are solved here."""
+    return check_identity(which, f, g, n, plan, None, None)
+
+
+def check_identity(which: str | int, f: Expr, g: Expr, n: int, plan: SamplePlan,
+                   fg_entry: CommutatorResult | None,
+                   gf_entry: CommutatorResult | None) -> IdentityReport:
     """Check one of the commutator identities:
 
     1: [f, g∘f^n] = [f, g]
@@ -303,28 +309,31 @@ def verify_identity(
     3: [f∘g, g∘f] ∘ g∘f = f∘g ∘ [g, f]
     inverse:  [f, g] ∘ [g, f] = identity
     diagonal: [f, f] = identity
+
+    [f, g] and [g, f] are S's table entries fg_entry and gf_entry, each one
+    the table lacks (None) solved where it is needed, as words' brackets are.
     """
     which = str(which)
     if which in ("1", "2") and not 1 <= n <= 3:
         raise ValueError("n must be in 1..3")
 
     if which == "diagonal":
-        lhs, rhs = _bracket(f, f, plan), IDENTITY_MAP
+        lhs, rhs = _bracket(f, f, plan, None), IDENTITY_MAP
     elif which == "inverse":
-        lhs = affine_compose(_bracket(f, g, plan), _bracket(g, f, plan))
+        lhs = affine_compose(_bracket(f, g, plan, fg_entry), _bracket(g, f, plan, gf_entry))
         rhs = IDENTITY_MAP
     elif which == "1":
-        lhs = _bracket(f, compose(g, compose_power(f, n)), plan)
-        rhs = _bracket(f, g, plan)
+        lhs = _bracket(f, compose(g, compose_power(f, n)), plan, None)
+        rhs = _bracket(f, g, plan, fg_entry)
     elif which == "2":
         fn = compose_power(f, n)
-        lhs = compose(_bracket(f, compose(fn, g), plan).as_expr(), fn)
-        rhs = compose(fn, _bracket(f, g, plan).as_expr())
+        lhs = compose(_bracket(f, compose(fn, g), plan, None).as_expr(), fn)
+        rhs = compose(fn, _bracket(f, g, plan, fg_entry).as_expr())
     elif which == "3":
         fg = compose(f, g)
         gf = compose(g, f)
-        lhs = compose(_bracket(fg, gf, plan).as_expr(), gf)
-        rhs = compose(fg, _bracket(g, f, plan).as_expr())
+        lhs = compose(_bracket(fg, gf, plan, None).as_expr(), gf)
+        rhs = compose(fg, _bracket(g, f, plan, gf_entry).as_expr())
     else:
         raise ValueError(f"unknown identity {which!r}")
     if isinstance(lhs, AffineMap):  # two brackets: compare their coefficients

@@ -33,7 +33,7 @@ from semidyn.cli import (
     main,
     parse_args,
 )
-from semidyn.expr import MAX_EXPR_DEPTH, AffineExpr, children
+from semidyn.expr import MAX_EXPR_DEPTH, AffineExpr, children, compose, format_expr
 
 
 def run(*args):
@@ -116,6 +116,40 @@ class TestVerifyCommand:
         assert checks["xi-resolution"]["ok"] is False
         assert checks["left-resolve-exists"] == {
             "check": "left-resolve-exists", "not_run": "closure exceeded cap 64", "ok": True}
+
+    @pytest.mark.parametrize("fixture,searches", [
+        ("example-2.1-exp", 16), ("example-2.1-cos", 16), ("derived-exp-shift", 7)])
+    def test_each_search_once(self, tmp_path, monkeypatch, fixture, searches):
+        # the identity checks read [f, g] and [g, f] from S's table, whose
+        # one search serves both orders of the pair
+        real, lists = semidyn.expr.find_clean_points, []
+
+        def spy(exprs, plan):
+            lists.append(tuple(map(format_expr, exprs)))
+            return real(exprs, plan)
+
+        monkeypatch.setattr(semidyn.expr, "find_clean_points", spy)
+        monkeypatch.setattr(semidyn.commutator, "find_clean_points", spy)
+        run("verify", "--fixture", fixture, "--out", str(tmp_path))
+        assert len(lists) == len(set(lists)) == searches
+        f, g = semidyn.FIXTURES[fixture].presentation.generators
+        fg, gf = format_expr(compose(f, g)), format_expr(compose(g, f))
+        assert lists.count((fg, gf)) + lists.count((gf, fg)) == 1
+
+    @pytest.mark.parametrize("argv,vacuous", [
+        (["--generators", "exp(z)"], True),
+        (["--generators", "exp(z)", "exp(z)"], True),
+        *((["--fixture", fx], False)
+          for fx in ("example-2.1-exp", "example-2.1-cos", "derived-exp-shift")),
+    ])
+    def test_one_tree_identities_flagged(self, tmp_path, capsys, argv, vacuous):
+        # with f and g one tree every bracket is [f, f^m], the identity, so
+        # the identity checks pass by construction
+        code = run("verify", *argv, "--out", str(tmp_path))
+        flagged = "identities: vacuous (f and g are one tree)\n" in capsys.readouterr().err
+        assert flagged == vacuous
+        if vacuous:
+            assert code == EXIT_OK
 
 
 class TestRenderCommand:
@@ -341,6 +375,27 @@ class TestNormalFormCommand:
     def test_no_words_usage(self, tmp_path):
         assert run("normal-form", "--fixture", "example-2.1-exp",
                    "--out", str(tmp_path)) == EXIT_USAGE
+
+
+class TestReports:
+    @pytest.mark.parametrize("argv,name", [
+        (["commutator", "--fixture", "example-2.1-cos"], "commutator_table.json"),
+        (["commutator", "--generators", "exp(z)", "pow(z,2)"], "commutator_table.json"),
+        (["verify", "--fixture", "example-2.1-cos"], "verify_report.json"),
+        (["render", "--fixture", "example-2.1-cos", "--cells", "8"], "render_meta.json"),
+        (["transport", "--fixture", "example-2.1-cos", "--cells", "8"],
+         "transport_report.json"),
+        (["normal-form", "--fixture", "example-2.1-exp", "--word", "2,1"],
+         "normal_forms.json"),
+    ])
+    def test_config_hash_covers_the_report(self, tmp_path, argv, name):
+        # one rule for every report: the hash of everything else it holds,
+        # results included
+        run(*argv, "--out", str(tmp_path))
+        doc = json.loads((tmp_path / name).read_text())
+        blob = json.dumps({k: v for k, v in doc.items() if k != "config_hash"},
+                          sort_keys=True, separators=(",", ":"))
+        assert doc["config_hash"] == hashlib.sha256(blob.encode()).hexdigest()[:16]
 
 
 class TestExitCodeContract:
