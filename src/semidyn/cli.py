@@ -258,10 +258,9 @@ def cmd_verify(run: Run) -> int:
         for n in ((1, 2, 3) if which in ("1", "2") else (1,))
     ]
     table = is_nearly_abelian(S, plan)
-    fg, gf = table.entries.get((1, 2)), table.entries.get((2, 1))
     for which, n, name in identities:
         try:
-            rep = check_identity(which, f, g, n, plan, fg, gf)
+            rep = check_identity(which, f, g, n, plan, table)
         except MissingCommutatorError as exc:
             record("bracket-solve", False, math.nan, error=str(exc))
             break

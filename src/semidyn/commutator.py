@@ -6,15 +6,15 @@ what every worked example needs and what keeps the solve well posed: two
 sample points pin down (a, b) and the remaining samples act as an
 overdetermined max-norm verification.
 
-S's commutators [f_i, f_j] live in one record, its CommutatorTable, which
-lists the pairs left unsolved; S is algebraically nearly abelian when none is.
-verify's identity checks read [f, g] and [g, f] from it.
+is_nearly_abelian is the one solver.  S's commutators [f_i, f_j] live in
+its CommutatorTable, which keeps why each unsolved pair failed; S is
+algebraically nearly abelian when none did.  Any other [f, g] is entry
+(1, 2) of <f, g>'s table.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product
 
 import numpy as np
 
@@ -52,7 +52,7 @@ class ClosureOverflowError(RuntimeError):
 
 
 class MissingCommutatorError(ValueError):
-    """An identity check needs a bracket that could not be solved."""
+    """A table entry was read whose pair could not be solved."""
 
 
 # ---------------------------------------------------------------------------
@@ -63,21 +63,6 @@ class MissingCommutatorError(ValueError):
 class CommutatorResult:
     map: AffineMap
     residual: float
-
-
-def solve_affine(P: Expr, Q: Expr, plan: SamplePlan) -> CommutatorResult:
-    """Solve P = A∘Q for an affine A: one clean-point search for both
-    trees, then _fit_affine of P's values to Q's."""
-    _, (u, w) = find_clean_points([P, Q], plan)
-    return _fit_affine(u, w, plan)
-
-
-def find_affine_commutator(f: Expr, g: Expr, plan: SamplePlan) -> CommutatorResult:
-    """Solve f∘g = phi∘g∘f for an affine phi: solve_affine's case
-    P = f∘g, Q = g∘f."""
-    if f is g or f == g:
-        return CommutatorResult(IDENTITY_MAP, 0.0)
-    return solve_affine(compose(f, g), compose(g, f), plan)
 
 
 def _fit_affine(u: np.ndarray, w: np.ndarray, plan: SamplePlan) -> CommutatorResult:
@@ -139,23 +124,27 @@ class SemigroupPresentation:
 @dataclass(frozen=True)
 class CommutatorTable:
     """S's affine commutators: ``entries`` maps each solved (i, j) to
-    [f_i, f_j], the diagonal first and then row by row."""
+    [f_i, f_j], the diagonal first and then row by row, and ``failures``
+    each other (i, j) to the error its search or fit raised."""
 
     size: int
     entries: dict[tuple[int, int], CommutatorResult]
+    failures: dict[tuple[int, int], Exception]
 
     @property
     def failing_pairs(self) -> tuple[tuple[int, int], ...]:
         """The unsolved (i, j), row by row."""
-        keys = range(1, self.size + 1)
-        return tuple(key for key in product(keys, keys) if key not in self.entries)
+        return tuple(sorted(self.failures))
 
     @property
     def algebraic(self) -> bool:
         """The algebraic half of the nearly-abelian check: every pair solved."""
-        return not self.failing_pairs
+        return not self.failures
 
     def entry(self, i: int, j: int) -> AffineMap:
+        """[f_i, f_j], or MissingCommutatorError from why it failed."""
+        if (exc := self.failures.get((i, j))) is not None:
+            raise MissingCommutatorError(f"bracket could not be solved: {exc}") from exc
         return self.entries[(i, j)].map
 
     def maps(self) -> list[AffineMap]:
@@ -180,9 +169,9 @@ def presentation_to_json_dict(S: SemigroupPresentation) -> dict:
 
 
 def is_nearly_abelian(S: SemigroupPresentation, plan: SamplePlan) -> CommutatorTable:
-    """S's commutator table: each entry (i, j) = [f_i, f_j] that
-    find_affine_commutator solves, the other pairs as its failing_pairs.
-    S passes the algebraic half of the nearly-abelian check when there are
+    """S's commutator table: each entry (i, j) = [f_i, f_j] that an affine
+    fit solves, and the error each other pair's search or fit raised.  S
+    passes the algebraic half of the nearly-abelian check when there are
     none (``algebraic``).  Fatou-set invariance of the maps is a grid-level
     question, which ``transport`` reports as ``fatou_invariance``; the
     commutator family's pre-compactness is assumed, never verified.
@@ -194,6 +183,7 @@ def is_nearly_abelian(S: SemigroupPresentation, plan: SamplePlan) -> CommutatorT
     """
     n = len(S)
     solved: dict[tuple[int, int], CommutatorResult] = {}
+    failed: dict[tuple[int, int], Exception] = {}
     for i in range(1, n + 1):
         for j in range(i, n + 1):
             f, g = S.generator(i), S.generator(j)
@@ -202,18 +192,32 @@ def is_nearly_abelian(S: SemigroupPresentation, plan: SamplePlan) -> CommutatorT
                 continue
             try:
                 _, (u, w) = find_clean_points([compose(f, g), compose(g, f)], plan)
-            except DegenerateSamplesError:
+            except DegenerateSamplesError as exc:
+                failed[(i, j)] = failed[(j, i)] = exc
                 continue
             for key, x, y in (((i, j), u, w), ((j, i), w, u)):
                 try:
                     solved[key] = _fit_affine(x, y, plan)
-                except (NoAffineCommutatorError, DegenerateSamplesError):
-                    pass
+                except (NoAffineCommutatorError, DegenerateSamplesError) as exc:
+                    failed[key] = exc
     order = sorted(solved, key=lambda key: (key[0] != key[1], key))  # the diagonal first
-    return CommutatorTable(n, {key: solved[key] for key in order})
+    return CommutatorTable(n, {key: solved[key] for key in order}, failed)
 
 
 build_commutator_table = is_nearly_abelian
+
+
+def _pair_table(f: Expr, g: Expr, plan: SamplePlan) -> CommutatorTable:
+    """<f, g>'s table, whose entry (1, 2) is [f, g]."""
+    return is_nearly_abelian(SemigroupPresentation((f, g), require_transcendental=False), plan)
+
+
+def find_affine_commutator(f: Expr, g: Expr, plan: SamplePlan) -> CommutatorResult:
+    """[f, g], entry (1, 2) of <f, g>'s table; raises the error it holds."""
+    table = _pair_table(f, g, plan)
+    if (1, 2) in table.failures:
+        raise table.failures[(1, 2)]
+    return table.entries[(1, 2)]
 
 
 # ---------------------------------------------------------------------------
@@ -283,25 +287,19 @@ class IdentityReport:
     residual: float
 
 
-def _bracket(f: Expr, g: Expr, plan: SamplePlan, entry: CommutatorResult | None) -> AffineMap:
-    """[f, g]: its table entry, or where the table lacks it (None) solved here."""
-    if entry is not None:
-        return entry.map
-    try:
-        return find_affine_commutator(f, g, plan).map
-    except (NoAffineCommutatorError, DegenerateSamplesError) as exc:
-        raise MissingCommutatorError(f"bracket could not be solved: {exc}") from exc
+def _bracket(f: Expr, g: Expr, plan: SamplePlan) -> AffineMap:
+    """[f, g], read from <f, g>'s table."""
+    return _pair_table(f, g, plan).entry(1, 2)
 
 
 def verify_identity(which: str | int, f: Expr, g: Expr, n: int = 1,
                     plan: SamplePlan = SamplePlan()) -> IdentityReport:
-    """check_identity with no table: [f, g] and [g, f] are solved here."""
-    return check_identity(which, f, g, n, plan, None, None)
+    """check_identity against <f, g>'s table."""
+    return check_identity(which, f, g, n, plan, _pair_table(f, g, plan))
 
 
 def check_identity(which: str | int, f: Expr, g: Expr, n: int, plan: SamplePlan,
-                   fg_entry: CommutatorResult | None,
-                   gf_entry: CommutatorResult | None) -> IdentityReport:
+                   table: CommutatorTable) -> IdentityReport:
     """Check one of the commutator identities:
 
     1: [f, g∘f^n] = [f, g]
@@ -310,30 +308,31 @@ def check_identity(which: str | int, f: Expr, g: Expr, n: int, plan: SamplePlan,
     inverse:  [f, g] ∘ [g, f] = identity
     diagonal: [f, f] = identity
 
-    [f, g] and [g, f] are S's table entries fg_entry and gf_entry, each one
-    the table lacks (None) solved where it is needed, as words' brackets are.
+    f and g are generators 1 and 2 of the table's semigroup (g is f when it
+    has one); words' brackets come from tables of their own.  The diagonal
+    is the identity by construction, so its check is no evidence.
     """
     which = str(which)
     if which in ("1", "2") and not 1 <= n <= 3:
         raise ValueError("n must be in 1..3")
 
+    k = min(2, table.size)  # g's index
     if which == "diagonal":
-        lhs, rhs = _bracket(f, f, plan, None), IDENTITY_MAP
+        lhs, rhs = table.entry(1, 1), IDENTITY_MAP
     elif which == "inverse":
-        lhs = affine_compose(_bracket(f, g, plan, fg_entry), _bracket(g, f, plan, gf_entry))
-        rhs = IDENTITY_MAP
+        lhs, rhs = affine_compose(table.entry(1, k), table.entry(k, 1)), IDENTITY_MAP
     elif which == "1":
-        lhs = _bracket(f, compose(g, compose_power(f, n)), plan, None)
-        rhs = _bracket(f, g, plan, fg_entry)
+        lhs = _bracket(f, compose(g, compose_power(f, n)), plan)
+        rhs = table.entry(1, k)
     elif which == "2":
         fn = compose_power(f, n)
-        lhs = compose(_bracket(f, compose(fn, g), plan, None).as_expr(), fn)
-        rhs = compose(fn, _bracket(f, g, plan, fg_entry).as_expr())
+        lhs = compose(_bracket(f, compose(fn, g), plan).as_expr(), fn)
+        rhs = compose(fn, table.entry(1, k).as_expr())
     elif which == "3":
         fg = compose(f, g)
         gf = compose(g, f)
-        lhs = compose(_bracket(fg, gf, plan, None).as_expr(), gf)
-        rhs = compose(fg, _bracket(g, f, plan, gf_entry).as_expr())
+        lhs = compose(_bracket(fg, gf, plan).as_expr(), gf)
+        rhs = compose(fg, table.entry(k, 1).as_expr())
     else:
         raise ValueError(f"unknown identity {which!r}")
     if isinstance(lhs, AffineMap):  # two brackets: compare their coefficients

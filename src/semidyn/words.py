@@ -22,7 +22,7 @@ from .commutator import (
     CommutatorTable,
     NoAffineCommutatorError,
     SemigroupPresentation,
-    solve_affine,
+    _fit_affine,
 )
 from .expr import (
     AffineMap,
@@ -34,7 +34,7 @@ from .expr import (
     affine_distance,
     compose,
     compose_power,
-    find_clean_points,  # noqa: F401  the benchmark's tracer wraps it by this name
+    find_clean_points,
     format_expr,
     numerically_equal,
 )
@@ -91,13 +91,14 @@ def resolve_xi(
     f: Expr, phi: AffineMap, G: AffineGroup | None, plan: SamplePlan
 ) -> AffineMap:
     """The xi with f ∘ phi = xi ∘ f (right-to-left migration of an affine
-    map across f): solve_affine's case P = f∘phi, Q = f.  Given the closed
+    map across f): _fit_affine of f∘phi's values to f's.  Given the closed
     group G, the fit is snapped to its element of G, which it must be;
     with G None it is returned as fitted."""
     if affine_distance(phi, IDENTITY_MAP) < plan.tolerance:
         return IDENTITY_MAP
+    _, (u, w) = find_clean_points([compose(f, phi.as_expr()), f], plan)
     try:
-        xi = solve_affine(compose(f, phi.as_expr()), f, plan).map
+        xi = _fit_affine(u, w, plan).map
     except NoAffineCommutatorError as exc:
         raise NoXiError(
             f"no affine xi migrates {phi} across {format_expr(f)}: {exc}"

@@ -117,24 +117,38 @@ class TestVerifyCommand:
         assert checks["left-resolve-exists"] == {
             "check": "left-resolve-exists", "not_run": "closure exceeded cap 64", "ok": True}
 
-    @pytest.mark.parametrize("fixture,searches", [
-        ("example-2.1-exp", 16), ("example-2.1-cos", 16), ("derived-exp-shift", 7)])
-    def test_each_search_once(self, tmp_path, monkeypatch, fixture, searches):
-        # the identity checks read [f, g] and [g, f] from S's table, whose
-        # one search serves both orders of the pair
+    @staticmethod
+    def searched_lists(monkeypatch, tmp_path, *argv) -> list[tuple[str, ...]]:
+        """The expression lists a verify run searches, spied on every module
+        that binds find_clean_points."""
         real, lists = semidyn.expr.find_clean_points, []
 
         def spy(exprs, plan):
             lists.append(tuple(map(format_expr, exprs)))
             return real(exprs, plan)
 
-        monkeypatch.setattr(semidyn.expr, "find_clean_points", spy)
-        monkeypatch.setattr(semidyn.commutator, "find_clean_points", spy)
-        run("verify", "--fixture", fixture, "--out", str(tmp_path))
+        for module in (semidyn.expr, semidyn.commutator, semidyn.words):
+            monkeypatch.setattr(module, "find_clean_points", spy)
+        run("verify", *argv, "--out", str(tmp_path))
+        return lists
+
+    @pytest.mark.parametrize("fixture,searches", [
+        ("example-2.1-exp", 16), ("example-2.1-cos", 16), ("derived-exp-shift", 7)])
+    def test_each_search_once(self, tmp_path, monkeypatch, fixture, searches):
+        # the identity checks read [f, g] and [g, f] from S's table, whose
+        # one search serves both orders of the pair
+        lists = self.searched_lists(monkeypatch, tmp_path, "--fixture", fixture)
         assert len(lists) == len(set(lists)) == searches
         f, g = semidyn.FIXTURES[fixture].presentation.generators
         fg, gf = format_expr(compose(f, g)), format_expr(compose(g, f))
         assert lists.count((fg, gf)) + lists.count((gf, fg)) == 1
+
+    @pytest.mark.parametrize("g", ["pow(z,2)", "cos(z)"])
+    def test_failing_table_searches_once(self, tmp_path, monkeypatch, g):
+        # the inverse identity reads the failed pair's error from S's table
+        # instead of searching the pair again for it
+        lists = self.searched_lists(monkeypatch, tmp_path, "--generators", "exp(z)", g)
+        assert len(lists) == len(set(lists)) == 1
 
     @pytest.mark.parametrize("argv,vacuous", [
         (["--generators", "exp(z)"], True),

@@ -15,6 +15,8 @@ from semidyn.cli import EXIT_NORMAL_FORM_FAILED, main as cli_main
 from semidyn.commutator import (
     AffineGroup,
     ClosureOverflowError,
+    CommutatorResult,
+    MissingCommutatorError,
     NoAffineCommutatorError,
     DegenerateSamplesError,
     SemigroupPresentation,
@@ -25,6 +27,7 @@ from semidyn.commutator import (
     group_closure,
     is_nearly_abelian,
     verify_identity,
+    _fit_affine,
 )
 from semidyn.expr import (
     SAMPLE_COUNT,
@@ -40,6 +43,7 @@ from semidyn.expr import (
     affine_compose,
     affine_distance,
     affine_inverse,
+    compose,
     eval_array,
     numerically_equal,
 )
@@ -417,6 +421,18 @@ class TestFindAffineCommutator:
         assert abs(res.map.a - math.e) < 1e-9
         assert abs(res.map.b + math.e) < 1e-9
 
+    # the pair's own fit error, as one search of (f∘g, g∘f) and one fit
+    # give it
+    @pytest.mark.parametrize("g,message", [
+        (Power(Z, 2), "affine fit residual 2.065e+00 exceeds tolerance"),
+        (Cos(Z), "affine fit residual 1.642e+00 exceeds tolerance"),
+    ])
+    def test_non_pair_raises_its_fit_error(self, g, message):
+        with pytest.raises(NoAffineCommutatorError) as info:
+            find_affine_commutator(Exp(Z), g, PLAN)
+        assert type(info.value) is NoAffineCommutatorError
+        assert str(info.value) == message
+
     def test_non_pair_rejected(self):
         with pytest.raises((NoAffineCommutatorError, DegenerateSamplesError)):
             find_affine_commutator(Exp(Z), Power(Z, 2), PLAN)
@@ -438,6 +454,31 @@ class TestFindAffineCommutator:
         monkeypatch.setattr(semidyn.commutator, "find_clean_points", fake)
         with pytest.raises(NoAffineCommutatorError):
             find_affine_commutator(Exp(Z), Cos(Z), PLAN)
+
+
+def per_order_reference(S, plan):
+    """S's table solved one ordered pair at a time: one search of
+    (f_i∘f_j, f_j∘f_i) and one fit of the first's values to the second's
+    per (i, j), kept as the reference of the table's one search per
+    unordered pair.  Returns the entries as commutator_table.json lists
+    them and each unsolved pair's error type and message, row by row."""
+    n = len(S)
+    entries, failures = [], {}
+    for i in range(1, n + 1):
+        for j in range(1, n + 1):
+            f, g = S.generator(i), S.generator(j)
+            try:
+                if f is g or f == g:
+                    res = CommutatorResult(IDENT, 0.0)
+                else:
+                    _, (u, w) = find_clean_points([compose(f, g), compose(g, f)], plan)
+                    res = _fit_affine(u, w, plan)
+            except (NoAffineCommutatorError, DegenerateSamplesError) as exc:
+                failures[(i, j)] = (type(exc), str(exc))
+                continue
+            entries.append({"i": i, "j": j, **res.map.to_json_dict(),
+                            "residual": res.residual})
+    return entries, failures
 
 
 class TestCommutatorTable:
@@ -492,21 +533,27 @@ class TestCommutatorTable:
         monkeypatch.undo()
         assert list(table.entries)[:n] == [(i, i) for i in range(1, n + 1)]
 
-        want, want_failing = [], []
-        for i in range(1, n + 1):
-            for j in range(1, n + 1):
-                try:
-                    res = find_affine_commutator(S.generator(i), S.generator(j), plan)
-                except (NoAffineCommutatorError, DegenerateSamplesError):
-                    want_failing.append((i, j))
-                    continue
-                want.append({"i": i, "j": j, **res.map.to_json_dict(),
-                             "residual": res.residual})
+        want, want_failing = per_order_reference(S, plan)
         # a partial table keeps its solved entries, and they match too
         assert table.failing_pairs == tuple(want_failing)
+        assert {key: (type(exc), str(exc))
+                for key, exc in table.failures.items()} == want_failing
         assert table.algebraic == (not want_failing)
         assert table.to_json_dict()["entries"] == want
         assert case not in ("exp-cos", "three") or want_failing
+
+    def test_entry_raises_from_the_stored_error(self):
+        # the commutator-partial set: generators 1 and 2 pair up, 3 pairs
+        # with neither
+        S = SemigroupPresentation((Cos(Z), Negate(Cos(Z)), Exp(Z)))
+        table = build_commutator_table(S, SamplePlan())
+        assert table.failing_pairs == ((1, 3), (2, 3), (3, 1), (3, 2))
+        for key in table.failing_pairs:
+            exc = table.failures[key]
+            with pytest.raises(MissingCommutatorError) as info:
+                table.entry(*key)
+            assert str(info.value) == f"bracket could not be solved: {exc}"
+            assert info.value.__cause__ is exc
 
     def test_json_coefficients_parse_back_bit_for_bit(self, tmp_path):
         # commutator_table.json holds each coefficient as "re,im" text, and

@@ -27,11 +27,9 @@ def test_import_loads_no_scipy():
     f for f in os.listdir(PACKAGE) if f.endswith(".py") and f != "__init__.py"))
 def test_every_import_is_used(name):
     # the imports of __init__.py are the package's API; elsewhere an unused
-    # import is dead unless its line says otherwise with "# noqa: F401"
+    # import is dead
     with open(os.path.join(PACKAGE, name)) as fh:
-        source = fh.read()
-    lines = source.splitlines()
-    tree = ast.parse(source)
+        tree = ast.parse(fh.read())
     used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
     unused = []
     for node in ast.walk(tree):
@@ -41,7 +39,7 @@ def test_every_import_is_used(name):
             continue
         for alias in node.names:
             bound = alias.asname or alias.name.split(".")[0]
-            if bound not in used and "# noqa: F401" not in lines[alias.lineno - 1]:
+            if bound not in used:
                 unused.append(f"{name}:{alias.lineno} {bound}")
     assert unused == []
 

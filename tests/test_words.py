@@ -217,7 +217,7 @@ class TestNormalForm:
         # f2∘f1 = -cos(cos z) rewritten with phi = 2z is 2 cos(cos z)
         fx, table, _ = fixture_machinery("example-2.1-cos")
         entries = {**table.entries, (2, 1): CommutatorResult(AffineMap(2, 0), 0.0)}
-        wrong = CommutatorTable(table.size, entries)
+        wrong = CommutatorTable(table.size, entries, table.failures)
         with pytest.raises(VerificationFailedError, match="residual 1.500e"):
             normal_form(Word((2, 1)), fx.presentation, wrong, None, fx.plan)
 
