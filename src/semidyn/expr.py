@@ -3,13 +3,16 @@
 Nodes are immutable dataclasses, so trees can be shared freely across
 threads.  Each node class is one row of the node table: its prefix name,
 its typed fields, and one numpy evaluation step.  Walking the children,
-printing and parsing follow the field types alone.
+printing and parsing follow the field types alone.  The node
+``affine(a, b)`` is AffineMap, the invertible map z -> a*z + b that the
+commutators, xi, phi and normal-form prefixes are: a with a finite,
+nonzero 1/a, or the text is malformed.  A constant is ``const(b)``.
 
 There is one evaluation path.  ``eval_array`` evaluates a tree on an
 array and tracks a per-element "bad" mask: any intermediate value whose
 magnitude exceeds OVERFLOW_CEILING counts as overflow -- well below float
 infinity, so products can never silently turn into NaN.  Identity (where
-the input enters), Const, AffineExpr, Power, Sum and Product check their
+the input enters), Const, AffineMap, Power, Sum and Product check their
 output; the others cannot go over: the guards of Exp, Cos and Sin keep
 them below e^345 ~ 1.3e149, Negate keeps the magnitude and Compose returns
 its outer child's values.
@@ -156,10 +159,23 @@ class Const(Expr):
 
 
 @dataclass(frozen=True)
-class AffineExpr(Expr):
+class AffineMap(Expr):
+    """z -> a*z + b with a and 1/a finite and nonzero: invertible."""
+
     a: complex
     b: complex
     name = "affine"
+
+    def __post_init__(self):
+        a = complex(self.a)
+        if a == 0 or not all(map(cmath.isfinite, (a, 1 / a))) or 1 / a == 0:
+            raise DegenerateAffineError(f"invalid affine coefficient a={self.a!r}")
+
+    def __call__(self, z):
+        return self.a * z + self.b
+
+    def to_json_dict(self) -> dict:
+        return {"a": complex_to_json(self.a), "b": complex_to_json(self.b)}
 
     def _eval(self, w, bad):
         v = self.a * w
@@ -297,7 +313,7 @@ class Compose(Expr):
 
 
 NODE_TYPES = (
-    Identity, Const, AffineExpr, Power, Exp, Cos, Sin, Sum, Product, Negate, Compose
+    Identity, Const, AffineMap, Power, Exp, Cos, Sin, Sum, Product, Negate, Compose
 )
 _EXPRS = tuple[Expr, ...]
 _BY_NAME = {cls.name: cls for cls in NODE_TYPES}
@@ -330,12 +346,10 @@ def _growth_kind(expr: Expr) -> str | None:
     """_CONST for a constant tree, _POLY for a provably non-constant
     polynomial, _CLASS_B for a provably transcendental class-B map, None
     when unsure (including trees that might cancel to a constant)."""
-    if isinstance(expr, Identity):
+    if isinstance(expr, (Identity, AffineMap)):
         return _POLY
     if isinstance(expr, Const):
         return _CONST
-    if isinstance(expr, AffineExpr):
-        return _POLY if expr.a != 0 else _CONST
     if isinstance(expr, (Negate, Power)):
         return _growth_kind(next(children(expr)))
     if isinstance(expr, (Exp, Cos, Sin)):
@@ -384,7 +398,7 @@ def is_exactly_even(expr: Expr) -> bool:
     """Structural proof that eval_array(expr, -z) equals eval_array(expr, z)
     bit for bit, values and bad mask both, for every array z.
 
-    The input enters a tree only at Identity and AffineExpr, and the proof
+    The input enters a tree only at Identity and AffineMap, and the proof
     accepts it only squared: Power(Identity(), 2) caps |z| and |-z| alike
     (both ask the same hypot and zero the same elements) and squares with
     b * b, whose real and imaginary parts are the same products of the
@@ -394,7 +408,7 @@ def is_exactly_even(expr: Expr) -> bool:
     numpy's complex cos is sign-symmetric bit for bit depends on its SIMD
     build.
     """
-    if isinstance(expr, (Identity, AffineExpr)):
+    if isinstance(expr, (Identity, AffineMap)):
         return False
     if isinstance(expr, Power) and isinstance(expr.base, Identity):
         return expr.k == 2
@@ -408,7 +422,7 @@ def is_exactly_real(expr: Expr) -> bool:
     eval_array(expr, z), values and bad mask both, for every array z, but
     for the sign of zero components.
 
-    The proof accepts a tree when every Const value and every AffineExpr
+    The proof accepts a tree when every Const value and every AffineMap
     coefficient has imaginary part exactly 0.  Round-to-nearest is
     symmetric under sign flips, and conjugation flips the sign of every
     imaginary part, so +, - and x of conjugates give the conjugate's bits:
@@ -428,7 +442,7 @@ def is_exactly_real(expr: Expr) -> bool:
     """
     if isinstance(expr, Const):
         return complex(expr.value).imag == 0
-    if isinstance(expr, AffineExpr):
+    if isinstance(expr, AffineMap):
         return complex(expr.a).imag == 0 and complex(expr.b).imag == 0
     return all(is_exactly_real(c) for c in children(expr))
 
@@ -439,13 +453,17 @@ def is_exactly_real(expr: Expr) -> bool:
 
 def compose(outer: Expr, inner: Expr) -> Expr:
     """Structural composition (outer after inner), with identity and
-    affine-on-affine folding only."""
+    affine-on-affine folding only.  Two affine maps fold to affine_compose's
+    map, and stay a Compose where that is not invertible."""
     if isinstance(outer, Identity):
         return inner
     if isinstance(inner, Identity):
         return outer
-    if isinstance(outer, AffineExpr) and isinstance(inner, AffineExpr):
-        return AffineExpr(outer.a * inner.a, outer.a * inner.b + outer.b)
+    if isinstance(outer, AffineMap) and isinstance(inner, AffineMap):
+        try:
+            return affine_compose(outer, inner)
+        except DegenerateAffineError:
+            pass
     return Compose(outer, inner)
 
 
@@ -490,28 +508,6 @@ def eval_at(expr: Expr, z: complex) -> complex:
 
 # ---------------------------------------------------------------------------
 # affine maps
-
-
-@dataclass(frozen=True)
-class AffineMap:
-    """z -> a*z + b with a and 1/a finite and nonzero: invertible."""
-
-    a: complex
-    b: complex
-
-    def __post_init__(self):
-        a = complex(self.a)
-        if a == 0 or not all(map(cmath.isfinite, (a, 1 / a))) or 1 / a == 0:
-            raise DegenerateAffineError(f"invalid affine coefficient a={self.a!r}")
-
-    def __call__(self, z):
-        return self.a * z + self.b
-
-    def as_expr(self) -> AffineExpr:
-        return AffineExpr(self.a, self.b)
-
-    def to_json_dict(self) -> dict:
-        return {"a": complex_to_json(self.a), "b": complex_to_json(self.b)}
 
 
 IDENTITY_MAP = AffineMap(1 + 0j, 0j)

@@ -96,7 +96,7 @@ def resolve_xi(
     with G None it is returned as fitted."""
     if affine_distance(phi, IDENTITY_MAP) < plan.tolerance:
         return IDENTITY_MAP
-    _, (u, w) = find_clean_points([compose(f, phi.as_expr()), f], plan)
+    _, (u, w) = find_clean_points([compose(f, phi), f], plan)
     try:
         xi = _fit_affine(u, w, plan).map
     except NoAffineCommutatorError as exc:
@@ -116,10 +116,10 @@ def left_resolve_exists(
 ) -> bool:
     """Whether some xi in G satisfies phi ∘ f = f ∘ xi.  Unlike resolve_xi
     this can legitimately fail to exist."""
-    lhs = compose(phi.as_expr(), f)
+    lhs = compose(phi, f)
     for xi in G.elements:
         try:
-            if numerically_equal(lhs, compose(f, xi.as_expr()), plan).equal:
+            if numerically_equal(lhs, compose(f, xi), plan).equal:
                 return True
         except DegenerateSamplesError:
             continue
@@ -174,7 +174,7 @@ def normal_form(
 
     exponents = tuple(letters.count(i) for i in range(1, len(S) + 1))
 
-    rhs: Expr = prefix.as_expr()
+    rhs: Expr = prefix
     for i, t in enumerate(exponents, start=1):
         if t > 0:
             rhs = compose(rhs, compose_power(S.generator(i), t))

@@ -33,7 +33,7 @@ from semidyn.cli import (
     main,
     parse_args,
 )
-from semidyn.expr import MAX_EXPR_DEPTH, AffineExpr, children, compose, format_expr
+from semidyn.expr import MAX_EXPR_DEPTH, AffineMap, children, compose, format_expr
 
 
 def run(*args):
@@ -574,6 +574,31 @@ class TestExitCodeContract:
         assert message in err and err.count("\n") == 1
         assert not out.exists()
 
+    # an affine node is invertible, as --phi is: a = 0, or an a whose 1/a
+    # overflows, once read as a constant map or a commutator to solve
+    @pytest.mark.parametrize("source", ["--generators", "--map", "--config"])
+    @pytest.mark.parametrize("text,message", [
+        ("affine(0+0i, 1+0i)", "affine: invalid affine coefficient a=0j"),
+        ("affine(1e-320+0i, 0+0i)", "affine: invalid affine coefficient a=(1e-320+0j)"),
+    ])
+    def test_non_invertible_affine_names_the_coefficient(self, tmp_path, capsys, source,
+                                                         text, message):
+        (tmp_path / "gens.json").write_text(json.dumps({"generators": [text, "exp(z)"]}))
+        argv = {"--generators": ["commutator", "--generators", text, "exp(z)"],
+                "--map": ["render", "--map", text, "--cells", "4"],
+                "--config": ["commutator", "--config", str(tmp_path / "gens.json")]}
+        out = tmp_path / "out"
+        assert run(*argv[source], "--out", str(out)) == EXIT_USAGE
+        assert capsys.readouterr().err == f"semidyn: {message}\n"
+        assert not out.exists()
+
+    def test_non_invertible_phi_names_the_coefficient(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert run("transport", "--fixture", "example-2.1-cos", "--phi", "0;1",
+                   "--out", str(out)) == EXIT_USAGE
+        assert capsys.readouterr().err == "semidyn: invalid affine coefficient a=0j\n"
+        assert not out.exists()
+
     def test_window_config_key_names_the_flag(self, tmp_path, capsys):
         (tmp_path / "window.json").write_text(json.dumps({"grid": {"window": "1,2,3"}}))
         assert run("render", "--map", "exp(z)", "--config", str(tmp_path / "window.json"),
@@ -616,7 +641,7 @@ class TestExitCodeContract:
         real = semidyn.commutator.find_clean_points
 
         def carries_affine(e):
-            return isinstance(e, AffineExpr) or any(map(carries_affine, children(e)))
+            return isinstance(e, AffineMap) or any(map(carries_affine, children(e)))
 
         def degenerate(exprs, plan):
             if any(map(carries_affine, exprs)):

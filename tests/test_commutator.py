@@ -641,6 +641,14 @@ class TestIdentities:
         assert rep.holds, f"identity {which} (n={n}) residual {rep.residual:.3e}"
         assert rep.residual < 1e-9
 
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_identity_2_on_affine_maps_compares_values(self, n):
+        # both sides fold to affine maps whose b, near 1e8, differ by more
+        # than the tolerance; their values at the sample points agree
+        f, g = AffineMap(1, 1e8), AffineMap(1.5, -1.5e8)
+        rep = verify_identity("2", f, g, n=n, plan=PLAN)
+        assert rep.holds and rep.residual < 1e-15
+
     def test_diagonal_zero_residual(self):
         f = FIXTURES["example-2.1-cos"].presentation.generator(1)
         rep = verify_identity("diagonal", f, f, plan=PLAN)

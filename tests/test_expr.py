@@ -8,8 +8,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import semidyn.expr
 from semidyn.expr import (
-    AffineExpr,
     AffineMap,
     Compose,
     Const,
@@ -20,6 +20,7 @@ from semidyn.expr import (
     ExprParseError,
     Exp,
     Identity,
+    NODE_TYPES,
     Negate,
     Power,
     Product,
@@ -56,7 +57,7 @@ POINTS = 2.0 * np.sqrt(_rng.random(32)) * np.exp(2j * np.pi * _rng.random(32))
 COEFFS = st.sampled_from([0.2, -1.0, 1j, 2.5 - 0.5j, 1e100, 1e149, 1e200])
 # trees of every node kind
 TREES = st.recursive(
-    st.one_of(st.just(Z), COEFFS.map(Const), st.builds(AffineExpr, COEFFS, COEFFS)),
+    st.one_of(st.just(Z), COEFFS.map(Const), st.builds(AffineMap, COEFFS, COEFFS)),
     lambda inner: st.one_of(
         st.builds(Power, inner, st.integers(1, 4)),
         st.builds(Exp, inner),
@@ -128,7 +129,7 @@ class TestEval:
         (Sum((Z, Const(6e149))), [1, 5e149, -6e149, 1e151], [0, 1, 0, 1]),
         (Power(Z, 3), [1e50, 2e50, 1e49, 1e160, 4.6e49], [1, 1, 0, 1, 0]),
         (Product((Const(1e100), Z)), [1e51, 1e49, -1e50], [1, 0, 1]),
-        (AffineExpr(1e100, 0), [1e51, 1e49], [1, 0]),
+        (AffineMap(1e100, 0), [1e51, 1e49], [1, 0]),
         (Exp(Z), [345, 346, 345 + 1e6j, -1e149], [0, 1, 0, 0]),
         (Cos(Z), [346j, -346j, 345j, -345j, 1e149], [1, 1, 0, 0, 0]),
         (Sin(Z), [346j, -346j, 345j, -345j, 1e149], [1, 1, 0, 0, 0]),
@@ -138,7 +139,7 @@ class TestEval:
         # added later; they pass float range on the way: inf, and NaN
         # from inf * 0
         (Power(Z, 3), [1e149, 1e49], [1, 0]),
-        (AffineExpr(1e200, 0), [1e149, 1e-60], [1, 0]),
+        (AffineMap(1e200, 0), [1e149, 1e-60], [1, 0]),
         (Product((Z, Z, Z)), [1e149, 1e49], [1, 0]),
         (Power(Z, 4), [1e149, 1e37], [1, 0]),
         # a NaN makes the max NaN, which must fail the all-clean test
@@ -224,7 +225,7 @@ class TestEval:
         gc.collect()
         gc.disable()
         try:
-            got = eval_array(Sum((Exp(AffineExpr(2, 1)), Cos(Z))), pts)
+            got = eval_array(Sum((Exp(AffineMap(2, 1)), Cos(Z))), pts)
             del got
             assert gc.collect() == 0
         finally:
@@ -240,13 +241,32 @@ class TestCompose:
 
     def test_affine_folding_involution(self):
         # negation composed with itself folds to the identity affine map
-        t = compose(AffineExpr(-1, 0), AffineExpr(-1, 0))
-        assert isinstance(t, AffineExpr)
+        t = compose(AffineMap(-1, 0), AffineMap(-1, 0))
+        assert isinstance(t, AffineMap)
         rep = numerically_equal(t, Z, PLAN)
         assert rep.equal and rep.max_error == 0.0
 
+    @pytest.mark.parametrize("outer,inner", [
+        (AffineMap(-1, 0), AffineMap(-1, 0)),
+        (AffineMap(3 + 1j, 2 - 1j), AffineMap(0.5, 1j)),
+        (AffineMap(1e149, -2.5), AffineMap(-1e-149, 0.1 + 0.3j)),
+        (AffineMap(-0.0 + 1j, -0.0), AffineMap(1j, 0.0)),
+    ])
+    def test_affine_fold_is_affine_compose(self, outer, inner):
+        t, m = compose(outer, inner), affine_compose(outer, inner)
+        assert type(t) is AffineMap
+        # repr tells -0.0 from 0.0
+        assert [repr(complex(c)) for c in (t.a, t.b)] == [repr(complex(c)) for c in (m.a, m.b)]
+
+    def test_affine_fold_past_the_invertible_maps_stays_a_compose(self):
+        # a = 1e400 is not finite, so the two maps apply one after the other
+        f = AffineMap(1e200, 0)
+        with pytest.raises(DegenerateAffineError):
+            affine_compose(f, f)
+        assert compose(f, f) == Compose(f, f)
+
     def test_exp_after_shift(self):
-        t = compose(Exp(Z), AffineExpr(1, 1))
+        t = compose(Exp(Z), AffineMap(1, 1))
         assert eval_at(t, 0) == pytest.approx(math.e)
 
     def test_compose_eval_bitwise(self):
@@ -386,7 +406,7 @@ class TestCompose:
         assert vals[~bad].tobytes() == uv[~bad].tobytes()
 
     def test_associativity_at_samples(self):
-        f, g, h = Cos(Z), Exp(Z), AffineExpr(0.5, 0.1)
+        f, g, h = Cos(Z), Exp(Z), AffineMap(0.5, 0.1)
         lhs = compose(compose(f, g), h)
         rhs = compose(f, compose(g, h))
         rep = numerically_equal(lhs, rhs, PLAN)
@@ -405,7 +425,7 @@ class TestNumericEquality:
         assert rep.equal and rep.max_error == 0.0
 
     def test_even_function_precomposed_with_negation(self):
-        rep = numerically_equal(compose(F_EXP_SQ, AffineExpr(-1, 0)), F_EXP_SQ, PLAN)
+        rep = numerically_equal(compose(F_EXP_SQ, AffineMap(-1, 0)), F_EXP_SQ, PLAN)
         assert rep.equal
 
     def test_exp_not_cos(self):
@@ -485,7 +505,7 @@ class TestTranscendentalFlag:
 
     def test_negative(self):
         assert not is_transcendental(Power(Z, 5))
-        assert not is_transcendental(AffineExpr(2, 3))
+        assert not is_transcendental(AffineMap(2, 3))
 
 
 NEGATION = AffineMap(-1, 0)
@@ -512,11 +532,11 @@ class TestExactlyReal:
     ACCEPTED = FIXTURE_GENERATORS + [
         g for fx in FIXTURES.values()
         for g in conjugate_semigroup(fx.presentation, NEGATION).generators
-    ] + [Z, Const(-2.5), AffineExpr(0.5, -1), Cos(Product((Const(0.3), Sin(Z)))),
-         Compose(Exp(Z), AffineExpr(2, 0.25))]
-    REJECTED = [Const(3 + 1j), AffineExpr(1j, 0), AffineExpr(1, 0.5j),
-                AffineExpr(2 - 1e-300j, 0), Sum((Exp(Z), Const(1j))),
-                Compose(Cos(Z), AffineExpr(1, 1j)), Const(complex(0, math.nan))]
+    ] + [Z, Const(-2.5), AffineMap(0.5, -1), Cos(Product((Const(0.3), Sin(Z)))),
+         Compose(Exp(Z), AffineMap(2, 0.25))]
+    REJECTED = [Const(3 + 1j), AffineMap(1j, 0), AffineMap(1, 0.5j),
+                AffineMap(2 - 1e-300j, 0), Sum((Exp(Z), Const(1j))),
+                Compose(Cos(Z), AffineMap(1, 1j)), Const(complex(0, math.nan))]
 
     @pytest.mark.parametrize("e", ACCEPTED, ids=format_expr)
     def test_accepted_trees_commute_with_conjugation(self, e):
@@ -592,7 +612,7 @@ class TestSerialization:
     TREES = [
         Z,
         Const(0.2 + 0j),
-        AffineExpr(-1 + 0j, 0j),
+        AffineMap(-1 + 0j, 0j),
         F_EXP_SQ,
         Negate(F_EXP_SQ),
         Compose(Cos(Z), Negate(Z)),
@@ -615,7 +635,7 @@ class TestSerialization:
 
     def test_affine_literal(self):
         t = parse_expr("affine(-1+0i, 0+0i)")
-        assert t == AffineExpr(-1 + 0j, 0j)
+        assert t == AffineMap(-1 + 0j, 0j)
 
     def test_complex_literal_round_trip(self):
         for c in (0.2 + 0j, -1.5 - 2.25j, 1e-3 + 1e3j, 0.1 + 0.3j):
@@ -630,7 +650,8 @@ class TestSerialization:
 
     @pytest.mark.parametrize(
         "bad", ["exp(z, z)", "compose(z)", "add(z)", "pow(z, x)", "pow(z, 0)",
-                "const(1e400)", "affine(1, 0+1e999i)"]
+                "const(1e400)", "affine(1, 0+1e999i)", "affine(0+0i, 1+0i)",
+                "affine(1e-320+0i, 0+0i)"]
     )
     def test_malformed_raises_parse_error(self, bad):
         with pytest.raises(ExprParseError) as info:
@@ -647,3 +668,17 @@ class TestSerialization:
         again = parse_expr(format_expr(tree))
         assert again == tree
         assert format_expr(again) == format_expr(tree)
+
+
+class TestNodeTable:
+    # a node class left out of NODE_TYPES fails parse_expr, format_expr and
+    # children with a KeyError
+    def test_every_node_class_is_in_the_table(self):
+        defined = {cls for cls in vars(semidyn.expr).values()
+                   if isinstance(cls, type) and issubclass(cls, Expr) and cls is not Expr
+                   and cls.__module__ == semidyn.expr.__name__}
+        assert defined == set(NODE_TYPES)
+
+    def test_names_are_distinct(self):
+        names = [cls.name for cls in NODE_TYPES]
+        assert len(set(names)) == len(names)

@@ -14,7 +14,6 @@ from hypothesis import strategies as st
 
 from semidyn.commutator import SemigroupPresentation, build_commutator_table
 from semidyn.expr import (
-    AffineExpr,
     AffineMap,
     Cos,
     Exp,
@@ -198,7 +197,7 @@ class TestClassifyMap:
     def test_period_20_rotation_is_bounded(self):
         # the orbit returns to the step-32 reference at step 52
         spec = small_spec(cols=8, rows=8, width=0.01, height=0.01, center=1 + 1j)
-        g = classify_map(AffineExpr(cmath.exp(2j * cmath.pi / 20), 0j), spec)
+        g = classify_map(AffineMap(cmath.exp(2j * cmath.pi / 20), 0j), spec)
         assert (g.status == STATUS_BOUNDED).all()
 
     def test_period_40_rotation_is_undecided(self):
@@ -206,7 +205,7 @@ class TestClassifyMap:
         # 104, past max_iter
         spec = small_spec(cols=8, rows=8, width=0.01, height=0.01, center=1 + 1j,
                           max_iter=100)
-        g = classify_map(AffineExpr(cmath.exp(2j * cmath.pi / 40), 0j), spec)
+        g = classify_map(AffineMap(cmath.exp(2j * cmath.pi / 40), 0j), spec)
         assert (g.status == STATUS_UNDECIDED).all()
 
 
@@ -482,7 +481,7 @@ KERNEL_CASES = {
     # escape radius 3 at step 1 or 2 on this window; applying the two maps
     # in turn rounds z + 1e8 and moves some cells across
     "affine-folding": (SemigroupPresentation(
-        (AffineExpr(1, 1e8), AffineExpr(1.5, -1.5e8)),
+        (AffineMap(1, 1e8), AffineMap(1.5, -1.5e8)),
         label="affine", require_transcendental=False),
         replace(THREE_SPEC, center=2 + 0j, width=1e-7, height=1e-7,
                 escape_radius=3.0)),
@@ -529,7 +528,7 @@ def small_maps(coeffs):
     some cells of a small window escape, overflow, settle on a cycle or stay
     undecided within a few steps."""
     return st.recursive(
-        st.one_of(st.sampled_from([Z, Power(Z, 2)]), st.builds(AffineExpr, coeffs, coeffs)),
+        st.one_of(st.sampled_from([Z, Power(Z, 2)]), st.builds(AffineMap, coeffs, coeffs)),
         lambda inner: st.one_of(
             st.builds(Exp, inner),
             st.builds(Cos, inner),

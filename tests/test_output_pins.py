@@ -72,6 +72,16 @@ CASES = {
     # phi12 = (e^-200, 200) needs a xi whose coefficient a is below the
     # rounding of f∘phi's values at the sample points
     "verify-far-shift": ("verify", "--generators", "affine(1+0i, 200+0i)", "exp(z)"),
+    # the word f∘f has a = 1e400: the two affine maps stay an unfolded compose
+    "render-affine-overflow": ("render", "--generators", "affine(1e200+0i, 0+0i)", "exp(z)",
+                               "--cells", "9", "--window=-1,1,-1,1", "--workers", "1"),
+    # the brackets of identities 2 and 3 compose an affine map with an affine map
+    "verify-two-affine": ("verify", "--generators", "affine(0.5+0i, 1+0i)",
+                          "affine(2+0i, -1+0i)"),
+    # identities 2 and 3 compare values: the coefficients of the two sides
+    # differ by more than the tolerance, their values at |z| <= 2 by less
+    "verify-two-affine-far": ("verify", "--generators", "affine(1+0i, 1e8+0i)",
+                              "affine(1.5+0i, -1.5e8+0i)"),
 }
 
 

@@ -317,7 +317,7 @@ def migrating_every_step(w, S, table, G, plan):
 
     exponents = tuple(letters.count(i) for i in range(1, len(S) + 1))
 
-    rhs = prefix.as_expr()
+    rhs = prefix
     for i, t in enumerate(exponents, start=1):
         if t > 0:
             rhs = compose(rhs, compose_power(S.generator(i), t))
