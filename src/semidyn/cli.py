@@ -132,7 +132,7 @@ class Run:
             fx = get_fixture(self.args.fixture)
             return fx.presentation, fx
         exprs = tuple(parse_expr(t) for t in self.args.generators)
-        S = SemigroupPresentation(exprs, label="inline", require_transcendental=False)
+        S = SemigroupPresentation(exprs, label="inline")
         return S, None
 
     def _given(self, *keys: str) -> dict:

@@ -33,7 +33,6 @@ from .expr import (
     compose_power,
     find_clean_points,
     format_expr,
-    is_transcendental,
     numerically_equal,
 )
 
@@ -101,17 +100,13 @@ def _fit_affine(u: np.ndarray, w: np.ndarray, plan: SamplePlan) -> CommutatorRes
 
 @dataclass(frozen=True)
 class SemigroupPresentation:
+    """The semigroup generated by one or more entire maps, and its name."""
     generators: tuple[Expr, ...]
-    label: str = ""
-    require_transcendental: bool = True
+    label: str = "S"
 
     def __post_init__(self):
         if len(self.generators) < 1:
             raise ValueError("presentation needs at least one generator")
-        if self.require_transcendental:
-            for k, gen in enumerate(self.generators, start=1):
-                if not is_transcendental(gen):
-                    raise ValueError(f"generator {k} is not transcendental")
 
     def __len__(self) -> int:
         return len(self.generators)
@@ -209,7 +204,7 @@ build_commutator_table = is_nearly_abelian
 
 def _pair_table(f: Expr, g: Expr, plan: SamplePlan) -> CommutatorTable:
     """<f, g>'s table, whose entry (1, 2) is [f, g]."""
-    return is_nearly_abelian(SemigroupPresentation((f, g), require_transcendental=False), plan)
+    return is_nearly_abelian(SemigroupPresentation((f, g)), plan)
 
 
 def find_affine_commutator(f: Expr, g: Expr, plan: SamplePlan) -> CommutatorResult:
@@ -352,7 +347,4 @@ def conjugate_semigroup(
     """Generators phi ∘ f_i ∘ phi^{-1}."""
     inv = affine_inverse(phi)
     gens = tuple(compose(phi, compose(gen, inv)) for gen in S.generators)
-    label = f"conjugate({S.label or 'S'}, a={phi.a!r}, b={phi.b!r})"
-    return SemigroupPresentation(
-        gens, label=label, require_transcendental=S.require_transcendental
-    )
+    return SemigroupPresentation(gens, label=f"conjugate({S.label}, a={phi.a!r}, b={phi.b!r})")

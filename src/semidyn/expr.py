@@ -71,6 +71,10 @@ OVERFLOW_CEILING = 1e150
 # for a Compose under a Compose: a chain is evaluated as a loop over its
 # maps.
 MAX_EXPR_DEPTH = 128
+# Largest exponent of pow.  Power multiplies k - 1 times per evaluation, so
+# its cost grows with k's value, not with the length of the text; repeated
+# squaring would round differently for k >= 4.
+MAX_POWER = 64
 
 
 class EvalOverflow(ArithmeticError):
@@ -190,8 +194,8 @@ class Power(Expr):
     name = "pow"
 
     def __post_init__(self):
-        if self.k < 1:
-            raise ValueError("power exponent must be >= 1")
+        if not 1 <= self.k <= MAX_POWER:
+            raise ValueError(f"power exponent must be 1..{MAX_POWER}")
 
     def _eval(self, w, bad):
         b = self.base._eval(w, bad)
@@ -330,13 +334,6 @@ def children(expr: Expr) -> Iterator[Expr]:
             yield getattr(expr, name)
         elif kind == _EXPRS:
             yield from getattr(expr, name)
-
-
-def is_transcendental(expr: Expr) -> bool:
-    """True iff the tree contains at least one exp/cos/sin node."""
-    if isinstance(expr, (Exp, Cos, Sin)):
-        return True
-    return any(is_transcendental(c) for c in children(expr))
 
 
 _CONST, _POLY, _CLASS_B = "const", "poly", "class-b"

@@ -485,7 +485,7 @@ def classify_semigroup(
     """Escaping iff escaping under every word up to word_depth (each word
     iterated as a unit map); bounded if bounded under at least one."""
     status, esc = _classify(S.generators, spec.word_depth, spec, workers)
-    subject = f"semigroup:{S.label or 'S'};words<=%d" % spec.word_depth
+    subject = f"semigroup:{S.label};words<=%d" % spec.word_depth
     class_b = any(is_class_b(g) for g in S.generators)
     return ClassificationGrid(spec, status, esc, subject, class_b)
 

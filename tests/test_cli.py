@@ -583,6 +583,18 @@ class TestExitCodeContract:
     ])
     def test_non_invertible_affine_names_the_coefficient(self, tmp_path, capsys, source,
                                                          text, message):
+        self.assert_malformed_generator(tmp_path, capsys, source, text, message)
+
+    # Power multiplies k - 1 times per evaluation: a ten-character exponent
+    # once hung the run instead of exiting 64
+    @pytest.mark.parametrize("source", ["--generators", "--map", "--config"])
+    @pytest.mark.parametrize("text", ["pow(z,65)", "pow(z,1000000000)"])
+    def test_pow_exponent_over_cap_is_malformed(self, tmp_path, capsys, source, text):
+        self.assert_malformed_generator(tmp_path, capsys, source, text,
+                                        "pow: power exponent must be 1..64")
+
+    @staticmethod
+    def assert_malformed_generator(tmp_path, capsys, source, text, message):
         (tmp_path / "gens.json").write_text(json.dumps({"generators": [text, "exp(z)"]}))
         argv = {"--generators": ["commutator", "--generators", text, "exp(z)"],
                 "--map": ["render", "--map", text, "--cells", "4"],
@@ -739,7 +751,8 @@ class TestConfigFile:
 # grids stay at 16 cells or fewer and loops short, so an example runs fast
 EXPRS = ["cos(z)", "neg(cos(z))", "sin(z)", "exp(z)", "exp(pow(z,2))", "z",
          "pow(z,2)", "affine(2,0)", "neg(z)", "const(1e200)", "const(0)",
-         "exp(exp(exp(z)))", "add(z, exp(z))", "mul(z, cos(z))", "foo(", ""]
+         "exp(exp(exp(z)))", "add(z, exp(z))", "mul(z, cos(z))", "foo(", "",
+         "pow(z,1000000000)"]
 NON_FINITE = ["nan", "inf", "-inf"]
 NUMBERS = ["0", "1", "-1", "2", "0.5", "1e-9", "1e300", *NON_FINITE, "x", ""]
 FLAG_VALUES = {

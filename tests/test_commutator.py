@@ -26,6 +26,7 @@ from semidyn.commutator import (
     find_clean_points,
     group_closure,
     is_nearly_abelian,
+    presentation_to_json_dict,
     verify_identity,
     _fit_affine,
 )
@@ -48,6 +49,7 @@ from semidyn.expr import (
     numerically_equal,
 )
 from semidyn.fixtures import FIXTURES, INVOLUTION_FIXTURES
+from semidyn.grid import GridSpec, classify_semigroup
 import semidyn.words
 from semidyn.words import NoXiError, Word, normal_form, word_expr
 from test_expr import TREES
@@ -717,10 +719,23 @@ class TestPresentationValidation:
         with pytest.raises(ValueError):
             SemigroupPresentation(())
 
-    def test_transcendental_required(self):
-        with pytest.raises(ValueError):
-            SemigroupPresentation((Power(Z, 2),))
-
-    def test_transcendental_check_can_be_waived(self):
-        S = SemigroupPresentation((Power(Z, 2),), require_transcendental=False)
-        assert len(S) == 1
+    def test_takes_any_entire_maps(self, tmp_path):
+        # Example 2.1 with the polynomial h = z²: [f, g] = -z, bit for bit
+        # the entry the CLI writes for the same generators; conjugating by -z
+        # gives <-h, h>, whose [f, g] is -z too.  Unlabeled, S is named S.
+        h = Power(Z, 2)
+        S = SemigroupPresentation((h, Negate(h)))
+        minus_z = AffineMap(-1, 0)
+        entry = is_nearly_abelian(S, SamplePlan()).entry(1, 2)
+        assert entry == minus_z
+        assert cli_main(["commutator", "--generators", "pow(z,2)", "neg(pow(z,2))",
+                         "--out", str(tmp_path)]) == 0
+        doc = json.loads((tmp_path / "commutator_table.json").read_text())
+        [rec] = [r for r in doc["table"]["entries"] if (r["i"], r["j"]) == (1, 2)]
+        assert {key: rec[key] for key in ("a", "b")} == entry.to_json_dict()
+        conj = conjugate_semigroup(S, minus_z)
+        assert is_nearly_abelian(conj, SamplePlan()).entry(1, 2) == minus_z
+        assert conj.label == "conjugate(S, a=-1, b=0)"
+        assert presentation_to_json_dict(S)["label"] == "S"
+        spec = GridSpec(center=0j, width=4.0, height=4.0, cols=4, rows=4)
+        assert classify_semigroup(S, spec).subject == "semigroup:S;words<=2"

@@ -20,6 +20,7 @@ from semidyn.expr import (
     ExprParseError,
     Exp,
     Identity,
+    MAX_POWER,
     NODE_TYPES,
     Negate,
     Power,
@@ -38,7 +39,6 @@ from semidyn.expr import (
     format_complex,
     format_expr,
     is_exactly_real,
-    is_transcendental,
     numerically_equal,
     parse_complex,
     parse_expr,
@@ -498,16 +498,6 @@ class TestAffine:
         assert affine_distance(r, AffineMap(1, 0)) < 1e-12 * max(1.0, abs(b))
 
 
-class TestTranscendentalFlag:
-    def test_positive(self):
-        assert is_transcendental(F_EXP_SQ)
-        assert is_transcendental(Compose(Power(Z, 2), Sin(Z)))
-
-    def test_negative(self):
-        assert not is_transcendental(Power(Z, 5))
-        assert not is_transcendental(AffineMap(2, 3))
-
-
 NEGATION = AffineMap(-1, 0)
 FIXTURE_GENERATORS = [g for fx in FIXTURES.values() for g in fx.presentation.generators]
 
@@ -651,12 +641,15 @@ class TestSerialization:
     @pytest.mark.parametrize(
         "bad", ["exp(z, z)", "compose(z)", "add(z)", "pow(z, x)", "pow(z, 0)",
                 "const(1e400)", "affine(1, 0+1e999i)", "affine(0+0i, 1+0i)",
-                "affine(1e-320+0i, 0+0i)"]
+                "affine(1e-320+0i, 0+0i)", "pow(z,65)"]
     )
     def test_malformed_raises_parse_error(self, bad):
         with pytest.raises(ExprParseError) as info:
             parse_expr(bad)
         assert type(info.value) is ExprParseError
+
+    def test_pow_exponent_cap_is_inclusive(self):
+        assert parse_expr("pow(z,64)") == Power(Z, MAX_POWER)
 
     @settings(max_examples=300, deadline=None)
     @given(PREFIX_TEXT)

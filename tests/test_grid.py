@@ -481,8 +481,7 @@ KERNEL_CASES = {
     # escape radius 3 at step 1 or 2 on this window; applying the two maps
     # in turn rounds z + 1e8 and moves some cells across
     "affine-folding": (SemigroupPresentation(
-        (AffineMap(1, 1e8), AffineMap(1.5, -1.5e8)),
-        label="affine", require_transcendental=False),
+        (AffineMap(1, 1e8), AffineMap(1.5, -1.5e8)), label="affine"),
         replace(THREE_SPEC, center=2 + 0j, width=1e-7, height=1e-7,
                 escape_radius=3.0)),
     # <h, -h> with h = e^{z^2} + c exactly even, where -h(z0) = z0 - 9e-7 at
@@ -741,7 +740,7 @@ class TestSemigroupKernel:
             assert np.array_equal(g.escape_iter, esc), workers
 
     def assert_matches_per_word_reference(self, gens, spec, workers):
-        S = SemigroupPresentation(tuple(gens), require_transcendental=False)
+        S = SemigroupPresentation(tuple(gens))
         status, esc = per_word_reference(S, spec)
         g = classify_semigroup(S, spec, workers=workers)
         assert np.array_equal(g.status, status)

@@ -37,6 +37,7 @@ GRID = ("--fixture", "example-2.1-cos", "--cells", "16", "--workers", "1")
 WORDS = ("--word", "2,1", "--word", "1,2,2,1,2", "--word", "1,2,1,2,1,2,1,2,1,2,1,2,1,2")
 NO_TABLE = ("--generators", "exp(z)", "pow(z,2)")
 PARTIAL = ("--generators", "cos(z)", "neg(cos(z))", "exp(z)")
+POLYNOMIAL = ("--generators", "pow(z,2)", "neg(pow(z,2))")
 
 CASES = {
     **{f"commutator-{fx}": ("commutator", "--fixture", fx) for fx in FIXTURES},
@@ -82,6 +83,10 @@ CASES = {
     # differ by more than the tolerance, their values at |z| <= 2 by less
     "verify-two-affine-far": ("verify", "--generators", "affine(1+0i, 1e8+0i)",
                               "affine(1.5+0i, -1.5e8+0i)"),
+    # Example 2.1 with the polynomial h = z²: a presentation takes any
+    # entire maps
+    "commutator-polynomial": ("commutator", *POLYNOMIAL),
+    "verify-polynomial": ("verify", *POLYNOMIAL),
 }
 
 
