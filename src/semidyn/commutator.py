@@ -83,7 +83,7 @@ def _fit_affine(u: np.ndarray, w: np.ndarray, plan: SamplePlan) -> CommutatorRes
     a = (u[i] - u[j]) / (w[i] - w[j])
     b = u[i] - a * w[i]
     try:
-        phi = AffineMap(complex(a), complex(b))
+        phi = AffineMap(a, b)
     except DegenerateAffineError as exc:
         raise NoAffineCommutatorError(f"solved {exc}, not an affine conjugacy") from exc
 
@@ -171,10 +171,11 @@ def is_nearly_abelian(S: SemigroupPresentation, plan: SamplePlan) -> CommutatorT
     question, which ``transport`` reports as ``fatou_invariance``; the
     commutator family's pre-compactness is assumed, never verified.
 
-    One clean-point search serves both orders of a pair: at the points
-    where f_i∘f_j and f_j∘f_i are clean, (i, j) fits the first's values to
-    the second's and (j, i) the reverse, and find_clean_points gives
-    (j, i)'s own search those points and values.
+    A pair whose f_i∘f_j and f_j∘f_i are one tree, as f and f∘f, gets the
+    identity with no search.  One search serves both orders of a pair: at
+    the points where f_i∘f_j and f_j∘f_i are clean, (i, j) fits the
+    first's values to the second's and (j, i) the reverse, and
+    find_clean_points gives (j, i)'s own search those points and values.
     """
     n = len(S)
     solved: dict[tuple[int, int], CommutatorResult] = {}
@@ -182,11 +183,12 @@ def is_nearly_abelian(S: SemigroupPresentation, plan: SamplePlan) -> CommutatorT
     for i in range(1, n + 1):
         for j in range(i, n + 1):
             f, g = S.generator(i), S.generator(j)
-            if f is g or f == g:
+            fg, gf = compose(f, g), compose(g, f)
+            if fg == gf:  # one chain of maps, as when f == g
                 solved[(i, j)] = solved[(j, i)] = CommutatorResult(IDENTITY_MAP, 0.0)
                 continue
             try:
-                _, (u, w) = find_clean_points([compose(f, g), compose(g, f)], plan)
+                _, (u, w) = find_clean_points([fg, gf], plan)
             except DegenerateSamplesError as exc:
                 failed[(i, j)] = failed[(j, i)] = exc
                 continue

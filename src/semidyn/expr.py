@@ -15,20 +15,20 @@ infinity, so products can never silently turn into NaN.  Identity (where
 the input enters), Const, AffineMap, Power, Sum and Product check their
 output; the others cannot go over: the guards of Exp, Cos and Sin keep
 them below e^345 ~ 1.3e149, Negate keeps the magnitude and Compose returns
-its outer child's values.
+the values of the map it applies last.
 
 Evaluation is elementwise: an element's value and bad bit depend on that
 element alone, bit for bit, whatever the array's length.  The clean-point
 search and the grid kernel rely on it when they evaluate a subset of
-points, and so does Compose.  A Compose evaluates the chain of Compose
-nodes under it as one sequence of maps, in the order they apply: once at
-least half the points still live are bad, the later maps run at the clean
-ones alone, the live set shrinking again wherever half of it has gone bad,
-and their values and bad bits are written back into the first map's array
-at the end; once every live point is bad, the rest of the chain is
-skipped.  numpy's in-place complex multiply rounds one-element arrays
-differently from every other length, so Power and Product multiply out of
-place.
+points, and so does Compose.  ``compose(f, g, h)`` is f∘g∘h, one chain
+into which any nested Compose is spliced, so every nesting is one tree.
+It runs its maps in the order they apply: once at least half the points
+still live are bad, the later maps run at the clean ones alone, the live
+set shrinking again wherever half of it has gone bad, and their values
+and bad bits are written back into the first-applied map's array at the
+end; once every live point is bad, the rest of the chain is skipped.
+numpy's in-place complex multiply rounds one-element arrays differently
+from every other length, so Power and Product multiply out of place.
 
 ``eval_at`` is ``eval_array`` on a one-element array, raising EvalOverflow
 where that element is bad.  Negate is exact and sets no bad bit, so
@@ -39,11 +39,11 @@ its negation, rest on this.
 Evaluation works in place.  Each node's ``_eval`` returns a fresh array
 that no other node holds, and its parent may overwrite it: Exp, Cos, Sin
 and Negate write their result into their child's array, Sum accumulates
-into its first child's, and a compacting Compose writes into its first
-map's.  No node writes into the points it is evaluated at, so only
-Identity, where those points become a value, copies its input, and
-``eval_array`` never alters the caller's array nor returns memory shared
-with it.
+into its first child's, and a compacting Compose writes into its
+first-applied map's.  No node writes into the points it is evaluated at,
+so only Identity, where those points become a value, copies its input,
+and ``eval_array`` never alters the caller's array nor returns memory
+shared with it.
 
 Two trees are compared at sample points, in one way: ``numerically_equal``
 asks ``find_clean_points`` for SAMPLE_COUNT seeded points at which both are
@@ -64,12 +64,10 @@ import numpy as np
 
 OVERFLOW_CEILING = 1e150
 # Deepest nesting parse_expr accepts, counting every node on a path (exp(z)
-# is 2).  The deepest recursions over a tree, printing it or walking a
-# sum, take up to 4 frames a level, and words of up to 32 letters compose
-# a tree 31 levels deeper, so 128 keeps them well inside Python's default
-# recursion limit of 1000.  Evaluation takes one frame a level but none
-# for a Compose under a Compose: a chain is evaluated as a loop over its
-# maps.
+# is 2).  The deepest recursions over a tree, printing it or walking a sum,
+# take up to 4 frames a level, and a word's tree is one level deeper than
+# its deepest generator, so 128 keeps them well inside Python's default
+# recursion limit of 1000.
 MAX_EXPR_DEPTH = 128
 # Largest exponent of pow.  Power multiplies k - 1 times per evaluation, so
 # its cost grows with k's value, not with the length of the text; repeated
@@ -111,8 +109,8 @@ class Expr:
     the same mask (a compacting Compose gives the later maps of its chain
     a mask of their own), and a node whose values can exceed the ceiling
     returns them ``_capped``.  ``_eval`` must not write into w, and
-    returns an array that it owns: the parent may overwrite it.  The array a child returns
-    is the node's to overwrite in turn.
+    returns an array that it owns: the parent may overwrite it.  The
+    array a child returns is the node's to overwrite in turn.
     """
 
     __slots__ = ()
@@ -154,12 +152,14 @@ class Const(Expr):
     value: complex
     name = "const"
 
+    def __post_init__(self):
+        object.__setattr__(self, "value", complex(self.value))
+
     def _eval(self, w, bad):
-        value = complex(self.value)
-        if not abs(value) <= OVERFLOW_CEILING:
-            bad[...] = True
-            value = 0j
-        return np.full(w.shape, value, dtype=np.complex128)
+        if abs(self.value) <= OVERFLOW_CEILING:  # a NaN value fails
+            return np.full(w.shape, self.value, dtype=np.complex128)
+        bad[...] = True
+        return np.zeros(w.shape, dtype=np.complex128)
 
 
 @dataclass(frozen=True)
@@ -173,7 +173,9 @@ class AffineMap(Expr):
     def __post_init__(self):
         a = complex(self.a)
         if a == 0 or not all(map(cmath.isfinite, (a, 1 / a))) or 1 / a == 0:
-            raise DegenerateAffineError(f"invalid affine coefficient a={self.a!r}")
+            raise DegenerateAffineError(f"invalid affine coefficient a={a!r}")
+        object.__setattr__(self, "a", a)
+        object.__setattr__(self, "b", complex(self.b))
 
     def __call__(self, z):
         return self.a * z + self.b
@@ -279,27 +281,26 @@ class Negate(Expr):
 
 @dataclass(frozen=True)
 class Compose(Expr):
-    outer: Expr
-    inner: Expr
+    maps: tuple[Expr, ...]
     name = "compose"
 
+    def __post_init__(self):
+        if len(self.maps) < 2:
+            raise ValueError("composition needs at least two maps")
+        if Compose in map(type, self.maps):  # splice nested chains into this one
+            maps = []  # a generator expression made 1.7x the GCs of normal-form
+            for m in self.maps:
+                maps += m.maps if type(m) is Compose else (m,)
+            object.__setattr__(self, "maps", tuple(maps))
+
     def _eval(self, w, bad):
-        # the maps of the chain of Compose nodes under this one, in the
-        # order they apply, gathered in a loop rather than one call a level
-        maps, stack = [], [self]
-        while stack:
-            e = stack.pop()
-            if type(e) is Compose:
-                stack += e.outer, e.inner
-            else:
-                maps.append(e)
-        u = maps[0]._eval(w, bad)
+        u = self.maps[-1]._eval(w, bad)
         # a later map could only set bits already set, and values at bad
         # points are unspecified, so once half the live points are bad the
         # rest of the chain runs at the clean ones alone (v at the indices
         # at of u, with its own mask), and stops when none is left
         v, live_bad, at = u, bad, None
-        for m in maps[1:]:
+        for m in self.maps[-2::-1]:
             nbad = np.count_nonzero(live_bad)
             if nbad * 2 >= live_bad.size:
                 if nbad == live_bad.size:
@@ -352,17 +353,14 @@ def _growth_kind(expr: Expr) -> str | None:
     if isinstance(expr, (Exp, Cos, Sin)):
         k = _growth_kind(expr.inner)
         return k if k in (_CONST, None) else _CLASS_B
-    if isinstance(expr, Compose):
-        kinds = (_growth_kind(expr.outer), _growth_kind(expr.inner))
-        if None in kinds:
-            return None
-        if _CONST in kinds:
-            return _CONST
-        return _POLY if kinds == (_POLY, _POLY) else _CLASS_B
-    terms = list(children(expr))  # Sum or Product
+    terms = list(children(expr))  # Sum, Product or Compose
     kinds = [_growth_kind(t) for t in terms]
     if None in kinds:
         return None
+    if isinstance(expr, Compose):
+        if _CONST in kinds:
+            return _CONST
+        return _POLY if set(kinds) == {_POLY} else _CLASS_B
     varying = [k for k in kinds if k != _CONST]
     if not varying:
         return _CONST
@@ -400,7 +398,7 @@ def is_exactly_even(expr: Expr) -> bool:
     (both ask the same hypot and zero the same elements) and squares with
     b * b, whose real and imaginary parts are the same products of the
     negated operands.  A node whose children all give the same bits gives
-    the same bits, and a Compose sees its inner child's bits alone.
+    the same bits, and a Compose sees its first-applied map's bits alone.
     Anything else, e.g. Cos(Identity()), says no: cos is even, but whether
     numpy's complex cos is sign-symmetric bit for bit depends on its SIMD
     build.
@@ -410,7 +408,7 @@ def is_exactly_even(expr: Expr) -> bool:
     if isinstance(expr, Power) and isinstance(expr.base, Identity):
         return expr.k == 2
     if isinstance(expr, Compose):
-        return is_exactly_even(expr.inner)
+        return is_exactly_even(expr.maps[-1])
     return all(is_exactly_even(c) for c in children(expr))
 
 
@@ -429,7 +427,7 @@ def is_exactly_real(expr: Expr) -> bool:
     u.real > 345 and |u.imag| > 345.  numpy's complex exp, cos and sin
     call the C library, and C11 Annex G.6 states cexp(conj z) =
     conj(cexp z) and the same for ccosh and csinh, through which it
-    defines ccos and csin.  A Compose sees its inner child's bits.
+    defines ccos and csin.  A Compose sees its first-applied map's bits.
 
     Where a real constant meets a zero imaginary part, the two results
     may differ in the sign of that zero.  Every later operation keeps
@@ -438,9 +436,9 @@ def is_exactly_real(expr: Expr) -> bool:
     status and escape step.
     """
     if isinstance(expr, Const):
-        return complex(expr.value).imag == 0
+        return expr.value.imag == 0
     if isinstance(expr, AffineMap):
-        return complex(expr.a).imag == 0 and complex(expr.b).imag == 0
+        return expr.a.imag == 0 and expr.b.imag == 0
     return all(is_exactly_real(c) for c in children(expr))
 
 
@@ -461,7 +459,7 @@ def compose(outer: Expr, inner: Expr) -> Expr:
             return affine_compose(outer, inner)
         except DegenerateAffineError:
             pass
-    return Compose(outer, inner)
+    return Compose((outer, inner))
 
 
 def compose_power(f: Expr, n: int) -> Expr:
@@ -482,9 +480,9 @@ def eval_array(expr: Expr, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Vectorised evaluation.
 
     Returns (values, bad) where bad marks elements at which some
-    intermediate overflowed; values are unspecified there.  A chain of
-    Compose nodes runs its later maps at the clean points alone once at
-    least half its live points are bad, and stops when none is left.
+    intermediate overflowed; values are unspecified there.  A Compose runs
+    its later maps at the clean points alone once at least half its live
+    points are bad, and stops when none is left.
     numpy's overflow and invalid warnings are silenced: the mask records
     those elements.
     """

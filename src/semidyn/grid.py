@@ -52,20 +52,20 @@ the other words do, and the combination takes nothing else from a
 duplicate.  The word budget still counts every word.
 
 The third: power words ride their root's orbit.  A word w = r^m, r
-primitive, whose tree composes without folding is r's map applied m
-times, bit for bit, since Compose shares one bad mask and evaluation is
-elementwise.  So the band iterates each root's map once, from z0, and
-tests each power m only at the orbit indices j = m k, as w's step k.
-Every power holds the same state from the start, w's own reference,
-live cells and next checkpoint, and each orbit index decides a cell in
-one place: a power whose step k = ceil(j / m) is still running ends the
-cells where a bad bit falls, at step k, where w's own evaluation sets
-it; a power at j = m k runs its escape test, its cycle test and, for a
-mirrored root, the step-1 test of its negation.  A cell that some power
-bounds leaves every power, and a cell leaves the orbit when no power is
-still live on it.  On <h, -h> the band then evaluates h on one orbit.
-Per-cell results depend on nothing but the cell center, so the assembled
-grid is bitwise identical for any worker count.
+primitive, whose tree is its letters' maps, unfolded, is r's map applied
+m times, bit for bit, since a Compose runs its maps one at a time and
+evaluation is elementwise.  So the band iterates each root's map once,
+from z0, and tests each power m only at the orbit indices j = m k, as
+w's step k.  Every power holds the same state from the start, w's own
+reference, live cells and next checkpoint, and each orbit index decides
+a cell in one place: a power whose step k = ceil(j / m) is still running
+ends the cells where a bad bit falls, at step k, where w's own
+evaluation sets it; a power at j = m k runs its escape test, its cycle
+test and, for a mirrored root, the step-1 test of its negation.  A cell
+that some power bounds leaves every power, and a cell leaves the orbit
+when no power is still live on it.  On <h, -h> the band then evaluates h
+on one orbit.  Per-cell results depend on nothing but the cell center,
+so the assembled grid is bitwise identical for any worker count.
 
 The fourth is the paper's transport by a commutator.  On <h, -h> with h
 even, the commutator is N(z) = -z and N S N^{-1} = S, so N(I(S)) = I(S),
@@ -199,7 +199,8 @@ class GridSpec:
             raise ValueError("escape radius must be > 1")
         if self.max_iter < 1 or self.word_depth < 1:
             raise ValueError("max_iter and word_depth must be >= 1")
-        # longer words compose trees deeper than MAX_EXPR_DEPTH allows for
+        # one generator passes WORD_BUDGET at any depth, and a word holds a
+        # map per letter: cap it at the longest word normal_form takes
         if self.word_depth > MAX_WORD_LENGTH:
             raise ValueError(f"word_depth must be <= {MAX_WORD_LENGTH}")
 
@@ -390,10 +391,9 @@ def iterated_words(gens, word_depth: int) -> dict[tuple[int, ...], tuple[Expr, b
     also for its negation, which it iterates bit for bit but for the sign,
     so the two differ only in the step-1 cycle test.  powers lists the m
     for which the kernel tests w^m on w's orbit: 1 and each m > 1 for which
-    w is primitive and w^m is a listed word whose tree composes without
-    folding, so that it is w's map applied m times, bit for bit.  Such a
-    w^m rides that orbit and lists no powers.  The word budget counts every
-    word either way."""
+    w is primitive and w^m is a listed word whose tree is its letters'
+    maps, unfolded, so that it is w's map applied m times, bit for bit.
+    Such a w^m rides that orbit and lists no powers.  The word budget counts every word either way."""
     words = enumerate_words(len(gens), word_depth)
     mirrored = set()
     if all(map(is_exactly_even, gens)):
@@ -401,14 +401,11 @@ def iterated_words(gens, word_depth: int) -> dict[tuple[int, ...], tuple[Expr, b
         words = [w for w in words if all(classes[i - 1][0] == i - 1 for i in w)]
         mirrored = {c + 1 for c, odd in classes if odd != classes[c][1]}
     words.sort(key=lambda w: w[::-1])
-    trees, chained, powers = {(): Identity()}, set(), {}
+    trees, powers = {(): Identity()}, {}
     for w in words:
-        inner, g = trees[w[1:]], gens[w[0] - 1]
-        trees[w] = compose(g, inner)
-        if len(w) == 1 or (w[1:] in chained and trees[w] == Compose(g, inner)):
-            chained.add(w)
+        trees[w] = compose(gens[w[0] - 1], trees[w[1:]])
         root = _root(w)
-        if root != w and w in chained:
+        if root != w and trees[w] == Compose(tuple(gens[i - 1] for i in w)):
             powers[w] = ()
             powers[root] += (len(w) // len(root),)
         else:

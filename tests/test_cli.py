@@ -150,6 +150,14 @@ class TestVerifyCommand:
         lists = self.searched_lists(monkeypatch, tmp_path, "--generators", "exp(z)", g)
         assert len(lists) == len(set(lists)) == 1
 
+    @pytest.mark.parametrize("gens,searches", [(["exp(z)"], 4), (["exp(z)", "exp(z)"], 5)])
+    def test_one_tree_searches_only_value_comparisons(self, tmp_path, monkeypatch,
+                                                       gens, searches):
+        # each bracket [f, f^m] composes one chain of maps both ways, the
+        # identity with no search: only identities 2 and 3 compare values
+        lists = self.searched_lists(monkeypatch, tmp_path, "--generators", *gens)
+        assert len(lists) == searches
+
     @pytest.mark.parametrize("argv,vacuous", [
         (["--generators", "exp(z)"], True),
         (["--generators", "exp(z)", "exp(z)"], True),
@@ -460,8 +468,8 @@ class TestExitCodeContract:
         # counts all 2^13
         ({}, ["render", "--fixture", "example-2.1-exp", "--cells", "16",
               "--word-depth", "13"], EXIT_WORD_BUDGET),
-        # one generator passes the budget at any depth, but words deeper
-        # than 32 letters compose trees too deep to evaluate
+        # one generator passes the budget at any depth, but word_depth is
+        # capped at the 32 letters of the longest word normal_form takes
         ({}, ["render", "--generators", "mul(z, const(1.0001+0i))", "--cells", "4",
               "--word-depth", "33"], EXIT_USAGE),
         # transport without --phi takes phi from the commutator table: one

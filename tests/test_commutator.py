@@ -31,6 +31,7 @@ from semidyn.commutator import (
     _fit_affine,
 )
 from semidyn.expr import (
+    IDENTITY_MAP,
     SAMPLE_COUNT,
     SAMPLE_RADIUS,
     AffineMap,
@@ -597,6 +598,17 @@ class TestNearlyAbelian:
     def test_one_function_builds_the_table(self):
         assert build_commutator_table is is_nearly_abelian
 
+    def test_power_pair_needs_no_search(self, monkeypatch):
+        # f∘f² and f²∘f are one chain of three maps: [f, f²] is the identity
+        searches = []
+        monkeypatch.setattr(semidyn.commutator, "find_clean_points",
+                            lambda exprs, plan: searches.append(exprs))
+        S = SemigroupPresentation((Exp(Z), compose(Exp(Z), Exp(Z))))
+        table = is_nearly_abelian(S, PLAN)
+        assert searches == []
+        assert table.entries[(1, 2)] == CommutatorResult(IDENTITY_MAP, 0.0)
+        assert table.entries[(2, 1)] == CommutatorResult(IDENTITY_MAP, 0.0)
+
 
 class TestGroupClosure:
     def test_involution_gives_two_elements(self):
@@ -705,6 +717,13 @@ class TestConjugation:
         conj = conjugate_semigroup(fx.presentation, table.entry(1, 2))
         assert table.algebraic == is_nearly_abelian(conj, fx.plan).algebraic
 
+    def test_equal_maps_give_one_label(self):
+        # a complex field holds a complex, whatever number it was built from
+        S = FIXTURES["example-2.1-exp"].presentation
+        labels = {conjugate_semigroup(S, phi).label
+                  for phi in (AffineMap(-1, 0), AffineMap(-1.0, 0.0), AffineMap(-1 + 0j, 0j))}
+        assert len(labels) == 1
+
     def test_commutator_product_can_leave_commutator_set(self):
         # exhibited on the shifted-exp pair: the square of a commutator is
         # not within tolerance of any solved table entry
@@ -735,7 +754,7 @@ class TestPresentationValidation:
         assert {key: rec[key] for key in ("a", "b")} == entry.to_json_dict()
         conj = conjugate_semigroup(S, minus_z)
         assert is_nearly_abelian(conj, SamplePlan()).entry(1, 2) == minus_z
-        assert conj.label == "conjugate(S, a=-1, b=0)"
+        assert conj.label == "conjugate(S, a=(-1+0j), b=0j)"
         assert presentation_to_json_dict(S)["label"] == "S"
         spec = GridSpec(center=0j, width=4.0, height=4.0, cols=4, rows=4)
         assert classify_semigroup(S, spec).subject == "semigroup:S;words<=2"

@@ -64,7 +64,7 @@ TREES = st.recursive(
         st.builds(Cos, inner),
         st.builds(Sin, inner),
         st.builds(Negate, inner),
-        st.builds(Compose, inner, inner),
+        st.lists(inner, min_size=2, max_size=3).map(lambda ms: Compose(tuple(ms))),
         st.lists(inner, min_size=2, max_size=3).map(lambda ts: Sum(tuple(ts))),
         st.lists(inner, min_size=2, max_size=3).map(lambda ts: Product(tuple(ts))),
     ),
@@ -82,7 +82,7 @@ class TestEval:
     def test_compose_cos_negate(self):
         # oracle: direct scalar evaluation
         z = 0.5403 + 0j
-        got = eval_at(Compose(Cos(Z), Negate(Z)), z)
+        got = eval_at(Compose((Cos(Z), Negate(Z))), z)
         assert got == pytest.approx(cmath.cos(-z), abs=1e-15)
 
     def test_power(self):
@@ -135,7 +135,7 @@ class TestEval:
         (Sin(Z), [346j, -346j, 345j, -345j, 1e149], [1, 1, 0, 0, 0]),
         (Z, [INF, NAN, 1e160, complex(1, math.inf), 1e150, 0], [1, 1, 1, 1, 0, 0]),
         (Negate(Const(1e200)), [0], [1]),
-        (Compose(Exp(Z), Power(Z, 2)), [18, 19, 18.6, 1e80], [0, 1, 1, 1]),
+        (Compose((Exp(Z), Power(Z, 2))), [18, 19, 18.6, 1e80], [0, 1, 1, 1]),
         # added later; they pass float range on the way: inf, and NaN
         # from inf * 0
         (Power(Z, 3), [1e149, 1e49], [1, 0]),
@@ -263,7 +263,7 @@ class TestCompose:
         f = AffineMap(1e200, 0)
         with pytest.raises(DegenerateAffineError):
             affine_compose(f, f)
-        assert compose(f, f) == Compose(f, f)
+        assert compose(f, f) == Compose((f, f))
 
     def test_exp_after_shift(self):
         t = compose(Exp(Z), AffineMap(1, 1))
@@ -294,19 +294,19 @@ class TestCompose:
         calls = cos_sizes
         # real parts over 345: exp's guard marks every point bad
         pts = np.array([346.0, 400 + 1j, 1e3 - 5j])
-        _, bad = eval_array(Compose(Cos(Z), Exp(Z)), pts)
+        _, bad = eval_array(Compose((Cos(Z), Exp(Z))), pts)
         assert bad.all() and calls == []
         # three of four bad: the outer child sees the clean point alone
-        _, bad = eval_array(Compose(Cos(Z), Exp(Z)), np.append(pts, 0))
+        _, bad = eval_array(Compose((Cos(Z), Exp(Z))), np.append(pts, 0))
         assert bad.tolist() == [True, True, True, False] and calls == [1]
 
     def test_under_half_bad_outer_sees_every_point(self, cos_sizes):
         calls = cos_sizes
         pts = np.array([346.0, 0, 1j, -2.0, 3 + 1j])
-        _, bad = eval_array(Compose(Cos(Z), Exp(Z)), pts)
+        _, bad = eval_array(Compose((Cos(Z), Exp(Z))), pts)
         assert bad.tolist() == [True, False, False, False, False] and calls == [5]
         # exactly half bad compacts
-        _, bad = eval_array(Compose(Cos(Z), Exp(Z)), np.append(pts[:3], 400))
+        _, bad = eval_array(Compose((Cos(Z), Exp(Z))), np.append(pts[:3], 400))
         assert bad.tolist() == [True, False, False, True] and calls == [5, 2]
 
     def test_compaction_leaves_no_reference_cycle(self):
@@ -314,7 +314,7 @@ class TestCompose:
         gc.collect()
         gc.disable()
         try:
-            got = eval_array(Compose(Cos(Z), Exp(Z)), pts)
+            got = eval_array(Compose((Cos(Z), Exp(Z))), pts)
             assert got[1].tolist() == [False, True, True, True]
             del got
             assert gc.collect() == 0
@@ -332,7 +332,7 @@ class TestCompose:
         pts = radius * (rng.standard_normal(64) + 1j * rng.standard_normal(64))
         chain = maps[0]
         for m in maps[1:]:
-            chain = Compose(m, chain)
+            chain = Compose((m, chain))
         want, want_bad = pts, np.zeros(64, dtype=bool)
         for m in maps:
             want, b = eval_array(m, want)
@@ -364,7 +364,7 @@ class TestCompose:
             k = {"left": j - 1, "right": i + 1}.get(shape)
             if k is None:
                 k = data.draw(st.integers(i + 1, j - 1))
-            return Compose(chain(k, j), chain(i, k))
+            return Compose((chain(k, j), chain(i, k)))
 
         rng = np.random.default_rng(seed)
         pts = radius * (rng.standard_normal(64) + 1j * rng.standard_normal(64))
@@ -372,14 +372,17 @@ class TestCompose:
         for m in maps:
             want, b = eval_array(m, want)
             want_bad |= b
-        vals, bad = eval_array(chain(0, len(maps)), pts)
+        tree = chain(0, len(maps))
+        # every nesting is the one chain of its maps, in written order
+        assert tree == Compose(tuple(reversed(maps)))
+        vals, bad = eval_array(tree, pts)
         assert np.array_equal(bad, want_bad)
         assert vals[~bad].tobytes() == want[~bad].tobytes()
 
     @pytest.mark.parametrize("name", ["example-2.1-exp", "example-2.1-cos"])
     def test_long_word_is_one_compose_call(self, monkeypatch, name):
-        # a 32-letter word is a chain of 31 Compose nodes over generators
-        # that hold none, and evaluates in one Compose._eval call
+        # a 32-letter word is one Compose of 32 generators that hold none,
+        # and evaluates in one Compose._eval call
         S = FIXTURES[name].presentation
         word = word_expr(Word((1, 2, 2, 1) * 8), S)
         calls = []
@@ -401,7 +404,7 @@ class TestCompose:
         pts = radius * (rng.standard_normal(64) + 1j * rng.standard_normal(64))
         tv, tbad = eval_array(t, pts)
         uv, ubad = eval_array(u, tv)
-        vals, bad = eval_array(Compose(u, t), pts)
+        vals, bad = eval_array(Compose((u, t)), pts)
         assert np.array_equal(bad, tbad | ubad)
         assert vals[~bad].tobytes() == uv[~bad].tobytes()
 
@@ -523,10 +526,10 @@ class TestExactlyReal:
         g for fx in FIXTURES.values()
         for g in conjugate_semigroup(fx.presentation, NEGATION).generators
     ] + [Z, Const(-2.5), AffineMap(0.5, -1), Cos(Product((Const(0.3), Sin(Z)))),
-         Compose(Exp(Z), AffineMap(2, 0.25))]
+         Compose((Exp(Z), AffineMap(2, 0.25)))]
     REJECTED = [Const(3 + 1j), AffineMap(1j, 0), AffineMap(1, 0.5j),
                 AffineMap(2 - 1e-300j, 0), Sum((Exp(Z), Const(1j))),
-                Compose(Cos(Z), AffineMap(1, 1j)), Const(complex(0, math.nan))]
+                Compose((Cos(Z), AffineMap(1, 1j))), Const(complex(0, math.nan))]
 
     @pytest.mark.parametrize("e", ACCEPTED, ids=format_expr)
     def test_accepted_trees_commute_with_conjugation(self, e):
@@ -605,7 +608,7 @@ class TestSerialization:
         AffineMap(-1 + 0j, 0j),
         F_EXP_SQ,
         Negate(F_EXP_SQ),
-        Compose(Cos(Z), Negate(Z)),
+        Compose((Cos(Z), Negate(Z))),
         Product((Const(2), Sin(Z))),
         Power(Sum((Z, Const(1))), 3),
     ]
@@ -622,6 +625,16 @@ class TestSerialization:
     def test_documented_form(self):
         t = parse_expr("add(exp(pow(z,2)), const(0.2+0i))")
         assert eval_at(t, 0) == eval_at(F_EXP_SQ, 0)
+
+    def test_compose_takes_a_chain(self):
+        # compose(f, g, h) is f∘g∘h, and every nesting of it is that tree
+        text = "compose(exp(z), cos(z), z)"
+        t = parse_expr(text)
+        assert t == Compose((Exp(Z), Cos(Z), Z))
+        assert format_expr(t) == text
+        for nested in ("compose(compose(exp(z), cos(z)), z)",
+                       "compose(exp(z), compose(cos(z), z))"):
+            assert parse_expr(nested) == t
 
     def test_affine_literal(self):
         t = parse_expr("affine(-1+0i, 0+0i)")

@@ -87,6 +87,13 @@ CASES = {
     # entire maps
     "commutator-polynomial": ("commutator", *POLYNOMIAL),
     "verify-polynomial": ("verify", *POLYNOMIAL),
+    # two nestings of one chain of maps: one tree, printed flat
+    "commutator-chain": ("commutator", "--generators",
+                         "compose(exp(z), compose(cos(z), z))",
+                         "neg(compose(compose(exp(z), cos(z)), z))"),
+    # a one-generator semigroup: the identity checks' brackets [f, f^m]
+    # are the identity by construction
+    "verify-one-tree": ("verify", "--generators", "pow(z,2)"),
 }
 
 
