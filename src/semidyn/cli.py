@@ -48,7 +48,7 @@ from .commutator import (
     is_nearly_abelian,
     presentation_to_json_dict,
 )
-from .expr import AffineMap, SamplePlan, parse_complex, parse_expr
+from .expr import AffineMap, DegenerateAffineError, SamplePlan, parse_complex, parse_expr
 from .fixtures import Fixture, get_fixture
 from .grid import (
     GridSpec,
@@ -141,6 +141,8 @@ class Run:
 
     def _plan(self) -> SamplePlan:
         given = self._given("seed", "tolerance")
+        # a new plan, with no draws, even where nothing is replaced: a run
+        # draws its sample points itself, not from an earlier run's plan
         return replace(self.fx.plan if self.fx else SamplePlan(), **given)
 
     def _grid(self) -> GridSpec:
@@ -384,7 +386,8 @@ def cmd_normal_form(run: Run) -> int:
     for w in run.words:
         try:
             nf = normal_form(w, S, table, G, plan)
-        except (NoXiError, VerificationFailedError, DegenerateSamplesError) as exc:
+        except (NoXiError, VerificationFailedError, DegenerateSamplesError,
+                DegenerateAffineError) as exc:
             print(f"word {list(w.letters)}: {exc}", file=sys.stderr)
             results.append({"word": list(w.letters), "error": str(exc)})
         else:

@@ -11,11 +11,16 @@ nonzero 1/a, or the text is malformed.  A constant is ``const(b)``.
 There is one evaluation path.  ``eval_array`` evaluates a tree on an
 array and tracks a per-element "bad" mask: any intermediate value whose
 magnitude exceeds OVERFLOW_CEILING counts as overflow -- well below float
-infinity, so products can never silently turn into NaN.  Identity (where
-the input enters), Const, AffineMap, Power, Sum and Product check their
+infinity, so products can never silently turn into NaN.  Every node's
+values are finite and within the ceiling, so each value is checked once,
+where it is made.  Const, AffineMap, Power, Sum and Product check their
 output; the others cannot go over: the guards of Exp, Cos and Sin keep
-them below e^345 ~ 1.3e149, Negate keeps the magnitude and Compose returns
-the values of the map it applies last.
+exp below e^345 ~ 6.8e149 and cos and sin below cosh 345 ~ 3.4e149,
+Negate keeps the magnitude, Identity copies a value already checked and
+Compose returns the values of the map it applies last.  Only
+eval_array's own input can be over the ceiling, and eval_array checks it
+where the tree reads it through an Identity (one outside the later maps
+of every Compose, which read the values of the map before them).
 
 Evaluation is elementwise: an element's value and bad bit depend on that
 element alone, bit for bit, whatever the array's length.  The clean-point
@@ -43,7 +48,8 @@ into its first child's, and a compacting Compose writes into its
 first-applied map's.  No node writes into the points it is evaluated at,
 so only Identity, where those points become a value, copies its input,
 and ``eval_array`` never alters the caller's array nor returns memory
-shared with it.
+shared with it: where it zeroes the elements over the ceiling, it zeroes
+them in a copy.
 
 Two trees are compared at sample points, in one way: ``numerically_equal``
 asks ``find_clean_points`` for SAMPLE_COUNT seeded points at which both are
@@ -57,7 +63,9 @@ from __future__ import annotations
 import cmath
 import math
 import re as _re
+import threading
 from dataclasses import dataclass, fields
+from functools import cached_property
 from typing import Iterator, get_type_hints
 
 import numpy as np
@@ -111,22 +119,45 @@ class Expr:
     returns them ``_capped``.  ``_eval`` must not write into w, and
     returns an array that it owns: the parent may overwrite it.  The
     array a child returns is the node's to overwrite in turn.
+
+    Every ``_eval`` returns finite values within OVERFLOW_CEILING, its
+    bad points' included, given w within it.  Each node either caps its
+    output, guards its input or cannot exceed the ceiling, so a value is
+    checked once, by the node that makes it, and only eval_array's input
+    is checked before it is read.
     """
 
     __slots__ = ()
     name: str
 
+    @cached_property
+    def _reads_input(self) -> bool:
+        """Whether eval_array's input reaches an Identity of this tree:
+        later maps of a Compose read the values of the map before them."""
+        if type(self) is Identity:
+            return True
+        if type(self) is Compose:
+            return self.maps[-1]._reads_input
+        return any(c._reads_input for c in children(self))
+
+
+def _over_ceiling(v: np.ndarray) -> np.ndarray | None:
+    """The ceiling check: the mask of v's elements over the ceiling (or
+    not finite), None where there is none."""
+    mag = np.abs(v)
+    if not mag.size or mag.max() <= OVERFLOW_CEILING:  # a NaN max fails
+        return None
+    over = mag <= OVERFLOW_CEILING
+    return np.logical_not(over, out=over)
+
 
 def _capped(v: np.ndarray, bad: np.ndarray) -> np.ndarray:
     """v, its elements over the ceiling (or not finite) marked bad and
     zeroed in place."""
-    mag = np.abs(v)
-    if not mag.size or mag.max() <= OVERFLOW_CEILING:  # a NaN max fails
-        return v
-    over = mag <= OVERFLOW_CEILING
-    np.logical_not(over, out=over)
-    bad |= over
-    v[over] = 0.0
+    over = _over_ceiling(v)
+    if over is not None:
+        bad |= over
+        v[over] = 0.0
     return v
 
 
@@ -141,10 +172,14 @@ def _guarded(fn, u: np.ndarray, over: np.ndarray, bad: np.ndarray) -> np.ndarray
 
 @dataclass(frozen=True)
 class Identity(Expr):
+    """z -> z.  Its input is eval_array's, which eval_array has checked
+    against the ceiling, or the values of the map before it in a Compose,
+    so it only copies them."""
+
     name = "z"
 
     def _eval(self, w, bad):
-        return _capped(w.astype(np.complex128, copy=True), bad)
+        return w.copy()
 
 
 @dataclass(frozen=True)
@@ -214,7 +249,7 @@ class Exp(Expr):
 
     def _eval(self, w, bad):
         u = self.inner._eval(w, bad)
-        return _guarded(np.exp, u, u.real > 345.0, bad)  # exp(345) ~ 1e149
+        return _guarded(np.exp, u, u.real > 345.0, bad)  # e^345 ~ 6.8e149
 
 
 @dataclass(frozen=True)
@@ -224,6 +259,7 @@ class Cos(Expr):
 
     def _eval(self, w, bad):
         u = self.inner._eval(w, bad)
+        # |cos(x + iy)| <= cosh y, and cosh 345 ~ 3.4e149
         return _guarded(np.cos, u, np.abs(u.imag) > 345.0, bad)
 
 
@@ -234,6 +270,7 @@ class Sin(Expr):
 
     def _eval(self, w, bad):
         u = self.inner._eval(w, bad)
+        # |sin(x + iy)| <= cosh y, as for cos
         return _guarded(np.sin, u, np.abs(u.imag) > 345.0, bad)
 
 
@@ -394,11 +431,11 @@ def is_exactly_even(expr: Expr) -> bool:
     bit for bit, values and bad mask both, for every array z.
 
     The input enters a tree only at Identity and AffineMap, and the proof
-    accepts it only squared: Power(Identity(), 2) caps |z| and |-z| alike
-    (both ask the same hypot and zero the same elements) and squares with
-    b * b, whose real and imaginary parts are the same products of the
-    negated operands.  A node whose children all give the same bits gives
-    the same bits, and a Compose sees its first-applied map's bits alone.
+    accepts it only squared: eval_array checks |z| and |-z| alike (both
+    ask the same hypot and zero the same elements), and Power(Identity(),
+    2) squares with b * b, whose real and imaginary parts are the same
+    products of the negated operands, and caps them alike.  A node whose
+    children all give the same bits gives the same bits, and a Compose sees its first-applied map's bits alone.
     Anything else, e.g. Cos(Identity()), says no: cos is even, but whether
     numpy's complex cos is sign-symmetric bit for bit depends on its SIMD
     build.
@@ -422,8 +459,8 @@ def is_exactly_real(expr: Expr) -> bool:
     symmetric under sign flips, and conjugation flips the sign of every
     imaginary part, so +, - and x of conjugates give the conjugate's bits:
     the real part of a product takes the same products, its imaginary
-    part their negations.  So do sums, products, powers, Negate,
-    _capped's hypot, which reads magnitudes, and the guards' masks
+    part their negations.  So do sums, products, powers, Negate, the
+    ceiling check's hypot, which reads magnitudes, and the guards' masks
     u.real > 345 and |u.imag| > 345.  numpy's complex exp, cos and sin
     call the C library, and C11 Annex G.6 states cexp(conj z) =
     conj(cexp z) and the same for ccosh and csinh, through which it
@@ -485,10 +522,20 @@ def eval_array(expr: Expr, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     points are bad, and stops when none is left.
     numpy's overflow and invalid warnings are silenced: the mask records
     those elements.
+
+    Every node's values are within the ceiling (see Expr), so z is the one
+    array checked before it is read: where the tree reads it through an
+    Identity (``_reads_input``, worked out once per tree), the elements of
+    z over the ceiling are marked bad and read as 0.  An AffineMap reads z
+    as it is and caps its own output, so affine(1e-20, 0) is clean at
+    1e160, and so is a tree that never reads z, such as const(1e149).
     """
     z = np.asarray(z, dtype=np.complex128)
     bad = np.zeros(z.shape, dtype=bool)
     with np.errstate(over="ignore", invalid="ignore"):
+        if expr._reads_input and (over := _over_ceiling(z)) is not None:
+            bad |= over
+            z = np.where(over, 0j, z)  # a copy: the caller's array stays
         return expr._eval(z, bad), bad
 
 
@@ -530,13 +577,37 @@ def affine_distance(m1: AffineMap, m2: AffineMap) -> float:
 SAMPLE_COUNT = 32
 SAMPLE_RADIUS = 2.0
 ABS_FLOOR = 1e-12
+# the seeded stream, piece by piece: (disks, points per disk) of stage 1's
+# batches 1, 3 and 4, then of stage 2's zoom disks, 4 about each of up to
+# 8 centres, shrunk by _SHRINKS
+_STREAM = ((1, 4 * SAMPLE_COUNT), (1, 16 * SAMPLE_COUNT), (1, 64 * SAMPLE_COUNT),
+           (32, 4 * SAMPLE_COUNT))
+_SHRINKS = np.array([8.0, 32.0, 128.0, 512.0])
+
+
+def _lattice() -> np.ndarray:
+    """Stage 1's batch 2: the points of a 48x48 lattice in the disk."""
+    side = np.linspace(-SAMPLE_RADIUS, SAMPLE_RADIUS, 48)
+    lattice = (side[:, None] + 1j * side[None, :]).ravel()
+    lattice = lattice[np.abs(lattice) <= SAMPLE_RADIUS]
+    lattice.flags.writeable = False
+    return lattice
+
+
+_LATTICE = _lattice()
 
 
 @dataclass(frozen=True)
 class SamplePlan:
     """Seeded sample points in the disk |z| <= SAMPLE_RADIUS, standing in for
     pointwise equality of entire functions (agreeing on a disk, they agree
-    everywhere), and the relative tolerance of a comparison there."""
+    everywhere), and the relative tolerance of a comparison there.
+
+    A plan owns its seeded draws: one Generator, seeded once, draws each
+    piece of the stream the first time a search needs it, in stream order
+    (see ``_draw``), and every later search under the plan reads it.  A
+    plan made by ``dataclasses.replace`` starts with no draws, so a CLI
+    run, which makes its own plan, draws once."""
 
     seed: int = 0
     tolerance: float = 1e-9
@@ -550,6 +621,33 @@ class SamplePlan:
         # tolerance of 1 or more passes nearly every comparison
         if not 0 < self.tolerance < 1:
             raise ValueError(f"tolerance must be in (0, 1), got {self.tolerance!r}")
+        # not fields: equality, hashing and replace() see seed and tolerance
+        object.__setattr__(self, "_pieces", [])
+        object.__setattr__(self, "_lock", threading.Lock())
+
+    def _draw(self, k: int):
+        """Piece k of the seeded stream (see _STREAM): the points of stage
+        1's batch for k < 3, and (r, e) for stage 2's disks, where disk d
+        at centre c and radius s is c + (s * r[d]) * e[d].  Each disk of m
+        points takes m uniforms u and then m uniforms v from the stream, r
+        = sqrt(u) and e = exp(1j * 2 pi v).  The pieces are drawn under the
+        plan's lock, in order, so threads that search one plan read the
+        points a serial search draws."""
+        with self._lock:
+            pieces = self._pieces
+            if not pieces:
+                object.__setattr__(self, "_rng", np.random.default_rng(self.seed))
+            while len(pieces) <= k:
+                disks, m = _STREAM[len(pieces)]
+                u = self._rng.random(2 * disks * m).reshape(disks, 2, m)
+                r, e = np.sqrt(u[:, 0]), np.exp(1j * (2 * np.pi * u[:, 1]))
+                if disks == 1:  # the centre 0j is added, as it turns -0.0 into 0.0
+                    piece = 0j + (SAMPLE_RADIUS * r[0]) * e[0]
+                    piece.flags.writeable = False
+                else:
+                    piece = r, e
+                pieces.append(piece)
+            return pieces[k]
 
 
 def find_clean_points(
@@ -572,14 +670,10 @@ def find_clean_points(
     expression, and expression k only where 1..k-1 are clean.  Evaluation
     is elementwise, so the values are those at the chosen points alone,
     and reordering the expressions gives the same points (or the same
-    error) and reorders the values alone, bit for bit."""
+    error) and reorders the values alone, bit for bit.  The seeded points
+    are the plan's (SamplePlan._draw), drawn by its first search that
+    needs them; the lattice is a module constant."""
     n = SAMPLE_COUNT
-    rng = np.random.default_rng(plan.seed)
-
-    def draw(center: complex, radius: float, m: int) -> np.ndarray:
-        r = radius * np.sqrt(rng.random(m))
-        theta = 2 * np.pi * rng.random(m)
-        return center + r * np.exp(1j * theta)
 
     def clean(pts: np.ndarray, *carried: np.ndarray) -> list[np.ndarray]:
         """[the points clean for every expression, each array carried along
@@ -595,12 +689,10 @@ def find_clean_points(
         return cols
 
     def stage1():
-        yield draw(0j, SAMPLE_RADIUS, 4 * n)
-        side = np.linspace(-SAMPLE_RADIUS, SAMPLE_RADIUS, 48)
-        lattice = (side[:, None] + 1j * side[None, :]).ravel()
-        yield lattice[np.abs(lattice) <= SAMPLE_RADIUS]
-        yield draw(0j, SAMPLE_RADIUS, 16 * n)
-        yield draw(0j, SAMPLE_RADIUS, 64 * n)
+        yield plan._draw(0)
+        yield _LATTICE
+        yield plan._draw(1)
+        yield plan._draw(2)
 
     found = [np.empty(0, dtype=np.complex128)] * (len(exprs) + 1)
     batches, drawn = stage1(), 0
@@ -615,13 +707,15 @@ def find_clean_points(
         if len(found[0]) >= n:
             return found[0][:n], [v[:n] for v in found[1:]]
 
-    disks = [draw(complex(center), SAMPLE_RADIUS / shrink, 4 * n)  # stage 2
-             for center in found[0][:8] for shrink in (8.0, 32.0, 128.0, 512.0)]
-    if disks:
-        pts = np.concatenate(disks)
+    centers = found[0][:8]  # stage 2: disk d is shrink d % 4 about centre d // 4
+    if len(centers):
+        r, e = plan._draw(3)
+        disks = 4 * len(centers)
+        radii = np.tile(SAMPLE_RADIUS / _SHRINKS, len(centers))
+        pts = (centers.repeat(4)[:, None] + (radii[:, None] * r[:disks]) * e[:disks]).ravel()
         pts, index, *values = clean(pts, np.arange(len(pts)))
         disk = index // (4 * n)
-        full = np.flatnonzero(np.bincount(disk, minlength=len(disks)) >= n)
+        full = np.flatnonzero(np.bincount(disk, minlength=disks) >= n)
         if len(full):
             first = np.flatnonzero(disk == full[0])[:n]
             return pts[first], [v[first] for v in values]

@@ -26,11 +26,11 @@ from .commutator import (
 )
 from .expr import (
     AffineMap,
+    DegenerateAffineError,
     DegenerateSamplesError,
     Expr,
     IDENTITY_MAP,
     SamplePlan,
-    affine_compose,
     affine_distance,
     compose,
     compose_power,
@@ -143,15 +143,18 @@ def normal_form(
     reused for the rest of the word.  resolve_xi gives IDENTITY_MAP itself
     for any phi within tolerance of the identity, and that object
     migrates to itself, so the migration stops once phi is it; the prefix
-    still absorbs it.  Letters are permuted, never created or destroyed,
-    so the exponents always sum to the word length.
+    still absorbs it.  The prefix is folded as its coefficient pair, with
+    affine_compose's arithmetic, and becomes an AffineMap once, at the
+    end; where it is not invertible, DegenerateAffineError names it.
+    Letters are permuted, never created or destroyed, so the exponents
+    always sum to the word length.
     The result is verified by evaluating the whole word.
     """
     w.validate(S)
     # keyed by coefficients, which hash in C, not by the AffineMap itself
     xi_of: dict[tuple[int, complex, complex], AffineMap] = {}
     letters = list(w.letters)
-    prefix = IDENTITY_MAP
+    pa, pb = IDENTITY_MAP.a, IDENTITY_MAP.b
 
     changed = True
     while changed:
@@ -169,8 +172,13 @@ def normal_form(
                     if key not in xi_of:
                         xi_of[key] = resolve_xi(S.generator(letters[k]), phi, G, plan)
                     phi = xi_of[key]
-                prefix = affine_compose(prefix, phi)
+                pa, pb = pa * phi.a, pa * phi.b + pb
                 changed = True
+    try:
+        prefix = AffineMap(pa, pb)
+    except DegenerateAffineError as exc:
+        raise DegenerateAffineError(f"the normal-form prefix is not invertible: "
+                                    f"{exc}") from exc
 
     exponents = tuple(letters.count(i) for i in range(1, len(S) + 1))
 

@@ -9,6 +9,7 @@ import sys
 import time
 import warnings
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -398,6 +399,38 @@ class TestNormalFormCommand:
         assert run("normal-form", "--fixture", "example-2.1-exp",
                    "--out", str(tmp_path)) == EXIT_USAGE
 
+    # [2z, z^2] = z/2, and a*z moved past z^2 is a^2*z, so the prefix's a
+    # falls below the smallest float: the prefix is not invertible
+    def test_non_invertible_prefix_exit_6(self, tmp_path, capsys):
+        word = ",".join(["1,2"] * 8)
+        code = run("normal-form", "--generators", "pow(z,2)", "affine(2+0i,0+0i)",
+                   "--word", word, "--word", "2,1", "--out", str(tmp_path))
+        assert code == EXIT_NORMAL_FORM_FAILED
+        failed, good = json.loads((tmp_path / "normal_forms.json").read_text())["normal_forms"]
+        assert failed == {"word": [1, 2] * 8, "error": "the normal-form prefix is not "
+                          "invertible: invalid affine coefficient a=0j"}
+        assert good["exponents"] == [1, 1]
+        assert "Traceback" not in capsys.readouterr().err
+
+    # the sample plan draws its seeded points once a run: at a1d7399 each
+    # clean-point search seeded a Generator of its own, 2 and 4 of them here
+    @pytest.mark.parametrize("fixture,word", [("example-2.1-cos", "2,1,2"),
+                                              ("example-2.1-exp", "2,1,2,1,1,2,1,2,2,1,2,1,1")])
+    def test_one_generator_per_run(self, tmp_path, monkeypatch, fixture, word):
+        seeded = []
+        real = np.random.default_rng
+
+        def spy(*args, **kwargs):
+            seeded.append(args)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(np.random, "default_rng", spy)
+        for _ in range(2):  # a second run in the process draws again
+            seeded.clear()
+            assert run("normal-form", "--fixture", fixture, "--word", word,
+                       "--out", str(tmp_path)) == EXIT_OK
+            assert len(seeded) == 1
+
 
 class TestReports:
     @pytest.mark.parametrize("argv,name", [
@@ -541,6 +574,10 @@ class TestExitCodeContract:
               "--word", "2,1"], EXIT_OK),
         ({}, ["verify", "--generators", "affine(1+0i, 200+0i)", "exp(z)"],
          EXIT_VERIFY_FAILED),
+        # the prefix's a underflows to 0: the rewriting once raised out of
+        # the run
+        ({}, ["normal-form", "--generators", "pow(z,2)", "affine(2+0i,0+0i)",
+              "--word", ",".join(["1,2"] * 8)], EXIT_NORMAL_FORM_FAILED),
     ]
 
     @pytest.mark.parametrize("env,argv,code", CASES)

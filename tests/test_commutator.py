@@ -3,6 +3,7 @@ import hashlib
 import json
 import math
 import sys
+import threading
 
 import numpy as np
 import pytest
@@ -403,6 +404,41 @@ class TestBatchedStage1:
         plan = SamplePlan(seed=seed)
         assert (search_outcome(find_clean_points, trees, plan)
                 == search_outcome(batch_at_a_time, trees, plan))
+
+
+class TestPlanDraws:
+    """A plan's seeded points are drawn by the first search that needs
+    them, under the plan's lock."""
+
+    def test_threads_searching_one_plan_get_the_serial_points(self):
+        # exp words that stop in batch 1 (2 letters), take more batches (9),
+        # win in stage 2 (13) and fail there (14): four threads draw every
+        # piece of a fresh plan's stream while the others read it
+        pairs = list(seeded_word_pairs())
+        lists = [pairs[FIXTURE_OFFSET["example-2.1-exp"] + n - 1][1] for n in (2, 9, 13, 14)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for seed in (FIXTURES["example-2.1-exp"].plan.seed, 1, 2):
+                want = [search_outcome(find_clean_points, exprs, SamplePlan(seed=seed))
+                        for exprs in lists]
+                plan, got = SamplePlan(seed=seed), [None] * len(lists)
+                barrier = threading.Barrier(len(lists))
+
+                def search(k):
+                    barrier.wait()
+                    got[k] = search_outcome(find_clean_points, lists[k], plan)
+
+                threads = [threading.Thread(target=search, args=(k,))
+                           for k in range(len(lists))]
+                for t in threads:
+                    t.start()
+                for t in threads:
+                    t.join(timeout=60)
+                assert not any(t.is_alive() for t in threads)
+                assert got == want
+        finally:
+            sys.setswitchinterval(interval)
 
 
 class TestFindAffineCommutator:

@@ -78,3 +78,31 @@ def test_no_environment_reads(name):
              or isinstance(node, ast.ImportFrom) and node.module == "os"
              and any(alias.name in ENVIRONMENT for alias in node.names)]
     assert reads == []
+
+
+PROCESS_CACHES = {"cache", "lru_cache"}
+# (module, function) that may be so cached: parse_args keeps no state
+# between calls, so the parser holds nothing a run leaves behind
+CACHES_ALLOWED = {("cli.py", "build_parser")}
+
+
+def _names_a_cache(node):
+    return (isinstance(node, ast.Attribute) and node.attr in PROCESS_CACHES
+            or isinstance(node, ast.Name) and node.id in PROCESS_CACHES)
+
+
+@pytest.mark.parametrize("name", sorted(f for f in os.listdir(PACKAGE) if f.endswith(".py")))
+def test_no_process_wide_cache(name):
+    # the benchmark runs one CLI run after another in one process, so a
+    # cache that outlives a run would time its own hits, not the run's
+    # work (ROADMAP item 7); what a run reuses lives in what it builds,
+    # such as its sample plan
+    with open(os.path.join(PACKAGE, name)) as fh:
+        tree = ast.parse(fh.read())
+    allowed = {id(n) for node in ast.walk(tree)
+               if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+               and (name, node.name) in CACHES_ALLOWED
+               for d in node.decorator_list for n in ast.walk(d)}
+    uses = [node.lineno for node in ast.walk(tree)
+            if _names_a_cache(node) and id(node) not in allowed]
+    assert uses == []

@@ -231,6 +231,58 @@ class TestEval:
         finally:
             gc.enable()
 
+    @settings(max_examples=300, deadline=None)
+    @given(TREES, st.integers(0, 2**32 - 1))
+    def test_every_node_returns_values_within_the_ceiling(self, tree, seed):
+        # so eval_array's input is the one array that needs a ceiling check
+        rng = np.random.default_rng(seed)
+        pts = np.concatenate([20.0 * (rng.standard_normal(16) + 1j * rng.standard_normal(16)),
+                              [1e160, -1e160j, self.INF, self.NAN, complex(1, math.inf),
+                               1e150, 1e149, 1e-20]])
+        outputs = []
+        with pytest.MonkeyPatch.context() as m:
+            for cls in NODE_TYPES:
+                def spy(node, w, bad, real=cls._eval):
+                    v = real(node, w, bad)
+                    outputs.append(v.copy())  # the parent may overwrite v
+                    return v
+
+                m.setattr(cls, "_eval", spy)
+            eval_array(tree, pts)
+        assert outputs
+        for v in outputs:
+            assert np.isfinite(v).all()
+            assert (np.abs(v) <= semidyn.expr.OVERFLOW_CEILING).all()
+
+    # eval_array checks its input where an Identity reads it; a later map
+    # of a chain reads the values of the map before it, and an AffineMap
+    # caps its own output
+    @pytest.mark.parametrize("expr,mask", [
+        (Compose((Z, Const(1e149))), [0, 0]),
+        (Compose((Cos(Z), AffineMap(1e-20, 0))), [0, 0]),
+        (Compose((AffineMap(1e-20, 0), Z)), [0, 1]),
+        (Sum((AffineMap(1e-20, 0), Negate(Z))), [0, 1]),
+        (Product((AffineMap(1e-20, 0), Const(1.0))), [0, 0]),
+    ], ids=lambda v: format_expr(v) if isinstance(v, Expr) else None)
+    def test_input_is_checked_where_an_identity_reads_it(self, expr, mask):
+        _, bad = eval_array(expr, np.array([1.0, 1e160], dtype=np.complex128))
+        assert bad.astype(int).tolist() == mask
+
+    # every map's values are within the ceiling, so a chain checks only its
+    # input; at a1d7399 each cos(z) checked the values it read, 8 checks
+    @pytest.mark.parametrize("points", [POINTS, [0, 1e160, 3j, 400j]])
+    def test_chain_checks_the_ceiling_once(self, monkeypatch, points):
+        checks = []
+        real = semidyn.expr._over_ceiling
+
+        def spy(v):
+            checks.append(len(v))
+            return real(v)
+
+        monkeypatch.setattr(semidyn.expr, "_over_ceiling", spy)
+        eval_array(Compose((Cos(Z),) * 8), np.array(points, dtype=np.complex128))
+        assert len(checks) <= 1
+
 
 class TestCompose:
     def test_identity_left(self):

@@ -19,13 +19,17 @@ from semidyn.commutator import (
 from semidyn.expr import (
     IDENTITY_MAP,
     AffineMap,
+    Const,
     Cos,
     DegenerateSamplesError,
     EvalOverflow,
     Exp,
     Identity,
+    Power,
+    Product,
     SamplePlan,
     Sin,
+    Sum,
     affine_compose,
     affine_distance,
     compose,
@@ -380,3 +384,31 @@ class TestIdentityStopsMigrating:
         assert phis
         assert not any(phi is IDENTITY_MAP for phi in phis)
 
+
+
+class TestPrefixFold:
+    def test_prefix_is_the_affine_compose_fold(self):
+        # ROADMAP item 6's order-3 family: f_k = omega^k * h with h(z) =
+        # e^(z^3) + 0.2 and omega = e^(2 pi i / 3).  Its table entries are
+        # fitted, not exact, so a prefix folded in another order than
+        # affine_compose's rounds differently
+        omega = cmath.exp(2j * cmath.pi / 3)
+        h = Sum((Exp(Power(Z, 3)), Const(0.2)))
+        S = SemigroupPresentation((h, Product((Const(omega), h)),
+                                   Product((Const(omega ** 2), h))))
+        plan = SamplePlan(seed=3)
+        table = build_commutator_table(S, plan)
+        G = group_closure(table.maps())
+        assert len(G) == 3 and omega not in {m.a for m in table.maps()}
+        rng = np.random.default_rng(6)
+        products = 0
+        for length in range(1, 12):
+            for _ in range(3):
+                w = Word(tuple(int(x) for x in rng.integers(1, 4, length)))
+                nf = normal_form(w, S, table, G, plan)
+                want = migrating_every_step(w, S, table, G, plan)
+                # the JSON text tells signed zeros apart
+                assert json.dumps(normal_form_to_json_dict(w, nf)) == json.dumps(
+                    normal_form_to_json_dict(w, want))
+                products += nf.prefix not in table.maps()
+        assert products
