@@ -10,10 +10,10 @@ word or --phi, two of --fixture, --generators and --map, an empty
 is not a JSON object or has a key that is not a flag of the subcommand
 or a value that the flag rejects, a worker count that is negative or
 over grid.WORKER_CAP, a grid under 2x2 or over grid.CELL_BUDGET cells, a
-word depth over 32, a window, escape radius or threshold that is not
-finite, a --random count over RANDOM_CAP, transport without --phi on a
-single generator, or an --out directory where a report or raster cannot
-be written).
+max_iter over grid.MAX_ITER_CAP, a word depth over 32, a window, escape
+radius or threshold that is not finite, a --random count over
+RANDOM_CAP, transport without --phi on a single generator, or an --out
+directory where a report or raster cannot be written).
 
 A --config file is flags in JSON: each key is a flag's dest (max_iter for
 --max-iter), at the top level or inside a top-level "grid" or "plan"

@@ -30,7 +30,6 @@ from .expr import (
     affine_distance,
     affine_inverse,
     compose,
-    compose_power,
     find_clean_points,
     format_expr,
     numerically_equal,
@@ -319,10 +318,10 @@ def check_identity(which: str | int, f: Expr, g: Expr, n: int, plan: SamplePlan,
     elif which == "inverse":
         lhs, rhs = affine_compose(table.entry(1, k), table.entry(k, 1)), IDENTITY_MAP
     elif which == "1":
-        lhs = _bracket(f, compose(g, compose_power(f, n)), plan)
+        lhs = _bracket(f, compose(g, *[f] * n), plan)
         rhs = table.entry(1, k)
     elif which == "2":
-        fn = compose_power(f, n)
+        fn = compose(*[f] * n)
         lhs = compose(_bracket(f, compose(fn, g), plan), fn)
         rhs = compose(fn, table.entry(1, k))
     elif which == "3":
@@ -348,5 +347,5 @@ def conjugate_semigroup(
 ) -> SemigroupPresentation:
     """Generators phi ∘ f_i ∘ phi^{-1}."""
     inv = affine_inverse(phi)
-    gens = tuple(compose(phi, compose(gen, inv)) for gen in S.generators)
+    gens = tuple(compose(phi, gen, inv) for gen in S.generators)
     return SemigroupPresentation(gens, label=f"conjugate({S.label}, a={phi.a!r}, b={phi.b!r})")

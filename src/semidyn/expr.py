@@ -26,7 +26,9 @@ Evaluation is elementwise: an element's value and bad bit depend on that
 element alone, bit for bit, whatever the array's length.  The clean-point
 search and the grid kernel rely on it when they evaluate a subset of
 points, and so does Compose.  ``compose(f, g, h)`` is f∘g∘h, one chain
-into which any nested Compose is spliced, so every nesting is one tree.
+into which any nested Compose is spliced, so every nesting is one tree,
+the one its ``compose(...)`` text parses to: maps next to each other stay
+two maps, affine ones too.
 It runs its maps in the order they apply: once at least half the points
 still live are bad, the later maps run at the clean ones alone, the live
 set shrinking again wherever half of it has gone bad, and their values
@@ -483,30 +485,16 @@ def is_exactly_real(expr: Expr) -> bool:
 # composition
 
 
-def compose(outer: Expr, inner: Expr) -> Expr:
-    """Structural composition (outer after inner), with identity and
-    affine-on-affine folding only.  Two affine maps fold to affine_compose's
-    map, and stay a Compose where that is not invertible."""
-    if isinstance(outer, Identity):
-        return inner
-    if isinstance(inner, Identity):
-        return outer
-    if isinstance(outer, AffineMap) and isinstance(inner, AffineMap):
-        try:
-            return affine_compose(outer, inner)
-        except DegenerateAffineError:
-            pass
-    return Compose((outer, inner))
-
-
-def compose_power(f: Expr, n: int) -> Expr:
-    """n-fold self-composition, n >= 1."""
-    if n < 1:
-        raise ValueError("iterate count must be >= 1")
-    out = f
-    for _ in range(n - 1):
-        out = compose(out, f)
-    return out
+def compose(*maps: Expr) -> Expr:
+    """f∘g∘h for compose(f, g, h): the chain of the maps, with any nested
+    chain spliced in, so every bracketing of a chain is one tree, the one
+    that parse_expr reads from its ``compose(...)`` text.  The identity z
+    is left out, since it copies its input; one map left is returned as
+    itself, and none as z."""
+    kept = tuple(m for m in maps if type(m) is not Identity) or maps[:1]
+    if not kept:
+        raise ValueError("composition needs at least one map")
+    return Compose(kept) if len(kept) > 1 else kept[0]
 
 
 # ---------------------------------------------------------------------------

@@ -52,11 +52,11 @@ the other words do, and the combination takes nothing else from a
 duplicate.  The word budget still counts every word.
 
 The third: power words ride their root's orbit.  A word w = r^m, r
-primitive, whose tree is its letters' maps, unfolded, is r's map applied
-m times, bit for bit, since a Compose runs its maps one at a time and
-evaluation is elementwise.  So the band iterates each root's map once,
-from z0, and tests each power m only at the orbit indices j = m k, as
-w's step k.  Every power holds the same state from the start, w's own
+primitive, has for its tree the chain of its letters' maps, which is r's
+map applied m times, bit for bit, since a Compose runs its maps one at a
+time and evaluation is elementwise.  So the band iterates each root's map
+once, from z0, and tests each power m only at the orbit indices j = m k,
+as w's step k.  Every power holds the same state from the start, w's own
 reference, live cells and next checkpoint, and each orbit index decides
 a cell in one place: a power whose step k = ceil(j / m) is still running
 ends the cells where a bad bit falls, at step k, where w's own
@@ -130,9 +130,7 @@ import numpy as np
 from .commutator import SemigroupPresentation
 from .expr import (
     AffineMap,
-    Compose,
     Expr,
-    Identity,
     Negate,
     affine_inverse,
     complex_to_json,
@@ -163,6 +161,10 @@ CELL_BUDGET = 4096 * 4096
 # the most workers a grid may ask for, so that its 4 x workers row bands and
 # its threads stay few; a larger count fails here and starts no thread
 WORKER_CAP = 256
+# the most steps a grid may iterate, 50 times the largest budget the
+# fixtures use; a step of a 32^2 render of a rotation, whose cells never
+# escape, takes about 80 us, so 10^9 steps would take a day
+MAX_ITER_CAP = 10_000
 
 
 class WordBudgetExceededError(RuntimeError):
@@ -199,6 +201,8 @@ class GridSpec:
             raise ValueError("escape radius must be > 1")
         if self.max_iter < 1 or self.word_depth < 1:
             raise ValueError("max_iter and word_depth must be >= 1")
+        if self.max_iter > MAX_ITER_CAP:
+            raise ValueError(f"max_iter over the cap of {MAX_ITER_CAP}, got {self.max_iter}")
         # one generator passes WORD_BUDGET at any depth, and a word holds a
         # map per letter: cap it at the longest word normal_form takes
         if self.word_depth > MAX_WORD_LENGTH:
@@ -380,20 +384,24 @@ def enumerate_words(n_generators: int, word_depth: int) -> list[tuple[int, ...]]
 
 def iterated_words(gens, word_depth: int) -> dict[tuple[int, ...], tuple[Expr, bool, tuple]]:
     """The words of up to word_depth letters that the kernel iterates or
-    tests on a root's orbit, in suffix-trie order (each word right after
-    its suffix w[1:], whose tree it composes on), each mapped to (tree,
-    mirrored, powers).
+    tests on a root's orbit, each mapped to (tree, mirrored, powers), in
+    suffix-trie order (each word right after its suffix w[1:]).  That
+    order puts each root before its powers, which are words it is a
+    suffix of, and fixes the order in which the kernel runs the roots,
+    hence which cells an earlier root has bounded and how many elements
+    each later one evaluates.
 
     The words are all of them or, when every generator is exactly even,
     those whose letters all name the first generator of their sign class.
-    tree is the word's composed map.  A word is mirrored when its first
-    letter's class has a member of the other parity: the word then stands
-    also for its negation, which it iterates bit for bit but for the sign,
-    so the two differ only in the step-1 cycle test.  powers lists the m
-    for which the kernel tests w^m on w's orbit: 1 and each m > 1 for which
-    w is primitive and w^m is a listed word whose tree is its letters'
-    maps, unfolded, so that it is w's map applied m times, bit for bit.
-    Such a w^m rides that orbit and lists no powers.  The word budget counts every word either way."""
+    tree is the word's composed map, the chain of its letters' maps.  A
+    word is mirrored when its first letter's class has a member of the
+    other parity: the word then stands also for its negation, which it
+    iterates bit for bit but for the sign, so the two differ only in the
+    step-1 cycle test.  powers lists the m for which the kernel tests w^m
+    on w's orbit: 1 and each m > 1 for which w is primitive and w^m is a
+    listed word.  w^m's tree is w's chain m times over, w's map applied m
+    times, bit for bit, so w^m rides that orbit and lists no powers.  The
+    word budget counts every word either way."""
     words = enumerate_words(len(gens), word_depth)
     mirrored = set()
     if all(map(is_exactly_even, gens)):
@@ -401,16 +409,13 @@ def iterated_words(gens, word_depth: int) -> dict[tuple[int, ...], tuple[Expr, b
         words = [w for w in words if all(classes[i - 1][0] == i - 1 for i in w)]
         mirrored = {c + 1 for c, odd in classes if odd != classes[c][1]}
     words.sort(key=lambda w: w[::-1])
-    trees, powers = {(): Identity()}, {}
-    for w in words:
-        trees[w] = compose(gens[w[0] - 1], trees[w[1:]])
+    powers = {}
+    for w in words:  # a root comes before its powers, a suffix of each
         root = _root(w)
-        if root != w and trees[w] == Compose(tuple(gens[i - 1] for i in w)):
-            powers[w] = ()
-            powers[root] += (len(w) // len(root),)
-        else:
-            powers[w] = (1,)
-    return {w: (trees[w], w[0] in mirrored, powers[w]) for w in words}
+        powers[w] = ()
+        powers[root] += (len(w) // len(root),)
+    return {w: (compose(*(gens[i - 1] for i in w)), w[0] in mirrored, powers[w])
+            for w in words}
 
 
 def _root(w: tuple[int, ...]) -> tuple[int, ...]:

@@ -33,7 +33,6 @@ from .expr import (
     SamplePlan,
     affine_distance,
     compose,
-    compose_power,
     find_clean_points,
     format_expr,
     numerically_equal,
@@ -81,10 +80,7 @@ class NormalForm:
 
 def word_expr(w: Word, S: SemigroupPresentation) -> Expr:
     w.validate(S)
-    out = S.generator(w.letters[-1])
-    for i in reversed(w.letters[:-1]):
-        out = compose(S.generator(i), out)
-    return out
+    return compose(*map(S.generator, w.letters))
 
 
 def resolve_xi(
@@ -182,10 +178,8 @@ def normal_form(
 
     exponents = tuple(letters.count(i) for i in range(1, len(S) + 1))
 
-    rhs: Expr = prefix
-    for i, t in enumerate(exponents, start=1):
-        if t > 0:
-            rhs = compose(rhs, compose_power(S.generator(i), t))
+    # the letters are sorted now, so they spell f_1^{t_1} ∘ ... ∘ f_m^{t_m}
+    rhs = compose(prefix, *map(S.generator, letters))
     rep = numerically_equal(word_expr(w, S), rhs, plan)
     if not rep.equal:
         raise VerificationFailedError(f"normal form residual {rep.max_error:.3e}")

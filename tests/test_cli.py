@@ -35,6 +35,7 @@ from semidyn.cli import (
     parse_args,
 )
 from semidyn.expr import MAX_EXPR_DEPTH, AffineMap, children, compose, format_expr
+from semidyn.grid import MAX_ITER_CAP
 
 
 def run(*args):
@@ -540,9 +541,10 @@ class TestExitCodeContract:
         # bands and threads
         ({}, ["render", "--map", "exp(z)", "--workers", str(10**12)], EXIT_USAGE),
         # every centre escapes at step 0: the heatmap once built a table of
-        # max_iter + 2 entries, 931 GiB here
+        # max_iter + 2 entries, 931 GiB at a max_iter of 10^12, which is now
+        # over the cap; the cap itself runs
         ({}, ["render", "--map", "exp(z)", "--window", "-4,4,-4,4", "--cells", "2",
-              "--escape-radius", "1.5", "--max-iter", str(10**12)], EXIT_OK),
+              "--escape-radius", "1.5", "--max-iter", str(MAX_ITER_CAP)], EXIT_OK),
         # an unbounded count once drew words until memory ran out
         ({}, ["normal-form", "--fixture", "example-2.1-cos", "--random",
               str(RANDOM_CAP + 1)], EXIT_USAGE),
@@ -578,6 +580,13 @@ class TestExitCodeContract:
         # the run
         ({}, ["normal-form", "--generators", "pow(z,2)", "affine(2+0i,0+0i)",
               "--word", ",".join(["1,2"] * 8)], EXIT_NORMAL_FORM_FAILED),
+        # a max_iter over grid.MAX_ITER_CAP, as a flag or a config key, once
+        # ran for as many steps as it asked
+        ({}, ["render", "--map", "exp(z)", "--window", "-4,4,-4,4", "--cells", "2",
+              "--escape-radius", "1.5", "--max-iter", str(MAX_ITER_CAP + 1)], EXIT_USAGE),
+        ({"max_iter.json": {"grid": {"max_iter": MAX_ITER_CAP + 1}}},
+         ["render", "--map", "mul(const(0.6+0.8i), z)", "--cells", "4", "--config",
+          "{tmp}/max_iter.json"], EXIT_USAGE),
     ]
 
     @pytest.mark.parametrize("env,argv,code", CASES)
@@ -610,6 +619,8 @@ class TestExitCodeContract:
         *((["render", "--map", "exp(z)", "--window", text],
           f"--window takes xmin,xmax,ymin,ymax, got {text!r}")
           for text in ("a,b,c,d", "1,2,3", "1,2,3,4,5", "")),
+        (["render", "--map", "exp(z)", "--cells", "4", "--max-iter", str(MAX_ITER_CAP + 1)],
+         f"max_iter over the cap of {MAX_ITER_CAP}, got {MAX_ITER_CAP + 1}"),
     ])
     def test_usage_error_names_the_conflict_or_value(self, tmp_path, capsys, argv,
                                                      message):

@@ -693,8 +693,9 @@ class TestIdentities:
 
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_identity_2_on_affine_maps_compares_values(self, n):
-        # both sides fold to affine maps whose b, near 1e8, differ by more
-        # than the tolerance; their values at the sample points agree
+        # both sides are chains of affine maps; as single affine maps their
+        # b, near 1e8, differ by more than the tolerance, but their values
+        # at the sample points agree
         f, g = AffineMap(1, 1e8), AffineMap(1.5, -1.5e8)
         rep = verify_identity("2", f, g, n=n, plan=PLAN)
         assert rep.holds and rep.residual < 1e-15

@@ -33,7 +33,6 @@ from semidyn.expr import (
     affine_inverse,
     compare_values,
     compose,
-    compose_power,
     eval_array,
     eval_at,
     format_complex,
@@ -291,24 +290,42 @@ class TestCompose:
     def test_identity_right(self):
         assert compose(F_EXP_SQ, Z) is F_EXP_SQ
 
-    def test_affine_folding_involution(self):
-        # negation composed with itself folds to the identity affine map
-        t = compose(AffineMap(-1, 0), AffineMap(-1, 0))
-        assert isinstance(t, AffineMap)
-        rep = numerically_equal(t, Z, PLAN)
-        assert rep.equal and rep.max_error == 0.0
+    def test_one_map_is_itself_and_none_is_an_error(self):
+        assert compose(F_EXP_SQ) is F_EXP_SQ
+        assert compose(Z, F_EXP_SQ, Z) is F_EXP_SQ
+        assert compose(Z, Z) == Z
+        with pytest.raises(ValueError):
+            compose()
 
-    @pytest.mark.parametrize("outer,inner", [
-        (AffineMap(-1, 0), AffineMap(-1, 0)),
-        (AffineMap(3 + 1j, 2 - 1j), AffineMap(0.5, 1j)),
-        (AffineMap(1e149, -2.5), AffineMap(-1e-149, 0.1 + 0.3j)),
-        (AffineMap(-0.0 + 1j, -0.0), AffineMap(1j, 0.0)),
+    def test_two_affine_maps_stay_a_chain(self):
+        a, b = AffineMap(2, -1), AffineMap(3, 0)
+        assert compose(compose(a, b), Exp(Z)) == compose(a, compose(b, Exp(Z)))
+        assert compose(a, b, Exp(Z)) == Compose((a, b, Exp(Z)))
+
+    # affine maps that meet in a chain apply one after the other, as the
+    # text compose(affine(...), affine(...)) does
+    CHAIN_MAPS = st.sampled_from([
+        AffineMap(-1, 0), AffineMap(2, -1), AffineMap(0.1 + 0.3j, 0.7 - 0.2j),
+        AffineMap(1e149, -2.5), Exp(Z), Cos(Z), Compose((Cos(Z), AffineMap(3, 0))),
     ])
-    def test_affine_fold_is_affine_compose(self, outer, inner):
-        t, m = compose(outer, inner), affine_compose(outer, inner)
-        assert type(t) is AffineMap
-        # repr tells -0.0 from 0.0
-        assert [repr(complex(c)) for c in (t.a, t.b)] == [repr(complex(c)) for c in (m.a, m.b)]
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(CHAIN_MAPS, min_size=2, max_size=7), st.data())
+    def test_every_bracketing_is_one_tree(self, maps, data):
+        def bracket(i, j):  # compose of maps[i:j], split at a drawn point
+            if j - i == 1:
+                return maps[i]
+            k = data.draw(st.integers(i + 1, j - 1))
+            return compose(bracket(i, k), bracket(k, j))
+
+        tree = compose(*maps)
+        assert bracket(0, len(maps)) == tree
+        assert compose(compose(*maps[:-1]), maps[-1]) == tree
+        assert compose(maps[0], compose(*maps[1:])) == tree
+        # the compose(...) text of the same maps parses to that tree
+        text = f"compose({', '.join(map(format_expr, maps))})"
+        assert parse_expr(text) == tree
+        assert type(tree) is Compose and len(tree.maps) >= len(maps)
 
     def test_affine_fold_past_the_invertible_maps_stays_a_compose(self):
         # a = 1e400 is not finite, so the two maps apply one after the other
@@ -468,10 +485,10 @@ class TestCompose:
         assert rep.equal
 
     def test_compose_power(self):
-        t = compose_power(Cos(Z), 3)
+        t = compose(*[Cos(Z)] * 3)
         assert eval_at(t, 0.3) == pytest.approx(cmath.cos(cmath.cos(cmath.cos(0.3))))
         with pytest.raises(ValueError):
-            compose_power(Cos(Z), 0)
+            compose(*[Cos(Z)] * 0)
 
 
 class TestNumericEquality:
@@ -491,7 +508,7 @@ class TestNumericEquality:
         # h^7 for h = e^{z^2} + 0.2 overflows at 20 of the first 32 points
         # drawn with example-2.1-exp's seed, so the comparison needs points
         # from further on in the clean-point search
-        h7 = compose_power(F_EXP_SQ, 7)
+        h7 = compose(*[F_EXP_SQ] * 7)
         rep = numerically_equal(h7, Negate(Negate(h7)), SamplePlan(seed=21))
         assert rep.equal and rep.max_error == 0.0
 

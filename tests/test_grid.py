@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 from semidyn.commutator import SemigroupPresentation, build_commutator_table
 from semidyn.expr import (
     AffineMap,
+    Compose,
     Cos,
     Exp,
     Identity,
@@ -37,6 +38,7 @@ from semidyn.cli import main
 from semidyn.fixtures import FIXTURES
 from semidyn.grid import (
     CELL_BUDGET,
+    MAX_ITER_CAP,
     STATUS_BOUNDED,
     STATUS_ESCAPING,
     STATUS_NAMES,
@@ -100,6 +102,13 @@ class TestGridSpec:
             GridSpec(cols=4097, rows=CELL_BUDGET // 4096)
         with pytest.raises(ValueError):
             GridSpec(cols=100000, rows=100000)
+
+    def test_max_iter_cap(self):
+        # the fixtures' 100 steps fit; a ten-digit max_iter once ran for hours
+        assert 100 < MAX_ITER_CAP
+        GridSpec(max_iter=MAX_ITER_CAP)
+        with pytest.raises(ValueError, match=f"over the cap of {MAX_ITER_CAP}"):
+            GridSpec(max_iter=MAX_ITER_CAP + 1)
 
     @pytest.mark.parametrize("side", ["width", "height"])
     @pytest.mark.parametrize("value", [0.0, -1.0])
@@ -477,9 +486,9 @@ KERNEL_CASES = {
     "even-sign-classes": (SemigroupPresentation(
         (EXP_H, Negate(Cos(Power(Z, 2))), Cos(Power(Z, 2)), Negate(Negate(EXP_H))),
         label="even-classes"), THREE_SPEC),
-    # compose folds 1.5z - 1.5e8 after z + 1e8 into 1.5z, which reaches the
-    # escape radius 3 at step 1 or 2 on this window; applying the two maps
-    # in turn rounds z + 1e8 and moves some cells across
+    # 1.5z - 1.5e8 after z + 1e8 is 1.5z, which reaches the escape radius 3
+    # at step 1 or 2 on this window; the word applies the two maps in turn,
+    # which rounds z + 1e8 and moves some cells across
     "affine-folding": (SemigroupPresentation(
         (AffineMap(1, 1e8), AffineMap(1.5, -1.5e8)), label="affine"),
         replace(THREE_SPEC, center=2 + 0j, width=1e-7, height=1e-7,
@@ -703,12 +712,15 @@ class TestWordQuotient:
         assert all(words[w * m][2] == () for w, powers in roots.items()
                    for m in powers[1:])
 
-    def test_folding_powers_iterate_their_own_tree(self):
-        # (1, 1) composes into one affine map, which rounds otherwise than
-        # applying z + 1e8 twice, so it rides no orbit
+    def test_affine_powers_ride_their_roots_orbit(self):
+        # (1, 1) is z + 1e8 applied twice, a chain of two affine maps, so it
+        # rides (1,)'s orbit like any other power
         S, spec = KERNEL_CASES["affine-folding"]
         words = iterated_words(S.generators, spec.word_depth)
-        assert all(powers == (1,) for _, _, powers in words.values())
+        assert words[(1, 1)][2] == ()
+        assert words[(1,)][2] == (1, 2)
+        f = S.generator(1)
+        assert words[(1, 1)][0] == Compose((f, f))
 
 
 class TestSemigroupKernel:

@@ -33,7 +33,6 @@ from semidyn.expr import (
     affine_compose,
     affine_distance,
     compose,
-    compose_power,
     eval_at,
     numerically_equal,
 )
@@ -98,6 +97,23 @@ class TestWord:
         expr = word_expr(Word((1, 2, 1)), S)
         for z in (0.1 + 0.2j, -0.3 + 0.05j):
             assert eval_at(expr, z) == eval_at(f1, eval_at(f2, eval_at(f1, z)))
+
+    @pytest.mark.parametrize("gens,letters", [
+        ((AffineMap(0.1 + 0.3j, 0.7 - 0.2j),), (1, 1, 1)),
+        ((AffineMap(2, -1), AffineMap(3, 0), Exp(Z)), (1, 2, 3)),
+        ((AffineMap(2, -1), Cos(Z), AffineMap(3, 0)), (1, 3, 3, 2, 1, 3)),
+        (FIXTURES["example-2.1-exp"].presentation.generators, (1, 2, 2, 1, 2)),
+    ])
+    def test_word_expr_is_the_chain_of_its_letters(self, gens, letters):
+        # a k-letter word is compose of its k letter maps, affine letters
+        # next to each other included, and so is w^m the chain of w's
+        # letters m times over
+        S = SemigroupPresentation(gens)
+        letter_maps = [S.generator(i) for i in letters]
+        tree = word_expr(Word(letters), S)
+        assert tree == compose(*letter_maps)
+        assert tree.maps == tuple(letter_maps)
+        assert word_expr(Word(letters * 2), S) == compose(tree, tree)
 
     def test_overflow_propagates(self):
         S = SemigroupPresentation((Exp(Z),), label="exp")
@@ -324,7 +340,7 @@ def migrating_every_step(w, S, table, G, plan):
     rhs = prefix
     for i, t in enumerate(exponents, start=1):
         if t > 0:
-            rhs = compose(rhs, compose_power(S.generator(i), t))
+            rhs = compose(rhs, compose(*[S.generator(i)] * t))
     rep = numerically_equal(word_expr(w, S), rhs, plan)
     if not rep.equal:
         raise VerificationFailedError(f"normal form residual {rep.max_error:.3e}")
