@@ -200,9 +200,6 @@ def is_nearly_abelian(S: SemigroupPresentation, plan: SamplePlan) -> CommutatorT
     return CommutatorTable(n, {key: solved[key] for key in order}, failed)
 
 
-build_commutator_table = is_nearly_abelian
-
-
 def _pair_table(f: Expr, g: Expr, plan: SamplePlan) -> CommutatorTable:
     """<f, g>'s table, whose entry (1, 2) is [f, g]."""
     return is_nearly_abelian(SemigroupPresentation((f, g)), plan)
@@ -286,12 +283,6 @@ class IdentityReport:
 def _bracket(f: Expr, g: Expr, plan: SamplePlan) -> AffineMap:
     """[f, g], read from <f, g>'s table."""
     return _pair_table(f, g, plan).entry(1, 2)
-
-
-def verify_identity(which: str | int, f: Expr, g: Expr, n: int = 1,
-                    plan: SamplePlan = SamplePlan()) -> IdentityReport:
-    """check_identity against <f, g>'s table."""
-    return check_identity(which, f, g, n, plan, _pair_table(f, g, plan))
 
 
 def check_identity(which: str | int, f: Expr, g: Expr, n: int, plan: SamplePlan,

@@ -28,7 +28,8 @@ search and the grid kernel rely on it when they evaluate a subset of
 points, and so does Compose.  ``compose(f, g, h)`` is f∘g∘h, one chain
 into which any nested Compose is spliced, so every nesting is one tree,
 the one its ``compose(...)`` text parses to: maps next to each other stay
-two maps, affine ones too.
+two maps, affine ones too, and the identity, z or affine(1, 0), is left
+out.
 It runs its maps in the order they apply: once at least half the points
 still live are bad, the later maps run at the clean ones alone, the live
 set shrinking again wherever half of it has gone bad, and their values
@@ -37,11 +38,11 @@ end; once every live point is bad, the rest of the chain is skipped.
 numpy's in-place complex multiply rounds one-element arrays differently
 from every other length, so Power and Product multiply out of place.
 
-``eval_at`` is ``eval_array`` on a one-element array, raising EvalOverflow
-where that element is bad.  Negate is exact and sets no bad bit, so
-negating ``eval_array(e, z)``'s values gives ``eval_array(Negate(e), z)``
-bit for bit; the grid kernel's mirrored words, which stand for a word and
-its negation, rest on this.
+A value at one point is ``eval_array``'s on a one-element array, with its
+bad bit.  Negate is exact and sets no bad bit, so negating
+``eval_array(e, z)``'s values gives ``eval_array(Negate(e), z)`` bit for
+bit; the grid kernel's mirrored words, which stand for a word and its
+negation, rest on this.
 
 Evaluation works in place.  Each node's ``_eval`` returns a fresh array
 that no other node holds, and its parent may overwrite it: Exp, Cos, Sin
@@ -56,8 +57,9 @@ them in a copy.
 Two trees are compared at sample points, in one way: ``numerically_equal``
 asks ``find_clean_points`` for SAMPLE_COUNT seeded points at which both are
 clean, and ``compare_values`` takes the largest relative error of their
-values there, with an absolute floor.  The commutator module's affine fit
-measures its residual with the same error.
+values there, with an absolute floor.  Two equal trees are one map, so
+they are equal with error 0.0 and need no search.  The commutator
+module's affine fit measures its residual with the same error.
 """
 
 from __future__ import annotations
@@ -83,10 +85,6 @@ MAX_EXPR_DEPTH = 128
 # its cost grows with k's value, not with the length of the text; repeated
 # squaring would round differently for k >= 4.
 MAX_POWER = 64
-
-
-class EvalOverflow(ArithmeticError):
-    """An intermediate value exceeded the overflow ceiling."""
 
 
 class DegenerateAffineError(ValueError):
@@ -485,15 +483,22 @@ def is_exactly_real(expr: Expr) -> bool:
 # composition
 
 
+IDENTITY_MAP = AffineMap(1 + 0j, 0j)
+# the identity's two spellings; z, the first, is a chain of identities alone
+_IDENTITIES = (Identity(), IDENTITY_MAP)
+
+
 def compose(*maps: Expr) -> Expr:
     """f∘g∘h for compose(f, g, h): the chain of the maps, with any nested
     chain spliced in, so every bracketing of a chain is one tree, the one
-    that parse_expr reads from its ``compose(...)`` text.  The identity z
-    is left out, since it copies its input; one map left is returned as
-    itself, and none as z."""
-    kept = tuple(m for m in maps if type(m) is not Identity) or maps[:1]
-    if not kept:
+    that parse_expr reads from its ``compose(...)`` text.  The identity is
+    left out, z and any map equal to affine(1, 0) alike: z copies its
+    input, and affine(1, 0) changes a value within the ceiling in the sign
+    of a zero component alone.  One map left is returned as itself, and
+    none as z."""
+    if not maps:
         raise ValueError("composition needs at least one map")
+    kept = tuple(m for m in maps if m not in _IDENTITIES) or _IDENTITIES[:1]
     return Compose(kept) if len(kept) > 1 else kept[0]
 
 
@@ -527,20 +532,8 @@ def eval_array(expr: Expr, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         return expr._eval(z, bad), bad
 
 
-def eval_at(expr: Expr, z: complex) -> complex:
-    """eval_array at the one point z; raises EvalOverflow where it marks
-    that point bad."""
-    values, bad = eval_array(expr, np.array([z], dtype=np.complex128))
-    if bad[0]:
-        raise EvalOverflow(f"an intermediate value at z={z!r} exceeds the ceiling")
-    return complex(values[0])
-
-
 # ---------------------------------------------------------------------------
 # affine maps
-
-
-IDENTITY_MAP = AffineMap(1 + 0j, 0j)
 
 
 def affine_compose(m1: AffineMap, m2: AffineMap) -> AffineMap:
@@ -737,7 +730,10 @@ def compare_values(fv: np.ndarray, gv: np.ndarray, plan: SamplePlan) -> Equivale
 
 def numerically_equal(fexpr: Expr, gexpr: Expr, plan: SamplePlan) -> EquivalenceReport:
     """compare_values of two trees at the points find_clean_points picks;
-    DegenerateSamplesError where it finds too few."""
+    DegenerateSamplesError where it finds too few.  Two equal trees are one
+    map, equal with error 0.0 and no search."""
+    if fexpr == gexpr:
+        return EquivalenceReport(True, 0.0)
     _, (fv, gv) = find_clean_points([fexpr, gexpr], plan)
     return compare_values(fv, gv, plan)
 

@@ -144,7 +144,9 @@ def normal_form(
     end; where it is not invertible, DegenerateAffineError names it.
     Letters are permuted, never created or destroyed, so the exponents
     always sum to the word length.
-    The result is verified by evaluating the whole word.
+    The result is verified by evaluating the whole word; a word already in
+    order keeps the identity prefix, which compose leaves out, so its
+    normal form is its own tree, equal to it with no search.
     """
     w.validate(S)
     # keyed by coefficients, which hash in C, not by the AffineMap itself

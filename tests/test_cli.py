@@ -152,13 +152,13 @@ class TestVerifyCommand:
         lists = self.searched_lists(monkeypatch, tmp_path, "--generators", "exp(z)", g)
         assert len(lists) == len(set(lists)) == 1
 
-    @pytest.mark.parametrize("gens,searches", [(["exp(z)"], 4), (["exp(z)", "exp(z)"], 5)])
-    def test_one_tree_searches_only_value_comparisons(self, tmp_path, monkeypatch,
-                                                       gens, searches):
+    @pytest.mark.parametrize("gens", [["exp(z)"], ["exp(z)", "exp(z)"]])
+    def test_one_tree_needs_no_search(self, tmp_path, monkeypatch, gens):
         # each bracket [f, f^m] composes one chain of maps both ways, the
-        # identity with no search: only identities 2 and 3 compare values
+        # identity with no search, and compose leaves it out of identities
+        # 2 and 3, whose two sides are then one tree, equal with no search
         lists = self.searched_lists(monkeypatch, tmp_path, "--generators", *gens)
-        assert len(lists) == searches
+        assert lists == []
 
     @pytest.mark.parametrize("argv,vacuous", [
         (["--generators", "exp(z)"], True),
@@ -457,7 +457,8 @@ class TestReports:
 class TestExitCodeContract:
     # env: the files the run finds, each JSON document written under its
     # name into the directory that "{tmp}" in argv stands for
-    EXP_14 = ",".join(["1"] * 14)
+    EXP_14_UNSORTED = ",".join(["2"] + ["1"] * 13)
+    EXP_14_SORTED = ",".join(["1"] * 14)
     CASES = [
         ({}, ["render", "--map", "foo("], EXIT_USAGE),
         ({}, ["render", "--map", "exp(z, z)"], EXIT_USAGE),
@@ -472,8 +473,9 @@ class TestExitCodeContract:
         ({}, ["commutator", "--config", "{tmp}/missing.json"], EXIT_USAGE),
         ({"grid5.json": {"grid": 5}},
          ["render", "--map", "exp(z)", "--config", "{tmp}/grid5.json"], EXIT_USAGE),
-        # the composed tree overflows everywhere: no clean sample points
-        ({}, ["normal-form", "--fixture", "example-2.1-exp", "--word", EXP_14],
+        # the composed tree overflows everywhere: no clean sample points to
+        # compare the word with its normal form at
+        ({}, ["normal-form", "--fixture", "example-2.1-exp", "--word", EXP_14_UNSORTED],
          EXIT_NORMAL_FORM_FAILED),
         # non-finite grid and transport values
         ({}, ["transport", "--fixture", "example-2.1-cos", "--cells", "8",
@@ -587,6 +589,10 @@ class TestExitCodeContract:
         ({"max_iter.json": {"grid": {"max_iter": MAX_ITER_CAP + 1}}},
          ["render", "--map", "mul(const(0.6+0.8i), z)", "--cells", "4", "--config",
           "{tmp}/max_iter.json"], EXIT_USAGE),
+        # a sorted word is its own normal form, the same tree, so it needs no
+        # clean sample points, though it overflows everywhere
+        ({}, ["normal-form", "--fixture", "example-2.1-exp", "--word", EXP_14_SORTED],
+         EXIT_OK),
     ]
 
     @pytest.mark.parametrize("env,argv,code", CASES)

@@ -106,3 +106,34 @@ def test_no_process_wide_cache(name):
     uses = [node.lineno for node in ast.walk(tree)
             if _names_a_cache(node) and id(node) not in allowed]
     assert uses == []
+
+
+REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
+
+def _read_names(path):
+    """The names a file reads: loaded names, attributes, and string
+    constants, through which bench/tracing.py names what it wraps."""
+    with open(path) as fh:
+        tree = ast.parse(fh.read())
+    return ({node.id for node in ast.walk(tree)
+             if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+            | {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+            | {node.value for node in ast.walk(tree)
+               if isinstance(node, ast.Constant) and isinstance(node.value, str)})
+
+
+def test_every_export_has_a_caller():
+    # the package's API is what its modules, the demos and the benchmark
+    # call; a name that only tests call is dead code with a test
+    with open(os.path.join(PACKAGE, "__init__.py")) as fh:
+        init = ast.parse(fh.read())
+    exported = {alias.asname or alias.name for node in ast.walk(init)
+                if isinstance(node, ast.ImportFrom) for alias in node.names}
+    callers = [os.path.join(PACKAGE, f) for f in os.listdir(PACKAGE)
+               if f.endswith(".py") and f != "__init__.py"]
+    for folder in ("demos", "bench"):  # bench/tests are tests
+        callers += [os.path.join(REPO, folder, f)
+                    for f in os.listdir(os.path.join(REPO, folder)) if f.endswith(".py")]
+    read = set().union(*map(_read_names, callers))
+    assert sorted(exported - read) == []

@@ -15,10 +15,11 @@ from semidyn.expr import (
     Const,
     Cos,
     DegenerateAffineError,
-    EvalOverflow,
+    EquivalenceReport,
     Expr,
     ExprParseError,
     Exp,
+    IDENTITY_MAP,
     Identity,
     MAX_POWER,
     NODE_TYPES,
@@ -34,7 +35,6 @@ from semidyn.expr import (
     compare_values,
     compose,
     eval_array,
-    eval_at,
     format_complex,
     format_expr,
     is_exactly_real,
@@ -52,6 +52,14 @@ PLAN = SamplePlan(seed=7)
 # 32 seeded points in the disk |z| <= 2
 _rng = np.random.default_rng(7)
 POINTS = 2.0 * np.sqrt(_rng.random(32)) * np.exp(2j * np.pi * _rng.random(32))
+
+
+def value_at(expr, z) -> complex:
+    """expr's value at the one point z, which eval_array must find clean."""
+    values, bad = eval_array(expr, np.array([z], dtype=np.complex128))
+    assert not bad[0]
+    return complex(values[0])
+
 
 COEFFS = st.sampled_from([0.2, -1.0, 1j, 2.5 - 0.5j, 1e100, 1e149, 1e200])
 # trees of every node kind
@@ -73,45 +81,44 @@ TREES = st.recursive(
 
 class TestEval:
     def test_cos_at_zero(self):
-        assert eval_at(Cos(Z), 0) == 1 + 0j
+        assert value_at(Cos(Z), 0) == 1 + 0j
 
     def test_exp_sq_plus_lambda_at_zero(self):
-        assert eval_at(F_EXP_SQ, 0) == pytest.approx(1.2 + 0j)
+        assert value_at(F_EXP_SQ, 0) == pytest.approx(1.2 + 0j)
 
     def test_compose_cos_negate(self):
         # oracle: direct scalar evaluation
         z = 0.5403 + 0j
-        got = eval_at(Compose((Cos(Z), Negate(Z))), z)
+        got = value_at(Compose((Cos(Z), Negate(Z))), z)
         assert got == pytest.approx(cmath.cos(-z), abs=1e-15)
 
     def test_power(self):
-        assert eval_at(Power(Z, 3), 2 + 1j) == (2 + 1j) ** 3
+        assert value_at(Power(Z, 3), 2 + 1j) == (2 + 1j) ** 3
 
     def test_sum_product_negate(self):
         e = Product((Const(2.0), Sum((Z, Const(1.0)))))
-        assert eval_at(e, 3) == 8 + 0j
-        assert eval_at(Negate(e), 3) == -8 + 0j
+        assert value_at(e, 3) == 8 + 0j
+        assert value_at(Negate(e), 3) == -8 + 0j
 
     def test_sin(self):
-        assert eval_at(Sin(Z), 1.0) == pytest.approx(cmath.sin(1.0))
+        assert value_at(Sin(Z), 1.0) == pytest.approx(cmath.sin(1.0))
 
-    def test_overflow_raises(self):
-        with pytest.raises(EvalOverflow):
-            eval_at(Exp(Const(400.0)), 0)
-        with pytest.raises(EvalOverflow):
-            eval_at(Product((Const(1e100), Const(1e100))), 0)
+    def test_overflow_is_marked_bad(self):
+        for expr in (Exp(Const(400.0)), Product((Const(1e100), Const(1e100)))):
+            _, bad = eval_array(expr, np.array([0j]))
+            assert bad.tolist() == [True]
 
     def test_eval_array_matches_scalar(self):
-        # eval_at is eval_array at one point, and evaluation is elementwise
+        # evaluation is elementwise, so a one-point array gives the element
         pts = POINTS
         vals, bad = eval_array(F_EXP_SQ, pts)
         assert not bad.any()
         for z, v in zip(pts, vals):
-            assert np.complex128(eval_at(F_EXP_SQ, complex(z))).tobytes() == v.tobytes()
+            assert np.complex128(value_at(F_EXP_SQ, complex(z))).tobytes() == v.tobytes()
         vals2, _ = eval_array(F_EXP_SQ, pts)
         assert np.array_equal(vals, vals2)
         for z in pts[:4]:
-            assert eval_at(F_EXP_SQ, complex(z)) == eval_at(F_EXP_SQ, complex(z))
+            assert value_at(F_EXP_SQ, complex(z)) == value_at(F_EXP_SQ, complex(z))
 
     def test_eval_array_masks_overflow(self):
         vals, bad = eval_array(Exp(Z), np.array([0.0 + 0j, 400.0 + 0j]))
@@ -159,7 +166,7 @@ class TestEval:
 
     # numpy's in-place complex multiply rounds one-element arrays apart from
     # every other length (numpy 2.4 on AVX-512 hardware); a one-point
-    # eval_at, and a Compose left with one clean point, would see it
+    # evaluation, and a Compose left with one clean point, would see it
     @pytest.mark.parametrize("tree", [Power(Z, 3), Product((Z, Exp(Z)))], ids=format_expr)
     def test_one_point_is_the_full_array_element(self, tree):
         rng = np.random.default_rng(5)
@@ -169,7 +176,7 @@ class TestEval:
         for k in range(len(pts)):
             one, _ = eval_array(tree, pts[k:k + 1])
             assert one.tobytes() == vals[k:k + 1].tobytes()
-            at = np.complex128(eval_at(tree, complex(pts[k])))
+            at = np.complex128(value_at(tree, complex(pts[k])))
             assert at.tobytes() == vals[k].tobytes()
 
     def test_ceiling_edges_warn_nothing(self):
@@ -294,6 +301,9 @@ class TestCompose:
         assert compose(F_EXP_SQ) is F_EXP_SQ
         assert compose(Z, F_EXP_SQ, Z) is F_EXP_SQ
         assert compose(Z, Z) == Z
+        # a chain of identities alone is z, however they are spelled
+        assert compose(IDENTITY_MAP) == Z
+        assert compose(Z, AffineMap(1, 0), Z) == Z
         with pytest.raises(ValueError):
             compose()
 
@@ -336,14 +346,14 @@ class TestCompose:
 
     def test_exp_after_shift(self):
         t = compose(Exp(Z), AffineMap(1, 1))
-        assert eval_at(t, 0) == pytest.approx(math.e)
+        assert value_at(t, 0) == pytest.approx(math.e)
 
     def test_compose_eval_bitwise(self):
         # whenever the right side is clean, both sides agree bitwise
         for z in POINTS:
             z = complex(z)
-            rhs = eval_at(Cos(Z), eval_at(F_EXP_SQ, z))
-            lhs = eval_at(compose(Cos(Z), F_EXP_SQ), z)
+            rhs = value_at(Cos(Z), value_at(F_EXP_SQ, z))
+            lhs = value_at(compose(Cos(Z), F_EXP_SQ), z)
             assert lhs == rhs
 
     @pytest.fixture
@@ -486,7 +496,7 @@ class TestCompose:
 
     def test_compose_power(self):
         t = compose(*[Cos(Z)] * 3)
-        assert eval_at(t, 0.3) == pytest.approx(cmath.cos(cmath.cos(cmath.cos(0.3))))
+        assert value_at(t, 0.3) == pytest.approx(cmath.cos(cmath.cos(cmath.cos(0.3))))
         with pytest.raises(ValueError):
             compose(*[Cos(Z)] * 0)
 
@@ -531,6 +541,41 @@ class TestNumericEquality:
         for tolerance in (1, 2, math.inf):
             with pytest.raises(ValueError):
                 SamplePlan(tolerance=tolerance)
+
+
+class TestOneIdentity:
+    # affine(1, 0) however it is spelled: compose leaves out any map equal
+    # to it, as it leaves out z
+    AFFINE_IDENTITIES = st.sampled_from([
+        IDENTITY_MAP, AffineMap(1, 0), AffineMap(complex(1, -0.0), complex(-0.0, -0.0)),
+        parse_expr("affine(1+0i, 0+0i)"),
+    ])
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(st.lists(TREES, min_size=1, max_size=3), st.data())
+    def test_affine_identity_is_left_out(self, maps, data):
+        # compose with affine(1, 0) anywhere in a chain is the chain
+        with_identities = list(maps)
+        for _ in range(data.draw(st.integers(1, 3))):
+            at = data.draw(st.integers(0, len(with_identities)))
+            with_identities.insert(at, data.draw(self.AFFINE_IDENTITIES))
+        assert compose(*with_identities) == compose(*maps)
+        # the tree it once built, t∘affine(1, 0), has t's values, but for
+        # the sign of a zero component, and t's bad mask at every point a
+        # search draws, all within the ceiling
+        t = maps[0]
+        pts = np.concatenate([PLAN._draw(k) for k in range(3)] + [semidyn.expr._LATTICE])
+        vals, bad = eval_array(t, pts)
+        old_vals, old_bad = eval_array(Compose((t, IDENTITY_MAP)), pts)
+        assert np.array_equal(old_bad, bad)
+        assert np.array_equal(old_vals, vals)
+        # two equal trees are equal with error 0.0, with no search
+        searches = []
+        with pytest.MonkeyPatch.context() as m:
+            m.setattr(semidyn.expr, "find_clean_points",
+                      lambda exprs, plan: searches.append(exprs))
+            assert numerically_equal(t, t, PLAN) == EquivalenceReport(True, 0.0)
+        assert searches == []
 
 
 class TestAffine:
@@ -689,11 +734,11 @@ class TestSerialization:
         assert format_expr(again) == text
         # bit-stable evaluation after the round trip
         for z in POINTS[:8]:
-            assert eval_at(again, complex(z)) == eval_at(tree, complex(z))
+            assert value_at(again, complex(z)) == value_at(tree, complex(z))
 
     def test_documented_form(self):
         t = parse_expr("add(exp(pow(z,2)), const(0.2+0i))")
-        assert eval_at(t, 0) == eval_at(F_EXP_SQ, 0)
+        assert value_at(t, 0) == value_at(F_EXP_SQ, 0)
 
     def test_compose_takes_a_chain(self):
         # compose(f, g, h) is f∘g∘h, and every nesting of it is that tree
