@@ -2,8 +2,11 @@
 
 Nodes are immutable dataclasses, so trees can be shared freely across
 threads.  Each node class is one row of the node table: its prefix name,
-its typed fields, and one numpy evaluation step.  Walking the children,
-printing and parsing follow the field types alone.  The node
+its typed fields, one numpy evaluation step, and the structural rules
+that its own fields decide: whether it reads eval_array's input, and its
+answers to is_exactly_even, is_exactly_real and is_class_b.  Expr works
+out every other node's answers from its children's.  Walking the
+children, printing and parsing follow the field types alone.  The node
 ``affine(a, b)`` is AffineMap, the invertible map z -> a*z + b that the
 commutators, xi, phi and normal-form prefixes are: a with a finite,
 nonzero 1/a, or the text is malformed.  A constant is ``const(b)``.
@@ -106,6 +109,9 @@ class ExprParseError(ValueError):
 # nodes
 
 
+_CONST, _POLY, _CLASS_B = "const", "poly", "class-b"  # Expr._growth's answers
+
+
 class Expr:
     """Base class for expression nodes.
 
@@ -120,6 +126,14 @@ class Expr:
     returns an array that it owns: the parent may overwrite it.  The
     array a child returns is the node's to overwrite in turn.
 
+    The structural rules are attributes in the same way: ``_reads_input``,
+    ``_even`` (is_exactly_even), ``_real`` (is_exactly_real) and
+    ``_growth`` (is_class_b).  Expr holds one recursion per rule, the
+    answer of a node that passes its children's answers on; a node class
+    sets a rule only where its own fields decide it, as a constant where
+    its answer is fixed, else as an override.  Exp, Cos and Sin set
+    ``_class_b``, which the base growth rule reads.
+
     Every ``_eval`` returns finite values within OVERFLOW_CEILING, its
     bad points' included, given w within it.  Each node either caps its
     output, guards its input or cannot exceed the ceiling, so a value is
@@ -129,16 +143,31 @@ class Expr:
 
     __slots__ = ()
     name: str
+    # exp, cos and sin: class-B maps, with singular values {0} and {-1, 1}
+    _class_b = False
 
     @cached_property
     def _reads_input(self) -> bool:
-        """Whether eval_array's input reaches an Identity of this tree:
-        later maps of a Compose read the values of the map before them."""
-        if type(self) is Identity:
-            return True
-        if type(self) is Compose:
-            return self.maps[-1]._reads_input
+        """Whether eval_array's input reaches an Identity of this tree."""
         return any(c._reads_input for c in children(self))
+
+    @property
+    def _even(self) -> bool:
+        return all(c._even for c in children(self))
+
+    @property
+    def _real(self) -> bool:
+        return all(c._real for c in children(self))
+
+    @property
+    def _growth(self) -> str | None:
+        """_CONST for a constant tree, _POLY for a provably non-constant
+        polynomial, _CLASS_B for a provably transcendental class-B map,
+        None when unsure (including trees that might cancel to a
+        constant).  A node of one child has its child's, but a class-B map
+        of a non-constant polynomial is class B."""
+        k = next(children(self))._growth
+        return _CLASS_B if self._class_b and k == _POLY else k
 
 
 def _over_ceiling(v: np.ndarray) -> np.ndarray | None:
@@ -177,6 +206,7 @@ class Identity(Expr):
     so it only copies them."""
 
     name = "z"
+    _reads_input, _even, _growth = True, False, _POLY
 
     def _eval(self, w, bad):
         return w.copy()
@@ -186,9 +216,14 @@ class Identity(Expr):
 class Const(Expr):
     value: complex
     name = "const"
+    _growth = _CONST
 
     def __post_init__(self):
         object.__setattr__(self, "value", complex(self.value))
+
+    @property
+    def _real(self):
+        return self.value.imag == 0
 
     def _eval(self, w, bad):
         if abs(self.value) <= OVERFLOW_CEILING:  # a NaN value fails
@@ -204,6 +239,7 @@ class AffineMap(Expr):
     a: complex
     b: complex
     name = "affine"
+    _even, _growth = False, _POLY
 
     def __post_init__(self):
         a = complex(self.a)
@@ -214,6 +250,10 @@ class AffineMap(Expr):
 
     def __call__(self, z):
         return self.a * z + self.b
+
+    @property
+    def _real(self):
+        return self.a.imag == 0 and self.b.imag == 0
 
     def to_json_dict(self) -> dict:
         return {"a": complex_to_json(self.a), "b": complex_to_json(self.b)}
@@ -234,6 +274,11 @@ class Power(Expr):
         if not 1 <= self.k <= MAX_POWER:
             raise ValueError(f"power exponent must be 1..{MAX_POWER}")
 
+    @property
+    def _even(self):
+        # the input counts only squared: b * b gives -z the bits of z
+        return self.k == 2 if type(self.base) is Identity else self.base._even
+
     def _eval(self, w, bad):
         b = self.base._eval(w, bad)
         v = b * b if self.k > 1 else b
@@ -246,6 +291,7 @@ class Power(Expr):
 class Exp(Expr):
     inner: Expr
     name = "exp"
+    _class_b = True
 
     def _eval(self, w, bad):
         u = self.inner._eval(w, bad)
@@ -256,6 +302,7 @@ class Exp(Expr):
 class Cos(Expr):
     inner: Expr
     name = "cos"
+    _class_b = True
 
     def _eval(self, w, bad):
         u = self.inner._eval(w, bad)
@@ -267,6 +314,7 @@ class Cos(Expr):
 class Sin(Expr):
     inner: Expr
     name = "sin"
+    _class_b = True
 
     def _eval(self, w, bad):
         u = self.inner._eval(w, bad)
@@ -283,6 +331,14 @@ class Sum(Expr):
         if len(self.terms) < 2:
             raise ValueError("sum needs at least two terms")
 
+    @property
+    def _growth(self):
+        kinds = [t._growth for t in self.terms]
+        varying = [k for k in kinds if k != _CONST]
+        if None in kinds or len(varying) > 1:
+            return None
+        return varying[0] if varying else _CONST
+
     def _eval(self, w, bad):
         v = self.terms[0]._eval(w, bad)
         for t in self.terms[1:]:
@@ -298,6 +354,21 @@ class Product(Expr):
     def __post_init__(self):
         if len(self.factors) < 2:
             raise ValueError("product needs at least two factors")
+
+    @property
+    def _growth(self):
+        kinds = [f._growth for f in self.factors]
+        varying = [k for k in kinds if k != _CONST]
+        if None in kinds:
+            return None
+        if not varying:
+            return _CONST
+        if any(k == _CONST and not (type(f) is Const and f.value != 0)
+               for f, k in zip(self.factors, kinds)):
+            return None  # a constant factor that may be zero
+        if all(k == _POLY for k in varying):
+            return _POLY
+        return varying[0] if len(varying) == 1 else None
 
     def _eval(self, w, bad):
         v = self.factors[0]._eval(w, bad)
@@ -329,6 +400,25 @@ class Compose(Expr):
             for m in self.maps:
                 maps += m.maps if type(m) is Compose else (m,)
             object.__setattr__(self, "maps", tuple(maps))
+
+    # the later maps read the values of the map before them, so the input
+    # reaches the first-applied map alone
+    @cached_property
+    def _reads_input(self):
+        return self.maps[-1]._reads_input
+
+    @property
+    def _even(self):
+        return self.maps[-1]._even
+
+    @property
+    def _growth(self):
+        kinds = {m._growth for m in self.maps}
+        if None in kinds:
+            return None
+        if _CONST in kinds:
+            return _CONST
+        return _POLY if kinds == {_POLY} else _CLASS_B
 
     def _eval(self, w, bad):
         u = self.maps[-1]._eval(w, bad)
@@ -374,42 +464,6 @@ def children(expr: Expr) -> Iterator[Expr]:
             yield from getattr(expr, name)
 
 
-_CONST, _POLY, _CLASS_B = "const", "poly", "class-b"
-
-
-def _growth_kind(expr: Expr) -> str | None:
-    """_CONST for a constant tree, _POLY for a provably non-constant
-    polynomial, _CLASS_B for a provably transcendental class-B map, None
-    when unsure (including trees that might cancel to a constant)."""
-    if isinstance(expr, (Identity, AffineMap)):
-        return _POLY
-    if isinstance(expr, Const):
-        return _CONST
-    if isinstance(expr, (Negate, Power)):
-        return _growth_kind(next(children(expr)))
-    if isinstance(expr, (Exp, Cos, Sin)):
-        k = _growth_kind(expr.inner)
-        return k if k in (_CONST, None) else _CLASS_B
-    terms = list(children(expr))  # Sum, Product or Compose
-    kinds = [_growth_kind(t) for t in terms]
-    if None in kinds:
-        return None
-    if isinstance(expr, Compose):
-        if _CONST in kinds:
-            return _CONST
-        return _POLY if set(kinds) == {_POLY} else _CLASS_B
-    varying = [k for k in kinds if k != _CONST]
-    if not varying:
-        return _CONST
-    if isinstance(expr, Product):
-        if any(k == _CONST and not (isinstance(t, Const) and t.value != 0)
-               for t, k in zip(terms, kinds)):
-            return None  # a constant factor that may be zero
-        if all(k == _POLY for k in varying):
-            return _POLY
-    return varying[0] if len(varying) == 1 else None
-
-
 def is_class_b(expr: Expr) -> bool:
     """Conservative test for membership in the Eremenko-Lyubich class B:
     transcendental entire maps whose singular values (critical and
@@ -423,7 +477,7 @@ def is_class_b(expr: Expr) -> bool:
     as Fatou's function z + 1 + exp(-z), whose critical values 2*pi*i*k + 2
     are unbounded.
     """
-    return _growth_kind(expr) == _CLASS_B
+    return expr._growth == _CLASS_B
 
 
 def is_exactly_even(expr: Expr) -> bool:
@@ -435,18 +489,12 @@ def is_exactly_even(expr: Expr) -> bool:
     ask the same hypot and zero the same elements), and Power(Identity(),
     2) squares with b * b, whose real and imaginary parts are the same
     products of the negated operands, and caps them alike.  A node whose
-    children all give the same bits gives the same bits, and a Compose sees its first-applied map's bits alone.
-    Anything else, e.g. Cos(Identity()), says no: cos is even, but whether
-    numpy's complex cos is sign-symmetric bit for bit depends on its SIMD
-    build.
+    children all give the same bits gives the same bits, and a Compose
+    sees its first-applied map's bits alone.  Anything else, e.g.
+    Cos(Identity()), says no: cos is even, but whether numpy's complex
+    cos is sign-symmetric bit for bit depends on its SIMD build.
     """
-    if isinstance(expr, (Identity, AffineMap)):
-        return False
-    if isinstance(expr, Power) and isinstance(expr.base, Identity):
-        return expr.k == 2
-    if isinstance(expr, Compose):
-        return is_exactly_even(expr.maps[-1])
-    return all(is_exactly_even(c) for c in children(expr))
+    return expr._even
 
 
 def is_exactly_real(expr: Expr) -> bool:
@@ -472,11 +520,7 @@ def is_exactly_real(expr: Expr) -> bool:
     it, so the grid kernel's tests give the conjugate cell the same
     status and escape step.
     """
-    if isinstance(expr, Const):
-        return expr.value.imag == 0
-    if isinstance(expr, AffineMap):
-        return expr.a.imag == 0 and expr.b.imag == 0
-    return all(is_exactly_real(c) for c in children(expr))
+    return expr._real
 
 
 # ---------------------------------------------------------------------------

@@ -434,6 +434,7 @@ def _sign_classes(gens) -> list[tuple[int, bool]]:
         odd = False
         while isinstance(g, Negate):
             g, odd = g.inner, not odd
+        # text, not the tree: == ignores signed zeros that the bits keep
         out.append((first.setdefault(format_expr(g), i), odd))
     return out
 

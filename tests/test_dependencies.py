@@ -137,3 +137,15 @@ def test_every_export_has_a_caller():
                     for f in os.listdir(os.path.join(REPO, folder)) if f.endswith(".py")]
     read = set().union(*map(_read_names, callers))
     assert sorted(exported - read) == []
+
+
+SOURCES = sorted(os.path.join(folder, f) for folder in (PACKAGE, os.path.join(REPO, "demos"))
+                 for f in os.listdir(folder) if f.endswith(".py"))
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: os.path.relpath(p, REPO))
+def test_no_line_over_99_characters(path):
+    # the width the package and the demos are wrapped to
+    with open(path, encoding="utf-8") as fh:
+        long = [n for n, line in enumerate(fh, 1) if len(line.rstrip("\n")) > 99]
+    assert long == []

@@ -32,11 +32,14 @@ from semidyn.expr import (
     affine_compose,
     affine_distance,
     affine_inverse,
+    children,
     compare_values,
     compose,
     eval_array,
     format_complex,
     format_expr,
+    is_class_b,
+    is_exactly_even,
     is_exactly_real,
     numerically_equal,
     parse_complex,
@@ -45,6 +48,7 @@ from semidyn.expr import (
 from semidyn.commutator import conjugate_semigroup
 from semidyn.fixtures import FIXTURES
 from semidyn.words import Word, word_expr
+import test_grid
 
 Z = Identity()
 F_EXP_SQ = Sum((Exp(Power(Z, 2)), Const(0.2)))
@@ -802,3 +806,128 @@ class TestNodeTable:
     def test_names_are_distinct(self):
         names = [cls.name for cls in NODE_TYPES]
         assert len(set(names)) == len(names)
+
+
+# The four walks that answered the structural rules before each node class
+# carried its own, kept verbatim but for their names as the reference that
+# the node rules must match.
+_CONST, _POLY, _CLASS_B = "const", "poly", "class-b"
+
+
+def reference_reads_input(self) -> bool:
+    if type(self) is Identity:
+        return True
+    if type(self) is Compose:
+        return reference_reads_input(self.maps[-1])
+    return any(reference_reads_input(c) for c in children(self))
+
+
+def reference_growth_kind(expr: Expr) -> str | None:
+    """_CONST for a constant tree, _POLY for a provably non-constant
+    polynomial, _CLASS_B for a provably transcendental class-B map, None
+    when unsure (including trees that might cancel to a constant)."""
+    if isinstance(expr, (Identity, AffineMap)):
+        return _POLY
+    if isinstance(expr, Const):
+        return _CONST
+    if isinstance(expr, (Negate, Power)):
+        return reference_growth_kind(next(children(expr)))
+    if isinstance(expr, (Exp, Cos, Sin)):
+        k = reference_growth_kind(expr.inner)
+        return k if k in (_CONST, None) else _CLASS_B
+    terms = list(children(expr))  # Sum, Product or Compose
+    kinds = [reference_growth_kind(t) for t in terms]
+    if None in kinds:
+        return None
+    if isinstance(expr, Compose):
+        if _CONST in kinds:
+            return _CONST
+        return _POLY if set(kinds) == {_POLY} else _CLASS_B
+    varying = [k for k in kinds if k != _CONST]
+    if not varying:
+        return _CONST
+    if isinstance(expr, Product):
+        if any(k == _CONST and not (isinstance(t, Const) and t.value != 0)
+               for t, k in zip(terms, kinds)):
+            return None  # a constant factor that may be zero
+        if all(k == _POLY for k in varying):
+            return _POLY
+    return varying[0] if len(varying) == 1 else None
+
+
+def reference_is_exactly_even(expr: Expr) -> bool:
+    if isinstance(expr, (Identity, AffineMap)):
+        return False
+    if isinstance(expr, Power) and isinstance(expr.base, Identity):
+        return expr.k == 2
+    if isinstance(expr, Compose):
+        return reference_is_exactly_even(expr.maps[-1])
+    return all(reference_is_exactly_even(c) for c in children(expr))
+
+
+def reference_is_exactly_real(expr: Expr) -> bool:
+    if isinstance(expr, Const):
+        return expr.value.imag == 0
+    if isinstance(expr, AffineMap):
+        return expr.a.imag == 0 and expr.b.imag == 0
+    return all(reference_is_exactly_real(c) for c in children(expr))
+
+
+def subtrees(expr: Expr):
+    yield expr
+    for c in children(expr):
+        yield from subtrees(c)
+
+
+def parametrized(test) -> list:
+    """The values a test of one parameter is parametrized with."""
+    (mark,) = test.pytestmark
+    return list(mark.args[1])
+
+
+def assert_rules_match_reference(tree: Expr):
+    for e in subtrees(tree):
+        text = format_expr(e)
+        assert e._reads_input == reference_reads_input(e), text
+        assert e._growth == reference_growth_kind(e), text
+        assert is_class_b(e) == (reference_growth_kind(e) == _CLASS_B), text
+        assert is_exactly_even(e) == reference_is_exactly_even(e), text
+        assert is_exactly_real(e) == reference_is_exactly_real(e), text
+
+
+# the trees of the exactly-real table (the fixtures' generators and their
+# conjugates by -z among them), the exactly-even table and the class-B table
+RULE_TABLE_TREES = (
+    TestExactlyReal.ACCEPTED + TestExactlyReal.REJECTED + test_grid.TestWordQuotient.ACCEPTED
+    + [g for gens in test_grid.TestWordQuotient.REJECTED.values() for g in gens]
+    + [parse_expr(text) for test in (test_grid.TestClassBJuliaMask.test_recognised,
+                                     test_grid.TestClassBJuliaMask.test_not_recognised)
+       for text in parametrized(test)]
+)
+
+
+class TestNodeRules:
+    """Each node class answers the structural rules, reading the input,
+    exact evenness, exact realness and growth, where its own fields decide
+    them, and Expr passes its children's answers on; on every tree and
+    subtree the answers are the reference walks'."""
+
+    def test_drawn_trees_match_the_reference(self):
+        reached = set()
+
+        @settings(max_examples=500, deadline=None, derandomize=True)
+        @given(TREES)
+        def check(tree):
+            reached.update(map(type, subtrees(tree)))
+            assert_rules_match_reference(tree)
+
+        check()
+        assert reached == set(NODE_TYPES)
+
+    @pytest.mark.parametrize("tree", RULE_TABLE_TREES, ids=format_expr)
+    def test_table_trees_match_the_reference(self, tree):
+        assert_rules_match_reference(tree)
+
+    def test_table_trees_reach_every_node_class(self):
+        reached = {type(e) for tree in RULE_TABLE_TREES for e in subtrees(tree)}
+        assert reached == set(NODE_TYPES)

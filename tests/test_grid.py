@@ -681,6 +681,16 @@ class TestWordQuotient:
                      "cos(z)", "sin(pow(neg(z), 2))", "compose(pow(z, 2), z)"):
             assert not is_exactly_even(parse_expr(text)), text
 
+    def test_signed_zeros_keep_two_classes(self):
+        # the two trees are == and hash alike, but their texts differ and
+        # so do their bits at 1-0i, so both generators are iterated
+        gens = [Sum((Exp(Power(Z, 2)), Const(complex(0.2, s)))) for s in (0.0, -0.0)]
+        assert gens[0] == gens[1] and hash(gens[0]) == hash(gens[1])
+        assert all(map(is_exactly_even, gens))
+        z = np.array([complex(1.0, -0.0)])
+        assert eval_array(gens[0], z)[0].tobytes() != eval_array(gens[1], z)[0].tobytes()
+        assert list(iterated_words(gens, 1)) == [(1,), (2,)]
+
     def test_exp_fixture_words(self):
         # h stands for -h too, so every word is mirrored, and h o h and
         # h o h o h ride the orbit of h
